@@ -26,9 +26,9 @@ from . import io as _io
 from . import normalize as _normalize
 from . import oracle as _oracle
 from . import simulate as _simulate
-from .dataset import BINARY, Dataset
+from .dataset import Dataset
 from .errors import NormRegError
-from .solver import FitOptions, PenaltySpec, fit as _fit, fit_path, lambda_max
+from .solver import FitOptions, PenaltySpec, fit as _fit, fit_path, lambda_grid, lambda_max
 
 _USAGE_EXIT, _DATA_EXIT, _NUMERIC_EXIT = 1, 2, 3
 
@@ -180,7 +180,8 @@ def build_parser() -> _Parser:
         help="scenario parameter override (repeatable; comma lists allowed)",
     )
     _add_output_flags(p, _io.CSV)
-    p.set_defaults(run=_cmd_simulate)
+    # no default seed: an explicit --seed, 0 included, overrides a config's seed
+    p.set_defaults(run=_cmd_simulate, seed=None)
 
     p = subs.add_parser("oracle", help="closed-form curves over a parameter grid")
     p.add_argument(
@@ -237,9 +238,8 @@ def _read_dataset(args) -> Dataset:
 def _plan_for(data: Dataset, args) -> tuple[_normalize.NormalizationPlan, str]:
     name = args.normalize
     if name == "binary-delta":
-        binary = _normalize.BinaryDelta(args.delta, args.comparability, args.kappa, args.q0)
-        strategy = _normalize.PerFeature(
-            tuple(binary if kind == BINARY else _normalize.Standardize() for kind in data.kinds)
+        strategy = _normalize.mixed_binary_delta(
+            data, _normalize.BinaryDelta(args.delta, args.comparability, args.kappa, args.q0)
         )
     else:
         strategy = {
@@ -349,9 +349,8 @@ def _cmd_path(args) -> int:
     plan, strategy_name = _plan_for(data, args)
     normalized = _normalize.apply(data, plan)
     u, v = _omega_weights(normalized.x, args.omega)
-    results = fit_path(
-        normalized, args.alpha, FitOptions(), count=args.count, ratio=args.ratio, u=u, v=v, plan=plan
-    )
+    grid = lambda_grid(lambda_max(normalized, u), args.count, args.ratio)
+    results = fit_path(normalized, args.alpha, grid, FitOptions(), u=u, v=v, plan=plan)
     stragglers = [r for r in results if not r.converged]
     if stragglers:
         print(f"normreg path: {len(stragglers)} grid points did not converge", file=sys.stderr)
@@ -438,23 +437,7 @@ def _parse_param(text: str):
     key, sep, value = text.partition("=")
     if not sep or not key.strip():
         raise _UsageError(f"--param expects KEY=VALUE, got {text!r}")
-
-    def scalar(token: str):
-        token = token.strip()
-        if token.lower() in ("true", "false"):
-            return token.lower() == "true"
-        try:
-            return int(token)
-        except ValueError:
-            pass
-        try:
-            return float(token)
-        except ValueError:
-            return token
-
-    value = value.strip()
-    parsed = tuple(scalar(v) for v in value.split(",")) if "," in value else scalar(value)
-    return key.strip(), parsed
+    return key.strip(), _simulate.parse_value(value)
 
 
 def _cmd_simulate(args) -> int:
@@ -462,13 +445,13 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("exactly one of --scenario or --config is required")
     if args.config is not None:
         spec = _simulate.parse_scenario_config(args.config)
-        base_params = dict(spec.params)
-        scenario = spec.scenario
-        seed = spec.seed if args.seed == 0 else args.seed
+        scenario, seed, base_params = spec.scenario, spec.seed, dict(spec.params)
         n, p, reps = spec.n, spec.p, spec.replications
     else:
-        scenario, seed = args.scenario, args.seed
+        scenario, seed = args.scenario, 0
         base_params, n, p, reps = {}, None, None, None
+    if args.seed is not None:
+        seed = args.seed
     if args.n is not None:
         n = args.n
     if args.p is not None:

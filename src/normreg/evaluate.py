@@ -24,11 +24,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import normalize as _normalize
-from .dataset import BINARY, Dataset
+from .dataset import Dataset
 from .errors import DimensionMismatchError, DomainError, ZeroScaleError
-from .normalize import PLAIN, BinaryDelta, PerFeature, Standardize
+from .normalize import PLAIN, BinaryDelta, PerFeature, mixed_binary_delta
 from .rng import RandomStream
-from .solver import FitOptions, from_mixing, fit, lambda_grid, lambda_max
+from .solver import FitOptions, fit_path, lambda_grid, lambda_max
+from .solver import fit  # noqa: F401  (perfbench/test_bench.py pins this binding site)
 
 _log = logging.getLogger(__name__)
 
@@ -123,14 +124,6 @@ def fold_assignments(n: int, plan: CVPlan) -> list[list[np.ndarray]]:
     return out
 
 
-def _delta_strategy(data: Dataset, delta: float, comparability: str) -> PerFeature:
-    per_col = tuple(
-        BinaryDelta(delta, comparability=comparability) if kind == BINARY else Standardize()
-        for kind in data.kinds
-    )
-    return PerFeature(per_col)
-
-
 def cross_validate(
     data: Dataset,
     plan: CVPlan,
@@ -157,7 +150,7 @@ def cross_validate(
     grids: dict[float, np.ndarray] = {}
     strategies: dict[float, PerFeature] = {}
     for delta in plan.deltas:
-        strategy = _delta_strategy(data, delta, plan.comparability)
+        strategy = mixed_binary_delta(data, BinaryDelta(delta, comparability=plan.comparability))
         full_plan = _normalize.compute_plan(data, strategy)
         full_norm = _normalize.apply(data, full_plan)
         grids[delta] = lambda_grid(
@@ -198,17 +191,10 @@ def cross_validate(
                     skipped.append(msg)
                     continue
                 train_norm = _normalize.apply(train, fold_plan)
-                x_test_norm = (x_test - fold_plan.centers) / fold_plan.scales
+                x_test_norm = fold_plan.transform(x_test)
                 counts[delta][repeat] += test_idx.shape[0]
-                warm = None
-                for i, lam in enumerate(grids[delta]):
-                    res = fit(
-                        train_norm,
-                        from_mixing(alpha, float(lam)),
-                        options,
-                        warm_start=warm,
-                    )
-                    warm = res.beta_norm
+                path = fit_path(train_norm, alpha, grids[delta], options)
+                for i, (lam, res) in enumerate(zip(grids[delta], path)):
                     pred = res.beta0_norm + x_test_norm @ res.beta_norm
                     sq = y_test - pred
                     pooled[(delta, i)][repeat] += float(np.dot(sq, sq))

@@ -28,9 +28,12 @@ The ridge exponent makes s(q0)^2 equal the anchor variance q0 - q0^2, which
 is what the quadratic penalty requires; the lasso exponent makes s(q0) equal
 kappa * (q0 - q0^2).
 
-On a binary column, note that vanishing class balance drives nu^delta to
-zero for delta > 0: constant columns therefore raise ZeroScaleError rather
-than produce infinite normalized values.
+Constant columns have no scale under most strategies (and nu^delta = 0 for
+delta > 0 on a single-class binary column). compute_plan raises
+ZeroScaleError for them rather than produce infinite normalized values; cross
+validation then skips that fold and delta. Predictive-sim's training-split
+plan instead gives such a column scale 1: its normalized version is
+identically zero and its coefficient stays at zero.
 """
 
 from __future__ import annotations
@@ -157,6 +160,10 @@ class NormalizationPlan:
     def p(self) -> int:
         return self.centers.shape[0]
 
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """(x - c) / s, column by column."""
+        return (x - self.centers) / self.scales
+
 
 def class_balance(col: np.ndarray) -> float:
     """Fraction of ones in a binary column."""
@@ -201,6 +208,11 @@ def _column_factors(col: np.ndarray, strategy, kind: str, j: int) -> tuple[float
     return c, s
 
 
+def mixed_binary_delta(data: Dataset, binary: BinaryDelta) -> PerFeature:
+    """`binary` on the binary columns of data, Standardize on the others."""
+    return PerFeature(tuple(binary if kind == BINARY else Standardize() for kind in data.kinds))
+
+
 def compute_plan(data: Dataset, strategy: Strategy) -> NormalizationPlan:
     """Compute per-column normalization factors from the data.
 
@@ -227,8 +239,9 @@ def apply(data: Dataset, plan: NormalizationPlan) -> Dataset:
     """Return data with x mapped to (x - c) / s; the response is untouched."""
     if plan.p != data.p:
         raise DimensionMismatchError(f"plan covers {plan.p} columns, data has {data.p}")
-    x_norm = (data.x - plan.centers[np.newaxis, :]) / plan.scales[np.newaxis, :]
-    return Dataset(x=x_norm, y=data.y.copy(), kinds=("continuous",) * data.p, names=data.names)
+    return Dataset(
+        x=plan.transform(data.x), y=data.y.copy(), kinds=("continuous",) * data.p, names=data.names
+    )
 
 
 def backtransform(beta_norm: np.ndarray, beta0_norm: float, plan: NormalizationPlan):

@@ -46,7 +46,7 @@ from .oracle import (
     selection_probability,
 )
 from .rng import RandomStream
-from .solver import FitOptions, PenaltySpec, fit, from_mixing, lambda_grid, lambda_max
+from .solver import FitOptions, PenaltySpec, fit, fit_path, from_mixing, lambda_grid, lambda_max
 from .special import std_normal_quantile
 
 SELECTION_PROBABILITY = "selection-probability"
@@ -168,6 +168,26 @@ def _feasible_q(n: int, q: float) -> bool:
     return math.ceil(n * q - 1e-9) < n
 
 
+_ALL_ONES = "ceil(n q) = n gives an all-ones column"
+
+
+def _binary_design(n: int, p: int, qs: np.ndarray, cfg: dict, gx) -> np.ndarray:
+    """n x p binary design: signal columns at balances qs, then null columns at
+    balances drawn uniformly between null_q_low and null_q_high.
+
+    Raises DomainError naming the first balance bound at which a column
+    could come out all ones, instead of failing later in normalization.
+    """
+    for name in ("q_first", "q_last", "null_q_low", "null_q_high"):
+        if not _feasible_q(n, cfg[name]):
+            raise DomainError(f"{name}={cfg[name]}: {_ALL_ONES} at n={n}")
+    null_q = gx.uniform(cfg["null_q_low"], cfg["null_q_high"], size=p - len(qs))
+    x = np.empty((n, p), order="F")
+    for j, q in enumerate(np.concatenate([qs, null_q])):
+        x[:, j] = gen_binary(n, float(q), gx)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # spec / result plumbing
 
@@ -249,6 +269,23 @@ class _Collector:
         return tuple(out)
 
 
+def _feasible_qs(n: int, grid, rec: _Collector) -> list:
+    """The balances in grid that leave a zero in n rows; rec logs the rest as skipped."""
+    qs = []
+    for q in grid:
+        if _feasible_q(n, q):
+            qs.append(q)
+        else:
+            rec.skip(f"q={q}: {_ALL_ONES}")
+    return qs
+
+
+def _replications(spec: ScenarioSpec, cfg: dict):
+    """Yield (replication, design stream, noise stream) for each replication."""
+    for rep in range(cfg["replications"]):
+        yield rep, _stream(spec.seed, rep, _X), _stream(spec.seed, rep, _EPS)
+
+
 def _resolve(spec: ScenarioSpec, defaults: dict) -> tuple[dict, list[str]]:
     """Merge overrides into the scenario defaults, tracking what changed."""
     cfg = dict(defaults)
@@ -281,13 +318,11 @@ def _resolve(spec: ScenarioSpec, defaults: dict) -> tuple[dict, list[str]]:
     return cfg, overridden
 
 
-def parse_scenario_config(path) -> ScenarioSpec:
-    """Read a plain-text `key = value` scenario config.
+def parse_value(text: str):
+    """Parse a config or --param value.
 
-    '#' starts a comment; comma-separated values become tuples; numbers are
-    parsed as int then float; `true`/`false` as booleans. The `scenario` key
-    is required; `seed`, `n`, `p`, `replications` map to spec fields and
-    everything else lands in params.
+    Comma-separated values become tuples; numbers are parsed as int then
+    float; `true`/`false` as booleans; anything else stays a stripped string.
     """
 
     def scalar(token: str):
@@ -303,6 +338,16 @@ def parse_scenario_config(path) -> ScenarioSpec:
         except ValueError:
             return token
 
+    return tuple(scalar(part) for part in text.split(",")) if "," in text else scalar(text)
+
+
+def parse_scenario_config(path) -> ScenarioSpec:
+    """Read a plain-text `key = value` scenario config.
+
+    '#' starts a comment; values are read by parse_value. The `scenario` key
+    is required; `seed`, `n`, `p`, `replications` map to spec fields and
+    everything else lands in params.
+    """
     pairs: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -315,10 +360,7 @@ def parse_scenario_config(path) -> ScenarioSpec:
             key = key.strip()
             if key in pairs:
                 raise ParseError(f"duplicate key {key!r}", line=line_no)
-            value = value.strip()
-            pairs[key] = (
-                tuple(scalar(part) for part in value.split(",")) if "," in value else scalar(value)
-            )
+            pairs[key] = parse_value(value)
     if "scenario" not in pairs:
         raise ParseError("config must set `scenario`", line=1)
     fields = {"scenario": str(pairs.pop("scenario"))}
@@ -379,12 +421,7 @@ def _defaults_selection_probability() -> dict:
 def _run_selection_probability(spec, cfg, overridden):
     n, beta = cfg["n"], cfg["beta_star"]
     rec = _Collector(("q", "delta", "lambda1", "sigma"))
-    qs = []
-    for q in cfg["q_grid"]:
-        if _feasible_q(n, q):
-            qs.append(q)
-        else:
-            rec.skip(f"q={q}: ceil(n q) = n gives an all-ones column")
+    qs = _feasible_qs(n, cfg["q_grid"], rec)
     oracle = {}
     for q in qs:
         for d in cfg["delta_grid"]:
@@ -394,9 +431,7 @@ def _run_selection_probability(spec, cfg, overridden):
                         beta=beta, n=n, q=q, sigma_eps=s, lam1=lam1, lam2=0.0, scaling=Delta(d)
                     )
                     oracle[(q, d, lam1, s)] = selection_probability(model)
-    for rep in range(cfg["replications"]):
-        gx = _stream(spec.seed, rep, _X)
-        ge = _stream(spec.seed, rep, _EPS)
+    for rep, gx, ge in _replications(spec, cfg):
         columns = {q: gen_binary(n, q, gx) for q in qs}
         noise = {s: (s * ge.standard_normal(n) if s > 0.0 else None) for s in cfg["sigma_grid"]}
         for q in qs:
@@ -405,7 +440,7 @@ def _run_selection_probability(spec, cfg, overridden):
             scaled = {}
             for d in cfg["delta_grid"]:
                 plan = _normalize.compute_plan(base, BinaryDelta(d))
-                scaled[d] = ((x - plan.centers) / plan.scales, plan)
+                scaled[d] = (plan.transform(x), plan)
             for s in cfg["sigma_grid"]:
                 y = beta * columns[q] if noise[s] is None else beta * columns[q] + noise[s]
                 for d in cfg["delta_grid"]:
@@ -447,12 +482,7 @@ def _run_bias_var(spec, cfg, overridden):
     lam1 = cfg["lambda1"] if variant != "ridge" else 0.0
     lam2 = cfg["lambda2"] if variant != "lasso" else 0.0
     rec = _Collector(("q", "exponent", "sigma"))
-    qs = []
-    for q in cfg["q_grid"]:
-        if _feasible_q(n, q):
-            qs.append(q)
-        else:
-            rec.skip(f"q={q}: ceil(n q) = n gives an all-ones column")
+    qs = _feasible_qs(n, cfg["q_grid"], rec)
     oracle = {}
     for q in qs:
         for t in cfg["exponent_grid"]:
@@ -462,24 +492,20 @@ def _run_bias_var(spec, cfg, overridden):
                     beta=beta, n=n, q=q, sigma_eps=s, lam1=lam1, lam2=lam2, scaling=scaling
                 )
                 oracle[(q, t, s)] = (estimator_mean(model), estimator_variance(model))
-    for rep in range(cfg["replications"]):
-        gx = _stream(spec.seed, rep, _X)
-        ge = _stream(spec.seed, rep, _EPS)
+    for rep, gx, ge in _replications(spec, cfg):
         columns = {q: gen_binary(n, q, gx) for q in qs}
         noise = {s: (s * ge.standard_normal(n) if s > 0.0 else None) for s in cfg["sigma_grid"]}
         for q in qs:
             x = columns[q][:, np.newaxis]
-            nu = q - q * q
             base = Dataset(x=x, y=np.zeros(n))
             prepared = {}
             for t in cfg["exponent_grid"]:
                 if variant == "weighted":
-                    w = np.array([nu**t])
+                    w = np.array([BinaryDelta(t).scale_at(q)])
                     prepared[t] = (base.x, None, PenaltySpec(lam1=lam1, lam2=lam2, u=w, v=w))
                 else:
                     plan = _normalize.compute_plan(base, BinaryDelta(t))
-                    xn = (x - plan.centers) / plan.scales
-                    prepared[t] = (xn, plan, PenaltySpec(lam1=lam1, lam2=lam2))
+                    prepared[t] = (plan.transform(x), plan, PenaltySpec(lam1=lam1, lam2=lam2))
             for s in cfg["sigma_grid"]:
                 y = beta * columns[q] if noise[s] is None else beta * columns[q] + noise[s]
                 for t in cfg["exponent_grid"]:
@@ -535,13 +561,8 @@ def _run_decreasing_classbalance(spec, cfg, overridden):
     beta[:k] = 1.0
     rec = _Collector(("delta", "rho"))
     lam_rule = "lambda1 = 2 sigma sqrt(2 log p); plain nu^delta scaling"
-    for rep in range(cfg["replications"]):
-        gx = _stream(spec.seed, rep, _X)
-        ge = _stream(spec.seed, rep, _EPS)
-        null_q = gx.uniform(cfg["null_q_low"], cfg["null_q_high"], size=p - k)
-        x = np.empty((n, p), order="F")
-        for j, q in enumerate(np.concatenate([qs, null_q])):
-            x[:, j] = gen_binary(n, float(q), gx)
+    for rep, gx, ge in _replications(spec, cfg):
+        x = _binary_design(n, p, qs, cfg, gx)
         z = ge.standard_normal(n)
         for rho in cfg["rho_grid"]:
             xr = inject_correlation(x, rho) if rho > 0.0 else x
@@ -595,18 +616,11 @@ def _run_mixed_data(spec, cfg, overridden):
     n = cfg["n"]
     beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
     rec = _Collector(("model", "q", "delta"))
-    qs = []
-    for q in cfg["q_grid"]:
-        if _feasible_q(n, q):
-            qs.append(q)
-        else:
-            rec.skip(f"q={q}: ceil(n q) = n gives an all-ones column")
+    qs = _feasible_qs(n, cfg["q_grid"], rec)
     for model in cfg["model_grid"]:
         if model not in ("lasso", "ridge"):
             raise DomainError(f"model_grid entries must be lasso or ridge, got {model!r}")
-    for rep in range(cfg["replications"]):
-        gx = _stream(spec.seed, rep, _X)
-        ge = _stream(spec.seed, rep, _EPS)
+    for rep, gx, ge in _replications(spec, cfg):
         z = ge.standard_normal(n)
         for q in qs:
             x1 = gen_binary(n, q, gx)
@@ -666,17 +680,10 @@ def _defaults_interactions() -> dict:
 def _run_interactions(spec, cfg, overridden):
     n, d = cfg["n"], cfg["delta"]
     rec = _Collector(("q", "beta3", "strategy"))
-    qs = []
-    for q in cfg["q_grid"]:
-        if _feasible_q(n, q):
-            qs.append(q)
-        else:
-            rec.skip(f"q={q}: ceil(n q) = n gives an all-ones column")
+    qs = _feasible_qs(n, cfg["q_grid"], rec)
     lam1 = n / 4.0
     binary_scale = BinaryDelta(d, LASSO_COMPARABLE, cfg["kappa"], cfg["q0"])
-    for rep in range(cfg["replications"]):
-        gx = _stream(spec.seed, rep, _X)
-        ge = _stream(spec.seed, rep, _EPS)
+    for rep, gx, ge in _replications(spec, cfg):
         z = ge.standard_normal(n)
         for q in qs:
             x1 = gen_binary(n, q, gx)
@@ -734,15 +741,8 @@ def _run_weighted_elnet(spec, cfg, overridden):
     n = cfg["n"]
     beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
     rec = _Collector(("q", "omega"))
-    qs = []
-    for q in cfg["q_grid"]:
-        if _feasible_q(n, q):
-            qs.append(q)
-        else:
-            rec.skip(f"q={q}: ceil(n q) = n gives an all-ones column")
-    for rep in range(cfg["replications"]):
-        gx = _stream(spec.seed, rep, _X)
-        ge = _stream(spec.seed, rep, _EPS)
+    qs = _feasible_qs(n, cfg["q_grid"], rec)
+    for rep, gx, ge in _replications(spec, cfg):
         z = ge.standard_normal(n)
         for q in qs:
             x1 = gen_binary(n, q, gx)
@@ -819,10 +819,8 @@ def _run_orthogonality(spec, cfg, overridden):
             sigma = sigma_for_snr(x, beta, cfg["snr"])
             corr = float(np.corrcoef(x[:, 0], x[:, 1])[0, 1])
             plan = _normalize.compute_plan(Dataset(x=x, y=np.zeros(n)), Standardize())
-            xn = (x - plan.centers) / plan.scales
-            designs[(q2, rho)] = (x, xn, plan, sigma, corr)
-    for rep in range(cfg["replications"]):
-        ge = _stream(spec.seed, rep, _EPS)
+            designs[(q2, rho)] = (x, plan.transform(x), plan, sigma, corr)
+    for rep, _, ge in _replications(spec, cfg):
         z = ge.standard_normal(n)
         for (q2, rho), (x, xn, plan, sigma, corr) in designs.items():
             y = x @ beta + sigma * z
@@ -874,14 +872,9 @@ def _run_power_fdr(spec, cfg, overridden):
     qs = np.linspace(cfg["q_first"], cfg["q_last"], k)
     truth = set(range(k))
     rec = _Collector(("p", "delta"))
-    for rep in range(cfg["replications"]):
-        gx = _stream(spec.seed, rep, _X)
-        ge = _stream(spec.seed, rep, _EPS)
+    for rep, gx, ge in _replications(spec, cfg):
         gt = _stream(spec.seed, rep, _TEST)
-        null_q = gx.uniform(cfg["null_q_low"], cfg["null_q_high"], size=p_max - k)
-        x_full = np.empty((n, p_max), order="F")
-        for j, q in enumerate(np.concatenate([qs, null_q])):
-            x_full[:, j] = gen_binary(n, float(q), gx)
+        x_full = _binary_design(n, p_max, qs, cfg, gx)
         signal = cfg["beta_signal"] * x_full[:, :k].sum(axis=1)
         y = signal + cfg["sigma"] * ge.standard_normal(n)
         y_test = signal + cfg["sigma"] * gt.standard_normal(n)
@@ -931,16 +924,16 @@ def _defaults_predictive_sim() -> dict:
 
 
 def _tolerant_plan(x_train: np.ndarray, delta: float) -> NormalizationPlan:
-    """nu^delta scaling from the training split, tolerating constant columns.
+    """BinaryDelta(delta) factors of a binary training split, tolerating
+    constant columns.
 
     A column constant on the split gets scale 1 (its normalized version is
     identically zero, and the solver leaves its coefficient at zero), so one
-    unlucky fold cannot abort the sweep.
+    unlucky split cannot abort the sweep.
     """
     means = x_train.mean(axis=0)
-    nu = means - means * means
-    scales = np.where(nu > 0.0, nu, 1.0) ** delta
-    scales[nu <= 0.0] = 1.0
+    scales = BinaryDelta(delta).scale_at(means)
+    scales[(means == 0.0) | (means == 1.0)] = 1.0
     return NormalizationPlan(means, scales)
 
 
@@ -957,14 +950,9 @@ def _run_predictive_sim(spec, cfg, overridden):
     if third < 2:
         raise DomainError(f"n={n} leaves fewer than 2 rows per split")
     rec = _Collector(("snr", "delta"))
-    for rep in range(cfg["replications"]):
-        gx = _stream(spec.seed, rep, _X)
-        ge = _stream(spec.seed, rep, _EPS)
+    for rep, gx, ge in _replications(spec, cfg):
         gs = _stream(spec.seed, rep, _TEST)
-        null_q = gx.uniform(cfg["null_q_low"], cfg["null_q_high"], size=p - k)
-        x = np.empty((n, p), order="F")
-        for j, q in enumerate(np.concatenate([qs, null_q])):
-            x[:, j] = gen_binary(n, float(q), gx)
+        x = _binary_design(n, p, qs, cfg, gx)
         z = ge.standard_normal(n)
         order = gs.permutation(n)
         train, val, test = order[:third], order[third : 2 * third], order[2 * third :]
@@ -974,24 +962,19 @@ def _run_predictive_sim(spec, cfg, overridden):
             y = signal + sigma * z
             for d in cfg["delta_grid"]:
                 plan = _tolerant_plan(x[train], d)
-                xt = (x[train] - plan.centers) / plan.scales
-                nd = Dataset(x=xt, y=y[train], kinds=("continuous",) * p)
-                lam_max = lambda_max(nd)
-                grid = lambda_grid(lam_max, count=cfg["path_count"], ratio=cfg["path_ratio"])
-                xv = (x[val] - plan.centers) / plan.scales
+                nd = Dataset(x=plan.transform(x[train]), y=y[train], kinds=("continuous",) * p)
+                grid = lambda_grid(lambda_max(nd), count=cfg["path_count"], ratio=cfg["path_ratio"])
+                xv = plan.transform(x[val])
                 best = None
-                warm = None
-                for lam in grid:
-                    res = fit(nd, PenaltySpec(lam1=float(lam)), _FIT, warm_start=warm)
-                    warm = res.beta_norm
+                for lam, res in zip(grid, fit_path(nd, 1.0, grid, _FIT)):
                     score = _nmse(y[val], res.beta0_norm + xv @ res.beta_norm)
                     if best is None or score < best[0]:
                         best = (score, float(lam), res)
-                xs = (x[test] - plan.centers) / plan.scales
-                res = best[2]
+                _, lam, res = best
+                xs = plan.transform(x[test])
                 cell = (snr, d)
                 rec.add(rep, cell, "nmse_test", _nmse(y[test], res.beta0_norm + xs @ res.beta_norm))
-                rec.add(rep, cell, "lambda_selected", best[1])
+                rec.add(rep, cell, "lambda_selected", lam)
                 rec.add(rep, cell, "support_size", len(res.support))
     return rec, {
         "lambda_rule": "100-point log path from lambda_max(train), selected on validation "
@@ -1029,8 +1012,7 @@ def _run_maxabs_gev(spec, cfg, overridden):
     sizes = tuple(sorted(cfg["n_grid"]))
     if part == "a":
         approx = {n: maxabs_gumbel(0.0, 1.0, n).mean_approx for n in sizes}
-        for rep in range(cfg["replications"]):
-            g = _stream(spec.seed, rep, _X)
+        for rep, g, _ in _replications(spec, cfg):
             for n in sizes:
                 m = float(np.abs(g.standard_normal(n)).max())
                 rec.add(rep, ("a", n), "maxabs", m)
@@ -1043,12 +1025,10 @@ def _run_maxabs_gev(spec, cfg, overridden):
         # estimate stable while the normal one vanishes inside the n grid.
         beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
         nu1 = cfg["q"] - cfg["q"] ** 2
-        for rep in range(cfg["replications"]):
-            gx = _stream(spec.seed, rep, _X)
-            ge = _stream(spec.seed, rep, _EPS)
+        for rep, gx, ge in _replications(spec, cfg):
             for n in sizes:
                 if not _feasible_q(n, cfg["q"]):
-                    rec.skip(f"n={n}: ceil(n q) = n gives an all-ones column")
+                    rec.skip(f"n={n}: {_ALL_ONES}")
                     continue
                 x = np.column_stack(
                     [gen_binary(n, cfg["q"], gx), cfg["cont_sd"] * gx.standard_normal(n)]

@@ -265,24 +265,23 @@ def lambda_grid(lam_max: float, count: int = 100, ratio: float = 1e-2) -> np.nda
 def fit_path(
     data: Dataset,
     alpha: float,
+    lambdas: np.ndarray,
     options: FitOptions = FitOptions(),
-    count: int = 100,
-    ratio: float = 1e-2,
     u: np.ndarray | None = None,
     v: np.ndarray | None = None,
     plan: NormalizationPlan | None = None,
 ) -> list[FitResult]:
-    """Warm-started path over a log-spaced grid anchored at lambda_max.
+    """Warm-started fits over the caller's lambda grid, in the given order.
 
-    The grid always anchors at the l1-defined lambda_max (with weights u),
-    including for alpha = 0. Returns one FitResult per grid point, largest
-    lambda first.
+    The caller owns the grid: lambda_grid(lambda_max(data, u), count, ratio)
+    gives a path from this data's null model down, and any other anchor (the
+    full-data lambda_max for a cross-validation fold, say) works the same.
+    Each fit starts from the previous coefficients. Returns one FitResult
+    per grid value.
     """
-    lam_max = lambda_max(data, u)
-    grid = lambda_grid(lam_max, count=count, ratio=ratio)
     results: list[FitResult] = []
     warm: np.ndarray | None = None
-    for lam in grid:
+    for lam in lambdas:
         res = fit(data, from_mixing(alpha, float(lam), u=u, v=v), options, plan=plan, warm_start=warm)
         warm = res.beta_norm
         results.append(res)

@@ -71,6 +71,11 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["fit", "--input", str(bad), "--lambda1", "1"]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "column 2" in err
+    # a balance bound that rounds to an all-ones column is named up front
+    argv = ["simulate", "--scenario", "power-fdr", "--n", "40", "--replications", "1",
+            "--param", "p_grid=8", "--param", "n_signal=3"]
+    assert main(argv) == 2
+    assert "q_last=0.99: ceil(n q) = n gives an all-ones column at n=40" in capsys.readouterr().err
 
 
 def test_usage_error_leaves_no_output(tmp_path, toy_csv):
@@ -246,6 +251,10 @@ def test_simulate_config_file_with_overrides(tmp_path, capsys):
     assert estimates == pytest.approx([0.9, 0.9], abs=1e-8)
     assert payload["manifest"]["seed"] == 3
     assert "lambda1" in payload["manifest"]["overridden"]
+    # an explicit --seed wins over the config's seed, 0 included
+    for seed in ("0", "4"):
+        assert main(["simulate", "--config", str(cfg), "--seed", seed]) == 0
+        assert json.loads(capsys.readouterr().out)["manifest"]["seed"] == int(seed)
 
 
 def test_cv_runs_and_reports_best(tmp_path, toy_csv, capsys):

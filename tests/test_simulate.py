@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 
 from normreg import (
+    BinaryDelta,
+    Dataset,
     DimensionMismatchError,
     DomainError,
     ParseError,
     RandomStream,
     ScenarioSpec,
+    compute_plan,
     correlated_binary_pair,
     gen_binary,
     gen_quasinormal,
@@ -389,6 +392,22 @@ def test_decreasing_classbalance_smoke():
     assert "lambda1 = 2 sigma sqrt(2 log p)" in result.manifest["lambda_rule"]
 
 
+def test_balance_bound_that_rounds_to_all_ones_is_named():
+    # at n = 40, 0.99 rounds to 40 ones; before any fit, the error names the bound
+    cases = [
+        ("decreasing-classbalance", {"n_signal": 5}, "q_last=0.99"),
+        ("decreasing-classbalance", {"n_signal": 5, "q_last": 0.9}, "null_q_high=0.99"),
+        ("power-fdr", {"p_grid": (8,), "n_signal": 3, "q_first": 0.99, "q_last": 0.5,
+                       "null_q_high": 0.9}, "q_first=0.99"),
+        ("predictive-sim", {"n_signal": 3, "q_last": 0.9}, "null_q_high=0.99"),
+    ]
+    for scenario, params, name in cases:
+        sizes = {"p": 20} if scenario != "power-fdr" else {}
+        spec = ScenarioSpec(scenario, n=40, replications=1, params=params, **sizes)
+        with pytest.raises(DomainError, match=f"{name}: .* all-ones column at n=40"):
+            run_scenario(spec)
+
+
 def test_power_fdr_smoke_metrics_in_range():
     spec = ScenarioSpec(
         "power-fdr",
@@ -479,6 +498,44 @@ def test_parse_scenario_config(tmp_path):
     assert spec.seed == 3
     assert spec.replications == 7
     assert spec.params == {"q_grid": (0.5, 0.75), "model": "ridge", "lambda2": 12.5}
+
+
+def test_parse_value_agrees_between_config_and_param(tmp_path):
+    from normreg.cli import _parse_param
+
+    path = tmp_path / "cfg.txt"
+    for line, want in [
+        ("noise_free = TRUE", True),
+        ("lambda1 = 7", 7),
+        ("rate = 2.5e-1", 0.25),
+        ("model = ridge", "ridge"),
+        ("q_grid = 0.5, 0.75,1", (0.5, 0.75, 1)),
+    ]:
+        path.write_text(f"scenario = bias-var\n{line}\n")
+        params = parse_scenario_config(path).params
+        key, value = _parse_param(line)
+        assert params == {key: value}
+        assert repr(value) == repr(want)
+
+
+def test_tolerant_plan_is_binary_delta_with_unit_scale_for_constant_columns():
+    from normreg.simulate import _tolerant_plan
+
+    x = np.column_stack([gen_binary(40, q, _gen(stream_id=j)) for j, q in
+                         enumerate((0.5, 0.1, 0.3, 0.85, 0.95))])
+    x = np.column_stack([x, np.zeros(40), np.ones(40)])
+    varying = Dataset(x=x[:, :5], y=np.zeros(40))
+    for delta in (0.0, 0.25, 0.5, 1.0):
+        plan = _tolerant_plan(x, delta)
+        assert np.array_equal(plan.scales[5:], [1.0, 1.0])
+        assert np.array_equal(plan.centers[5:], [0.0, 1.0])
+        ref = compute_plan(varying, BinaryDelta(delta))
+        assert np.array_equal(plan.centers[:5], ref.centers)
+        if delta in (0.0, 1.0):
+            assert np.array_equal(plan.scales[:5], ref.scales)
+        else:
+            # numpy's vectorized pow may differ from the scalar one by an ulp
+            np.testing.assert_array_max_ulp(plan.scales[:5], ref.scales, maxulp=1)
 
 
 def test_parse_scenario_config_errors(tmp_path):

@@ -120,13 +120,19 @@ def test_fit_path_starts_null_and_matches_cold_refits():
     beta[:4] = (1.5, -2.0, 1.0, 0.5)
     y = x @ beta + rng.standard_normal(60)
     data = Dataset(x=x, y=y)
+    grid = lambda_grid(lambda_max(data), count=12, ratio=1e-2)
     # null start only holds when the whole penalty is l1 (lam1 == lam at the anchor)
-    lasso = fit_path(data, alpha=1.0, options=TIGHT, count=5, ratio=1e-2)
+    lasso = fit_path(data, 1.0, grid[:5], options=TIGHT)
     assert lasso[0].support.size == 0
-    path = fit_path(data, alpha=0.8, options=TIGHT, count=12, ratio=1e-2)
-    for res in path:
-        cold = fit(data, from_mixing(0.8, res.lam1 + res.lam2), TIGHT)
-        assert np.allclose(res.beta_norm, cold.beta_norm, atol=1e-6)
+    # the caller owns the grid: one anchored elsewhere (here at a subsample's
+    # lambda_max, as cross-validation does for a fold) warm-starts the same way
+    off_anchor = lambda_grid(lambda_max(Dataset(x=x[:30], y=y[:30])), count=6, ratio=1e-2)
+    for alpha, lambdas in ((0.8, grid), (1.0, off_anchor)):
+        path = fit_path(data, alpha, lambdas, options=TIGHT)
+        assert [res.lam1 + res.lam2 for res in path] == pytest.approx(lambdas, rel=1e-15)
+        for res in path:
+            cold = fit(data, from_mixing(alpha, res.lam1 + res.lam2), TIGHT)
+            assert np.allclose(res.beta_norm, cold.beta_norm, atol=1e-6)
 
 
 def test_objective_non_increasing():

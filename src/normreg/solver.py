@@ -27,7 +27,6 @@ full sweep).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,47 +150,28 @@ def fit(
     r = y - x @ beta
     history: list[float] = []
 
-    # A fit's cost is the per-coordinate overhead of the sweep, so the sweep
-    # reads Python floats from lists, keeps the column views, and updates r
-    # in place through one scratch vector. Each step is the same IEEE
-    # operation as the array form (ST(x_j' r + ||x_j||^2 beta_j, lam1 u_j) /
-    # denom_j, then r -= delta * x_j), so the iterates are unchanged.
-    columns = list(x.T)
-    col_sq_l, denom_l = col_sq.tolist(), denom.tolist()
-    thresh_l = (lam1 * u).tolist()
-    coef = beta.tolist()
-    step = np.empty(n)
-    r_dot, multiply, subtract, copysign = r.dot, np.multiply, np.subtract, math.copysign
-
     def sweep(indices) -> float:
-        nonlocal beta0
+        nonlocal beta0, r
         max_delta = 0.0
         if options.fit_intercept:
             shift = float(r.mean())
             beta0 += shift
-            subtract(r, shift, out=r)
+            r -= shift
             max_delta = abs(shift)
         for j in indices:
-            dj = denom_l[j]
-            if dj == 0.0:
+            if denom[j] == 0.0:
                 continue
-            xj = columns[j]
-            bj_old = coef[j]
-            z = float(r_dot(xj)) + col_sq_l[j] * bj_old
-            zt = abs(z) - thresh_l[j]
-            bj = 0.0 if zt <= 0.0 else copysign(zt, z) / dj
-            delta = bj - bj_old
+            xj = x[:, j]
+            z = float(np.dot(xj, r)) + col_sq[j] * beta[j]
+            zt = abs(z) - lam1 * u[j]
+            bj = 0.0 if zt <= 0.0 else np.copysign(zt, z) / denom[j]
+            delta = bj - beta[j]
             if delta != 0.0:
-                multiply(xj, delta, step)
-                subtract(r, step, r)
-                coef[j] = bj
+                r -= delta * xj
+                beta[j] = bj
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
         return max_delta
-
-    def record() -> None:
-        if options.track_objective:
-            history.append(_objective(r, np.array(coef), lam1, lam2, u, v))
 
     all_indices = range(p)
     sweeps = 0
@@ -199,19 +179,20 @@ def fit(
     while sweeps < options.max_sweeps:
         full_delta = sweep(all_indices)
         sweeps += 1
-        record()
+        if options.track_objective:
+            history.append(_objective(r, beta, lam1, lam2, u, v))
         if full_delta <= options.tolerance:
             converged = True
             break
-        active = [j for j in all_indices if coef[j] != 0.0]
+        active = np.nonzero(beta)[0]
         while sweeps < options.max_sweeps:
             active_delta = sweep(active)
             sweeps += 1
-            record()
+            if options.track_objective:
+                history.append(_objective(r, beta, lam1, lam2, u, v))
             if active_delta <= options.tolerance:
                 break
 
-    beta = np.array(coef)
     objective = _objective(r, beta, lam1, lam2, u, v)
     if plan is not None:
         beta_orig, beta0_orig = backtransform(beta, beta0, plan)

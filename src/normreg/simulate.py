@@ -171,16 +171,23 @@ def _feasible_q(n: int, q: float) -> bool:
 _ALL_ONES = "ceil(n q) = n gives an all-ones column"
 
 
-def _binary_design(n: int, p: int, qs: np.ndarray, cfg: dict, gx) -> np.ndarray:
-    """n x p binary design: signal columns at balances qs, then null columns at
-    balances drawn uniformly between null_q_low and null_q_high.
-
-    Raises DomainError naming the first balance bound at which a column
-    could come out all ones, instead of failing later in normalization.
-    """
-    for name in ("q_first", "q_last", "null_q_low", "null_q_high"):
+def _name_all_ones_bound(n: int, cfg: dict, names) -> None:
+    """Raise DomainError naming the first balance bound in names at which an
+    n-row binary column comes out all ones."""
+    for name in names:
         if not _feasible_q(n, cfg[name]):
             raise DomainError(f"{name}={cfg[name]}: {_ALL_ONES} at n={n}")
+
+
+def _name_all_ones_nulls(n: int, k: int, x: np.ndarray, cfg: dict) -> None:
+    """Name the null balance bound if a drawn null column of x is all ones."""
+    if (x[:, k:] == 1.0).all(axis=0).any():
+        _name_all_ones_bound(n, cfg, ("null_q_high", "null_q_low"))
+
+
+def _binary_design(n: int, p: int, qs: np.ndarray, cfg: dict, gx) -> np.ndarray:
+    """n x p binary design: signal columns at balances qs, then null columns at
+    balances drawn uniformly between null_q_low and null_q_high."""
     null_q = gx.uniform(cfg["null_q_low"], cfg["null_q_high"], size=p - len(qs))
     x = np.empty((n, p), order="F")
     for j, q in enumerate(np.concatenate([qs, null_q])):
@@ -561,8 +568,16 @@ def _run_decreasing_classbalance(spec, cfg, overridden):
     beta[:k] = 1.0
     rec = _Collector(("delta", "rho"))
     lam_rule = "lambda1 = 2 sigma sqrt(2 log p); plain nu^delta scaling"
+    # An all-ones column has zero scale at every delta > 0. It stays whole at
+    # rho = 0 (rho > 0 copies column 1 into the top rows of the others), so
+    # only then is the failure certain; it is named here, not by column index.
+    doomed = any(d > 0.0 for d in cfg["delta_grid"]) and 0.0 in cfg["rho_grid"]
+    if doomed:
+        _name_all_ones_bound(n, cfg, ("q_first", "q_last"))
     for rep, gx, ge in _replications(spec, cfg):
         x = _binary_design(n, p, qs, cfg, gx)
+        if doomed:
+            _name_all_ones_nulls(n, k, x, cfg)
         z = ge.standard_normal(n)
         for rho in cfg["rho_grid"]:
             xr = inject_correlation(x, rho) if rho > 0.0 else x
@@ -872,9 +887,15 @@ def _run_power_fdr(spec, cfg, overridden):
     qs = np.linspace(cfg["q_first"], cfg["q_last"], k)
     truth = set(range(k))
     rec = _Collector(("p", "delta"))
+    # an all-ones column has zero scale at every delta > 0; name its bound
+    doomed = any(d > 0.0 for d in cfg["delta_grid"])
+    if doomed:
+        _name_all_ones_bound(n, cfg, ("q_first", "q_last"))
     for rep, gx, ge in _replications(spec, cfg):
         gt = _stream(spec.seed, rep, _TEST)
         x_full = _binary_design(n, p_max, qs, cfg, gx)
+        if doomed:
+            _name_all_ones_nulls(n, k, x_full, cfg)
         signal = cfg["beta_signal"] * x_full[:, :k].sum(axis=1)
         y = signal + cfg["sigma"] * ge.standard_normal(n)
         y_test = signal + cfg["sigma"] * gt.standard_normal(n)

@@ -7,7 +7,7 @@ and the manifest with its input path removed, so a changed skip message or
 resolved parameter shows up too.
 
 A change that is meant to move numbers re-pins the digests; print the
-current ones with
+current ones, and the PINNED_ON line for this host, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,27 @@ CASES = {
                           "--alpha", "0.7", "--count", "6"],
 }
 
+# Float output can move by an ulp with the BLAS dot kernel, numpy's SIMD pow
+# or libm, so the digests hold for the host below; a mismatch prints this
+# host's description next to it to tell a host difference from a code change.
+PINNED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64, glibc 2.36, AVX512F"
+
+
+def _host() -> str:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy < 2
+        features = {}
+    simd = next((f for f in ("AVX512F", "AVX2", "SSE42", "ASIMD") if features.get(f)), "no SIMD")
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError):
+        blas = "unknown BLAS"
+    libc = " ".join(platform.libc_ver()) or "unknown libc"
+    return f"numpy {np.__version__}, {blas}, {platform.machine()}, {libc}, {simd}"
+
+
 GOLDEN = {
     "bias-var": "d8f57df65559ad3b396c00f6f5eda6eee04cf5ae1d78f3f9ebaa0d88c59f7c5a",
     "bias-var-weighted": "161288278256b34f9bd49c4014ed6583ea624d6af57e44a5f8434ee6af77a5c3",
@@ -139,7 +161,10 @@ def _digest(argv: list[str], workdir: Path) -> str:
 def test_output_digest_is_pinned(case, tmp_path, capsys):
     actual = _digest(CASES[case], tmp_path)
     capsys.readouterr()
-    assert actual == GOLDEN[case], f"golden digest changed: {case!r}: {actual!r},"
+    assert actual == GOLDEN[case], (
+        f"golden digest changed: {case!r}: {actual!r}, "
+        f"pinned on {PINNED_ON!r}, this host {_host()!r}"
+    )
 
 
 if __name__ == "__main__":
@@ -152,3 +177,4 @@ if __name__ == "__main__":
                 contextlib.redirect_stderr(io.StringIO()):
             value = _digest(CASES[case], Path(tmp))
         print(f"    \"{case}\": \"{value}\",")
+    print(f"PINNED_ON = {_host()!r}")

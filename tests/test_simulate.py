@@ -393,19 +393,32 @@ def test_decreasing_classbalance_smoke():
 
 
 def test_balance_bound_that_rounds_to_all_ones_is_named():
-    # at n = 40, 0.99 rounds to 40 ones; before any fit, the error names the bound
+    # at n = 40, 0.99 rounds to 40 ones; where every delta > 0 fit would then
+    # fail, the error names the bound
     cases = [
         ("decreasing-classbalance", {"n_signal": 5}, "q_last=0.99"),
-        ("decreasing-classbalance", {"n_signal": 5, "q_last": 0.9}, "null_q_high=0.99"),
+        ("decreasing-classbalance", {"n_signal": 5, "q_last": 0.9, "null_q_low": 0.98},
+         "null_q_high=0.99"),
         ("power-fdr", {"p_grid": (8,), "n_signal": 3, "q_first": 0.99, "q_last": 0.5,
                        "null_q_high": 0.9}, "q_first=0.99"),
-        ("predictive-sim", {"n_signal": 3, "q_last": 0.9}, "null_q_high=0.99"),
     ]
     for scenario, params, name in cases:
         sizes = {"p": 20} if scenario != "power-fdr" else {}
         spec = ScenarioSpec(scenario, n=40, replications=1, params=params, **sizes)
         with pytest.raises(DomainError, match=f"{name}: .* all-ones column at n=40"):
             run_scenario(spec)
+    # runs that never scale an all-ones column still complete: delta = 0 only,
+    # rho > 0 only (column 1 breaks the column up), and predictive-sim, whose
+    # training-split plan gives a constant column scale 1
+    completes = [
+        ("decreasing-classbalance", {"n_signal": 5, "rho_grid": (0.5,)}),
+        ("power-fdr", {"p_grid": (8,), "n_signal": 3, "delta_grid": (0.0,)}),
+        ("predictive-sim", {"n_signal": 3, "snr_grid": (1.0,), "path_count": 3}),
+    ]
+    for scenario, params in completes:
+        sizes = {"p": 20} if scenario != "power-fdr" else {}
+        spec = ScenarioSpec(scenario, n=40, replications=1, params=params, **sizes)
+        assert run_scenario(spec).rows
 
 
 def test_power_fdr_smoke_metrics_in_range():

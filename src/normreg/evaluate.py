@@ -169,6 +169,7 @@ def cross_validate(
         for i in range(plan.lambda_count)
     }
     counts = {delta: np.zeros(plan.repeats) for delta in plan.deltas}
+    fits = capped = 0
 
     for repeat, folds in enumerate(assignments):
         for fold_id, test_idx in enumerate(folds):
@@ -194,6 +195,8 @@ def cross_validate(
                 x_test_norm = fold_plan.transform(x_test)
                 counts[delta][repeat] += test_idx.shape[0]
                 path = fit_path(train_norm, alpha, grids[delta], options)
+                fits += len(path)
+                capped += sum(not res.converged for res in path)
                 for i, (lam, res) in enumerate(zip(grids[delta], path)):
                     pred = res.beta0_norm + x_test_norm @ res.beta_norm
                     sq = y_test - pred
@@ -203,6 +206,8 @@ def cross_validate(
                             CVRow(repeat, fold_id, float(lam), delta,
                                   float(np.mean(sq * sq)) / test_var)
                         )
+    if capped:
+        _log.warning("%d of %d path fits stopped at max_sweeps without converging", capped, fits)
 
     best_key = None
     best_score = None

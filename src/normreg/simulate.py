@@ -950,11 +950,13 @@ def _tolerant_plan(x_train: np.ndarray, delta: float) -> NormalizationPlan:
 
     A column constant on the split gets scale 1 (its normalized version is
     identically zero, and the solver leaves its coefficient at zero), so one
-    unlucky split cannot abort the sweep.
+    unlucky split cannot abort the sweep. Scales come from the scalar
+    `scale_at`, per column, as in `compute_plan`: numpy's vectorized pow can
+    round differently from libm's.
     """
     means = x_train.mean(axis=0)
-    scales = BinaryDelta(delta).scale_at(means)
-    scales[(means == 0.0) | (means == 1.0)] = 1.0
+    rule = BinaryDelta(delta)
+    scales = np.array([1.0 if q in (0.0, 1.0) else rule.scale_at(q) for q in means.tolist()])
     return NormalizationPlan(means, scales)
 
 

@@ -27,6 +27,7 @@ full sweep).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,28 +151,48 @@ def fit(
     r = y - x @ beta
     history: list[float] = []
 
+    # A fit's cost is the interpreter's per-update overhead, so the sweep
+    # reads Python floats from lists, keeps the (contiguous) column views and
+    # updates r in place through one scratch vector. Each step is the same
+    # IEEE operation as on NumPy scalars, with r -= delta * x_j kept as a
+    # multiply then a subtract (an axpy would fuse them and round
+    # differently), so the iterates are unchanged bit for bit.
+    columns = list(x.T)
+    col_sq_l, denom_l = col_sq.tolist(), denom.tolist()
+    thresh_l = (lam1 * u).tolist()
+    coef = beta.tolist()
+    step = np.empty(n)
+    r_dot, multiply, subtract, copysign = r.dot, np.multiply, np.subtract, math.copysign
+
     def sweep(indices) -> float:
-        nonlocal beta0, r
+        nonlocal beta0
         max_delta = 0.0
         if options.fit_intercept:
             shift = float(r.mean())
             beta0 += shift
-            r -= shift
+            subtract(r, shift, out=r)
             max_delta = abs(shift)
         for j in indices:
-            if denom[j] == 0.0:
+            dj = denom_l[j]
+            if dj == 0.0:
                 continue
-            xj = x[:, j]
-            z = float(np.dot(xj, r)) + col_sq[j] * beta[j]
-            zt = abs(z) - lam1 * u[j]
-            bj = 0.0 if zt <= 0.0 else np.copysign(zt, z) / denom[j]
-            delta = bj - beta[j]
+            xj = columns[j]
+            bj_old = coef[j]
+            z = float(r_dot(xj)) + col_sq_l[j] * bj_old
+            zt = abs(z) - thresh_l[j]
+            bj = 0.0 if zt <= 0.0 else copysign(zt, z) / dj
+            delta = bj - bj_old
             if delta != 0.0:
-                r -= delta * xj
-                beta[j] = bj
+                multiply(xj, delta, out=step)
+                subtract(r, step, out=r)
+                coef[j] = bj
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
         return max_delta
+
+    def record() -> None:
+        if options.track_objective:
+            history.append(_objective(r, np.array(coef), lam1, lam2, u, v))
 
     all_indices = range(p)
     sweeps = 0
@@ -179,20 +200,20 @@ def fit(
     while sweeps < options.max_sweeps:
         full_delta = sweep(all_indices)
         sweeps += 1
-        if options.track_objective:
-            history.append(_objective(r, beta, lam1, lam2, u, v))
+        record()
         if full_delta <= options.tolerance:
             converged = True
             break
-        active = np.nonzero(beta)[0]
+        # ascending, as np.nonzero(beta) gives it
+        active = [j for j, b in enumerate(coef) if b != 0.0]
         while sweeps < options.max_sweeps:
             active_delta = sweep(active)
             sweeps += 1
-            if options.track_objective:
-                history.append(_objective(r, beta, lam1, lam2, u, v))
+            record()
             if active_delta <= options.tolerance:
                 break
 
+    beta = np.array(coef)
     objective = _objective(r, beta, lam1, lam2, u, v)
     if plan is not None:
         beta_orig, beta0_orig = backtransform(beta, beta0, plan)

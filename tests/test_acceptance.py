@@ -15,6 +15,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import binary_design, orthogonal_design, record_acceptance
 from normreg.cli import main
@@ -266,6 +267,7 @@ def test_criterion_06_noiseless_estimates_flat_in_balance():
     assert passed
 
 
+@pytest.mark.slow
 def test_criterion_07_rare_signal_needs_variance_scaling():
     start = time.perf_counter()
     spec = ScenarioSpec(

@@ -210,3 +210,18 @@ def test_cross_validate_row_schema_on_binary_design():
     best = result.best
     assert best.delta in (0.0, 1.0)
     assert best.lam in result.lambdas[best.delta]
+
+
+def test_cross_validate_warns_once_about_capped_fits(caplog):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((30, 3))
+    data = Dataset(x=x, y=x[:, 0] + rng.standard_normal(30))
+    plan = CVPlan(folds=3, repeats=1, seed=4, lambda_count=4, deltas=(0.5,))
+    with caplog.at_level("WARNING", logger="normreg.evaluate"):
+        cross_validate(data, plan, options=FAST)
+    assert not caplog.records
+    with caplog.at_level("WARNING", logger="normreg.evaluate"):
+        cross_validate(data, plan, options=FitOptions(max_sweeps=1))
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "12 of 12 path fits stopped at max_sweeps without converging")
+    ]

@@ -227,3 +227,131 @@ def test_backtransform_through_fit():
     pred_orig = res.beta0 + data.x @ res.beta
     pred_norm = res.beta0_norm + normalized.x @ res.beta_norm
     assert np.allclose(pred_orig, pred_norm, atol=1e-9)
+
+
+def _reference_fit(data, penalty, options, warm_start=None):
+    """The coordinate-descent loop as first written, on NumPy scalars.
+
+    Frozen as the reference for `fit`: any rewrite of the sweep must take the
+    same IEEE steps, so its results must equal these bit for bit.
+    """
+    x, y = data.x, data.y
+    p = data.p
+    u, v = penalty.resolve_weights(p)
+    lam1, lam2 = penalty.lam1, penalty.lam2
+    col_sq = np.einsum("ij,ij->j", x, x)
+    denom = col_sq + lam2 * v
+    beta = np.array(warm_start, dtype=np.float64) if warm_start is not None else np.zeros(p)
+    beta0 = 0.0
+    r = y - x @ beta
+    history = []
+
+    def objective():
+        return float(
+            0.5 * np.dot(r, r)
+            + lam1 * np.dot(u, np.abs(beta))
+            + 0.5 * lam2 * np.dot(v, beta * beta)
+        )
+
+    def sweep(indices):
+        nonlocal beta0, r
+        max_delta = 0.0
+        if options.fit_intercept:
+            shift = float(r.mean())
+            beta0 += shift
+            r -= shift
+            max_delta = abs(shift)
+        for j in indices:
+            if denom[j] == 0.0:
+                continue
+            xj = x[:, j]
+            z = float(np.dot(xj, r)) + col_sq[j] * beta[j]
+            zt = abs(z) - lam1 * u[j]
+            bj = 0.0 if zt <= 0.0 else np.copysign(zt, z) / denom[j]
+            delta = bj - beta[j]
+            if delta != 0.0:
+                r -= delta * xj
+                beta[j] = bj
+                if abs(delta) > max_delta:
+                    max_delta = abs(delta)
+        return max_delta
+
+    sweeps = 0
+    converged = False
+    while sweeps < options.max_sweeps:
+        full_delta = sweep(range(p))
+        sweeps += 1
+        if options.track_objective:
+            history.append(objective())
+        if full_delta <= options.tolerance:
+            converged = True
+            break
+        active = np.nonzero(beta)[0]
+        while sweeps < options.max_sweeps:
+            active_delta = sweep(active)
+            sweeps += 1
+            if options.track_objective:
+                history.append(objective())
+            if active_delta <= options.tolerance:
+                break
+    return beta, beta0, sweeps, converged, objective(), tuple(history)
+
+
+def _wide_lasso():
+    rng = np.random.default_rng(5)
+    x = (rng.random((40, 90)) < rng.uniform(0.05, 0.6, 90)).astype(float)
+    y = x[:, :6] @ np.array([2.0, -1.5, 1.0, 0.8, -0.6, 0.4]) + rng.standard_normal(40)
+    # centered and scaled, so that r -= delta * x_j rounds
+    x = (x - x.mean(axis=0)) * rng.uniform(0.5, 2.0, 90)
+    data = Dataset(x=x, y=y)
+    return data, PenaltySpec(lam1=0.2 * lambda_max(data))
+
+
+def _elastic_net_weighted():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((50, 12))
+    y = x[:, :3] @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(50)
+    u, v = rng.uniform(0.5, 2.0, 12), rng.uniform(0.5, 2.0, 12)
+    return Dataset(x=x, y=y), PenaltySpec(lam1=3.0, lam2=2.0, u=u, v=v)
+
+
+def _zero_column():
+    data = binary_design(9, n=60, p=6)
+    x = np.array(data.x)
+    x[:, 2] = 0.0
+    return Dataset(x=x, y=data.y), PenaltySpec(lam1=1.0, lam2=0.0)
+
+
+CAPPED = FitOptions(tolerance=1e-14, max_sweeps=7)
+CONVERGE = FitOptions(tolerance=1e-10, max_sweeps=20_000)
+
+
+@pytest.mark.parametrize(
+    "problem, options, warm",
+    [
+        pytest.param(_wide_lasso, CAPPED, False, id="wide-capped"),
+        pytest.param(_wide_lasso, CONVERGE, False, id="wide-converged"),
+        pytest.param(_wide_lasso, CONVERGE, True, id="warm-start"),
+        pytest.param(_wide_lasso, FitOptions(tolerance=1e-9, max_sweeps=5_000, track_objective=True),
+                     False, id="track-objective"),
+        pytest.param(_elastic_net_weighted, CONVERGE, False, id="elnet-weighted"),
+        pytest.param(_elastic_net_weighted, FitOptions(tolerance=1e-10, max_sweeps=20_000,
+                     fit_intercept=False), False, id="no-intercept"),
+        pytest.param(_zero_column, CONVERGE, False, id="zero-column"),
+    ],
+)
+def test_fit_equals_reference_sweep_bit_for_bit(problem, options, warm):
+    data, penalty = problem()
+    start = fit(data, PenaltySpec(lam1=2.0 * penalty.lam1), options).beta_norm if warm else None
+    res = fit(data, penalty, options, warm_start=start)
+    beta, beta0, sweeps, converged, objective, history = _reference_fit(data, penalty, options, start)
+    assert res.beta_norm.tobytes() == beta.tobytes()
+    assert res.beta0_norm == beta0
+    assert res.sweeps_used == sweeps
+    assert res.converged == converged
+    assert res.objective_value == objective
+    assert res.objective_history == history
+    # each case reaches the branch it is named for
+    assert converged == (options is not CAPPED)
+    assert len(history) == (sweeps if options.track_objective else 0)
+    assert not np.any(beta[~data.x.any(axis=0)])

@@ -247,6 +247,7 @@ def test_simulate_config_file_with_overrides(tmp_path, capsys):
     )
     assert main(["simulate", "--config", str(cfg), "--param", "lambda1=10"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["results", "summary", "manifest"]
     estimates = [r["value"] for r in payload["results"] if r["metric"] == "estimate"]
     assert estimates == pytest.approx([0.9, 0.9], abs=1e-8)
     assert payload["manifest"]["seed"] == 3

@@ -2,7 +2,7 @@
 
 Criterion 10 proves that two runs of the same code agree; these digests
 prove that code before and after a refactor agrees. Each case runs through
-cli.main with --out and hashes the result CSV, the summary CSV (simulate)
+cli.main with --out and hashes the result file, the summary file (simulate)
 and the manifest with its input path removed, so a changed skip message or
 resolved parameter shows up too.
 
@@ -48,6 +48,10 @@ CASES = {
     "bias-var-weighted": _simulate(
         "bias-var", "model=weighted", "q_grid=0.5,0.99", n=30, replications=2,
     ),
+    "bias-var-json": [
+        *_simulate("bias-var", "q_grid=0.5,0.99", "sigma_grid=1", n=30, replications=2),
+        "--format", "json",
+    ],
     "decreasing-classbalance": _simulate(
         "decreasing-classbalance", "n_signal=4", "q_last=0.9", "null_q_high=0.9",
         "delta_grid=0,1", "rho_grid=0,0.4", n=40, p=12, replications=2,
@@ -103,6 +107,7 @@ def _host() -> str:
 
 GOLDEN = {
     "bias-var": "d8f57df65559ad3b396c00f6f5eda6eee04cf5ae1d78f3f9ebaa0d88c59f7c5a",
+    "bias-var-json": "61bf89311e95aca718d85b159010e89661f2338202770682b3613bc0ea3607a8",
     "bias-var-weighted": "161288278256b34f9bd49c4014ed6583ea624d6af57e44a5f8434ee6af77a5c3",
     "cv": "67e191fbae26eeceb19b40cc3de67cda9f3bd322a3ec60e8b3b480c8c55e12ea",
     "decreasing-classbalance": "dfbef4e7ce2aa09217cdca1082dc90b23b833886fa707af520f68a1584f60d3a",
@@ -139,7 +144,7 @@ def _mixed_csv(path: Path) -> str:
 
 def _digest(argv: list[str], workdir: Path) -> str:
     """SHA-256 over every file the run writes, manifests without input paths."""
-    out = workdir / "out.csv"
+    out = workdir / ("out.json" if "json" in argv else "out.csv")
     if argv[0] in ("cv", "path"):
         argv = [*argv, "--input", _mixed_csv(workdir / "mixed.csv")]
     code = main([*argv, "--out", str(out)])

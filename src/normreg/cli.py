@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -277,14 +278,23 @@ def _omega_weights(x_norm: np.ndarray, omega: float | None):
     return w, w
 
 
-def _emit(args, header, rows, manifest) -> None:
-    table = _io.ResultTable(header=tuple(header), rows=tuple(rows), manifest=manifest)
+def _emit(args, header, rows, manifest, summary: _io.ResultTable | None = None) -> None:
+    """Write the results, and simulate's summary table when given, to --out in
+    --format with their manifests, or print them with the manifest as one JSON
+    document."""
+    tables = {"results": _io.ResultTable(tuple(header), tuple(rows), manifest)}
+    if summary is not None:
+        tables["summary"] = _io.ResultTable(summary.header, summary.rows, manifest)
     if args.out is None:
-        records = [dict(zip(table.header, row)) for row in table.rows]
-        payload = {"results": records, "manifest": manifest}
+        payload = {key: [dict(zip(t.header, row)) for row in t.rows] for key, t in tables.items()}
+        payload["manifest"] = manifest
         print(json.dumps(payload, indent=2, default=_json_default))
-    else:
-        _io.write_results(table, args.out, args.format)
+        return
+    _io.write_results(tables["results"], args.out, args.format)
+    if summary is not None:
+        stem, ext = os.path.splitext(args.out)
+        path = f"{stem}.summary{ext or '.' + args.format}"
+        _io.write_results(tables["summary"], path, args.format)
 
 
 def _json_default(value):
@@ -428,11 +438,6 @@ def _cmd_cv(args) -> int:
     return 0
 
 
-def _summary_path(out: str) -> str:
-    stem, ext = os.path.splitext(out)
-    return f"{stem}.summary{ext or '.csv'}"
-
-
 def _parse_param(text: str):
     key, sep, value = text.partition("=")
     if not sep or not key.strip():
@@ -445,48 +450,20 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("exactly one of --scenario or --config is required")
     if args.config is not None:
         spec = _simulate.parse_scenario_config(args.config)
-        scenario, seed, base_params = spec.scenario, spec.seed, dict(spec.params)
-        n, p, reps = spec.n, spec.p, spec.replications
     else:
-        scenario, seed = args.scenario, 0
-        base_params, n, p, reps = {}, None, None, None
-    if args.seed is not None:
-        seed = args.seed
-    if args.n is not None:
-        n = args.n
-    if args.p is not None:
-        p = args.p
-    if args.replications is not None:
-        reps = args.replications
-    for item in args.param:
-        key, value = _parse_param(item)
-        base_params[key] = value
-    spec = _simulate.ScenarioSpec(
-        scenario=scenario, seed=seed, n=n, p=p, replications=reps, params=base_params
-    )
+        spec = _simulate.ScenarioSpec(scenario=args.scenario)
+    params = dict(spec.params)
+    params.update(_parse_param(item) for item in args.param)
+    set_flags = {
+        name: getattr(args, name)
+        for name in ("seed", "n", "p", "replications")
+        if getattr(args, name) is not None
+    }
+    spec = dataclasses.replace(spec, params=params, **set_flags)
     result = _simulate.run_scenario(spec)
-    manifest = _manifest(args, "simulate", result.manifest)
     table = result.table()
-    summary = result.summary_table()
-    if args.out is None:
-        records = [dict(zip(table.header, row)) for row in table.rows]
-        summary_records = [dict(zip(summary.header, row)) for row in summary.rows]
-        print(
-            json.dumps(
-                {"results": records, "summary": summary_records, "manifest": manifest},
-                indent=2,
-                default=_json_default,
-            )
-        )
-    else:
-        _io.write_results(
-            _io.ResultTable(table.header, table.rows, manifest), args.out, args.format
-        )
-        _io.write_results(
-            _io.ResultTable(summary.header, summary.rows, manifest),
-            _summary_path(args.out),
-            args.format,
-        )
+    _emit(args, table.header, table.rows, _manifest(args, "simulate", result.manifest),
+          summary=result.summary_table())
     return 0
 
 

@@ -79,7 +79,3 @@ class Dataset:
 
     def column(self, j: int) -> np.ndarray:
         return self.x[:, j]
-
-    def replace_x(self, x: np.ndarray) -> "Dataset":
-        """Same response/names, new design (kinds re-inferred)."""
-        return Dataset(x=x, y=self.y.copy(), names=self.names)

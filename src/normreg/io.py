@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, infer_kinds
+from .dataset import Dataset
 from .errors import DomainError, ParseError
 
 _TOKEN = re.compile(r"\S+")
@@ -35,19 +35,16 @@ class TableSchema:
     """How to interpret a delimited file.
 
     response selects the response column by header name (str) or 0-based
-    position (int). kind_overrides maps column names to "binary" or
-    "continuous", overriding the membership-in-{0,1} inference.
+    position (int). Column kinds are always inferred from the values.
     """
 
     delimiter: str = ","
     header: bool = True
     response: str | int = "y"
-    kind_overrides: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.delimiter) != 1:
             raise DomainError(f"delimiter must be a single character, got {self.delimiter!r}")
-        object.__setattr__(self, "kind_overrides", tuple(self.kind_overrides))
 
 
 def _parse_cell(token: str, line_no: int, col_no: int) -> float:
@@ -69,8 +66,8 @@ def read_delimited(path, schema: TableSchema = TableSchema()) -> Dataset:
 
     Ragged rows and non-numeric cells raise ParseError with the 1-based line
     (and column) position. Column kinds are inferred: a column whose values
-    all lie in {0, 1} is binary, anything else continuous, subject to
-    schema.kind_overrides. Row order is preserved.
+    all lie in {0, 1} is binary, anything else continuous. Row order is
+    preserved.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         raw_lines = handle.read().splitlines()
@@ -118,12 +115,7 @@ def read_delimited(path, schema: TableSchema = TableSchema()) -> Dataset:
     y = table[:, response_idx]
     x = np.delete(table, response_idx, axis=1)
     feature_names = tuple(name for j, name in enumerate(names) if j != response_idx)
-    kinds = list(infer_kinds(x))
-    overrides = dict(schema.kind_overrides)
-    for j, name in enumerate(feature_names):
-        if name in overrides:
-            kinds[j] = overrides[name]
-    return Dataset(x=x, y=y, kinds=tuple(kinds), names=feature_names)
+    return Dataset(x=x, y=y, names=feature_names)
 
 
 def read_sparse_labeled(path) -> Dataset:
@@ -283,15 +275,14 @@ def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
     )
 
 
-def write_delimited(data: Dataset, path, delimiter: str = ",", response_name: str = "y") -> None:
+def write_delimited(data: Dataset, path) -> None:
     """Write a Dataset as delimited text with a header (inverse of
     read_delimited with the default schema)."""
-    names = list(data.names) + [response_name]
-    lines = [delimiter.join(names)]
+    lines = [",".join([*data.names, "y"])]
     for i in range(data.n):
         cells = [_format_value(v) for v in data.x[i]]
         cells.append(_format_value(data.y[i]))
-        lines.append(delimiter.join(cells))
+        lines.append(",".join(cells))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

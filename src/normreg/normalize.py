@@ -131,7 +131,7 @@ Strategy = NoNorm | Standardize | L1Centered | MaxAbs | MinMax | Robust | Binary
 
 @dataclass(frozen=True)
 class NormalizationPlan:
-    """Frozen per-column centers and scales, plus the strategy that made them.
+    """Frozen per-column centers and scales.
 
     Plans can also be constructed directly with explicit factors (scales must
     be positive), which is how product-feature scale rules are realized.
@@ -139,7 +139,6 @@ class NormalizationPlan:
 
     centers: np.ndarray
     scales: np.ndarray
-    strategy: object = None
 
     def __post_init__(self) -> None:
         centers = np.ascontiguousarray(np.asarray(self.centers, dtype=np.float64))
@@ -232,7 +231,7 @@ def compute_plan(data: Dataset, strategy: Strategy) -> NormalizationPlan:
     scales = np.empty(data.p)
     for j in range(data.p):
         centers[j], scales[j] = _column_factors(data.column(j), per_col[j], data.kinds[j], j)
-    return NormalizationPlan(centers=centers, scales=scales, strategy=strategy)
+    return NormalizationPlan(centers=centers, scales=scales)
 
 
 def apply(data: Dataset, plan: NormalizationPlan) -> Dataset:
@@ -259,24 +258,16 @@ def backtransform(beta_norm: np.ndarray, beta0_norm: float, plan: NormalizationP
     return beta, beta0
 
 
-CENTER_BOTH = "center-both"
-RAW_PRODUCT = "raw-product"
+def make_interaction(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Product feature from two columns: (x1 - mean x1) * (x2 - mean x2).
 
-
-def make_interaction(x1: np.ndarray, x2: np.ndarray, mode: str = CENTER_BOTH) -> np.ndarray:
-    """Product feature from two columns.
-
-    "center-both" multiplies mean-centered copies, which keeps the product
-    orthogonal to both main effects in expectation; "raw-product" multiplies
-    the columns as-is (the variant that is then standardized under the
-    product-standardization strategy).
+    Centering both factors keeps the product orthogonal to both main effects
+    in expectation. Both product scale rules of the interactions scenario
+    (standardize the product, or divide by s1 * s2) apply to this centered
+    product.
     """
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     if x1.shape != x2.shape or x1.ndim != 1:
         raise DimensionMismatchError("interaction inputs must be 1-d with equal length")
-    if mode == CENTER_BOTH:
-        return (x1 - x1.mean()) * (x2 - x2.mean())
-    if mode == RAW_PRODUCT:
-        return x1 * x2
-    raise DomainError(f"unknown interaction mode {mode!r}")
+    return (x1 - x1.mean()) * (x2 - x2.mean())

@@ -113,15 +113,13 @@ def _quantile_comb(n: int) -> np.ndarray:
     return values
 
 
-def gen_quasinormal(
-    n: int, stream: np.random.Generator, mean: float = 0.0, sd: float | None = None
-) -> np.ndarray:
+def gen_quasinormal(n: int, stream: np.random.Generator, sd: float | None = None) -> np.ndarray:
     """Shuffled Gaussian quantile comb: deterministic values, random order.
 
     The raw comb maps a linear sequence on [1e-4, 1-1e-4] through the normal
     quantile, so its multiset is fixed given n (mean 0 by symmetry, sd within
-    a couple percent of 1). With sd given, the column is affinely rescaled to
-    that exact uncorrected sd (and exact mean).
+    a couple percent of 1). With sd given, the column is recentered to mean 0
+    and rescaled to that exact uncorrected sd.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n!r}")
@@ -131,10 +129,6 @@ def gen_quasinormal(
             raise DomainError(f"sd must be > 0, got {sd!r}")
         values -= values.mean()
         values *= sd / math.sqrt(float(values @ values) / n)
-        if mean != 0.0:
-            values += mean
-    elif mean != 0.0:
-        values = values + mean
     return values
 
 
@@ -313,16 +307,25 @@ def _resolve(spec: ScenarioSpec, defaults: dict) -> tuple[dict, list[str]]:
         if key.endswith("_grid") and not isinstance(value, (tuple, list)):
             value = (value,)
         if isinstance(defaults[key], tuple):
-            value = tuple(type(defaults[key][0])(v) for v in value)
-        elif isinstance(defaults[key], bool):
-            value = bool(value)
-        elif isinstance(defaults[key], int):
-            value = int(value)
-        elif isinstance(defaults[key], float):
-            value = float(value)
+            value = tuple(_exact(key, v, defaults[key][0]) for v in value)
+        else:
+            value = _exact(key, value, defaults[key])
         cfg[key] = value
         overridden.append(key)
     return cfg, overridden
+
+
+def _exact(key: str, value, default):
+    """value as the type of default; DomainError if that fails or would change
+    it (3.9 for an integer, "abc" for a float)."""
+    kind = type(default)
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError):
+        converted = None
+    if converted is None or converted != value:
+        raise DomainError(f"parameter {key!r} takes {kind.__name__} values, got {value!r}")
+    return converted
 
 
 def parse_value(text: str):
@@ -425,7 +428,7 @@ def _defaults_selection_probability() -> dict:
     }
 
 
-def _run_selection_probability(spec, cfg, overridden):
+def _run_selection_probability(spec, cfg):
     n, beta = cfg["n"], cfg["beta_star"]
     rec = _Collector(("q", "delta", "lambda1", "sigma"))
     qs = _feasible_qs(n, cfg["q_grid"], rec)
@@ -482,7 +485,7 @@ def _defaults_bias_var() -> dict:
     }
 
 
-def _run_bias_var(spec, cfg, overridden):
+def _run_bias_var(spec, cfg):
     n, beta, variant = cfg["n"], cfg["beta_star"], cfg["model"]
     if variant not in ("lasso", "ridge", "weighted"):
         raise DomainError(f"model must be lasso, ridge, or weighted, got {variant!r}")
@@ -559,7 +562,7 @@ def signal_balances(k: int, q_first: float, q_last: float) -> np.ndarray:
     return 1.0 - (1.0 - q_first) * ratio ** (np.arange(k) / (k - 1))
 
 
-def _run_decreasing_classbalance(spec, cfg, overridden):
+def _run_decreasing_classbalance(spec, cfg):
     n, p, k = cfg["n"], cfg["p"], cfg["n_signal"]
     if p <= k:
         raise DomainError(f"p must exceed n_signal={k}, got {p}")
@@ -627,7 +630,7 @@ def _orthogonalize(col: np.ndarray, against: np.ndarray, sd: float) -> np.ndarra
     return out * (sd / math.sqrt(float(out @ out) / out.shape[0]))
 
 
-def _run_mixed_data(spec, cfg, overridden):
+def _run_mixed_data(spec, cfg):
     n = cfg["n"]
     beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
     rec = _Collector(("model", "q", "delta"))
@@ -692,7 +695,7 @@ def _defaults_interactions() -> dict:
     }
 
 
-def _run_interactions(spec, cfg, overridden):
+def _run_interactions(spec, cfg):
     n, d = cfg["n"], cfg["delta"]
     rec = _Collector(("q", "beta3", "strategy"))
     qs = _feasible_qs(n, cfg["q_grid"], rec)
@@ -752,7 +755,7 @@ def _defaults_weighted_elnet() -> dict:
     }
 
 
-def _run_weighted_elnet(spec, cfg, overridden):
+def _run_weighted_elnet(spec, cfg):
     n = cfg["n"]
     beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
     rec = _Collector(("q", "omega"))
@@ -820,7 +823,7 @@ def correlated_binary_pair(n: int, q1: float, q2: float, rho: float) -> np.ndarr
     return np.column_stack([x1, x2])
 
 
-def _run_orthogonality(spec, cfg, overridden):
+def _run_orthogonality(spec, cfg):
     n = cfg["n"]
     beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
     rec = _Collector(("q2", "rho"))
@@ -875,7 +878,7 @@ def _defaults_power_fdr() -> dict:
     }
 
 
-def _run_power_fdr(spec, cfg, overridden):
+def _run_power_fdr(spec, cfg):
     from .evaluate import fdr as _fdr
     from .evaluate import nmse as _nmse
     from .evaluate import power_all as _power
@@ -960,7 +963,7 @@ def _tolerant_plan(x_train: np.ndarray, delta: float) -> NormalizationPlan:
     return NormalizationPlan(means, scales)
 
 
-def _run_predictive_sim(spec, cfg, overridden):
+def _run_predictive_sim(spec, cfg):
     from .evaluate import nmse as _nmse
 
     n, p, k = cfg["n"], cfg["p"], cfg["n_signal"]
@@ -1027,7 +1030,7 @@ def _defaults_maxabs_gev() -> dict:
     }
 
 
-def _run_maxabs_gev(spec, cfg, overridden):
+def _run_maxabs_gev(spec, cfg):
     rec = _Collector(("part", "n"))
     part = cfg["part"]
     if part not in ("a", "b"):
@@ -1104,5 +1107,5 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """
     defaults, runner = _CATALOGUE[spec.scenario]
     cfg, overridden = _resolve(spec, defaults())
-    rec, extra = runner(spec, cfg, overridden)
+    rec, extra = runner(spec, cfg)
     return _finish(spec, cfg, overridden, rec, extra)

@@ -17,18 +17,18 @@ Each coordinate update is the exact scalar minimizer
     beta_j <- ST(x_j' r + ||x_j||^2 beta_j, lam1 u_j) / (||x_j||^2 + lam2 v_j)
 
 against the full residual r = y - beta0 - X beta, so the objective never
-increases. The intercept, when fit, is re-centered by mean(r) each sweep,
-which is its exact coordinate step; for mean-centered columns this lands on
-beta0 = mean(y) immediately. After the first full pass the solver iterates
-over the current support and re-checks the full coordinate set before
-declaring convergence (max absolute coefficient change <= tolerance on a
-full sweep).
+increases. The intercept is always fit and never penalized: it is
+re-centered by mean(r) each sweep, which is its exact coordinate step; for
+mean-centered columns this lands on beta0 = mean(y) immediately. After the
+first full pass the solver iterates over the current support and re-checks
+the full coordinate set before declaring convergence (max absolute
+coefficient change <= tolerance on a full sweep).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,8 +82,6 @@ def from_mixing(alpha: float, lam: float, u=None, v=None) -> PenaltySpec:
 class FitOptions:
     tolerance: float = 1e-8
     max_sweeps: int = 1000
-    fit_intercept: bool = True
-    track_objective: bool = False
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0.0:
@@ -97,7 +95,6 @@ class FitResult:
     """Solver output on both scales.
 
     beta/beta0 equal beta_norm/beta0_norm when no plan was supplied.
-    objective_history is populated only under track_objective.
     """
 
     beta_norm: np.ndarray
@@ -109,7 +106,6 @@ class FitResult:
     objective_value: float
     lam1: float
     lam2: float
-    objective_history: tuple[float, ...] = field(default=())
 
     @property
     def support(self) -> np.ndarray:
@@ -149,7 +145,6 @@ def fit(
         beta = np.zeros(p)
     beta0 = 0.0
     r = y - x @ beta
-    history: list[float] = []
 
     # A fit's cost is the interpreter's per-update overhead, so the sweep
     # reads Python floats from lists, keeps the (contiguous) column views and
@@ -166,12 +161,10 @@ def fit(
 
     def sweep(indices) -> float:
         nonlocal beta0
-        max_delta = 0.0
-        if options.fit_intercept:
-            shift = float(r.mean())
-            beta0 += shift
-            subtract(r, shift, out=r)
-            max_delta = abs(shift)
+        shift = float(r.mean())
+        beta0 += shift
+        subtract(r, shift, out=r)
+        max_delta = abs(shift)
         for j in indices:
             dj = denom_l[j]
             if dj == 0.0:
@@ -190,17 +183,12 @@ def fit(
                     max_delta = abs(delta)
         return max_delta
 
-    def record() -> None:
-        if options.track_objective:
-            history.append(_objective(r, np.array(coef), lam1, lam2, u, v))
-
     all_indices = range(p)
     sweeps = 0
     converged = False
     while sweeps < options.max_sweeps:
         full_delta = sweep(all_indices)
         sweeps += 1
-        record()
         if full_delta <= options.tolerance:
             converged = True
             break
@@ -209,7 +197,6 @@ def fit(
         while sweeps < options.max_sweeps:
             active_delta = sweep(active)
             sweeps += 1
-            record()
             if active_delta <= options.tolerance:
                 break
 
@@ -229,7 +216,6 @@ def fit(
         objective_value=objective,
         lam1=lam1,
         lam2=lam2,
-        objective_history=tuple(history),
     )
 
 

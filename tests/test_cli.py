@@ -76,6 +76,15 @@ def test_data_errors_exit_two(tmp_path, capsys):
             "--param", "p_grid=8", "--param", "n_signal=3"]
     assert main(argv) == 2
     assert "q_last=0.99: ceil(n q) = n gives an all-ones column at n=40" in capsys.readouterr().err
+    # a --param value that does not convert exactly to its default's type
+    for item, message in (
+        ("q_grid=abc", "parameter 'q_grid' takes float values, got 'abc'"),
+        ("n_signal=3.9", "parameter 'n_signal' takes int values, got 3.9"),
+        ("p_grid=12.7", "parameter 'p_grid' takes int values, got 12.7"),
+    ):
+        scenario = "bias-var" if item.startswith("q_grid") else "power-fdr"
+        assert main(["simulate", "--scenario", scenario, "--param", item]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_usage_error_leaves_no_output(tmp_path, toy_csv):
@@ -232,6 +241,17 @@ def test_simulate_deterministic_files(tmp_path):
     assert manifest["resolved"]["n"] == 100
     header = out1.read_text().splitlines()[0]
     assert header == "scenario,replication,q,delta,lambda1,sigma,metric,value"
+
+
+def test_simulate_summary_without_extension_takes_the_format(tmp_path):
+    out = tmp_path / "res"
+    argv = ["simulate", "--scenario", "bias-var", "--n", "30", "--replications", "2",
+            "--param", "q_grid=0.5", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "res.summary.json").read_text())
+    assert summary[0]["scenario"] == "bias-var"
+    assert json.loads(out.read_text())[0]["scenario"] == "bias-var"
+    assert not (tmp_path / "res.summary.csv").exists()
 
 
 def test_simulate_config_file_with_overrides(tmp_path, capsys):

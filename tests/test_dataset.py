@@ -54,10 +54,3 @@ def test_default_names_and_shapes():
     assert data.names == ("x1", "x2", "x3")
     assert (data.n, data.p) == (4, 3)
     assert np.array_equal(data.column(1), np.zeros(4))
-
-
-def test_replace_x_reinfers_kinds():
-    data = Dataset(x=np.array([[0.0], [1.0]]), y=np.zeros(2), names=("f",))
-    swapped = data.replace_x(np.array([[0.3], [0.7]]))
-    assert swapped.kinds == (CONTINUOUS,)
-    assert swapped.names == ("f",)

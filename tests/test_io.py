@@ -42,13 +42,6 @@ def test_read_delimited_zero_one_two_is_continuous(tmp_path):
     assert data.kinds == (CONTINUOUS,)
 
 
-def test_read_delimited_kind_override(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("a,y\n0,1\n1,2\n")
-    schema = TableSchema(response="y", kind_overrides=(("a", CONTINUOUS),))
-    assert read_delimited(path, schema).kinds == (CONTINUOUS,)
-
-
 def test_read_delimited_response_by_index_and_headerless(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("1,10,0\n2,20,1\n")

@@ -8,9 +8,7 @@ import pytest
 from normreg.dataset import BINARY, Dataset
 from normreg.errors import DimensionMismatchError, DomainError, KindMismatchError, ZeroScaleError
 from normreg.normalize import (
-    CENTER_BOTH,
     LASSO_COMPARABLE,
-    RAW_PRODUCT,
     RIDGE_COMPARABLE,
     BinaryDelta,
     L1Centered,
@@ -212,8 +210,7 @@ def test_binary_delta_parameter_validation():
 def test_make_interaction_examples():
     x1 = np.array([0.0, 1.0])
     x2 = np.array([-1.0, 1.0])
-    assert np.allclose(make_interaction(x1, x2, CENTER_BOTH), [0.5, 0.5])
-    assert np.allclose(make_interaction(x1, x2, RAW_PRODUCT), [0.0, 1.0])
+    assert np.allclose(make_interaction(x1, x2), [0.5, 0.5])
     with pytest.raises(DimensionMismatchError):
         make_interaction(x1, np.zeros(3))
 
@@ -224,16 +221,6 @@ def test_interaction_variance_centered():
     n, q, sigma = 100_000, 0.7, 1.5
     x1 = (rng.uniform(size=n) < q).astype(float)
     x2 = sigma * rng.standard_normal(n)
-    x3 = make_interaction(x1, x2, CENTER_BOTH)
+    x3 = make_interaction(x1, x2)
     target = sigma**2 * (q - q * q)
     assert np.var(x3) == pytest.approx(target, rel=0.03)
-
-
-def test_interaction_variance_raw():
-    # uncentered binary x centered normal: Var of raw product -> q sigma^2
-    rng = np.random.default_rng(18)
-    n, q, sigma = 100_000, 0.7, 1.5
-    x1 = (rng.uniform(size=n) < q).astype(float)
-    x2 = sigma * rng.standard_normal(n)
-    x3 = make_interaction(x1, x2, RAW_PRODUCT)
-    assert np.var(x3) == pytest.approx(q * sigma**2, rel=0.03)

@@ -67,12 +67,12 @@ def test_gen_quasinormal_comb_values():
 
 
 def test_gen_quasinormal_rescaling_and_determinism():
-    col = gen_quasinormal(100, _gen(seed=4), mean=2.0, sd=0.5)
-    assert col.mean() == pytest.approx(2.0, abs=1e-12)
+    col = gen_quasinormal(100, _gen(seed=4), sd=0.5)
+    assert col.mean() == pytest.approx(0.0, abs=1e-12)
     assert col.std() == pytest.approx(0.5, abs=1e-12)
-    again = gen_quasinormal(100, _gen(seed=4), mean=2.0, sd=0.5)
+    again = gen_quasinormal(100, _gen(seed=4), sd=0.5)
     assert np.array_equal(col, again)
-    other = gen_quasinormal(100, _gen(seed=5), mean=2.0, sd=0.5)
+    other = gen_quasinormal(100, _gen(seed=5), sd=0.5)
     assert not np.array_equal(col, other)
     # same multiset up to rescaling arithmetic, which sums in draw order
     assert np.allclose(np.sort(col), np.sort(other), atol=1e-12)

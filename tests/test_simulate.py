@@ -6,12 +6,15 @@ orthogonalized two-feature designs decouple, making the comparability and
 weighting identities hold to solver tolerance.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from normreg import (
+    SCENARIOS,
     BinaryDelta,
     Dataset,
     DimensionMismatchError,
@@ -30,6 +33,7 @@ from normreg import (
     sigma_for_snr,
     signal_balances,
 )
+from normreg.simulate import _Collector
 
 
 def _gen(seed: int = 0, stream_id: int = 0) -> np.random.Generator:
@@ -164,6 +168,53 @@ def test_scenario_defaults_are_complete_and_copied():
     assert scenario_defaults("selection-probability")["replications"] == 100
     with pytest.raises(DomainError):
         scenario_defaults("nope")
+
+
+def test_scenario_ids_in_catalogue_order():
+    assert SCENARIOS == (
+        "selection-probability",
+        "bias-var",
+        "decreasing-classbalance",
+        "mixed-data",
+        "interactions",
+        "weighted-elnet",
+        "orthogonality",
+        "power-fdr",
+        "predictive-sim",
+        "maxabs-gev",
+    )
+
+
+# SHA-256 of json.dumps(list(scenario_defaults(s).items())): pins every default
+# value and the key order, which stdout manifests show but golden files (written
+# with sort_keys=True) do not.
+DEFAULTS_DIGEST = {
+    "selection-probability": "4fd98b40c2dd791297e91607263311477c0bc88405e6113318f30f6a589de6a8",
+    "bias-var": "c0b3c458508a65f1d2e05a1258bd6c0179cb16bea08f470c5fa773ebbc4e8b89",
+    "decreasing-classbalance": "669786383ecd2ca349e2ab884f735a2490605a079a21872ec4cb62c181892941",
+    "mixed-data": "c8c86bf567a011208fa7a23b896747fec5028f59fbfd688c8be353bafff1906e",
+    "interactions": "bd4ea1312aeb7d0ef822093dc5df004d26b204639929e66a986a825f15a11995",
+    "weighted-elnet": "ca43901af654c9858e41183e8856c5ecbb25ad71f26ab70aa28067a53ce08d13",
+    "orthogonality": "b3a2200cb608037afe070a3b0556d22dcd6895099eba6914639f369cb6adc146",
+    "power-fdr": "cdbe8075b5d1efdaff23252b29fa8abfecf2a874e630474e162905dfd1ce29c0",
+    "predictive-sim": "b2e368a0ab10d5cba3cad3abe536048b15980df3271c9a47a6a1dd3daaf2437e",
+    "maxabs-gev": "a59f6de92465b6eea450fc8b45bd3efde1f03ff9556486e8ee039c5be03953c9",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(DEFAULTS_DIGEST))
+def test_scenario_defaults_keys_order_and_values_are_pinned(scenario):
+    text = json.dumps(list(scenario_defaults(scenario).items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULTS_DIGEST[scenario], text
+
+
+def test_collector_rejects_a_cell_of_the_wrong_width():
+    rec = _Collector(("q", "delta"))
+    with pytest.raises(DimensionMismatchError, match="cell has 1 values"):
+        rec.add(0, (0.5,), "estimate", 1.0)
+    with pytest.raises(DimensionMismatchError, match="cell has 3 values"):
+        rec.add(0, (0.5, 1.0, 2.0), "estimate", 1.0)
+    assert rec.rows == []
 
 
 SMALL_SELECTION = dict(

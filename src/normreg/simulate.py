@@ -11,6 +11,10 @@ plus a per-cell summary (mean, uncorrected sd, count) and a manifest that
 echoes every resolved parameter, the lambda-scaling rule in force, any
 degenerate cells that were skipped, and whether defaults deviate from the
 configured reference scale.
+
+A scenario is one `_scenario(id, cell_columns, **defaults)` registration on a
+runner that takes `(spec, cfg, rec)`, records each cell with one `rec.add` call
+and returns only its own manifest entries (`lambda_rule`, `flags`, ...).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 from . import normalize as _normalize
 from .dataset import Dataset
 from .errors import DimensionMismatchError, DomainError, ParseError
+from .evaluate import fdr, nmse, power_all
 from .io import ResultTable
 from .normalize import (
     LASSO_COMPARABLE,
@@ -48,30 +53,6 @@ from .oracle import (
 from .rng import RandomStream
 from .solver import FitOptions, PenaltySpec, fit, fit_path, from_mixing, lambda_grid, lambda_max
 from .special import std_normal_quantile
-
-SELECTION_PROBABILITY = "selection-probability"
-BIAS_VAR = "bias-var"
-DECREASING_CLASSBALANCE = "decreasing-classbalance"
-MIXED_DATA = "mixed-data"
-INTERACTIONS = "interactions"
-WEIGHTED_ELNET = "weighted-elnet"
-ORTHOGONALITY = "orthogonality"
-POWER_FDR = "power-fdr"
-PREDICTIVE_SIM = "predictive-sim"
-MAXABS_GEV = "maxabs-gev"
-
-SCENARIOS = (
-    SELECTION_PROBABILITY,
-    BIAS_VAR,
-    DECREASING_CLASSBALANCE,
-    MIXED_DATA,
-    INTERACTIONS,
-    WEIGHTED_ELNET,
-    ORTHOGONALITY,
-    POWER_FDR,
-    PREDICTIVE_SIM,
-    MAXABS_GEV,
-)
 
 # stream slots reserved per replication; purposes index into this block
 _SLOTS = 4
@@ -247,12 +228,14 @@ class _Collector:
         self.rows: list[tuple] = []
         self.skipped: list[str] = []
 
-    def add(self, rep: int, cell: tuple, metric: str, value: float) -> None:
+    def add(self, rep: int, cell: tuple, /, **metrics: float) -> None:
+        """One row per metric, in keyword order."""
         if len(cell) != len(self.cell_columns):
             raise DimensionMismatchError(
                 f"cell has {len(cell)} values for columns {self.cell_columns}"
             )
-        self.rows.append((rep, *cell, metric, float(value)))
+        for metric, value in metrics.items():
+            self.rows.append((rep, *cell, metric, float(value)))
 
     def skip(self, message: str) -> None:
         if message not in self.skipped:
@@ -383,54 +366,36 @@ def parse_scenario_config(path) -> ScenarioSpec:
     return ScenarioSpec(params=pairs, **fields)
 
 
-def _finish(
-    spec: ScenarioSpec,
-    cfg: dict,
-    overridden: list[str],
-    rec: _Collector,
-    extra: dict,
-) -> ScenarioResult:
-    if not rec.rows:
-        raise DomainError(
-            f"scenario {spec.scenario!r} produced no cells: {'; '.join(rec.skipped) or 'empty grid'}"
-        )
-    manifest = {
-        "scenario": spec.scenario,
-        "seed": spec.seed,
-        "resolved": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
-        "overridden": sorted(overridden),
-        "skipped": list(rec.skipped),
-        "cell_columns": list(rec.cell_columns),
-    }
-    manifest.update(extra)
-    return ScenarioResult(
-        scenario=spec.scenario,
-        cell_columns=rec.cell_columns,
-        rows=tuple(rec.rows),
-        summary=rec.summarize(),
-        manifest=manifest,
-    )
+_CATALOGUE: dict[str, tuple] = {}  # id -> (cell columns, defaults, runner)
+
+
+def _scenario(name: str, cells: tuple[str, ...], **defaults):
+    """Register the decorated runner as scenario `name` with its cell columns and defaults."""
+
+    def register(runner):
+        _CATALOGUE[name] = (cells, defaults, runner)
+        return runner
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # scenario 1: selection probability of a single binary feature
 
 
-def _defaults_selection_probability() -> dict:
-    return {
-        "n": 1000,
-        "replications": 100,
-        "beta_star": 0.2,
-        "q_grid": (0.5, 0.6, 0.7, 0.8, 0.9),
-        "delta_grid": (0.0, 0.5, 0.75, 1.0),
-        "lambda1_grid": (40.0,),
-        "sigma_grid": (2.0,),
-    }
-
-
-def _run_selection_probability(spec, cfg):
+@_scenario(
+    "selection-probability",
+    ("q", "delta", "lambda1", "sigma"),
+    n=1000,
+    replications=100,
+    beta_star=0.2,
+    q_grid=(0.5, 0.6, 0.7, 0.8, 0.9),
+    delta_grid=(0.0, 0.5, 0.75, 1.0),
+    lambda1_grid=(40.0,),
+    sigma_grid=(2.0,),
+)
+def _run_selection_probability(spec, cfg, rec):
     n, beta = cfg["n"], cfg["beta_star"]
-    rec = _Collector(("q", "delta", "lambda1", "sigma"))
     qs = _feasible_qs(n, cfg["q_grid"], rec)
     oracle = {}
     for q in qs:
@@ -459,9 +424,9 @@ def _run_selection_probability(spec, cfg):
                     for lam1 in cfg["lambda1_grid"]:
                         res = fit(data, PenaltySpec(lam1=lam1), _FIT, plan=plan)
                         cell = (q, d, lam1, s)
-                        rec.add(rep, cell, "selected", 1.0 if res.beta_norm[0] != 0.0 else 0.0)
-                        rec.add(rep, cell, "oracle_probability", oracle[cell])
-    return rec, {
+                        selected = 1.0 if res.beta_norm[0] != 0.0 else 0.0
+                        rec.add(rep, cell, selected=selected, oracle_probability=oracle[cell])
+    return {
         "lambda_rule": "fixed lambda1 grid on the normalized scale (no rescaling)",
         "canonical": False,
     }
@@ -471,27 +436,25 @@ def _run_selection_probability(spec, cfg):
 # scenario 2: bias / variance / mse of a single binary feature
 
 
-def _defaults_bias_var() -> dict:
-    return {
-        "n": 100,
-        "replications": 100,
-        "beta_star": 1.0,
-        "model": "lasso",
-        "q_grid": (0.5, 0.6, 0.75, 0.9),
-        "exponent_grid": (0.0, 0.5, 1.0),
-        "sigma_grid": (0.5, 1.0, 2.0),
-        "lambda1": 10.0,
-        "lambda2": 25.0,
-    }
-
-
-def _run_bias_var(spec, cfg):
+@_scenario(
+    "bias-var",
+    ("q", "exponent", "sigma"),
+    n=100,
+    replications=100,
+    beta_star=1.0,
+    model="lasso",
+    q_grid=(0.5, 0.6, 0.75, 0.9),
+    exponent_grid=(0.0, 0.5, 1.0),
+    sigma_grid=(0.5, 1.0, 2.0),
+    lambda1=10.0,
+    lambda2=25.0,
+)
+def _run_bias_var(spec, cfg, rec):
     n, beta, variant = cfg["n"], cfg["beta_star"], cfg["model"]
     if variant not in ("lasso", "ridge", "weighted"):
         raise DomainError(f"model must be lasso, ridge, or weighted, got {variant!r}")
     lam1 = cfg["lambda1"] if variant != "ridge" else 0.0
     lam2 = cfg["lambda2"] if variant != "lasso" else 0.0
-    rec = _Collector(("q", "exponent", "sigma"))
     qs = _feasible_qs(n, cfg["q_grid"], rec)
     oracle = {}
     for q in qs:
@@ -501,7 +464,9 @@ def _run_bias_var(spec, cfg):
                 model = BinaryFeatureModel(
                     beta=beta, n=n, q=q, sigma_eps=s, lam1=lam1, lam2=lam2, scaling=scaling
                 )
-                oracle[(q, t, s)] = (estimator_mean(model), estimator_variance(model))
+                oracle[(q, t, s)] = dict(
+                    oracle_mean=estimator_mean(model), oracle_variance=estimator_variance(model)
+                )
     for rep, gx, ge in _replications(spec, cfg):
         columns = {q: gen_binary(n, q, gx) for q in qs}
         noise = {s: (s * ge.standard_normal(n) if s > 0.0 else None) for s in cfg["sigma_grid"]}
@@ -522,36 +487,17 @@ def _run_bias_var(spec, cfg):
                     xn, plan, penalty = prepared[t]
                     data = Dataset(x=xn, y=y, kinds=base.kinds if plan is None else ("continuous",))
                     res = fit(data, penalty, _FIT, plan=plan)
-                    cell = (q, t, s)
-                    rec.add(rep, cell, "estimate", res.beta[0])
-                    rec.add(rep, cell, "oracle_mean", oracle[cell][0])
-                    rec.add(rep, cell, "oracle_variance", oracle[cell][1])
+                    rec.add(rep, (q, t, s), estimate=res.beta[0], **oracle[(q, t, s)])
     rule = (
         "penalty weights u = v = nu^omega from the nominal class balance"
         if variant == "weighted"
         else "plain nu^delta scaling, fixed penalty level (no rescaling)"
     )
-    return rec, {"lambda_rule": rule, "canonical": False}
+    return {"lambda_rule": rule, "canonical": False}
 
 
 # ---------------------------------------------------------------------------
 # scenario 3: many binary features with decreasing class balance
-
-
-def _defaults_decreasing_classbalance() -> dict:
-    return {
-        "n": 500,
-        "p": 1000,
-        "replications": 100,
-        "n_signal": 20,
-        "snr": 2.0,
-        "delta_grid": (0.0, 0.5, 1.0),
-        "rho_grid": (0.0,),
-        "q_first": 0.5,
-        "q_last": 0.99,
-        "null_q_low": 0.5,
-        "null_q_high": 0.99,
-    }
 
 
 def signal_balances(k: int, q_first: float, q_last: float) -> np.ndarray:
@@ -562,14 +508,28 @@ def signal_balances(k: int, q_first: float, q_last: float) -> np.ndarray:
     return 1.0 - (1.0 - q_first) * ratio ** (np.arange(k) / (k - 1))
 
 
-def _run_decreasing_classbalance(spec, cfg):
+@_scenario(
+    "decreasing-classbalance",
+    ("delta", "rho"),
+    n=500,
+    p=1000,
+    replications=100,
+    n_signal=20,
+    snr=2.0,
+    delta_grid=(0.0, 0.5, 1.0),
+    rho_grid=(0.0,),
+    q_first=0.5,
+    q_last=0.99,
+    null_q_low=0.5,
+    null_q_high=0.99,
+)
+def _run_decreasing_classbalance(spec, cfg, rec):
     n, p, k = cfg["n"], cfg["p"], cfg["n_signal"]
     if p <= k:
         raise DomainError(f"p must exceed n_signal={k}, got {p}")
     qs = signal_balances(k, cfg["q_first"], cfg["q_last"])
     beta = np.zeros(p)
     beta[:k] = 1.0
-    rec = _Collector(("delta", "rho"))
     lam_rule = "lambda1 = 2 sigma sqrt(2 log p); plain nu^delta scaling"
     # An all-ones column has zero scale at every delta > 0. It stays whole at
     # rho = 0 (rho > 0 copies column 1 into the top rows of the others), so
@@ -590,11 +550,9 @@ def _run_decreasing_classbalance(spec, cfg):
             for d in cfg["delta_grid"]:
                 plan = _normalize.compute_plan(data, BinaryDelta(d))
                 res = fit(_normalize.apply(data, plan), PenaltySpec(lam1=lam1), _FIT, plan=plan)
-                cell = (d, rho)
-                for j in range(k):
-                    rec.add(rep, cell, f"estimate_{j + 1:02d}", res.beta[j])
-                rec.add(rep, cell, "support_size", len(res.support))
-    return rec, {
+                estimates = {f"estimate_{j + 1:02d}": res.beta[j] for j in range(k)}
+                rec.add(rep, (d, rho), **estimates, support_size=len(res.support))
+    return {
         "lambda_rule": lam_rule,
         "signal_balances": [float(q) for q in qs],
         "flags": {"balance_spacing": "geometric in 1-q"},
@@ -605,23 +563,6 @@ def _run_decreasing_classbalance(spec, cfg):
 # scenario 4: one binary + one quasi-normal feature, comparability scaling
 
 
-def _defaults_mixed_data() -> dict:
-    return {
-        "n": 1000,
-        "replications": 100,
-        "q_grid": (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99),
-        "delta_grid": (0.0, 0.25, 0.5, 0.75, 1.0),
-        "model_grid": ("lasso", "ridge"),
-        "snr": 0.5,
-        "kappa": 2.0,
-        "q0": 0.5,
-        "cont_sd": 0.5,
-        "beta_binary": 1.0,
-        "beta_cont": 1.0,
-        "noise_free": False,
-    }
-
-
 def _orthogonalize(col: np.ndarray, against: np.ndarray, sd: float) -> np.ndarray:
     """Residualize col on {1, against}, then rescale to exact sd."""
     out = col - col.mean()
@@ -630,10 +571,25 @@ def _orthogonalize(col: np.ndarray, against: np.ndarray, sd: float) -> np.ndarra
     return out * (sd / math.sqrt(float(out @ out) / out.shape[0]))
 
 
-def _run_mixed_data(spec, cfg):
+@_scenario(
+    "mixed-data",
+    ("model", "q", "delta"),
+    n=1000,
+    replications=100,
+    q_grid=(0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99),
+    delta_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
+    model_grid=("lasso", "ridge"),
+    snr=0.5,
+    kappa=2.0,
+    q0=0.5,
+    cont_sd=0.5,
+    beta_binary=1.0,
+    beta_cont=1.0,
+    noise_free=False,
+)
+def _run_mixed_data(spec, cfg, rec):
     n = cfg["n"]
     beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
-    rec = _Collector(("model", "q", "delta"))
     qs = _feasible_qs(n, cfg["q_grid"], rec)
     for model in cfg["model_grid"]:
         if model not in ("lasso", "ridge"):
@@ -665,11 +621,14 @@ def _run_mixed_data(spec, cfg):
                         else PenaltySpec(lam1=0.0, lam2=2.0 * lam_max)
                     )
                     res = fit(nd, penalty, _FIT, plan=plan)
-                    cell = (model, q, d)
-                    rec.add(rep, cell, "estimate_binary", res.beta[0])
-                    rec.add(rep, cell, "estimate_continuous", res.beta[1])
-                    rec.add(rep, cell, "sd_continuous", sd2)
-    return rec, {
+                    rec.add(
+                        rep,
+                        (model, q, d),
+                        estimate_binary=res.beta[0],
+                        estimate_continuous=res.beta[1],
+                        sd_continuous=sd2,
+                    )
+    return {
         "lambda_rule": "lasso lambda1 = lambda_max/2; ridge lambda2 = 2 lambda_max",
         "flags": {"orthogonalized_continuous": bool(cfg["noise_free"])},
     }
@@ -679,25 +638,23 @@ def _run_mixed_data(spec, cfg):
 # scenario 5: interaction of a binary and a quasi-normal feature
 
 
-def _defaults_interactions() -> dict:
-    return {
-        "n": 1000,
-        "replications": 100,
-        "q_grid": (0.5, 0.7, 0.9),
-        "beta3_grid": (0.0, 1.0, 2.0, 5.0, 10.0, 20.0),
-        "beta_binary": 1.0,
-        "beta_cont": 1.0,
-        "snr": 0.5,
-        "delta": 1.0,
-        "kappa": 2.0,
-        "q0": 0.5,
-        "cont_sd": 0.5,
-    }
-
-
-def _run_interactions(spec, cfg):
+@_scenario(
+    "interactions",
+    ("q", "beta3", "strategy"),
+    n=1000,
+    replications=100,
+    q_grid=(0.5, 0.7, 0.9),
+    beta3_grid=(0.0, 1.0, 2.0, 5.0, 10.0, 20.0),
+    beta_binary=1.0,
+    beta_cont=1.0,
+    snr=0.5,
+    delta=1.0,
+    kappa=2.0,
+    q0=0.5,
+    cont_sd=0.5,
+)
+def _run_interactions(spec, cfg, rec):
     n, d = cfg["n"], cfg["delta"]
-    rec = _Collector(("q", "beta3", "strategy"))
     qs = _feasible_qs(n, cfg["q_grid"], rec)
     lam1 = n / 4.0
     binary_scale = BinaryDelta(d, LASSO_COMPARABLE, cfg["kappa"], cfg["q0"])
@@ -722,11 +679,14 @@ def _run_interactions(spec, cfg):
                 for strategy, plan in plans.items():
                     nd = _normalize.apply(data, plan)
                     res = fit(nd, PenaltySpec(lam1=lam1), _FIT, plan=plan)
-                    cell = (q, beta3, strategy)
-                    rec.add(rep, cell, "estimate_binary", res.beta[0])
-                    rec.add(rep, cell, "estimate_continuous", res.beta[1])
-                    rec.add(rep, cell, "estimate_interaction", res.beta[2])
-    return rec, {
+                    rec.add(
+                        rep,
+                        (q, beta3, strategy),
+                        estimate_binary=res.beta[0],
+                        estimate_continuous=res.beta[1],
+                        estimate_interaction=res.beta[2],
+                    )
+    return {
         "lambda_rule": "lambda1 = n/4 on the normalized scale",
         "flags": {
             "strategies": "1 = standardize the product column, 2 = scale by s1*s2",
@@ -739,26 +699,24 @@ def _run_interactions(spec, cfg):
 # scenario 6: penalty weighting instead of data scaling
 
 
-def _defaults_weighted_elnet() -> dict:
-    return {
-        "n": 1000,
-        "replications": 100,
-        "q_grid": (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99),
-        "omega_grid": (0.0, 0.25, 0.5, 0.75, 1.0),
-        "alpha": 0.5,
-        "snr": 0.5,
-        "cont_sd": 0.5,
-        "beta_binary": 1.0,
-        "beta_cont": 1.0,
-        "noise_free": False,
-        "orthogonalize": False,
-    }
-
-
-def _run_weighted_elnet(spec, cfg):
+@_scenario(
+    "weighted-elnet",
+    ("q", "omega"),
+    n=1000,
+    replications=100,
+    q_grid=(0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99),
+    omega_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
+    alpha=0.5,
+    snr=0.5,
+    cont_sd=0.5,
+    beta_binary=1.0,
+    beta_cont=1.0,
+    noise_free=False,
+    orthogonalize=False,
+)
+def _run_weighted_elnet(spec, cfg, rec):
     n = cfg["n"]
     beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
-    rec = _Collector(("q", "omega"))
     qs = _feasible_qs(n, cfg["q_grid"], rec)
     for rep, gx, ge in _replications(spec, cfg):
         z = ge.standard_normal(n)
@@ -776,9 +734,8 @@ def _run_weighted_elnet(spec, cfg):
                 lam = lambda_max(data, u=w) / 2.0
                 res = fit(data, from_mixing(cfg["alpha"], lam, u=w, v=w), _FIT)
                 cell = (q, omega)
-                rec.add(rep, cell, "estimate_binary", res.beta[0])
-                rec.add(rep, cell, "estimate_continuous", res.beta[1])
-    return rec, {
+                rec.add(rep, cell, estimate_binary=res.beta[0], estimate_continuous=res.beta[1])
+    return {
         "lambda_rule": "lambda = lambda_max(u-weighted)/2, split lam1 = alpha lambda, "
         "lam2 = (1-alpha) lambda",
         "flags": {"weights": "u = v = Var_hat^omega for every column"},
@@ -787,19 +744,6 @@ def _run_weighted_elnet(spec, cfg):
 
 # ---------------------------------------------------------------------------
 # scenario 7: correlated binary pair, shrinkage unaffected by correlation
-
-
-def _defaults_orthogonality() -> dict:
-    return {
-        "n": 10000,
-        "replications": 100,
-        "q1": 0.5,
-        "q2_grid": (0.5, 0.6, 0.7, 0.8, 0.9),
-        "rho_grid": (0.0, 0.4, 0.6),
-        "snr": 1.0,
-        "beta_binary": 1.0,
-        "beta_cont": 1.0,
-    }
 
 
 def correlated_binary_pair(n: int, q1: float, q2: float, rho: float) -> np.ndarray | None:
@@ -823,10 +767,21 @@ def correlated_binary_pair(n: int, q1: float, q2: float, rho: float) -> np.ndarr
     return np.column_stack([x1, x2])
 
 
-def _run_orthogonality(spec, cfg):
+@_scenario(
+    "orthogonality",
+    ("q2", "rho"),
+    n=10000,
+    replications=100,
+    q1=0.5,
+    q2_grid=(0.5, 0.6, 0.7, 0.8, 0.9),
+    rho_grid=(0.0, 0.4, 0.6),
+    snr=1.0,
+    beta_binary=1.0,
+    beta_cont=1.0,
+)
+def _run_orthogonality(spec, cfg, rec):
     n = cfg["n"]
     beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
-    rec = _Collector(("q2", "rho"))
     designs = {}
     for q2 in cfg["q2_grid"]:
         for rho in cfg["rho_grid"]:
@@ -846,10 +801,8 @@ def _run_orthogonality(spec, cfg):
             lam_max = lambda_max(nd)
             res = fit(nd, PenaltySpec(lam1=lam_max / 2.0), _FIT, plan=plan)
             cell = (q2, rho)
-            rec.add(rep, cell, "estimate_1", res.beta[0])
-            rec.add(rep, cell, "estimate_2", res.beta[1])
-            rec.add(rep, cell, "realized_corr", corr)
-    return rec, {
+            rec.add(rep, cell, estimate_1=res.beta[0], estimate_2=res.beta[1], realized_corr=corr)
+    return {
         "lambda_rule": "lambda1 = lambda_max/2 per replication",
         "flags": {
             "design": "exact joint counts, rows in fixed block order",
@@ -862,34 +815,28 @@ def _run_orthogonality(spec, cfg):
 # scenario 8: power / FDR / NMSE across dimension
 
 
-def _defaults_power_fdr() -> dict:
-    return {
-        "n": 10000,
-        "replications": 100,
-        "p_grid": (20, 40, 60, 80, 100),
-        "delta_grid": (0.0, 0.5, 1.0),
-        "n_signal": 10,
-        "beta_signal": 2.0,
-        "sigma": 1.0,
-        "q_first": 0.5,
-        "q_last": 0.99,
-        "null_q_low": 0.5,
-        "null_q_high": 0.99,
-    }
-
-
-def _run_power_fdr(spec, cfg):
-    from .evaluate import fdr as _fdr
-    from .evaluate import nmse as _nmse
-    from .evaluate import power_all as _power
-
+@_scenario(
+    "power-fdr",
+    ("p", "delta"),
+    n=10000,
+    replications=100,
+    p_grid=(20, 40, 60, 80, 100),
+    delta_grid=(0.0, 0.5, 1.0),
+    n_signal=10,
+    beta_signal=2.0,
+    sigma=1.0,
+    q_first=0.5,
+    q_last=0.99,
+    null_q_low=0.5,
+    null_q_high=0.99,
+)
+def _run_power_fdr(spec, cfg, rec):
     n, k = cfg["n"], cfg["n_signal"]
     p_max = max(cfg["p_grid"])
     if min(cfg["p_grid"]) <= k:
         raise DomainError(f"every p must exceed n_signal={k}")
     qs = np.linspace(cfg["q_first"], cfg["q_last"], k)
     truth = set(range(k))
-    rec = _Collector(("p", "delta"))
     # an all-ones column has zero scale at every delta > 0; name its bound
     doomed = any(d > 0.0 for d in cfg["delta_grid"])
     if doomed:
@@ -910,12 +857,15 @@ def _run_power_fdr(spec, cfg):
                 res = fit(_normalize.apply(data, plan), PenaltySpec(lam1=lam1), _FIT, plan=plan)
                 support = set(res.support.tolist())
                 y_hat = res.beta0 + data.x @ res.beta
-                cell = (p, d)
-                rec.add(rep, cell, "power_all", _power(support, truth))
-                rec.add(rep, cell, "fdr", _fdr(support, truth))
-                rec.add(rep, cell, "nmse", _nmse(y_test, y_hat))
-                rec.add(rep, cell, "support_size", len(support))
-    return rec, {
+                rec.add(
+                    rep,
+                    (p, d),
+                    power_all=power_all(support, truth),
+                    fdr=fdr(support, truth),
+                    nmse=nmse(y_test, y_hat),
+                    support_size=len(support),
+                )
+    return {
         "lambda_rule": "lambda1 = n 4^delta / 10; plain nu^delta scaling",
         "flags": {
             "desk_scale": "n defaults to 1e4 (reference configuration uses 1e5)",
@@ -927,24 +877,6 @@ def _run_power_fdr(spec, cfg):
 
 # ---------------------------------------------------------------------------
 # scenario 9: held-out predictive error across SNR
-
-
-def _defaults_predictive_sim() -> dict:
-    return {
-        "n": 300,
-        "p": 1000,
-        "replications": 25,
-        "n_signal": 10,
-        "beta_signal": 2.0,
-        "snr_grid": tuple(float(v) for v in np.geomspace(0.05, 6.0, 8)),
-        "delta_grid": (0.0, 0.5, 1.0),
-        "path_count": 100,
-        "path_ratio": 1e-2,
-        "q_first": 0.5,
-        "q_last": 0.99,
-        "null_q_low": 0.5,
-        "null_q_high": 0.99,
-    }
 
 
 def _tolerant_plan(x_train: np.ndarray, delta: float) -> NormalizationPlan:
@@ -963,9 +895,24 @@ def _tolerant_plan(x_train: np.ndarray, delta: float) -> NormalizationPlan:
     return NormalizationPlan(means, scales)
 
 
-def _run_predictive_sim(spec, cfg):
-    from .evaluate import nmse as _nmse
-
+@_scenario(
+    "predictive-sim",
+    ("snr", "delta"),
+    n=300,
+    p=1000,
+    replications=25,
+    n_signal=10,
+    beta_signal=2.0,
+    snr_grid=tuple(float(v) for v in np.geomspace(0.05, 6.0, 8)),
+    delta_grid=(0.0, 0.5, 1.0),
+    path_count=100,
+    path_ratio=1e-2,
+    q_first=0.5,
+    q_last=0.99,
+    null_q_low=0.5,
+    null_q_high=0.99,
+)
+def _run_predictive_sim(spec, cfg, rec):
     n, p, k = cfg["n"], cfg["p"], cfg["n_signal"]
     if p <= k:
         raise DomainError(f"p must exceed n_signal={k}, got {p}")
@@ -975,7 +922,6 @@ def _run_predictive_sim(spec, cfg):
     third = n // 3
     if third < 2:
         raise DomainError(f"n={n} leaves fewer than 2 rows per split")
-    rec = _Collector(("snr", "delta"))
     for rep, gx, ge in _replications(spec, cfg):
         gs = _stream(spec.seed, rep, _TEST)
         x = _binary_design(n, p, qs, cfg, gx)
@@ -993,16 +939,19 @@ def _run_predictive_sim(spec, cfg):
                 xv = plan.transform(x[val])
                 best = None
                 for lam, res in zip(grid, fit_path(nd, 1.0, grid, _FIT)):
-                    score = _nmse(y[val], res.beta0_norm + xv @ res.beta_norm)
+                    score = nmse(y[val], res.beta0_norm + xv @ res.beta_norm)
                     if best is None or score < best[0]:
                         best = (score, float(lam), res)
                 _, lam, res = best
                 xs = plan.transform(x[test])
-                cell = (snr, d)
-                rec.add(rep, cell, "nmse_test", _nmse(y[test], res.beta0_norm + xs @ res.beta_norm))
-                rec.add(rep, cell, "lambda_selected", lam)
-                rec.add(rep, cell, "support_size", len(res.support))
-    return rec, {
+                rec.add(
+                    rep,
+                    (snr, d),
+                    nmse_test=nmse(y[test], res.beta0_norm + xs @ res.beta_norm),
+                    lambda_selected=lam,
+                    support_size=len(res.support),
+                )
+    return {
         "lambda_rule": "100-point log path from lambda_max(train), selected on validation "
         "NMSE (ties to the larger lambda)",
         "flags": {
@@ -1017,21 +966,19 @@ def _run_predictive_sim(spec, cfg):
 # scenario 10: max-abs scaling and the Gumbel approximation
 
 
-def _defaults_maxabs_gev() -> dict:
-    return {
-        "replications": 100,
-        "part": "a",
-        "n_grid": (10, 100, 1000),
-        "q": 0.5,
-        "snr": 1.0,
-        "cont_sd": 0.5,
-        "beta_binary": 1.0,
-        "beta_cont": 1.0,
-    }
-
-
-def _run_maxabs_gev(spec, cfg):
-    rec = _Collector(("part", "n"))
+@_scenario(
+    "maxabs-gev",
+    ("part", "n"),
+    replications=100,
+    part="a",
+    n_grid=(10, 100, 1000),
+    q=0.5,
+    snr=1.0,
+    cont_sd=0.5,
+    beta_binary=1.0,
+    beta_cont=1.0,
+)
+def _run_maxabs_gev(spec, cfg, rec):
     part = cfg["part"]
     if part not in ("a", "b"):
         raise DomainError(f"part must be 'a' or 'b', got {part!r}")
@@ -1041,9 +988,8 @@ def _run_maxabs_gev(spec, cfg):
         for rep, g, _ in _replications(spec, cfg):
             for n in sizes:
                 m = float(np.abs(g.standard_normal(n)).max())
-                rec.add(rep, ("a", n), "maxabs", m)
-                rec.add(rep, ("a", n), "gumbel_mean", approx[n])
-        extra = {"lambda_rule": "not applicable", "flags": {"statistic": "max |z| over n draws"}}
+                rec.add(rep, ("a", n), maxabs=m, gumbel_mean=approx[n])
+        return {"lambda_rule": "not applicable", "flags": {"statistic": "max |z| over n draws"}}
     else:
         # The growing max-abs factor of the normal column must outrun a fixed
         # per-row penalty for its coefficient to hit zero; anchoring lambda1 at
@@ -1064,30 +1010,17 @@ def _run_maxabs_gev(spec, cfg):
                 plan = _normalize.compute_plan(data, MaxAbs())
                 nd = _normalize.apply(data, plan)
                 res = fit(nd, PenaltySpec(lam1=n * nu1 / 2.0), _FIT, plan=plan)
-                rec.add(rep, ("b", n), "estimate_binary", res.beta[0])
-                rec.add(rep, ("b", n), "estimate_normal", res.beta[1])
-        extra = {
+                rec.add(rep, ("b", n), estimate_binary=res.beta[0], estimate_normal=res.beta[1])
+        return {
             "lambda_rule": "lambda1 = n nu1 / 2, anchored on the binary feature",
             "flags": {"normalization": "max-abs on both columns, true normal draws"},
         }
-    return rec, extra
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
-_CATALOGUE = {
-    SELECTION_PROBABILITY: (_defaults_selection_probability, _run_selection_probability),
-    BIAS_VAR: (_defaults_bias_var, _run_bias_var),
-    DECREASING_CLASSBALANCE: (_defaults_decreasing_classbalance, _run_decreasing_classbalance),
-    MIXED_DATA: (_defaults_mixed_data, _run_mixed_data),
-    INTERACTIONS: (_defaults_interactions, _run_interactions),
-    WEIGHTED_ELNET: (_defaults_weighted_elnet, _run_weighted_elnet),
-    ORTHOGONALITY: (_defaults_orthogonality, _run_orthogonality),
-    POWER_FDR: (_defaults_power_fdr, _run_power_fdr),
-    PREDICTIVE_SIM: (_defaults_predictive_sim, _run_predictive_sim),
-    MAXABS_GEV: (_defaults_maxabs_gev, _run_maxabs_gev),
-}
+SCENARIOS = tuple(_CATALOGUE)
 
 
 def scenario_defaults(scenario: str) -> dict:
@@ -1096,7 +1029,7 @@ def scenario_defaults(scenario: str) -> dict:
         raise DomainError(
             f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIOS)}"
         )
-    return _CATALOGUE[scenario][0]()
+    return dict(_CATALOGUE[scenario][1])
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
@@ -1105,7 +1038,21 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     Degenerate cells are skipped and logged in the manifest; the run fails
     only if no cell at all is feasible.
     """
-    defaults, runner = _CATALOGUE[spec.scenario]
-    cfg, overridden = _resolve(spec, defaults())
-    rec, extra = runner(spec, cfg)
-    return _finish(spec, cfg, overridden, rec, extra)
+    cells, defaults, runner = _CATALOGUE[spec.scenario]
+    cfg, overridden = _resolve(spec, defaults)
+    rec = _Collector(cells)
+    extra = runner(spec, cfg, rec)
+    if not rec.rows:
+        raise DomainError(
+            f"scenario {spec.scenario!r} produced no cells: {'; '.join(rec.skipped) or 'empty grid'}"
+        )
+    manifest = {
+        "scenario": spec.scenario,
+        "seed": spec.seed,
+        "resolved": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
+        "overridden": sorted(overridden),
+        "skipped": list(rec.skipped),
+        "cell_columns": list(cells),
+        **extra,
+    }
+    return ScenarioResult(spec.scenario, cells, tuple(rec.rows), rec.summarize(), manifest)

@@ -203,7 +203,7 @@ DEFAULTS_DIGEST = {
 
 
 @pytest.mark.parametrize("scenario", sorted(DEFAULTS_DIGEST))
-def test_scenario_defaults_keys_order_and_values_are_pinned(scenario):
+def test_each_scenario_default_is_pinned_in_key_order(scenario):
     text = json.dumps(list(scenario_defaults(scenario).items()))
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULTS_DIGEST[scenario], text
 
@@ -211,10 +211,21 @@ def test_scenario_defaults_keys_order_and_values_are_pinned(scenario):
 def test_collector_rejects_a_cell_of_the_wrong_width():
     rec = _Collector(("q", "delta"))
     with pytest.raises(DimensionMismatchError, match="cell has 1 values"):
-        rec.add(0, (0.5,), "estimate", 1.0)
+        rec.add(0, (0.5,), estimate=1.0)
     with pytest.raises(DimensionMismatchError, match="cell has 3 values"):
-        rec.add(0, (0.5, 1.0, 2.0), "estimate", 1.0)
+        rec.add(0, (0.5, 1.0, 2.0), estimate=1.0)
     assert rec.rows == []
+
+
+def test_collector_records_one_row_per_metric_in_keyword_order():
+    rec = _Collector(("q", "delta"))
+    rec.add(3, (0.5, 1.0), support_size=np.int64(2), estimate=np.float64(0.25), rep=7.0)
+    assert rec.rows == [
+        (3, 0.5, 1.0, "support_size", 2.0),
+        (3, 0.5, 1.0, "estimate", 0.25),
+        (3, 0.5, 1.0, "rep", 7.0),
+    ]
+    assert all(type(row[-1]) is float for row in rec.rows)
 
 
 SMALL_SELECTION = dict(

@@ -286,23 +286,15 @@ def _emit(args, header, rows, manifest, summary: _io.ResultTable | None = None) 
     if summary is not None:
         tables["summary"] = _io.ResultTable(summary.header, summary.rows, manifest)
     if args.out is None:
-        payload = {key: [dict(zip(t.header, row)) for row in t.rows] for key, t in tables.items()}
+        payload = {key: _io.json_records(t) for key, t in tables.items()}
         payload["manifest"] = manifest
-        print(json.dumps(payload, indent=2, default=_json_default))
+        print(json.dumps(payload, indent=2))
         return
     _io.write_results(tables["results"], args.out, args.format)
     if summary is not None:
         stem, ext = os.path.splitext(args.out)
         path = f"{stem}.summary{ext or '.' + args.format}"
         _io.write_results(tables["summary"], path, args.format)
-
-
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
 def _manifest(args, command: str, extra: dict) -> dict:

@@ -251,6 +251,12 @@ def manifest_path(path) -> str:
     return os.fspath(path) + ".manifest.json"
 
 
+def json_records(table: ResultTable) -> list[dict]:
+    """The rows of table as records keyed by header names, with numpy scalars
+    as Python values and non-finite floats as the strings NaN, Inf and -Inf."""
+    return [{key: _json_value(v) for key, v in zip(table.header, row)} for row in table.rows]
+
+
 def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
     """Write a result table and its sidecar manifest atomically.
 
@@ -264,10 +270,7 @@ def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
             lines.append(",".join(_format_value(v) for v in row))
         atomic_write_text(path, "\n".join(lines) + "\n")
     elif fmt == JSON:
-        records = [
-            {key: _json_value(v) for key, v in zip(table.header, row)} for row in table.rows
-        ]
-        atomic_write_text(path, json.dumps(records, indent=2, sort_keys=False) + "\n")
+        atomic_write_text(path, json.dumps(json_records(table), indent=2, sort_keys=False) + "\n")
     else:
         raise DomainError(f"unknown format {fmt!r}; expected {CSV!r} or {JSON!r}")
     atomic_write_text(

@@ -299,15 +299,17 @@ def _resolve(spec: ScenarioSpec, defaults: dict) -> tuple[dict, list[str]]:
 
 
 def _exact(key: str, value, default):
-    """value as the type of default; DomainError if that fails or would change
-    it (3.9 for an integer, "abc" for a float)."""
+    """value as the type of default; DomainError if that fails, would change
+    it (3.9 for an integer, "abc" for a float) or gives a non-finite float."""
     kind = type(default)
     try:
         converted = kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         converted = None
     if converted is None or converted != value:
         raise DomainError(f"parameter {key!r} takes {kind.__name__} values, got {value!r}")
+    if kind is float and not math.isfinite(converted):
+        raise DomainError(f"parameter {key!r} takes finite float values, got {value!r}")
     return converted
 
 

@@ -47,8 +47,10 @@ class PenaltySpec:
     v: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.lam1 < 0.0 or self.lam2 < 0.0:
-            raise DomainError("penalty levels must be >= 0")
+        for name in ("lam1", "lam2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
         for name in ("u", "v"):
             w = getattr(self, name)
             if w is None:

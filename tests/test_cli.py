@@ -62,7 +62,7 @@ def test_usage_errors_exit_one(toy_csv, capsys):
     assert main(["simulate", "--scenario", "bias-var", "--param", "nonsense"]) == 1
 
 
-def test_data_errors_exit_two(tmp_path, capsys):
+def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
     missing = str(tmp_path / "nope.csv")
     assert main(["fit", "--input", missing, "--lambda1", "1"]) == 2
     assert "nope.csv" in capsys.readouterr().err
@@ -85,6 +85,21 @@ def test_data_errors_exit_two(tmp_path, capsys):
         scenario = "bias-var" if item.startswith("q_grid") else "power-fdr"
         assert main(["simulate", "--scenario", scenario, "--param", item]) == 2
         assert message in capsys.readouterr().err
+    # a non-finite penalty, oracle parameter or float --param value is named
+    oracle = ["oracle", "--curve", "mean", "--delta", "0.5", "--q-grid", "0.5:0.9:2"]
+    for argv, message in (
+        (["fit", "--input", toy_csv, "--lambda1", "1e400"], "lam1 must be finite and >= 0, got inf"),
+        (["fit", "--input", toy_csv, "--lambda1", "nan"], "lam1 must be finite and >= 0, got nan"),
+        ([*oracle, "--lambda1", "inf"], "lam1 must be finite, got inf"),
+        ([*oracle, "--lambda1", "1", "--sigma", "inf"], "sigma_eps must be finite, got inf"),
+        ([*oracle, "--lambda1", "1", "--beta=-inf"], "beta must be finite, got -inf"),
+        (["simulate", "--scenario", "mixed-data", "--param", "snr=inf"],
+         "parameter 'snr' takes finite float values, got inf"),
+        (["simulate", "--scenario", "power-fdr", "--param", "n_signal=inf"],
+         "parameter 'n_signal' takes int values, got inf"),
+    ):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_usage_error_leaves_no_output(tmp_path, toy_csv):
@@ -197,6 +212,20 @@ def test_oracle_limits_rows(capsys):
     assert rows[0.0]["variance_kind"] == "zero"
     assert rows[1.0]["variance_kind"] == "infinite"
     assert rows[1.0]["selection"] == 1.0
+
+
+def test_stdout_records_are_json_and_equal_the_json_file(tmp_path, capsys):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    argv = ["oracle", "--curve", "limits", "--delta", "0.75", "--lambda1", "5",
+            "--exponent-grid", "0:1:3"]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
+    out = tmp_path / "limits.json"
+    assert main([*argv, "--out", str(out), "--format", "json"]) == 0
+    assert printed == json.loads(out.read_text(), parse_constant=reject)
+    assert [row["variance"] for row in printed] == [0.0, "Inf", "Inf"]
 
 
 def test_oracle_gumbel_rows(capsys):

@@ -102,8 +102,9 @@ class BinaryFeatureModel:
 
     def __post_init__(self) -> None:
         for name in ("beta", "sigma_eps", "lam1", "lam2"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n!r}")
         if not 0.0 < self.q < 1.0:

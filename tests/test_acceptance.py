@@ -3,10 +3,10 @@
 Each test records a one-line PASS/FAIL verdict (printed in the terminal
 summary) before asserting, so a red criterion still reports its measured
 numbers. Criterion 9 is expected to fail at n=10: the location-plus-gamma
-approximation of the folded-normal maximum sits 2.285% above the true mean
-there, outside the 2% band no matter how many samples are drawn. That gap
-is a property of the approximation, not of this implementation; README.md
-documents it.
+approximation of the folded-normal maximum sits 2.34% above the true mean
+there (1.9247 against 1.8807 by quadrature), outside the 2% band no matter
+how many samples are drawn. That gap is a property of the approximation, not
+of this implementation; README.md documents it.
 """
 
 from __future__ import annotations

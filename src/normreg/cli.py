@@ -27,7 +27,7 @@ from . import io as _io
 from . import normalize as _normalize
 from . import oracle as _oracle
 from . import simulate as _simulate
-from .dataset import Dataset
+from .dataset import Dataset, infer_kinds
 from .errors import NormRegError
 from .solver import FitOptions, PenaltySpec, fit as _fit, fit_path, lambda_grid, lambda_max
 
@@ -287,7 +287,7 @@ def _emit(args, header, rows, manifest, summary: _io.ResultTable | None = None) 
         tables["summary"] = _io.ResultTable(summary.header, summary.rows, manifest)
     if args.out is None:
         payload = {key: _io.json_records(t) for key, t in tables.items()}
-        payload["manifest"] = manifest
+        payload["manifest"] = _io.json_value(manifest)
         print(json.dumps(payload, indent=2))
         return
     _io.write_results(tables["results"], args.out, args.format)
@@ -538,8 +538,8 @@ def _cmd_normalize(args) -> int:
     plan, strategy_name = _plan_for(data, args)
     header = ("term", "kind", "center", "scale")
     rows = [
-        (name, data.kinds[j], float(plan.centers[j]), float(plan.scales[j]))
-        for j, name in enumerate(data.names)
+        (name, kind, float(c), float(s))
+        for name, kind, c, s in zip(data.names, infer_kinds(data.x), plan.centers, plan.scales)
     ]
     manifest = _manifest(
         args, "normalize", {"input": args.input, "normalize": strategy_name, "n": data.n}

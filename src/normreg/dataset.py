@@ -1,4 +1,9 @@
-"""Dataset container: a dense design matrix, response, and column kinds."""
+"""Dataset container: a dense design matrix, response and column names.
+
+A column's kind is a function of its values: it is binary iff every value is
+0 or 1. Rules that treat binary columns differently read the kind off the
+values with infer_kinds, so no stored tag can disagree with them.
+"""
 
 from __future__ import annotations
 
@@ -10,16 +15,13 @@ from .errors import DimensionMismatchError, DomainError
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
-_KINDS = (BINARY, CONTINUOUS)
 
 
 def infer_kinds(x: np.ndarray) -> tuple[str, ...]:
     """Tag each column: binary iff its values are a subset of {0, 1}."""
-    kinds = []
-    for j in range(x.shape[1]):
-        col = x[:, j]
-        kinds.append(BINARY if np.all((col == 0.0) | (col == 1.0)) else CONTINUOUS)
-    return tuple(kinds)
+    x = np.asarray(x)
+    binary = np.all((x == 0.0) | (x == 1.0), axis=0)
+    return tuple(BINARY if b else CONTINUOUS for b in binary)
 
 
 @dataclass(frozen=True)
@@ -27,13 +29,12 @@ class Dataset:
     """Immutable regression data.
 
     x is stored column-major (feature columns are contiguous) and both arrays
-    are marked read-only after construction. kinds has one tag per column;
-    names are optional labels carried through to outputs.
+    are marked read-only after construction. names are optional labels
+    carried through to outputs.
     """
 
     x: np.ndarray
     y: np.ndarray
-    kinds: tuple[str, ...] = ()
     names: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -47,16 +48,6 @@ class Dataset:
             )
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise DomainError("x and y must be finite")
-        kinds = tuple(self.kinds) if self.kinds else infer_kinds(x)
-        if len(kinds) != x.shape[1]:
-            raise DimensionMismatchError(
-                f"kinds has {len(kinds)} entries for {x.shape[1]} columns"
-            )
-        for j, kind in enumerate(kinds):
-            if kind not in _KINDS:
-                raise DomainError(f"unknown column kind {kind!r} at column {j}")
-            if kind == BINARY and not np.all((x[:, j] == 0.0) | (x[:, j] == 1.0)):
-                raise DomainError(f"column {j} tagged binary but has values outside {{0, 1}}")
         names = tuple(self.names) if self.names else tuple(f"x{j + 1}" for j in range(x.shape[1]))
         if len(names) != x.shape[1]:
             raise DimensionMismatchError(
@@ -66,7 +57,6 @@ class Dataset:
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "names", names)
 
     @property

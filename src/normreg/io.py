@@ -35,7 +35,7 @@ class TableSchema:
     """How to interpret a delimited file.
 
     response selects the response column by header name (str) or 0-based
-    position (int). Column kinds are always inferred from the values.
+    position (int).
     """
 
     delimiter: str = ","
@@ -65,9 +65,8 @@ def read_delimited(path, schema: TableSchema = TableSchema()) -> Dataset:
     """Parse a delimited text file into a Dataset.
 
     Ragged rows and non-numeric cells raise ParseError with the 1-based line
-    (and column) position. Column kinds are inferred: a column whose values
-    all lie in {0, 1} is binary, anything else continuous. Row order is
-    preserved.
+    (and column) position. Row order is preserved. No column kind is stored:
+    a 0/1 column is binary to every rule that reads the values.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         raw_lines = handle.read().splitlines()
@@ -196,7 +195,14 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _json_value(value):
+def json_value(value):
+    """value ready for json.dumps: numpy scalars as Python values and
+    non-finite floats as the strings NaN, Inf and -Inf, recursively through
+    dicts, lists and tuples."""
+    if isinstance(value, dict):
+        return {key: json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_value(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -252,9 +258,9 @@ def manifest_path(path) -> str:
 
 
 def json_records(table: ResultTable) -> list[dict]:
-    """The rows of table as records keyed by header names, with numpy scalars
-    as Python values and non-finite floats as the strings NaN, Inf and -Inf."""
-    return [{key: _json_value(v) for key, v in zip(table.header, row)} for row in table.rows]
+    """The rows of table as records keyed by header names, each value passed
+    through json_value."""
+    return [{key: json_value(v) for key, v in zip(table.header, row)} for row in table.rows]
 
 
 def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
@@ -262,7 +268,8 @@ def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
 
     CSV output is a header row plus one newline-terminated record per row;
     JSON output is an array of records keyed by header names. Both get the
-    manifest at manifest_path(path).
+    manifest at manifest_path(path), with its values passed through
+    json_value.
     """
     if fmt == CSV:
         lines = [",".join(table.header)]
@@ -273,9 +280,8 @@ def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
         atomic_write_text(path, json.dumps(json_records(table), indent=2, sort_keys=False) + "\n")
     else:
         raise DomainError(f"unknown format {fmt!r}; expected {CSV!r} or {JSON!r}")
-    atomic_write_text(
-        manifest_path(path), json.dumps(table.manifest, indent=2, sort_keys=True) + "\n"
-    )
+    manifest = json.dumps(json_value(table.manifest), indent=2, sort_keys=True)
+    atomic_write_text(manifest_path(path), manifest + "\n")
 
 
 def write_delimited(data: Dataset, path) -> None:
@@ -286,17 +292,4 @@ def write_delimited(data: Dataset, path) -> None:
         cells = [_format_value(v) for v in data.x[i]]
         cells.append(_format_value(data.y[i]))
         lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_sparse_labeled(data: Dataset, path) -> None:
-    """Write a Dataset in "label idx:val" form, omitting zero entries."""
-    lines = []
-    for i in range(data.n):
-        parts = [_format_value(data.y[i])]
-        for j in range(data.p):
-            value = data.x[i, j]
-            if value != 0.0:
-                parts.append(f"{j + 1}:{_format_value(value)}")
-        lines.append(" ".join(parts))
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -38,11 +38,12 @@ identically zero and its coefficient stays at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import BINARY, Dataset
+from .dataset import BINARY, Dataset, infer_kinds
 from .errors import DimensionMismatchError, DomainError, KindMismatchError, ZeroScaleError
 
 PLAIN = "plain"
@@ -95,12 +96,12 @@ class BinaryDelta:
     q0: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.delta < 0.0:
-            raise DomainError(f"delta must be >= 0, got {self.delta!r}")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise DomainError(f"delta must be finite and >= 0, got {self.delta!r}")
         if self.comparability not in (PLAIN, LASSO_COMPARABLE, RIDGE_COMPARABLE):
             raise DomainError(f"unknown comparability {self.comparability!r}")
-        if self.kappa <= 0.0:
-            raise DomainError(f"kappa must be > 0, got {self.kappa!r}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
+            raise DomainError(f"kappa must be finite and > 0, got {self.kappa!r}")
         if not 0.0 < self.q0 < 1.0:
             raise DomainError(f"q0 must lie in (0, 1), got {self.q0!r}")
 
@@ -172,7 +173,7 @@ def class_balance(col: np.ndarray) -> float:
     return float(col.mean())
 
 
-def _column_factors(col: np.ndarray, strategy, kind: str, j: int) -> tuple[float, float]:
+def _column_factors(col: np.ndarray, strategy, j: int) -> tuple[float, float]:
     if isinstance(strategy, NoNorm):
         return 0.0, 1.0
     if isinstance(strategy, Standardize):
@@ -192,7 +193,7 @@ def _column_factors(col: np.ndarray, strategy, kind: str, j: int) -> tuple[float
         c = float(q2)
         s = float(q3 - q1)
     elif isinstance(strategy, BinaryDelta):
-        if kind != BINARY:
+        if not np.all((col == 0.0) | (col == 1.0)):
             raise KindMismatchError(
                 f"BinaryDelta applied to non-binary column {j}; wrap strategies in "
                 "PerFeature for mixed data"
@@ -209,7 +210,8 @@ def _column_factors(col: np.ndarray, strategy, kind: str, j: int) -> tuple[float
 
 def mixed_binary_delta(data: Dataset, binary: BinaryDelta) -> PerFeature:
     """`binary` on the binary columns of data, Standardize on the others."""
-    return PerFeature(tuple(binary if kind == BINARY else Standardize() for kind in data.kinds))
+    kinds = infer_kinds(data.x)
+    return PerFeature(tuple(binary if kind == BINARY else Standardize() for kind in kinds))
 
 
 def compute_plan(data: Dataset, strategy: Strategy) -> NormalizationPlan:
@@ -230,7 +232,7 @@ def compute_plan(data: Dataset, strategy: Strategy) -> NormalizationPlan:
     centers = np.empty(data.p)
     scales = np.empty(data.p)
     for j in range(data.p):
-        centers[j], scales[j] = _column_factors(data.column(j), per_col[j], data.kinds[j], j)
+        centers[j], scales[j] = _column_factors(data.column(j), per_col[j], j)
     return NormalizationPlan(centers=centers, scales=scales)
 
 
@@ -238,9 +240,7 @@ def apply(data: Dataset, plan: NormalizationPlan) -> Dataset:
     """Return data with x mapped to (x - c) / s; the response is untouched."""
     if plan.p != data.p:
         raise DimensionMismatchError(f"plan covers {plan.p} columns, data has {data.p}")
-    return Dataset(
-        x=plan.transform(data.x), y=data.y.copy(), kinds=("continuous",) * data.p, names=data.names
-    )
+    return Dataset(x=plan.transform(data.x), y=data.y.copy(), names=data.names)
 
 
 def backtransform(beta_norm: np.ndarray, beta0_norm: float, plan: NormalizationPlan):

@@ -34,7 +34,6 @@ from .special import (
     folded_normal_quantile,
     std_normal_cdf,
     std_normal_pdf,
-    std_normal_quantile,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -54,8 +53,8 @@ class Delta:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.delta < 0.0:
-            raise DomainError(f"delta must be >= 0, got {self.delta!r}")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise DomainError(f"delta must be finite and >= 0, got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,8 @@ class Omega:
     omega: float
 
     def __post_init__(self) -> None:
-        if self.omega < 0.0:
-            raise DomainError(f"omega must be >= 0, got {self.omega!r}")
+        if not (math.isfinite(self.omega) and self.omega >= 0.0):
+            raise DomainError(f"omega must be finite and >= 0, got {self.omega!r}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,8 @@ class ComparabilityAnchor:
     q0: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0.0:
-            raise DomainError(f"kappa must be > 0, got {self.kappa!r}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
+            raise DomainError(f"kappa must be finite and > 0, got {self.kappa!r}")
         if not 0.0 < self.q0 < 1.0:
             raise DomainError(f"q0 must lie in (0, 1), got {self.q0!r}")
 
@@ -372,41 +371,8 @@ def maxabs_gumbel(mu: float, sigma: float, n: int) -> GumbelApprox:
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n!r}")
     b_n = folded_normal_quantile(1.0 - 1.0 / n, mu, sigma)
-    a_n = 1.0 / (n * folded_normal_pdf(b_n, mu, sigma))
+    density = folded_normal_pdf(b_n, mu, sigma)
+    if density == 0.0:
+        raise DomainError(f"the folded normal density underflows to 0 at its quantile {b_n!r}")
+    a_n = 1.0 / (n * density)
     return GumbelApprox(location=b_n, scale=a_n, mean_approx=b_n + EULER_GAMMA * a_n)
-
-
-def dichotomized_corr(rho: float, q: float) -> float:
-    """Correlation between Y and an upper-tail indicator of X with mass q.
-
-    X, Y are standard normal with correlation rho; B = 1{X > Phi^{-1}(1-q)}
-    so that P(B = 1) = q. Then Corr(B, Y) = rho phi(Phi^{-1}(q)) / sqrt(q - q^2).
-    """
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"rho must lie in [-1, 1], got {rho!r}")
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q!r}")
-    alpha = std_normal_quantile(q)
-    return rho * std_normal_pdf(alpha) / math.sqrt(q - q * q)
-
-
-def bernoulli_cont_corr(mu1: float, mu0: float, sigma_x: float, p: float) -> float:
-    """Correlation between X and B ~ Bernoulli(p) with E[X|B=b] = mu_b.
-
-    sigma_x is the marginal (total) standard deviation of X.
-    """
-    if sigma_x <= 0.0:
-        raise DomainError(f"sigma_x must be > 0, got {sigma_x!r}")
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie in (0, 1), got {p!r}")
-    return (mu1 - mu0) / sigma_x * math.sqrt(p * (1.0 - p))
-
-
-def bernoulli_corr_bounds(p: float, q: float) -> tuple[float, float]:
-    """(min, max) attainable correlation of Bernoulli(p) and Bernoulli(q)."""
-    if not 0.0 < p < 1.0 or not 0.0 < q < 1.0:
-        raise DomainError("p and q must lie in (0, 1)")
-    denom = math.sqrt(p * (1.0 - p) * q * (1.0 - q))
-    upper = (min(p, q) - p * q) / denom
-    lower = (max(0.0, p + q - 1.0) - p * q) / denom
-    return lower, upper

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class RandomStream:
@@ -21,8 +23,10 @@ class RandomStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.master_seed < 0 or self.stream_id < 0:
-            raise ValueError("master_seed and stream_id must be non-negative")
+        for name in ("master_seed", "stream_id"):
+            value = getattr(self, name)
+            if value < 0:
+                raise DomainError(f"{name} must be non-negative, got {value!r}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this substream.

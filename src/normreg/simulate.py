@@ -422,7 +422,7 @@ def _run_selection_probability(spec, cfg, rec):
                 y = beta * columns[q] if noise[s] is None else beta * columns[q] + noise[s]
                 for d in cfg["delta_grid"]:
                     xn, plan = scaled[d]
-                    data = Dataset(x=xn, y=y, kinds=("continuous",))
+                    data = Dataset(x=xn, y=y)
                     for lam1 in cfg["lambda1_grid"]:
                         res = fit(data, PenaltySpec(lam1=lam1), _FIT, plan=plan)
                         cell = (q, d, lam1, s)
@@ -487,7 +487,7 @@ def _run_bias_var(spec, cfg, rec):
                 y = beta * columns[q] if noise[s] is None else beta * columns[q] + noise[s]
                 for t in cfg["exponent_grid"]:
                     xn, plan, penalty = prepared[t]
-                    data = Dataset(x=xn, y=y, kinds=base.kinds if plan is None else ("continuous",))
+                    data = Dataset(x=xn, y=y)
                     res = fit(data, penalty, _FIT, plan=plan)
                     rec.add(rep, (q, t, s), estimate=res.beta[0], **oracle[(q, t, s)])
     rule = (
@@ -799,7 +799,7 @@ def _run_orthogonality(spec, cfg, rec):
         z = ge.standard_normal(n)
         for (q2, rho), (x, xn, plan, sigma, corr) in designs.items():
             y = x @ beta + sigma * z
-            nd = Dataset(x=xn, y=y, kinds=("continuous", "continuous"))
+            nd = Dataset(x=xn, y=y)
             lam_max = lambda_max(nd)
             res = fit(nd, PenaltySpec(lam1=lam_max / 2.0), _FIT, plan=plan)
             cell = (q2, rho)
@@ -936,7 +936,7 @@ def _run_predictive_sim(spec, cfg, rec):
             y = signal + sigma * z
             for d in cfg["delta_grid"]:
                 plan = _tolerant_plan(x[train], d)
-                nd = Dataset(x=plan.transform(x[train]), y=y[train], kinds=("continuous",) * p)
+                nd = Dataset(x=plan.transform(x[train]), y=y[train])
                 grid = lambda_grid(lambda_max(nd), count=cfg["path_count"], ratio=cfg["path_ratio"])
                 xv = plan.transform(x[val])
                 best = None

@@ -115,18 +115,26 @@ def folded_normal_cdf(x: float, mu: float, sigma: float) -> float:
 def folded_normal_quantile(u: float, mu: float, sigma: float) -> float:
     """Inverse of folded_normal_cdf on (0, 1), by bracketed bisection.
 
-    Bisection runs until the bracket width drops below 1e-10.
+    Bisection runs until the bracket width drops below 1e-10, or until its
+    midpoint rounds to one of its ends (quantiles beyond about 2e5). An upper
+    bracket that overflows to inf raises DomainError.
     """
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {u!r}")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
+    if not math.isfinite(mu):
+        raise DomainError(f"mu must be finite, got {mu!r}")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and positive, got {sigma!r}")
     lo = 0.0
     hi = abs(mu) + 2.0 * sigma
     while folded_normal_cdf(hi, mu, sigma) < u:
         hi *= 2.0
+    if not math.isfinite(hi):
+        raise DomainError(f"the {u!r} quantile of |N({mu!r}, {sigma!r}^2)| has no finite bracket")
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if folded_normal_cdf(mid, mu, sigma) < u:
             lo = mid
         else:

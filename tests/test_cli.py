@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import normreg.cli as cli
-from normreg import Dataset, FitResult, compute_plan, Standardize, write_delimited
+from normreg import Dataset, FitResult, compute_plan, infer_kinds, Standardize, write_delimited
 from normreg.cli import main
 
 
@@ -97,6 +97,27 @@ def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
          "parameter 'snr' takes finite float values, got inf"),
         (["simulate", "--scenario", "power-fdr", "--param", "n_signal=inf"],
          "parameter 'n_signal' takes int values, got inf"),
+        (["cv", "--input", toy_csv, "--seed", "-1"], "master_seed must be non-negative, got -1"),
+    ):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+    # non-finite oracle and normalization parameters are named, and so is a gumbel
+    # quantile that leaves the float range
+    gumbel = ["oracle", "--curve", "gumbel", "--n-grid", "10"]
+    limits = ["oracle", "--curve", "limits", "--lambda1", "1"]
+    binary = ["fit", "--input", toy_csv, "--lambda1", "1", "--normalize", "binary-delta"]
+    for argv, message in (
+        ([*gumbel, "--mu", "inf"], "mu must be finite, got inf"),
+        ([*gumbel, "--mu", "nan"], "mu must be finite, got nan"),
+        ([*gumbel, "--sd", "inf"], "sigma must be finite and positive, got inf"),
+        ([*gumbel, "--sd", "nan"], "sigma must be finite and positive, got nan"),
+        ([*gumbel, "--mu", "1e308"], "quantile of |N(1e+308, 1.0^2)| has no finite bracket"),
+        ([*gumbel, "--mu", "1", "--sd", "1e-300"], "density underflows to 0"),
+        ([*limits, "--exponent-grid", "nan:1:2"], "delta must be finite and >= 0, got nan"),
+        ([*limits, "--omega", "nan"], "omega must be finite and >= 0, got nan"),
+        ([*limits, "--delta", "0.5", "--kappa", "nan"], "kappa must be finite and > 0, got nan"),
+        ([*binary, "--delta", "nan"], "delta must be finite and >= 0, got nan"),
+        ([*binary, "--kappa", "inf"], "kappa must be finite and > 0, got inf"),
     ):
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err, argv
@@ -228,6 +249,26 @@ def test_stdout_records_are_json_and_equal_the_json_file(tmp_path, capsys):
     assert [row["variance"] for row in printed] == [0.0, "Inf", "Inf"]
 
 
+def test_non_finite_manifest_values_are_json_tokens(tmp_path, capsys):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    mean = ["oracle", "--curve", "mean", "--delta", "0.5", "--lambda1", "1",
+            "--q-grid", "0.5:0.9:2"]
+    for argv, expected in (
+        (["oracle", "--curve", "gumbel", "--n-grid", "10", "--sigma", "nan", "--beta", "inf"],
+         {"beta": "Inf", "sigma": "NaN"}),
+        ([*mean, "--q0", "nan"], {"q0": "NaN"}),
+    ):
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out, parse_constant=reject)["manifest"]
+        out = tmp_path / "oracle.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        written = (tmp_path / "oracle.csv.manifest.json").read_text()
+        assert printed == json.loads(written, parse_constant=reject)
+        assert {key: printed[key] for key in expected} == expected
+
+
 def test_oracle_gumbel_rows(capsys):
     assert main(["oracle", "--curve", "gumbel", "--n-grid", "10,100"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -244,7 +285,7 @@ def test_normalize_rows_match_plan(tmp_path, toy_csv, capsys):
     plan = compute_plan(data, Standardize())
     for j, row in enumerate(payload["results"]):
         assert row["term"] == data.names[j]
-        assert row["kind"] == data.kinds[j]
+        assert row["kind"] == infer_kinds(data.x)[j]
         assert row["center"] == pytest.approx(plan.centers[j])
         assert row["scale"] == pytest.approx(plan.scales[j])
 

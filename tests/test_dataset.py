@@ -22,17 +22,6 @@ def test_length_mismatch_rejected():
         Dataset(x=np.zeros((3, 2)), y=np.zeros(4))
 
 
-def test_kinds_width_mismatch_rejected():
-    with pytest.raises(DimensionMismatchError):
-        Dataset(x=np.zeros((3, 2)), y=np.zeros(3), kinds=(BINARY,))
-
-
-def test_binary_tag_validated():
-    x = np.array([[0.5], [1.0]])
-    with pytest.raises(DomainError):
-        Dataset(x=x, y=np.zeros(2), kinds=(BINARY,))
-
-
 def test_non_finite_rejected():
     with pytest.raises(DomainError):
         Dataset(x=np.array([[np.nan], [1.0]]), y=np.zeros(2))

@@ -15,12 +15,12 @@ from normreg import (
     ResultTable,
     TableSchema,
     atomic_write_text,
+    infer_kinds,
     manifest_path,
     read_delimited,
     read_sparse_labeled,
     write_delimited,
     write_results,
-    write_sparse_labeled,
 )
 
 
@@ -29,7 +29,7 @@ def test_read_delimited_two_by_two(tmp_path):
     path.write_text("x,y\n0,1.5\n1,2.5\n")
     data = read_delimited(path, TableSchema(response="y"))
     assert (data.n, data.p) == (2, 1)
-    assert data.kinds == (BINARY,)
+    assert infer_kinds(data.x) == (BINARY,)
     assert data.names == ("x",)
     assert np.array_equal(data.x[:, 0], [0.0, 1.0])
     assert np.array_equal(data.y, [1.5, 2.5])
@@ -39,7 +39,7 @@ def test_read_delimited_zero_one_two_is_continuous(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,y\n0,1\n1,2\n2,3\n")
     data = read_delimited(path, TableSchema(response="y"))
-    assert data.kinds == (CONTINUOUS,)
+    assert infer_kinds(data.x) == (CONTINUOUS,)
 
 
 def test_read_delimited_response_by_index_and_headerless(tmp_path):
@@ -146,21 +146,21 @@ def test_delimited_round_trip_shortest_repr(tmp_path):
     back = read_delimited(path, TableSchema(response="y"))
     assert np.array_equal(back.x, data.x)
     assert np.array_equal(back.y, data.y)
-    assert back.kinds == data.kinds
+    assert infer_kinds(back.x) == infer_kinds(data.x)
     assert back.names == data.names
 
 
 def test_sparse_round_trip_exact_on_binary(tmp_path):
-    rng = np.random.default_rng(13)
-    x = (rng.random((10, 5)) < 0.4).astype(float)
-    y = rng.choice([-1.0, 1.0], 10)
-    x[0, -1] = 1.0  # pin p so the max index is observed
-    data = Dataset(x=x, y=y)
     path = tmp_path / "rt.sp"
-    write_sparse_labeled(data, path)
+    path.write_text("1.0 1:1.0 3:1.0\n-1.0\n-1.0 2:1.0 5:1.0\n1.0 5:1.0\n")
+    x = np.zeros((4, 5))
+    x[0, [0, 2]] = 1.0
+    x[2, [1, 4]] = 1.0
+    x[3, 4] = 1.0
     back = read_sparse_labeled(path)
-    assert np.array_equal(back.x, data.x)
-    assert np.array_equal(back.y, data.y)
+    assert np.array_equal(back.x, x)
+    assert np.array_equal(back.y, [1.0, -1.0, -1.0, 1.0])
+    assert infer_kinds(back.x) == (BINARY,) * 5
 
 
 def test_write_results_csv_layout_and_manifest(tmp_path):

@@ -171,8 +171,17 @@ def test_zero_scale_names_column():
 
 def test_binary_delta_on_continuous_rejected():
     data = _column_dataset([0.1, 0.9, 0.4])
-    with pytest.raises(KindMismatchError):
+    with pytest.raises(KindMismatchError, match="non-binary column 0; wrap .* in PerFeature"):
         compute_plan(data, BinaryDelta(0.5))
+
+
+def test_binary_delta_reads_the_kind_off_the_values():
+    # a 0/1 column is binary wherever it comes from, apply's output included
+    data = _column_dataset([0.0, 1.0, 1.0, 0.0])
+    for strategy in (NoNorm(), MaxAbs()):
+        out = apply(data, compute_plan(data, strategy))
+        plan = compute_plan(out, BinaryDelta(1.0))
+        assert (plan.centers[0], plan.scales[0]) == (0.5, 0.25)
 
 
 def test_per_feature_mixed():
@@ -205,6 +214,10 @@ def test_binary_delta_parameter_validation():
         BinaryDelta(0.5, kappa=0.0)
     with pytest.raises(DomainError):
         BinaryDelta(0.5, q0=1.0)
+    with pytest.raises(DomainError, match="delta must be finite and >= 0, got nan"):
+        BinaryDelta(math.nan)
+    with pytest.raises(DomainError, match="kappa must be finite and > 0, got inf"):
+        BinaryDelta(0.5, kappa=math.inf)
 
 
 def test_make_interaction_examples():

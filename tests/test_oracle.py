@@ -19,9 +19,6 @@ from normreg.oracle import (
     Delta,
     Omega,
     asymptotic_limits,
-    bernoulli_cont_corr,
-    bernoulli_corr_bounds,
-    dichotomized_corr,
     estimator_bias,
     estimator_mean,
     estimator_mse,
@@ -380,30 +377,3 @@ def test_gumbel_monte_carlo_n100():
 def test_gumbel_rejects_tiny_n():
     with pytest.raises(DomainError):
         maxabs_gumbel(0.0, 1.0, 1)
-
-
-# ---------------------------------------------------------------------------
-# correlation formulas
-
-
-def test_dichotomized_corr_balanced():
-    assert dichotomized_corr(0.8, 0.5) == pytest.approx(0.8 * 0.7978845608028654, abs=1e-10)
-
-
-def test_dichotomized_corr_vanishes_at_extreme_balance():
-    # decay is sqrt(alpha phi(alpha)), slow: ~4e-3 at q = 1 - 1e-6
-    tail = [abs(dichotomized_corr(0.8, 1.0 - 10.0**-k)) for k in (4, 6, 8, 10)]
-    assert tail[0] > tail[1] > tail[2] > tail[3]
-    assert tail[1] < 5e-3
-    assert tail[3] < 1e-4
-
-
-def test_bernoulli_cont_corr():
-    assert bernoulli_cont_corr(3.0, 1.0, 4.0, 0.5) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_bernoulli_corr_bounds():
-    lo, hi = bernoulli_corr_bounds(0.5, 0.5)
-    assert (lo, hi) == (pytest.approx(-1.0), pytest.approx(1.0))
-    lo, hi = bernoulli_corr_bounds(0.5, 0.9)
-    assert -1.0 < lo < 0.0 < hi < 1.0

@@ -85,3 +85,15 @@ def test_folded_domain_errors():
         folded_normal_quantile(0.5, 0.0, -1.0)
     with pytest.raises(DomainError):
         folded_normal_quantile(1.0, 0.0, 1.0)
+
+
+def test_folded_quantile_ends_on_huge_means():
+    # the bracket overflows to inf: a named error, not an endless bisection
+    with pytest.raises(DomainError, match="no finite bracket"):
+        folded_normal_quantile(0.9, 1e308, 1.0)
+    # floats near 1e10 are 2e-6 apart, wider than the 1e-10 tolerance
+    expected = 1e10 + 1.2815515655446004
+    assert folded_normal_quantile(0.9, 1e10, 1.0) == pytest.approx(expected, abs=4e-6)
+    for mu, sigma in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(DomainError, match="must be finite"):
+            folded_normal_quantile(0.9, mu, sigma)

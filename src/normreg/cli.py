@@ -8,7 +8,7 @@ and happen only after the computation succeeds, so a failed or misused
 invocation never leaves partial output behind.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure
-(non-convergence under --strict).
+(a fit that failed the KKT certificate, under --strict).
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +30,8 @@ from . import normalize as _normalize
 from . import oracle as _oracle
 from . import simulate as _simulate
 from .dataset import Dataset, infer_kinds
-from .errors import NormRegError
-from .solver import FitOptions, PenaltySpec, fit as _fit, fit_path, lambda_grid, lambda_max
+from .errors import DomainError, NormRegError
+from .solver import PenaltySpec, fit as _fit, fit_path, lambda_grid, lambda_max
 
 _USAGE_EXIT, _DATA_EXIT, _NUMERIC_EXIT = 1, 2, 3
 
@@ -44,18 +46,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _grid(text: str) -> tuple[float, ...]:
-    """Parse lo:hi:count into an inclusive linear grid."""
+class _Grid(NamedTuple):
+    """lo:hi:count as typed. values() expands it when the command runs, so a
+    non-finite bound is a data error with its own message."""
+
+    lo: float
+    hi: float
+    count: int
+
+    def values(self, flag: str) -> tuple[float, ...]:
+        """The inclusive linear grid."""
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise DomainError(f"{flag} bounds must be finite, got {self.lo!r}:{self.hi!r}")
+        return tuple(float(v) for v in np.linspace(self.lo, self.hi, self.count))
+
+
+def _grid(text: str) -> _Grid:
+    """Parse lo:hi:count."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected lo:hi:count, got {text!r}")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        grid = _Grid(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi:count, got {text!r}") from None
-    if count < 1:
+    if grid.count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
-    return tuple(float(v) for v in np.linspace(lo, hi, count))
+    return grid
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -121,7 +138,7 @@ def _add_penalty_flags(sub) -> None:
         "--omega", type=float, help="penalty weights u = v = Var^omega on the fitted design"
     )
     sub.add_argument(
-        "--strict", action="store_true", help="exit 3 if the solver fails to converge"
+        "--strict", action="store_true", help="exit 3 if the fit fails the KKT certificate"
     )
 
 
@@ -144,7 +161,9 @@ def build_parser() -> _Parser:
     p.add_argument("--omega", type=float, help="penalty weights u = v = Var^omega")
     p.add_argument("--count", type=int, default=100, help="grid size")
     p.add_argument("--ratio", type=float, default=1e-2, help="smallest/largest lambda")
-    p.add_argument("--strict", action="store_true", help="exit 3 on any non-converged point")
+    p.add_argument(
+        "--strict", action="store_true", help="exit 3 if any point fails the KKT certificate"
+    )
     _add_output_flags(p, _io.CSV)
     p.set_defaults(run=_cmd_path)
 
@@ -314,9 +333,12 @@ def _cmd_fit(args) -> int:
     normalized = _normalize.apply(data, plan)
     u, v = _omega_weights(normalized.x, args.omega)
     penalty = PenaltySpec(lam1=lam1, lam2=lam2, u=u, v=v)
-    result = _fit(normalized, penalty, FitOptions(), plan=plan)
+    result = _fit(normalized, penalty, plan=plan)
     if not result.converged:
-        print(f"normreg fit: no convergence after {result.sweeps_used} sweeps", file=sys.stderr)
+        print(
+            f"normreg fit: failed the KKT certificate (residual {result.kkt_residual:.3g})",
+            file=sys.stderr,
+        )
         if args.strict:
             return _NUMERIC_EXIT
     support = [data.names[j] for j in result.support]
@@ -352,10 +374,13 @@ def _cmd_path(args) -> int:
     normalized = _normalize.apply(data, plan)
     u, v = _omega_weights(normalized.x, args.omega)
     grid = lambda_grid(lambda_max(normalized, u), args.count, args.ratio)
-    results = fit_path(normalized, args.alpha, grid, FitOptions(), u=u, v=v, plan=plan)
+    results = fit_path(normalized, args.alpha, grid, u=u, v=v, plan=plan)
     stragglers = [r for r in results if not r.converged]
     if stragglers:
-        print(f"normreg path: {len(stragglers)} grid points did not converge", file=sys.stderr)
+        print(
+            f"normreg path: {len(stragglers)} grid points failed the KKT certificate",
+            file=sys.stderr,
+        )
         if args.strict:
             return _NUMERIC_EXIT
     header = ("lambda", "lam1", "lam2", "term", "estimate", "estimate_normalized")
@@ -504,8 +529,12 @@ def _cmd_oracle(args) -> int:
         return 0
 
     lam1, lam2 = _resolve_penalty(args)
-    exponents = args.exponent_grid
-    if exponents is None:
+    # checked here too, since only --kappa builds the anchor that checks it
+    if not 0.0 < args.q0 < 1.0:
+        raise DomainError(f"q0 must lie in (0, 1), got {args.q0!r}")
+    if args.exponent_grid is not None:
+        exponents = args.exponent_grid.values("--exponent-grid")
+    else:
         value = args.omega if args.omega is not None else args.delta
         exponents = (0.5 if value is None else value,)
     mode = "omega" if (args.omega is not None and args.delta is None) else "delta"
@@ -526,7 +555,7 @@ def _cmd_oracle(args) -> int:
     func = _CURVE_FUNCS[args.curve]
     header = ("q", "exponent", "value")
     rows = []
-    for q in args.q_grid:
+    for q in args.q_grid.values("--q-grid"):
         for t in exponents:
             rows.append((q, t, func(_oracle_model(args, lam1, lam2, t, q))))
     _emit(args, header, rows, _manifest(args, "oracle", extra))

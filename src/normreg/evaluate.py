@@ -28,7 +28,7 @@ from .dataset import Dataset
 from .errors import DimensionMismatchError, DomainError, ZeroScaleError
 from .normalize import PLAIN, BinaryDelta, PerFeature, mixed_binary_delta
 from .rng import RandomStream
-from .solver import FitOptions, fit_path, lambda_grid, lambda_max
+from .solver import fit_path, lambda_grid, lambda_max
 from .solver import fit  # noqa: F401  (perfbench/test_bench.py pins this binding site)
 
 _log = logging.getLogger(__name__)
@@ -128,7 +128,6 @@ def cross_validate(
     data: Dataset,
     plan: CVPlan,
     alpha: float = 1.0,
-    options: FitOptions = FitOptions(),
 ) -> CVResult:
     """Repeated k-fold search over the (lambda, delta) grid.
 
@@ -169,7 +168,7 @@ def cross_validate(
         for i in range(plan.lambda_count)
     }
     counts = {delta: np.zeros(plan.repeats) for delta in plan.deltas}
-    fits = capped = 0
+    fits = uncertified = 0
 
     for repeat, folds in enumerate(assignments):
         for fold_id, test_idx in enumerate(folds):
@@ -194,9 +193,9 @@ def cross_validate(
                 train_norm = _normalize.apply(train, fold_plan)
                 x_test_norm = fold_plan.transform(x_test)
                 counts[delta][repeat] += test_idx.shape[0]
-                path = fit_path(train_norm, alpha, grids[delta], options)
+                path = fit_path(train_norm, alpha, grids[delta])
                 fits += len(path)
-                capped += sum(not res.converged for res in path)
+                uncertified += sum(not res.converged for res in path)
                 for i, (lam, res) in enumerate(zip(grids[delta], path)):
                     pred = res.beta0_norm + x_test_norm @ res.beta_norm
                     sq = y_test - pred
@@ -206,8 +205,8 @@ def cross_validate(
                             CVRow(repeat, fold_id, float(lam), delta,
                                   float(np.mean(sq * sq)) / test_var)
                         )
-    if capped:
-        _log.warning("%d of %d path fits stopped at max_sweeps without converging", capped, fits)
+    if uncertified:
+        _log.warning("%d of %d path fits failed the KKT certificate", uncertified, fits)
 
     best_key = None
     best_score = None

@@ -51,14 +51,12 @@ from .oracle import (
     selection_probability,
 )
 from .rng import RandomStream
-from .solver import FitOptions, PenaltySpec, fit, fit_path, from_mixing, lambda_grid, lambda_max
+from .solver import PenaltySpec, fit, fit_path, from_mixing, lambda_grid, lambda_max
 from .special import std_normal_quantile
 
 # stream slots reserved per replication; purposes index into this block
 _SLOTS = 4
 _X, _EPS, _TEST = 0, 1, 2
-
-_FIT = FitOptions(tolerance=1e-10, max_sweeps=2000)
 
 
 def _stream(seed: int, rep: int, purpose: int) -> np.random.Generator:
@@ -424,7 +422,7 @@ def _run_selection_probability(spec, cfg, rec):
                     xn, plan = scaled[d]
                     data = Dataset(x=xn, y=y)
                     for lam1 in cfg["lambda1_grid"]:
-                        res = fit(data, PenaltySpec(lam1=lam1), _FIT, plan=plan)
+                        res = fit(data, PenaltySpec(lam1=lam1), plan=plan)
                         cell = (q, d, lam1, s)
                         selected = 1.0 if res.beta_norm[0] != 0.0 else 0.0
                         rec.add(rep, cell, selected=selected, oracle_probability=oracle[cell])
@@ -488,7 +486,7 @@ def _run_bias_var(spec, cfg, rec):
                 for t in cfg["exponent_grid"]:
                     xn, plan, penalty = prepared[t]
                     data = Dataset(x=xn, y=y)
-                    res = fit(data, penalty, _FIT, plan=plan)
+                    res = fit(data, penalty, plan=plan)
                     rec.add(rep, (q, t, s), estimate=res.beta[0], **oracle[(q, t, s)])
     rule = (
         "penalty weights u = v = nu^omega from the nominal class balance"
@@ -551,7 +549,7 @@ def _run_decreasing_classbalance(spec, cfg, rec):
             lam1 = 2.0 * sigma * math.sqrt(2.0 * math.log(p))
             for d in cfg["delta_grid"]:
                 plan = _normalize.compute_plan(data, BinaryDelta(d))
-                res = fit(_normalize.apply(data, plan), PenaltySpec(lam1=lam1), _FIT, plan=plan)
+                res = fit(_normalize.apply(data, plan), PenaltySpec(lam1=lam1), plan=plan)
                 estimates = {f"estimate_{j + 1:02d}": res.beta[j] for j in range(k)}
                 rec.add(rep, (d, rho), **estimates, support_size=len(res.support))
     return {
@@ -622,7 +620,7 @@ def _run_mixed_data(spec, cfg, rec):
                         if model == "lasso"
                         else PenaltySpec(lam1=0.0, lam2=2.0 * lam_max)
                     )
-                    res = fit(nd, penalty, _FIT, plan=plan)
+                    res = fit(nd, penalty, plan=plan)
                     rec.add(
                         rep,
                         (model, q, d),
@@ -680,7 +678,7 @@ def _run_interactions(spec, cfg, rec):
                 data = Dataset(x=x, y=x @ beta + sigma * z)
                 for strategy, plan in plans.items():
                     nd = _normalize.apply(data, plan)
-                    res = fit(nd, PenaltySpec(lam1=lam1), _FIT, plan=plan)
+                    res = fit(nd, PenaltySpec(lam1=lam1), plan=plan)
                     rec.add(
                         rep,
                         (q, beta3, strategy),
@@ -734,7 +732,7 @@ def _run_weighted_elnet(spec, cfg, rec):
             for omega in cfg["omega_grid"]:
                 w = variances**omega
                 lam = lambda_max(data, u=w) / 2.0
-                res = fit(data, from_mixing(cfg["alpha"], lam, u=w, v=w), _FIT)
+                res = fit(data, from_mixing(cfg["alpha"], lam, u=w, v=w))
                 cell = (q, omega)
                 rec.add(rep, cell, estimate_binary=res.beta[0], estimate_continuous=res.beta[1])
     return {
@@ -801,7 +799,7 @@ def _run_orthogonality(spec, cfg, rec):
             y = x @ beta + sigma * z
             nd = Dataset(x=xn, y=y)
             lam_max = lambda_max(nd)
-            res = fit(nd, PenaltySpec(lam1=lam_max / 2.0), _FIT, plan=plan)
+            res = fit(nd, PenaltySpec(lam1=lam_max / 2.0), plan=plan)
             cell = (q2, rho)
             rec.add(rep, cell, estimate_1=res.beta[0], estimate_2=res.beta[1], realized_corr=corr)
     return {
@@ -856,7 +854,7 @@ def _run_power_fdr(spec, cfg, rec):
             for d in cfg["delta_grid"]:
                 plan = _normalize.compute_plan(data, BinaryDelta(d))
                 lam1 = n * 4.0**d / 10.0
-                res = fit(_normalize.apply(data, plan), PenaltySpec(lam1=lam1), _FIT, plan=plan)
+                res = fit(_normalize.apply(data, plan), PenaltySpec(lam1=lam1), plan=plan)
                 support = set(res.support.tolist())
                 y_hat = res.beta0 + data.x @ res.beta
                 rec.add(
@@ -940,7 +938,7 @@ def _run_predictive_sim(spec, cfg, rec):
                 grid = lambda_grid(lambda_max(nd), count=cfg["path_count"], ratio=cfg["path_ratio"])
                 xv = plan.transform(x[val])
                 best = None
-                for lam, res in zip(grid, fit_path(nd, 1.0, grid, _FIT)):
+                for lam, res in zip(grid, fit_path(nd, 1.0, grid)):
                     score = nmse(y[val], res.beta0_norm + xv @ res.beta_norm)
                     if best is None or score < best[0]:
                         best = (score, float(lam), res)
@@ -1011,7 +1009,7 @@ def _run_maxabs_gev(spec, cfg, rec):
                 data = Dataset(x=x, y=x @ beta + sigma * ge.standard_normal(n))
                 plan = _normalize.compute_plan(data, MaxAbs())
                 nd = _normalize.apply(data, plan)
-                res = fit(nd, PenaltySpec(lam1=n * nu1 / 2.0), _FIT, plan=plan)
+                res = fit(nd, PenaltySpec(lam1=n * nu1 / 2.0), plan=plan)
                 rec.add(rep, ("b", n), estimate_binary=res.beta[0], estimate_normal=res.beta[1])
         return {
             "lambda_rule": "lambda1 = n nu1 / 2, anchored on the binary feature",

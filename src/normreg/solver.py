@@ -1,4 +1,4 @@
-"""Cyclic coordinate descent for the weighted elastic net.
+"""Exact homotopy solver for the weighted elastic net.
 
 Minimizes, over (beta0, beta) and for fixed per-feature weights u, v > 0,
 
@@ -12,17 +12,45 @@ standard elastic net; with u_j = s_j and v_j = s_j^2 on centered unscaled
 data it reproduces the normalized fit exactly (the weighted/normalized
 equivalence), which the tests exercise.
 
-Each coordinate update is the exact scalar minimizer
+The intercept is never penalized, so the solver works on the centered
+problem and sets beta0 = mean(y) - mean(X)' beta; centering goes through the
+column means, and X is never copied. With c_j = x_j'r - lam2 v_j beta_j on
+the centered residual r, the optimum at lam1 = lam has c_j = lam u_j sign(b_j)
+on the active set A and |c_j| <= lam u_j off it. At fixed lam2 that optimum
+is piecewise linear in lam (Rosset & Zhu, Ann. Statist. 2007): on a segment
+with signs s, beta_A moves by M_A^{-1} (u_A s) per unit decrease of lam,
+where M_A = X_A'X_A + lam2 diag(v_A). `fit` follows the path from
+lambda_max, where beta = 0, down to the target lam1 (the LARS-lasso homotopy
+with joins and drops of Efron et al., Ann. Statist. 2004). A segment ends
+where an inactive column reaches its bound (join) or an active coefficient
+reaches zero (drop). M_A^{-1} lives in one buffer per fit, updated in place
+by Schur complements; the final solve, and for p > 3 each direction, gets
+one step of iterative refinement against M_A itself.
 
-    beta_j <- ST(x_j' r + ||x_j||^2 beta_j, lam1 u_j) / (||x_j||^2 + lam2 v_j)
+The designs of the paper break general position, so events follow these
+rules. A column within a relative 1e-10 of its bound counts as on it, and
+joins at once if the direction takes it outward: ties at lambda_max, which
+are part of the designs, join one after the other this way. The column that
+just dropped sits on its bound moving inward, so on the next segment only its
+other bound is tested. A join whose Schur complement is at most 1e-10 of its
+diagonal is refused until the next drop, since that column lies in the span
+of the active ones (a duplicate, or any column once |A| = n - 1); below 1e-6
+the complement is taken from a Cholesky factor of the bordered system rather
+than from the updated inverse. A column with no variance never joins. A
+coefficient whose final solve comes out against its sign is a drop the path
+missed by round-off: it is dropped and the rest re-solved.
 
-against the full residual r = y - beta0 - X beta, so the objective never
-increases. The intercept is always fit and never penalized: it is
-re-centered by mean(r) each sweep, which is its exact coordinate step; for
-mean-centered columns this lands on beta0 = mean(y) immediately. After the
-first full pass the solver iterates over the current support and re-checks
-the full coordinate set before declaring convergence (max absolute
-coefficient change <= tolerance on a full sweep).
+On tall designs (p <= n) the Gram rows X'x_j are computed for a block of
+likely joiners per pass over X and a step costs O(p |A|); on wide ones a step
+multiplies by X and X' once each. p <= 3 runs the same homotopy on Python
+floats, lam1 = 0 is one ridge solve and p = 1 the soft-threshold closed form.
+A fit given `warm_start` continues from it when it is an exact solution at
+some lam >= lam1 for the same lam2, and starts cold otherwise.
+
+Every fit ends with a KKT check: `converged` means that
+max(kkt_residuals) / max_j |x_j'(y - mean y)| is at most 1e-8. A fit that
+reaches the step cap returns its last point, flagged, and never raises; a
+continuation that fails the check is redone from lambda_max.
 """
 
 from __future__ import annotations
@@ -35,6 +63,15 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DimensionMismatchError, DomainError
 from .normalize import NormalizationPlan, backtransform
+
+KKT_TOLERANCE = 1e-8  # largest scale-free KKT residual of a certified fit
+_DEAD = 1e-12  # a constant column centers to round-off, not to zero
+_TIE = 1e-10  # relative distance from its bound at which a column joins
+_SCHUR = 1e-10  # smallest Schur complement, relative to the diagonal, of a join
+_NEAR = 1e-6  # a Schur complement below this, relative, is recomputed by Cholesky
+_WORN = 1e-9  # a relative refinement above this calls for a fresh M_A^{-1}
+_BLOCK = 64  # rows per block of the in-place inverse updates
+_BLOCK_COLUMNS = 16  # Gram rows computed per pass over a tall X
 
 
 @dataclass(frozen=True)
@@ -81,22 +118,13 @@ def from_mixing(alpha: float, lam: float, u=None, v=None) -> PenaltySpec:
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    tolerance: float = 1e-8
-    max_sweeps: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise DomainError("tolerance must be positive")
-        if self.max_sweeps < 1:
-            raise DomainError("max_sweeps must be >= 1")
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Solver output on both scales.
 
     beta/beta0 equal beta_norm/beta0_norm when no plan was supplied.
+    sweeps_used counts homotopy steps (1 for a closed form or ridge solve);
+    converged means the fit passed the KKT certificate, and kkt_residual is
+    its scale-free residual.
     """
 
     beta_norm: np.ndarray
@@ -108,6 +136,7 @@ class FitResult:
     objective_value: float
     lam1: float
     lam2: float
+    kkt_residual: float = 0.0
 
     @property
     def support(self) -> np.ndarray:
@@ -122,87 +151,533 @@ def _objective(r, beta, lam1, lam2, u, v) -> float:
     )
 
 
+class _Design:
+    """The centered design, seen through X and its column means.
+
+    Tall designs (p <= n) cache centered Gram rows, computed for a block of
+    columns per pass over X; wide ones multiply by X instead.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, u, v, lam2: float):
+        n, p = x.shape
+        self.x, self.n, self.u, self.v, self.lam2 = x, n, u, v, lam2
+        # one BLAS call; x.mean(axis=0) is several times slower on a tall X
+        self.xbar = np.ones(n) @ x / n
+        self.ybar = float(y.sum() / n)
+        self.yc = y - self.ybar
+        self.c0 = x.T @ self.yc
+        self.gram = np.empty((p, p)) if p <= n else None
+        self.cached = np.zeros(p, dtype=bool)
+        self.dead = np.zeros(p, dtype=bool)  # no variance; known once a row is
+
+    def times(self, beta: np.ndarray) -> np.ndarray:
+        """Centered X beta."""
+        z = self.x @ beta
+        z -= float(self.xbar @ beta)
+        return z
+
+    def correlations(self, beta: np.ndarray) -> np.ndarray:
+        """c = X'(y - X beta) - lam2 v beta on the centered problem."""
+        c = self.x.T @ (self.yc - self.times(beta))
+        c -= self.lam2 * self.v * beta
+        return c
+
+    def rows(self, cols: np.ndarray) -> np.ndarray:
+        """Centered X' x_j for each j in cols (ascending), one row each; marks
+        dead columns."""
+        xj = self.x.T if len(cols) == self.x.shape[1] else np.ascontiguousarray(self.x[:, cols].T)
+        g = xj @ self.x
+        diag = (np.arange(len(cols)), cols)
+        raw = g[diag]
+        g -= np.multiply.outer(self.n * self.xbar[cols], self.xbar)
+        self.dead[cols] = g[diag] <= _DEAD * raw
+        if self.gram is not None:
+            self.gram[cols] = g
+            self.cached[cols] = True
+        return g
+
+
+def _soft_threshold(z: float, t: float) -> float:
+    return 0.0 if abs(z) <= t else math.copysign(abs(z) - t, z)
+
+
+def _tiny_path(gram, c0, u, v, lam1, lam2, dead, cap, max_steps):
+    """The homotopy of _Homotopy on Python floats, for p <= 3, where numpy's
+    cost per call would dominate the fit: the same rules and the same Schur
+    updates of M_A^{-1}, without a warm start, and without the Cholesky check
+    since a joining column meets an inverse of at most 2 x 2. Returns (beta,
+    steps, finished)."""
+    p = len(c0)
+    beta, c = [0.0] * p, list(c0)
+    act: list[int] = []
+    sgn: list[float] = []
+    inv: list[list[float]] = []
+    free = [not dj for dj in dead]
+    mat = [[gram[i][j] + (lam2 * v[i] if i == j else 0.0) for j in range(p)] for i in range(p)]
+
+    def times_inv(vec):
+        return [sum(a * b for a, b in zip(row, vec)) for row in inv]
+
+    def join(j: int) -> bool:
+        free[j] = False
+        b = [mat[j][i] for i in act]
+        w = times_inv(b)
+        schur = mat[j][j] - sum(bi * wi for bi, wi in zip(b, w))
+        if len(act) >= cap or schur <= _SCHUR * mat[j][j]:
+            return False
+        for row, wr in zip(inv, w):
+            for col, wc in enumerate(w):
+                row[col] += wr * wc / schur
+            row.append(-wr / schur)
+        inv.append([-wc / schur for wc in w] + [1.0 / schur])
+        act.append(j)
+        sgn.append(1.0 if c[j] > 0.0 else -1.0)
+        return True
+
+    def drop(pos: int) -> int:
+        g = inv[pos][pos]
+        f = [row[pos] for row in inv]
+        for r, row in enumerate(inv):
+            for col in range(len(row)):
+                row[col] -= f[r] * f[col] / g
+            del row[pos]
+        del inv[pos]
+        sgn.pop(pos)
+        return act.pop(pos)
+
+    ratio = [-1.0 if dj else abs(cj) / uj for cj, uj, dj in zip(c0, u, dead)]
+    lam = max(ratio, default=0.0)
+    if lam <= lam1 or lam <= 0.0:
+        return beta, 0, True
+    join(ratio.index(lam))
+    steps, dropped, left, refused = 0, -1, 0.0, []
+    while True:
+        if steps >= max_steps:
+            return beta, steps, False
+        steps += 1
+        d = times_inv([u[i] * s for i, s in zip(act, sgn)])
+        a = [sum(gram[j][i] * di for i, di in zip(act, d)) for j in range(p)]
+        t, event = lam - lam1, None
+        for pos, (i, s, di) in enumerate(zip(act, sgn, d)):
+            if s * di < 0.0 and max(-beta[i] / di, 0.0) < t:
+                t, event = max(-beta[i] / di, 0.0), ~pos
+        for j in range(p):
+            if free[j]:
+                bound = lam * u[j]
+                for side in (1.0, -1.0):
+                    den = u[j] - side * a[j]
+                    if den > 0.0 and (j != dropped or side != left):
+                        gap = bound - side * c[j]
+                        tj = (gap if gap > _TIE * bound else 0.0) / den
+                        if tj < t:
+                            t, event = tj, j
+        for i, di in zip(act, d):
+            beta[i] += t * di
+        for j in range(p):
+            c[j] -= t * a[j]
+        if event is None:
+            break
+        lam -= t
+        for i, s in zip(act, sgn):
+            c[i] = lam * u[i] * s
+        dropped = -1
+        if event < 0:
+            left = sgn[~event]
+            dropped = drop(~event)
+            beta[dropped] = 0.0
+            for j in refused + [dropped]:
+                free[j] = True
+            refused = []
+        elif not join(event):
+            refused.append(event)
+    beta = [0.0] * p
+    while act:
+        rhs = [c0[i] - lam1 * u[i] * s for i, s in zip(act, sgn)]
+        b = times_inv(rhs)
+        # one step of refinement against M_A
+        fix = times_inv(
+            [r - sum(mat[i][j] * bj for j, bj in zip(act, b)) for i, r in zip(act, rhs)]
+        )
+        signed = [(bi + fi) * s for bi, fi, s in zip(b, fix, sgn)]
+        if min(signed) > 0.0:
+            for i, bi, fi in zip(act, b, fix):
+                beta[i] = bi + fi
+            break
+        # a sign against its own is a drop the path missed by round-off
+        drop(signed.index(min(signed)))
+    return beta, steps, True
+
+
+def _ridge(design: _Design) -> np.ndarray:
+    """The lam1 = 0 optimum; the minimum-norm one when lam2 = 0 leaves a tie."""
+    p = design.x.shape[1]
+    gram = design.rows(np.arange(p))
+    keep = np.flatnonzero(~design.dead)
+    beta = np.zeros(p)
+    if keep.size:
+        sub = gram[np.ix_(keep, keep)]
+        if design.lam2 > 0.0:
+            sub[np.diag_indices_from(sub)] += design.lam2 * design.v[keep]
+            beta[keep] = np.linalg.solve(sub, design.c0[keep])
+        else:
+            beta[keep] = np.linalg.lstsq(sub, design.c0[keep], rcond=None)[0]
+    return beta
+
+
+class _Homotopy:
+    """One pass of the lam1 path at fixed lam2 on a centered design."""
+
+    def __init__(self, design: _Design, max_steps: int):
+        d = design
+        n, p = d.x.shape
+        self.d, self.max_steps = d, max_steps
+        # centered columns span at most n - 1 dimensions
+        self.cap = p if d.lam2 > 0.0 else min(p, n - 1)
+        cap = max(self.cap, 1)
+        self.inv = np.empty((cap, cap))  # M_A^{-1}, in the order of act
+        self.act = np.empty(cap, dtype=np.intp)
+        self.sgn = np.empty(cap)
+        self.k = 0
+        self.active = np.zeros(p, dtype=bool)
+        self.free = np.ones(p, dtype=bool)  # may join: inactive, not dead, not refused
+        self.refused: list[int] = []
+        self.beta = np.zeros(p)
+        self.c = d.c0.copy()
+        self.lam = 0.0
+        self.steps = 0
+
+    # -- the active set --------------------------------------------------
+
+    def row(self, j: int) -> np.ndarray:
+        d = self.d
+        if d.gram is None:
+            return d.rows(np.array([j]))[0]
+        if not d.cached[j]:
+            # fill a block with the columns likeliest to join next
+            ratio = np.abs(self.c) / d.u
+            ratio[~self.free | d.cached] = -1.0
+            ratio[j] = math.inf
+            block = np.argsort(-ratio, kind="stable")[:_BLOCK_COLUMNS]
+            d.rows(np.sort(block[ratio[block] >= 0.0]))
+        return d.gram[j]
+
+    def join(self, j: int, sign: float) -> bool:
+        d, k, inv = self.d, self.k, self.inv
+        g = self.row(j)
+        self.free[j] = False
+        if d.dead[j]:
+            return False
+        m = g[j] + d.lam2 * d.v[j]
+        w = inv[:k, :k] @ g[self.act[:k]]
+        schur = m - float(g[self.act[:k]] @ w)
+        near = k < self.cap and schur <= _NEAR * m
+        if near:
+            # Near the span of the active columns the updated inverse is too
+            # coarse to judge by; a Cholesky factor of the bordered system is not.
+            system = self.system(np.append(self.act[:k], j))
+            try:
+                schur = float(np.linalg.cholesky(system)[k, k]) ** 2
+            except np.linalg.LinAlgError:
+                schur = 0.0
+        if k >= self.cap or schur <= _SCHUR * m:
+            self.refused.append(j)
+            return False
+        if near:
+            inv[: k + 1, : k + 1] = np.linalg.inv(system)
+        else:
+            ws = w / schur
+            for i in range(0, k, _BLOCK):
+                inv[i : min(i + _BLOCK, k), :k] += np.multiply.outer(w[i : i + _BLOCK], ws)
+            inv[:k, k] = -ws
+            inv[k, :k] = -ws
+            inv[k, k] = 1.0 / schur
+        self.act[k] = j
+        self.sgn[k] = sign
+        self.active[j] = True
+        self.k = k + 1
+        return True
+
+    def drop(self, i: int) -> int:
+        inv, last = self.inv, self.k - 1
+        j = int(self.act[i])
+        if i != last:
+            swap = [last, i]
+            inv[[i, last], : self.k] = inv[swap, : self.k]
+            inv[: self.k, [i, last]] = inv[: self.k, swap]
+            self.act[[i, last]] = self.act[swap]
+            self.sgn[[i, last]] = self.sgn[swap]
+        col = inv[:last, last]
+        f = col / inv[last, last]
+        for r in range(0, last, _BLOCK):
+            inv[r : min(r + _BLOCK, last), :last] -= np.multiply.outer(col[r : r + _BLOCK], f)
+        self.k = last
+        self.active[j] = False
+        self.beta[j] = 0.0
+        # a smaller active set may no longer span a refused column
+        self.free[self.refused] = True
+        self.refused.clear()
+        return j
+
+    def worn(self, fix: np.ndarray, value: np.ndarray) -> bool:
+        """Whether a refinement this large shows an inverse worn down by the
+        updates (drops on an ill-conditioned M_A); if so, rebuild it."""
+        if np.max(np.abs(fix)) <= _WORN * np.max(np.abs(value)):
+            return False
+        k = self.k
+        self.inv[:k, :k] = np.linalg.inv(self.system(self.act[:k]))
+        return True
+
+    def system(self, cols: np.ndarray) -> np.ndarray:
+        """M_A = X_A'X_A + lam2 diag(v_A) on the centered design, built afresh."""
+        d = self.d
+        if d.gram is None:
+            xs = d.x[:, cols]
+            m = xs.T @ xs - np.multiply.outer(d.n * d.xbar[cols], d.xbar[cols])
+        else:
+            m = d.gram[np.ix_(cols, cols)]
+        m[np.diag_indices(len(cols))] += d.lam2 * d.v[cols]
+        return m
+
+    # -- moving along the path -------------------------------------------
+
+    def correlations(self, beta: np.ndarray) -> np.ndarray:
+        """c at beta, which is zero off the active set."""
+        d = self.d
+        if d.gram is None:
+            return d.correlations(beta)
+        idx = self.act[: self.k]
+        c = d.c0 - beta[idx] @ d.gram[idx]
+        c -= d.lam2 * d.v * beta
+        return c
+
+    def run(self, lam1: float) -> bool:
+        """Follow the path down to lam1; False if the step cap stopped it."""
+        d = self.d
+        u, v, lam2, gram = d.u, d.v, d.lam2, d.gram
+        inf = np.full(u.shape, math.inf)
+        dropped, left = -1, 0.0
+        while self.lam > lam1:
+            if self.steps >= self.max_steps:
+                return False
+            self.steps += 1
+            k = self.k
+            idx = self.act[:k]
+            inv = self.inv[:k, :k]
+            sgn = self.sgn[:k]
+            target = u[idx] * sgn
+            rows = gram[idx] if gram is not None else None
+            for attempt in range(2):
+                dvec = inv @ target
+                if rows is not None:
+                    a = dvec @ rows
+                else:
+                    full = np.zeros(u.shape)
+                    full[idx] = dvec
+                    a = d.x.T @ d.times(full)
+                fix = inv @ (target - a[idx] - lam2 * v[idx] * dvec)
+                if attempt or not self.worn(fix, dvec):
+                    break
+            dvec += fix
+            if rows is not None:
+                a = dvec @ rows
+            c, lam = self.c, self.lam
+            # drops: an active coefficient reaches zero
+            bk = self.beta[idx]
+            toward = sgn * dvec < 0.0
+            t_drop, i_drop = math.inf, -1
+            if toward.any():
+                td = np.divide(-bk, dvec, out=inf[:k].copy(), where=toward)
+                i_drop = int(np.argmin(td))
+                t_drop = max(float(td[i_drop]), 0.0)
+            # joins: a free column reaches +-lam u_j; one already within _TIE
+            # of its bound joins now if the direction takes it outward. The
+            # column that just dropped left its bound on side `left`, so on
+            # this segment it can only reach the other one.
+            bound = lam * u
+            tie = _TIE * bound
+            times = inf.copy()
+            for side in (1.0, -1.0):
+                gap = bound - side * c
+                gap[gap <= tie] = 0.0
+                den = u - side * a
+                ok = self.free & (den > 0.0)
+                if side == left:
+                    ok[dropped] = False
+                np.minimum(times, np.divide(gap, den, out=inf.copy(), where=ok), out=times)
+            j_join = int(np.argmin(times))
+            t_join = float(times[j_join])
+            t = min(t_drop, t_join, lam - lam1)
+            self.beta[idx] = bk + t * dvec
+            c -= t * a
+            self.lam = lam1 if t >= lam - lam1 else lam - t
+            c[idx] = self.lam * u[idx] * sgn
+            if self.lam == lam1:
+                break
+            if t_drop <= t_join:
+                left = float(sgn[i_drop])
+                dropped = self.drop(i_drop)
+                self.free[dropped] = True
+            else:
+                dropped, left = -1, 0.0
+                self.join(j_join, 1.0 if c[j_join] > 0.0 else -1.0)
+        return True
+
+    def solve(self, lam: float) -> np.ndarray:
+        """beta at lam on the current active set and signs, refined once;
+        a coefficient against its sign is dropped and the rest re-solved."""
+        d = self.d
+        while True:
+            k = self.k
+            beta = np.zeros(self.beta.shape[0])
+            if not k:
+                return beta
+            idx = self.act[:k]
+            inv = self.inv[:k, :k]
+            sgn = self.sgn[:k]
+            target = lam * d.u[idx] * sgn
+            for attempt in range(2):
+                beta[idx] = inv @ (d.c0[idx] - target)
+                fix = inv @ (self.correlations(beta)[idx] - target)
+                if attempt or not self.worn(fix, beta[idx]):
+                    break
+            beta[idx] += fix
+            signed = beta[idx] * sgn
+            if signed.min() > 0.0:
+                return beta
+            self.drop(int(np.argmin(signed)))
+
+    # -- starting points -------------------------------------------------
+
+    def start_cold(self) -> None:
+        """Start at lambda_max, where the column of largest |c_j| / u_j joins."""
+        ratio = np.abs(self.d.c0) / self.d.u
+        while True:
+            j = int(np.argmax(np.where(self.free, ratio, -1.0)))
+            self.lam = float(ratio[j]) if self.free[j] else 0.0
+            if self.lam == 0.0 or self.join(j, 1.0 if self.d.c0[j] > 0.0 else -1.0):
+                return
+
+    def start_warm(self, warm: np.ndarray, lam1: float, scale: float) -> bool:
+        """Continue from warm if it is an exact solution at some lam >= lam1."""
+        d = self.d
+        support = np.flatnonzero(warm)
+        k = support.size
+        if not 0 < k <= self.cap or scale == 0.0:
+            return False
+        if d.gram is None:
+            c = d.correlations(warm)
+        else:
+            missing = support[~d.cached[support]]
+            if missing.size:
+                d.rows(missing)
+            c = d.c0 - warm[support] @ d.gram[support] - d.lam2 * d.v * warm
+        sgn = np.sign(warm[support])
+        us = d.u[support]
+        lam = float((c[support] * sgn) @ us / (us @ us))
+        if not lam >= lam1 * (1.0 - _TIE):
+            return False
+        station = float(np.max(np.abs(c[support] - lam * us * sgn)))
+        excess = np.abs(c) - lam * d.u
+        excess[support] = 0.0
+        if not max(station, float(excess.max())) <= KKT_TOLERANCE * scale:
+            return False
+        # the Cholesky pivots are the Schur complements of joining the support
+        # in index order, so the join test carries over
+        m = self.system(support)
+        try:
+            pivots = np.linalg.cholesky(m).diagonal() ** 2
+        except np.linalg.LinAlgError:
+            return False
+        if np.any(pivots <= _SCHUR * m.diagonal()):
+            return False
+        self.inv[:k, :k] = np.linalg.inv(m)
+        self.act[:k] = support
+        self.sgn[:k] = sgn
+        self.active[support] = True
+        self.free[support] = False
+        self.k = k
+        self.lam = max(lam, lam1)
+        self.beta[:] = warm
+        self.c = c
+        self.c[support] = self.lam * us * sgn
+        return True
+
+
+def _max_steps(p: int) -> int:
+    # a safeguard: criterion 7's fits take at most 645 steps at p = 1000
+    return 100 + 10 * p
+
+
+def _kkt(x, r, beta, lam1, lam2, u, v) -> np.ndarray:
+    """Per-coordinate KKT residual at residual r: |stationarity| on the
+    support, the excess of |x_j'r| over lam1 u_j (or 0) off it."""
+    grads = x.T @ r
+    station = np.abs(grads - lam2 * v * beta - lam1 * u * np.sign(beta))
+    excess = np.maximum(np.abs(grads) - lam1 * u, 0.0)
+    return np.where(beta != 0.0, station, excess)
+
+
+def _optimum(design: _Design, lam1: float, warm: np.ndarray | None, scale: float):
+    """(beta, steps) of the centered problem at lam1."""
+    x, u, v, lam2 = design.x, design.u, design.v, design.lam2
+    n, p = x.shape
+    if p == 1:
+        raw = float(x[:, 0] @ x[:, 0])
+        g = raw - n * float(design.xbar[0]) ** 2
+        beta = np.zeros(1)
+        if g > _DEAD * raw:
+            beta[0] = _soft_threshold(float(design.c0[0]), lam1 * u[0]) / (g + lam2 * v[0])
+        return beta, 1
+    if lam1 == 0.0:
+        return _ridge(design), 1
+    if p <= 3:
+        gram = x.T @ x
+        raw = gram.diagonal().copy()
+        gram -= np.multiply.outer(n * design.xbar, design.xbar)
+        beta, steps, _ = _tiny_path(
+            gram.tolist(), design.c0.tolist(), u.tolist(), v.tolist(), lam1, lam2,
+            (gram.diagonal() <= _DEAD * raw).tolist(), p if lam2 > 0.0 else min(p, n - 1),
+            _max_steps(p),
+        )
+        return np.array(beta), steps
+    path = _Homotopy(design, _max_steps(p))
+    if warm is None or not path.start_warm(warm, lam1, scale):
+        path.start_cold()
+    finished = path.run(lam1)
+    return (path.solve(lam1) if finished else path.beta.copy()), path.steps
+
+
 def fit(
     data: Dataset,
     penalty: PenaltySpec,
-    options: FitOptions = FitOptions(),
     plan: NormalizationPlan | None = None,
     warm_start: np.ndarray | None = None,
 ) -> FitResult:
-    """Solve the weighted elastic net on (already normalized) data."""
+    """Solve the weighted elastic net on (already normalized) data exactly."""
     x, y = data.x, data.y
     n, p = data.n, data.p
     if penalty.lam1 == 0.0 and penalty.lam2 == 0.0 and p >= n:
         raise DomainError("unpenalized fit requires p < n")
     u, v = penalty.resolve_weights(p)
     lam1, lam2 = penalty.lam1, penalty.lam2
-
-    col_sq = np.einsum("ij,ij->j", x, x)
-    denom = col_sq + lam2 * v
     if warm_start is not None:
-        beta = np.array(warm_start, dtype=np.float64)
-        if beta.shape != (p,):
+        warm_start = np.asarray(warm_start, dtype=np.float64)
+        if warm_start.shape != (p,):
             raise DimensionMismatchError(f"warm_start must have shape ({p},)")
-    else:
-        beta = np.zeros(p)
-    beta0 = 0.0
-    r = y - x @ beta
 
-    # A fit's cost is the interpreter's per-update overhead, so the sweep
-    # reads Python floats from lists, keeps the (contiguous) column views and
-    # updates r in place through one scratch vector. Each step is the same
-    # IEEE operation as on NumPy scalars, with r -= delta * x_j kept as a
-    # multiply then a subtract (an axpy would fuse them and round
-    # differently), so the iterates are unchanged bit for bit.
-    columns = list(x.T)
-    col_sq_l, denom_l = col_sq.tolist(), denom.tolist()
-    thresh_l = (lam1 * u).tolist()
-    coef = beta.tolist()
-    step = np.empty(n)
-    r_dot, multiply, subtract, copysign = r.dot, np.multiply, np.subtract, math.copysign
-
-    def sweep(indices) -> float:
-        nonlocal beta0
-        shift = float(r.mean())
-        beta0 += shift
-        subtract(r, shift, out=r)
-        max_delta = abs(shift)
-        for j in indices:
-            dj = denom_l[j]
-            if dj == 0.0:
-                continue
-            xj = columns[j]
-            bj_old = coef[j]
-            z = float(r_dot(xj)) + col_sq_l[j] * bj_old
-            zt = abs(z) - thresh_l[j]
-            bj = 0.0 if zt <= 0.0 else copysign(zt, z) / dj
-            delta = bj - bj_old
-            if delta != 0.0:
-                multiply(xj, delta, out=step)
-                subtract(r, step, out=r)
-                coef[j] = bj
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-        return max_delta
-
-    all_indices = range(p)
-    sweeps = 0
-    converged = False
-    while sweeps < options.max_sweeps:
-        full_delta = sweep(all_indices)
-        sweeps += 1
-        if full_delta <= options.tolerance:
-            converged = True
+    design = _Design(x, y, u, v, lam2)
+    scale = float(np.max(np.abs(design.c0))) if p else 0.0
+    steps = 0
+    for start in (warm_start, None):
+        beta, taken = _optimum(design, lam1, start, scale)
+        steps += taken
+        beta0 = design.ybar - float(design.xbar @ beta)
+        r = y - beta0 - x @ beta
+        worst = float(_kkt(x, r, beta, lam1, lam2, u, v).max()) if p else 0.0
+        residual = (0.0 if worst == 0.0 else math.inf) if scale == 0.0 else worst / scale
+        # a continuation that lost the certificate is redone from lambda_max
+        if start is None or residual <= KKT_TOLERANCE:
             break
-        # ascending, as np.nonzero(beta) gives it
-        active = [j for j, b in enumerate(coef) if b != 0.0]
-        while sweeps < options.max_sweeps:
-            active_delta = sweep(active)
-            sweeps += 1
-            if active_delta <= options.tolerance:
-                break
-
-    beta = np.array(coef)
     objective = _objective(r, beta, lam1, lam2, u, v)
     if plan is not None:
         beta_orig, beta0_orig = backtransform(beta, beta0, plan)
@@ -213,11 +688,12 @@ def fit(
         beta0_norm=beta0,
         beta=beta_orig,
         beta0=beta0_orig,
-        sweeps_used=sweeps,
-        converged=converged,
+        sweeps_used=steps,
+        converged=residual <= KKT_TOLERANCE,
         objective_value=objective,
         lam1=lam1,
         lam2=lam2,
+        kkt_residual=residual,
     )
 
 
@@ -275,23 +751,23 @@ def fit_path(
     data: Dataset,
     alpha: float,
     lambdas: np.ndarray,
-    options: FitOptions = FitOptions(),
     u: np.ndarray | None = None,
     v: np.ndarray | None = None,
     plan: NormalizationPlan | None = None,
 ) -> list[FitResult]:
-    """Warm-started fits over the caller's lambda grid, in the given order.
+    """Fits over the caller's lambda grid, in the given order, one per value.
 
     The caller owns the grid: lambda_grid(lambda_max(data, u), count, ratio)
     gives a path from this data's null model down, and any other anchor (the
     full-data lambda_max for a cross-validation fold, say) works the same.
-    Each fit starts from the previous coefficients. Returns one FitResult
-    per grid value.
+    Each fit is offered the previous coefficients as a warm start; at
+    alpha = 1 the homotopy continues from them, while at alpha < 1 lam2
+    moves with lambda and each fit starts cold.
     """
     results: list[FitResult] = []
     warm: np.ndarray | None = None
     for lam in lambdas:
-        res = fit(data, from_mixing(alpha, float(lam), u=u, v=v), options, plan=plan, warm_start=warm)
+        res = fit(data, from_mixing(alpha, float(lam), u=u, v=v), plan=plan, warm_start=warm)
         warm = res.beta_norm
         results.append(res)
     return results
@@ -305,16 +781,9 @@ def kkt_residuals(data: Dataset, penalty: PenaltySpec, result: FitResult):
     """
     u, v = penalty.resolve_weights(data.p)
     r = data.y - result.beta0_norm - data.x @ result.beta_norm
-    grads = data.x.T @ r
-    beta = result.beta_norm
-    active = beta != 0.0
-    active_res = 0.0
-    if np.any(active):
-        station = grads[active] - penalty.lam2 * v[active] * beta[active]
-        station -= penalty.lam1 * u[active] * np.sign(beta[active])
-        active_res = float(np.max(np.abs(station)))
-    inactive_res = 0.0
-    if np.any(~active):
-        excess = np.abs(grads[~active]) - penalty.lam1 * u[~active]
-        inactive_res = float(max(np.max(excess), 0.0))
-    return active_res, inactive_res
+    res = _kkt(data.x, r, result.beta_norm, penalty.lam1, penalty.lam2, u, v)
+    active = result.beta_norm != 0.0
+    return (
+        float(np.max(res, where=active, initial=0.0)),
+        float(np.max(res, where=~active, initial=0.0)),
+    )

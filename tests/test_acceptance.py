@@ -32,9 +32,8 @@ from normreg.oracle import (
     selection_probability,
 )
 from normreg.simulate import ScenarioSpec, gen_binary, run_scenario
-from normreg.solver import FitOptions, PenaltySpec, fit
+from normreg.solver import PenaltySpec, fit
 
-TIGHT = FitOptions(tolerance=1e-12, max_sweeps=20_000)
 
 REPS = 10_000
 
@@ -51,7 +50,7 @@ def test_criterion_01_solver_matches_closed_form():
         data = orthogonal_design(seed, n=64, p=8)
         lam1 = float(rng.uniform(0.1, 2.0))
         lam2 = float(rng.uniform(0.0, 3.0))
-        res = fit(data, PenaltySpec(lam1=lam1, lam2=lam2), TIGHT)
+        res = fit(data, PenaltySpec(lam1=lam1, lam2=lam2))
         centered = data.y - data.y.mean()
         gram = np.einsum("ij,ij->j", data.x, data.x)
         expected = _soft(data.x.T @ centered, lam1) / (gram + lam2)
@@ -77,11 +76,10 @@ def test_criterion_02_weighted_equals_normalized():
         plan = compute_plan(data, BinaryDelta(deltas[seed % 5]))
         lam1 = float(rng.uniform(0.1, 2.0))
         lam2 = float(rng.uniform(0.5, 3.0))
-        normalized = fit(apply(data, plan), PenaltySpec(lam1=lam1, lam2=lam2), TIGHT, plan=plan)
+        normalized = fit(apply(data, plan), PenaltySpec(lam1=lam1, lam2=lam2), plan=plan)
         weighted = fit(
             data,
             PenaltySpec(lam1=lam1, lam2=lam2, u=plan.scales, v=plan.scales**2),
-            TIGHT,
         )
         worst = max(worst, float(np.max(np.abs(weighted.beta - normalized.beta))))
         worst = max(worst, abs(weighted.beta0 - normalized.beta0))
@@ -124,7 +122,7 @@ def test_criterion_03_selection_frequency_matches_oracle():
             for rep in range(10):
                 y = beta * x + sigma * eps[rep]
                 plan = compute_plan(Dataset(x=x[:, None], y=y), BinaryDelta(d))
-                res = fit(apply(Dataset(x=x[:, None], y=y), plan), PenaltySpec(lam1=lam1), TIGHT, plan=plan)
+                res = fit(apply(Dataset(x=x[:, None], y=y), plan), PenaltySpec(lam1=lam1), plan=plan)
                 agree += (res.support.size > 0) == (abs(stat[rep]) > lam1 * scale)
                 total += 1
     elapsed = time.perf_counter() - start
@@ -174,7 +172,7 @@ def test_criterion_04_bias_and_variance_match_closed_forms():
                 # one draw per cell through normalize+solver against the formula
                 y = beta * x + sigma * eps[0]
                 plan = compute_plan(Dataset(x=x[:, None], y=y), BinaryDelta(d))
-                res = fit(apply(Dataset(x=x[:, None], y=y), plan), PenaltySpec(lam1=lam1), TIGHT, plan=plan)
+                res = fit(apply(Dataset(x=x[:, None], y=y), plan), PenaltySpec(lam1=lam1), plan=plan)
                 spot_gap = max(spot_gap, abs(float(res.beta[0]) - float(draws[0])))
     elapsed = time.perf_counter() - start
     passed = cells_ok >= 35 and spot_gap <= 1e-8 and elapsed < 300.0
@@ -249,10 +247,10 @@ def test_criterion_06_noiseless_estimates_flat_in_balance():
         x = gen_binary(n, float(q), rng)
         data = Dataset(x=x[:, None], y=beta * x)
         plan_l = compute_plan(data, BinaryDelta(1.0))
-        res_l = fit(apply(data, plan_l), PenaltySpec(lam1=lam1), TIGHT, plan=plan_l)
+        res_l = fit(apply(data, plan_l), PenaltySpec(lam1=lam1), plan=plan_l)
         lasso_vals.append(float(res_l.beta[0]))
         plan_r = compute_plan(data, BinaryDelta(0.5))
-        res_r = fit(apply(data, plan_r), PenaltySpec(lam1=0.0, lam2=lam2), TIGHT, plan=plan_r)
+        res_r = fit(apply(data, plan_r), PenaltySpec(lam1=0.0, lam2=lam2), plan=plan_r)
         ridge_vals.append(float(res_r.beta[0]))
     lasso_spread = (max(lasso_vals) - min(lasso_vals)) / abs(np.mean(lasso_vals))
     ridge_spread = (max(ridge_vals) - min(ridge_vals)) / abs(np.mean(ridge_vals))

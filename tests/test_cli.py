@@ -113,7 +113,13 @@ def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
         ([*gumbel, "--sd", "nan"], "sigma must be finite and positive, got nan"),
         ([*gumbel, "--mu", "1e308"], "quantile of |N(1e+308, 1.0^2)| has no finite bracket"),
         ([*gumbel, "--mu", "1", "--sd", "1e-300"], "density underflows to 0"),
-        ([*limits, "--exponent-grid", "nan:1:2"], "delta must be finite and >= 0, got nan"),
+        ([*limits, "--exponent-grid", "nan:1:2"],
+         "--exponent-grid bounds must be finite, got nan:1.0"),
+        ([*limits, "--exponent-grid", "0:inf:2"],
+         "--exponent-grid bounds must be finite, got 0.0:inf"),
+        ([*oracle, "--lambda1", "1", "--q-grid", "0.5:inf:2"],
+         "--q-grid bounds must be finite, got 0.5:inf"),
+        ([*oracle, "--lambda1", "1", "--q0", "nan"], "q0 must lie in (0, 1), got nan"),
         ([*limits, "--omega", "nan"], "omega must be finite and >= 0, got nan"),
         ([*limits, "--delta", "0.5", "--kappa", "nan"], "kappa must be finite and > 0, got nan"),
         ([*binary, "--delta", "nan"], "delta must be finite and >= 0, got nan"),
@@ -182,10 +188,11 @@ def test_fit_strict_non_convergence_exits_three(toy_csv, monkeypatch, capsys):
         objective_value=1.0,
         lam1=1.0,
         lam2=0.0,
+        kkt_residual=0.25,
     )
     monkeypatch.setattr(cli, "_fit", lambda *a, **k: stuck)
     assert main(["fit", "--input", toy_csv, "--lambda1", "1", "--strict"]) == 3
-    assert "no convergence" in capsys.readouterr().err
+    assert "failed the KKT certificate (residual 0.25)" in capsys.readouterr().err
     # without --strict the result is still reported
     assert main(["fit", "--input", toy_csv, "--lambda1", "1"]) == 0
 
@@ -253,12 +260,11 @@ def test_non_finite_manifest_values_are_json_tokens(tmp_path, capsys):
     def reject(token):
         raise ValueError(f"{token} is not JSON")
 
-    mean = ["oracle", "--curve", "mean", "--delta", "0.5", "--lambda1", "1",
-            "--q-grid", "0.5:0.9:2"]
+    # the gumbel curve records --beta and --sigma without using them; --q0,
+    # which the other curves record, must be finite (test_data_errors_exit_two)
     for argv, expected in (
         (["oracle", "--curve", "gumbel", "--n-grid", "10", "--sigma", "nan", "--beta", "inf"],
          {"beta": "Inf", "sigma": "NaN"}),
-        ([*mean, "--q0", "nan"], {"q0": "NaN"}),
     ):
         assert main(argv) == 0
         printed = json.loads(capsys.readouterr().out, parse_constant=reject)["manifest"]

@@ -5,25 +5,25 @@ training responses against independently reconstructed fold assignments, so
 any peek at held-out rows changes a recorded array and fails the comparison.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import normreg.normalize
+import normreg.solver
 from conftest import binary_design
 from normreg import (
     CVPlan,
     Dataset,
     DimensionMismatchError,
     DomainError,
-    FitOptions,
     cross_validate,
     fdr,
     fold_assignments,
     nmse,
     power_all,
 )
-
-FAST = FitOptions(tolerance=1e-8, max_sweeps=5_000)
 
 
 def test_nmse_null_model_scores_one():
@@ -141,7 +141,7 @@ def test_cross_validate_never_sees_held_out_rows(monkeypatch):
         return original(ds, strategy)
 
     monkeypatch.setattr(normreg.normalize, "compute_plan", spy)
-    cross_validate(data, plan, options=FAST)
+    cross_validate(data, plan)
 
     n_deltas = len(plan.deltas)
     # grid anchoring sees the full data once per delta, nothing else does
@@ -165,12 +165,12 @@ def test_cross_validate_leave_one_out_runs_and_selects():
     y = x @ np.array([1.0, 0.0, -0.5]) + 0.3 * rng.standard_normal(20)
     data = Dataset(x=x, y=y)
     plan = CVPlan(folds=20, repeats=1, seed=2, lambda_count=8, deltas=(0.5,))
-    result = cross_validate(data, plan, options=FAST)
+    result = cross_validate(data, plan)
     # singleton held-out responses are constant, so no per-fold rows survive
     assert result.rows == ()
     assert len(result.skipped) == 20
     assert np.isfinite(result.best.mean_nmse)
-    repeat = cross_validate(data, plan, options=FAST)
+    repeat = cross_validate(data, plan)
     assert repeat.best == result.best
 
 
@@ -180,7 +180,7 @@ def test_cross_validate_pure_noise_prefers_null_model():
     y = rng.standard_normal(200)
     data = Dataset(x=x, y=y)
     plan = CVPlan(folds=5, repeats=2, seed=4, lambda_count=30, deltas=(0.5,))
-    result = cross_validate(data, plan, options=FAST)
+    result = cross_validate(data, plan)
     assert result.best.mean_nmse >= 0.9
 
 
@@ -193,14 +193,14 @@ def test_cross_validate_strong_signal_scores_well():
     y = x @ beta + sigma * rng.standard_normal(400)
     data = Dataset(x=x, y=y)
     plan = CVPlan(folds=5, repeats=2, seed=6, lambda_count=30, deltas=(0.5,))
-    result = cross_validate(data, plan, options=FAST)
+    result = cross_validate(data, plan)
     assert result.best.mean_nmse < 0.2
 
 
 def test_cross_validate_row_schema_on_binary_design():
     data = binary_design(31)
     plan = CVPlan(folds=4, repeats=2, seed=13, lambda_count=6, deltas=(0.0, 1.0))
-    result = cross_validate(data, plan, options=FAST)
+    result = cross_validate(data, plan)
     assert len(result.rows) == 2 * 4 * 2 * 6
     for row in result.rows:
         assert 0 <= row.repeat < 2 and 0 <= row.fold < 4
@@ -212,16 +212,21 @@ def test_cross_validate_row_schema_on_binary_design():
     assert best.lam in result.lambdas[best.delta]
 
 
-def test_cross_validate_warns_once_about_capped_fits(caplog):
+def test_cross_validate_warns_once_about_uncertified_fits(caplog, monkeypatch):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((30, 3))
     data = Dataset(x=x, y=x[:, 0] + rng.standard_normal(30))
     plan = CVPlan(folds=3, repeats=1, seed=4, lambda_count=4, deltas=(0.5,))
     with caplog.at_level("WARNING", logger="normreg.evaluate"):
-        cross_validate(data, plan, options=FAST)
+        cross_validate(data, plan)
     assert not caplog.records
+    exact = normreg.solver.fit
+    # every path fit reaches solver.fit through fit_path
+    monkeypatch.setattr(
+        normreg.solver, "fit", lambda *a, **k: replace(exact(*a, **k), converged=False)
+    )
     with caplog.at_level("WARNING", logger="normreg.evaluate"):
-        cross_validate(data, plan, options=FitOptions(max_sweeps=1))
+        cross_validate(data, plan)
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("WARNING", "12 of 12 path fits stopped at max_sweeps without converging")
+        ("WARNING", "12 of 12 path fits failed the KKT certificate")
     ]

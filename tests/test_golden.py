@@ -106,23 +106,23 @@ def _host() -> str:
 
 
 GOLDEN = {
-    "bias-var": "d8f57df65559ad3b396c00f6f5eda6eee04cf5ae1d78f3f9ebaa0d88c59f7c5a",
-    "bias-var-json": "61bf89311e95aca718d85b159010e89661f2338202770682b3613bc0ea3607a8",
-    "bias-var-weighted": "161288278256b34f9bd49c4014ed6583ea624d6af57e44a5f8434ee6af77a5c3",
-    "cv": "67e191fbae26eeceb19b40cc3de67cda9f3bd322a3ec60e8b3b480c8c55e12ea",
-    "decreasing-classbalance": "dfbef4e7ce2aa09217cdca1082dc90b23b833886fa707af520f68a1584f60d3a",
-    "interactions": "54a8d328f70e4971697a7bac90b905a316d7d9f1c56ae77f408ffab0354af55c",
+    "bias-var": "004394352466226eb9a5f7560daf0811df5220ccdb47d72a1ec70706d4724dd7",
+    "bias-var-json": "1f909c8be5789b35c5065f9a552b83d13dc1343eca518cb2e48aee423a5e4fc9",
+    "bias-var-weighted": "7eedc74cadc4fc35ca977a9be01815072fdf0c9ebc081a81974f991ae4639811",
+    "cv": "b57857d1b9f2193829c05e1360d182e32559e5ee8714ccdf551921c17430b154",
+    "decreasing-classbalance": "7dbe18f8507acf342375e084094dde46175358d3b2492b5ebd87d6b6967a1eed",
+    "interactions": "7a12fc5dde046b88ce826bd5251200cae26e64d301c69b409f4d8dbe656ceff2",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
-    "maxabs-gev-b": "cbfb820fe45612185d7d4ccc0dfcc2e998752fee80d79e603af90558819134cc",
-    "mixed-data": "01ac1bb28f21b34be25bb505313ed4acc49b969802970ab75cad7725f8b2a87b",
-    "orthogonality": "62dbddf25a5609d0a4c8260b8f52a68d0c15ad25868770fac04d20f6218dd105",
-    "path": "c4c7889f676f2fc8933441a73cfd7897bbcebb75435c9d93c8f351eb594d35c2",
-    "path-binary-delta": "1491ba04745eab139532827a1f7adcd567f248f08b9bae8e30b78ec55861c45c",
-    "path-omega": "5a0f3356182d46104749bba7bfdd5a4ecf1994d8358fb4162da7c65b312d05ab",
-    "power-fdr": "8239bd02fa1d0a4137ab2086c8f20b7f939fe6b61e0a0353bc7233604173732b",
-    "predictive-sim": "951896f8c44893f52a3ed431bee64e390c093c8d923b9ffc55c3e97e895b43fa",
+    "maxabs-gev-b": "1bc962d31c2515f432eb437e7b8d9930bf980eefbfd9e46216f019c460ef5298",
+    "mixed-data": "6095616aefa62d5cc8faff3a48c19fd181828ce689ee01f5bf9290388431ce2a",
+    "orthogonality": "79425ffe167723deca3273f5af3cd1d683e7fd59af384ecfe1ddd2c5d020ab78",
+    "path": "cb31d441c80998979e21e2dc7cfdb8b895feb2cc1811d3fe8afedba691ce5a73",
+    "path-binary-delta": "05620f3a99178f3b0972d3f7e20dcbe80d888a7dc6d71193eef7322f337909ca",
+    "path-omega": "da331a2596a12e44292bc84d39805e4cafc55fcd25b85bcbcc6c374b3b683d2f",
+    "power-fdr": "9e37bf087a422df727909864ac7a4521b2e94a59908912b3a867c3f7533441d1",
+    "predictive-sim": "b6be81af67d959c1b97dce84526b3d4831065fb42d933f998a9e64ab6750636b",
     "selection-probability": "c6e8553bbc216bcd3c2edbab765f86797dc316e48f94c6bc4433d036ccf826e7",
-    "weighted-elnet": "e79bc54f0f3eead35234e4fce661b23e8587d7690498b6e17242a365155b6424",
+    "weighted-elnet": "6acd0ba2bc819914bf2a836e7b69daced8ee7cba0c3b1ae9fa236164c7233e1d",
 }
 
 

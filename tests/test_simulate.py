@@ -1,7 +1,7 @@
 """Generators and scenario harness.
 
-Closed-form checks exploit noise-free cells where coordinate descent has an
-exact solution: a single binary feature gives ST(beta n) / n estimates, and
+Closed-form checks exploit noise-free cells where the solution is known in
+closed form: a single binary feature gives ST(beta n) / n estimates, and
 orthogonalized two-feature designs decouple, making the comparability and
 weighting identities hold to solver tolerance.
 """

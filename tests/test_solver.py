@@ -1,4 +1,6 @@
-"""Coordinate-descent solver against closed forms and KKT conditions."""
+"""Homotopy solver against closed forms, a frozen coordinate descent and KKT conditions."""
+
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ import pytest
 from normreg.dataset import Dataset
 from normreg.errors import DomainError
 from normreg.normalize import BinaryDelta, NormalizationPlan, apply, backtransform, compute_plan
+import normreg.solver
 from normreg.solver import (
-    FitOptions,
+    KKT_TOLERANCE,
     PenaltySpec,
     fit,
     fit_path,
@@ -19,8 +22,6 @@ from normreg.solver import (
 )
 
 from conftest import binary_design, orthogonal_design
-
-TIGHT = FitOptions(tolerance=1e-12, max_sweeps=50_000)
 
 
 def test_orthogonal_solution_examples():
@@ -51,7 +52,7 @@ def test_single_feature_fit_matches_hand_value():
     x = x * np.sqrt(10.0 / np.dot(x, x))
     y_target = 0.5 * x  # x'y = 5
     data = Dataset(x=x[:, np.newaxis], y=y_target)
-    res = fit(data, PenaltySpec(lam1=2.0), TIGHT)
+    res = fit(data, PenaltySpec(lam1=2.0))
     assert res.beta_norm[0] == pytest.approx(0.3, abs=1e-10)
     assert res.converged
 
@@ -64,7 +65,6 @@ def test_null_model_at_lambda_max():
     res = fit(
         Dataset(x=data.x - data.x.mean(axis=0), y=data.y),
         PenaltySpec(lam1=lam * 1.0001),
-        TIGHT,
     )
     assert np.all(res.beta_norm == 0.0)
     assert res.beta0_norm == pytest.approx(data.y.mean(), abs=1e-12)
@@ -72,7 +72,6 @@ def test_null_model_at_lambda_max():
     res = fit(
         Dataset(x=data.x - data.x.mean(axis=0), y=data.y),
         PenaltySpec(lam1=lam * 0.99),
-        TIGHT,
     )
     assert len(res.support) >= 1
 
@@ -87,7 +86,7 @@ def test_solver_matches_orthogonal_closed_form():
             u=rng.uniform(0.5, 2.0, data.p),
             v=rng.uniform(0.5, 2.0, data.p),
         )
-        res = fit(data, penalty, TIGHT)
+        res = fit(data, penalty)
         xty = data.x.T @ data.y
         diag = np.sum(data.x * data.x, axis=0)
         beta_ref, beta0_ref = orthogonal_solution(xty, diag, penalty, float(data.y.mean()))
@@ -122,17 +121,18 @@ def test_fit_path_starts_null_and_matches_cold_refits():
     data = Dataset(x=x, y=y)
     grid = lambda_grid(lambda_max(data), count=12, ratio=1e-2)
     # null start only holds when the whole penalty is l1 (lam1 == lam at the anchor)
-    lasso = fit_path(data, 1.0, grid[:5], options=TIGHT)
+    lasso = fit_path(data, 1.0, grid[:5])
     assert lasso[0].support.size == 0
     # the caller owns the grid: one anchored elsewhere (here at a subsample's
     # lambda_max, as cross-validation does for a fold) warm-starts the same way
     off_anchor = lambda_grid(lambda_max(Dataset(x=x[:30], y=y[:30])), count=6, ratio=1e-2)
     for alpha, lambdas in ((0.8, grid), (1.0, off_anchor)):
-        path = fit_path(data, alpha, lambdas, options=TIGHT)
+        path = fit_path(data, alpha, lambdas)
         assert [res.lam1 + res.lam2 for res in path] == pytest.approx(lambdas, rel=1e-15)
         for res in path:
-            cold = fit(data, from_mixing(alpha, res.lam1 + res.lam2), TIGHT)
-            assert np.allclose(res.beta_norm, cold.beta_norm, atol=1e-6)
+            cold = fit(data, from_mixing(alpha, res.lam1 + res.lam2))
+            assert res.converged and cold.converged
+            assert np.allclose(res.beta_norm, cold.beta_norm, rtol=0.0, atol=1e-10)
 
 
 def test_objective_non_increasing():
@@ -140,23 +140,32 @@ def test_objective_non_increasing():
     x = rng.standard_normal((80, 10))
     y = rng.standard_normal(80)
     data = Dataset(x=x, y=y)
+    # the optimal value falls as the penalty does, along a certified path
+    path = fit_path(data, 1.0, lambda_grid(lambda_max(data), count=20, ratio=1e-3))
+    assert all(res.converged for res in path)
+    assert np.all(np.diff([res.objective_value for res in path]) <= 0.0)
+    # and no point near a certified fit has a lower objective
     penalty = PenaltySpec(lam1=1.0, lam2=0.5)
-    full = fit(data, penalty, FitOptions(tolerance=1e-10, max_sweeps=10_000))
-    assert full.converged and full.sweeps_used >= 2
-    # a fit capped at k sweeps stops in the state after sweep k
-    hist = np.array([
-        fit(data, penalty, FitOptions(tolerance=1e-10, max_sweeps=k)).objective_value
-        for k in range(1, full.sweeps_used + 1)
-    ])
-    assert hist[-1] == full.objective_value
-    assert np.all(np.diff(hist) <= 1e-10)
+    res = fit(data, penalty)
+    assert res.converged and res.kkt_residual <= KKT_TOLERANCE
+    assert res.sweeps_used >= 2
+
+    def objective(beta0, beta):
+        r = y - beta0 - x @ beta
+        return 0.5 * r @ r + penalty.lam1 * np.abs(beta).sum() + 0.25 * beta @ beta
+
+    assert objective(res.beta0_norm, res.beta_norm) == pytest.approx(res.objective_value, abs=1e-12)
+    for _ in range(50):
+        step = 1e-4 * rng.standard_normal(11)
+        moved = objective(res.beta0_norm + step[0], res.beta_norm + step[1:])
+        assert moved >= res.objective_value - 1e-12
 
 
 def test_kkt_residuals_on_converged_fit():
     data = binary_design(11)
     centered = Dataset(x=data.x - data.x.mean(axis=0), y=data.y)
     penalty = PenaltySpec(lam1=3.0, lam2=1.0)
-    res = fit(centered, penalty, TIGHT)
+    res = fit(centered, penalty)
     active_res, inactive_res = kkt_residuals(centered, penalty, res)
     assert active_res <= 1e-6 * centered.n
     assert inactive_res <= 1e-6 * centered.n
@@ -169,10 +178,10 @@ def test_weighted_equals_normalized():
     centered = NormalizationPlan(centers=plan.centers, scales=np.ones(data.p))
 
     normalized = apply(data, plan)
-    res_norm = fit(normalized, PenaltySpec(lam1=2.5, lam2=1.5), TIGHT, plan=plan)
+    res_norm = fit(normalized, PenaltySpec(lam1=2.5, lam2=1.5), plan=plan)
 
     weighted_penalty = PenaltySpec(lam1=2.5, lam2=1.5, u=plan.scales, v=plan.scales**2)
-    res_w = fit(apply(data, centered), weighted_penalty, TIGHT, plan=centered)
+    res_w = fit(apply(data, centered), weighted_penalty, plan=centered)
 
     assert np.allclose(res_w.beta, res_norm.beta, atol=1e-8)
     assert res_w.beta0 == pytest.approx(res_norm.beta0, abs=1e-8)
@@ -182,10 +191,10 @@ def test_permutation_invariance():
     data = binary_design(31)
     centered = Dataset(x=data.x - data.x.mean(axis=0), y=data.y)
     penalty = PenaltySpec(lam1=2.0, lam2=0.5)
-    res = fit(centered, penalty, TIGHT)
+    res = fit(centered, penalty)
     perm = np.array([3, 0, 5, 1, 4, 2])
     permuted = Dataset(x=centered.x[:, perm], y=centered.y)
-    res_p = fit(permuted, penalty, TIGHT)
+    res_p = fit(permuted, penalty)
     assert np.allclose(res_p.beta_norm, res.beta_norm[perm], atol=1e-8)
 
 
@@ -193,20 +202,25 @@ def test_unpenalized_wide_problem_rejected():
     rng = np.random.default_rng(6)
     data = Dataset(x=rng.standard_normal((5, 8)), y=rng.standard_normal(5))
     with pytest.raises(DomainError):
-        fit(data, PenaltySpec(lam1=0.0, lam2=0.0), TIGHT)
+        fit(data, PenaltySpec(lam1=0.0, lam2=0.0))
 
 
-def test_non_convergence_is_flagged_not_raised():
+def test_non_convergence_is_flagged_not_raised(monkeypatch):
     rng = np.random.default_rng(12)
     x = rng.standard_normal((100, 30))
     y = rng.standard_normal(100)
-    res = fit(
-        Dataset(x=x, y=y),
-        PenaltySpec(lam1=0.01),
-        FitOptions(tolerance=1e-14, max_sweeps=2),
-    )
+    data = Dataset(x=x, y=y)
+    penalty = PenaltySpec(lam1=0.01)
+    monkeypatch.setattr(normreg.solver, "_max_steps", lambda p: 2)
+    res = fit(data, penalty)
     assert not res.converged
     assert res.sweeps_used == 2
+    assert res.kkt_residual > KKT_TOLERANCE
+    # the last point is returned as it stands, on the original scale as well
+    assert np.array_equal(res.beta, res.beta_norm)
+    monkeypatch.undo()
+    full = fit(data, penalty)
+    assert full.converged and full.sweeps_used > 2
 
 
 def test_penalty_validation():
@@ -222,7 +236,7 @@ def test_backtransform_through_fit():
     data = binary_design(40)
     plan = compute_plan(data, BinaryDelta(0.5))
     normalized = apply(data, plan)
-    res = fit(normalized, PenaltySpec(lam1=1.0), TIGHT, plan=plan)
+    res = fit(normalized, PenaltySpec(lam1=1.0), plan=plan)
     beta_ref, beta0_ref = backtransform(res.beta_norm, res.beta0_norm, plan)
     assert np.allclose(res.beta, beta_ref, atol=1e-14)
     assert res.beta0 == pytest.approx(beta0_ref, abs=1e-14)
@@ -232,10 +246,10 @@ def test_backtransform_through_fit():
 
 
 def _reference_fit(data, penalty, options, warm_start=None):
-    """The coordinate-descent loop as first written, on NumPy scalars.
+    """The coordinate-descent loop the package used before the homotopy.
 
-    Frozen as the reference for `fit`: any rewrite of the sweep must take the
-    same IEEE steps, so its results must equal these bit for bit.
+    Frozen as an independent reference for `fit`: run to a tight tolerance it
+    reaches the same optimum, so the two must agree within 1e-8.
     """
     x, y = data.x, data.y
     p = data.p
@@ -317,30 +331,257 @@ def _zero_column():
     return Dataset(x=x, y=data.y), PenaltySpec(lam1=1.0, lam2=0.0)
 
 
-CAPPED = FitOptions(tolerance=1e-14, max_sweeps=7)
-CONVERGE = FitOptions(tolerance=1e-10, max_sweeps=20_000)
+Sweeps = namedtuple("Sweeps", "tolerance max_sweeps")
 
 
 @pytest.mark.parametrize(
-    "problem, options, warm",
+    "problem, warm",
     [
-        pytest.param(_wide_lasso, CAPPED, False, id="wide-capped"),
-        pytest.param(_wide_lasso, CONVERGE, False, id="wide-converged"),
-        pytest.param(_wide_lasso, CONVERGE, True, id="warm-start"),
-        pytest.param(_elastic_net_weighted, CONVERGE, False, id="elnet-weighted"),
-        pytest.param(_zero_column, CONVERGE, False, id="zero-column"),
+        pytest.param(_wide_lasso, False, id="wide-converged"),
+        pytest.param(_wide_lasso, True, id="warm-start"),
+        pytest.param(_elastic_net_weighted, False, id="elnet-weighted"),
+        pytest.param(_zero_column, False, id="zero-column"),
     ],
 )
-def test_fit_equals_reference_sweep_bit_for_bit(problem, options, warm):
+def test_fit_equals_converged_reference_sweep(problem, warm):
     data, penalty = problem()
-    start = fit(data, PenaltySpec(lam1=2.0 * penalty.lam1), options).beta_norm if warm else None
-    res = fit(data, penalty, options, warm_start=start)
-    beta, beta0, sweeps, converged, objective = _reference_fit(data, penalty, options, start)
-    assert res.beta_norm.tobytes() == beta.tobytes()
-    assert res.beta0_norm == beta0
-    assert res.sweeps_used == sweeps
-    assert res.converged == converged
-    assert res.objective_value == objective
-    # each case reaches the branch it is named for
-    assert converged == (options is not CAPPED)
-    assert not np.any(beta[~data.x.any(axis=0)])
+    start = fit(data, PenaltySpec(lam1=2.0 * penalty.lam1)).beta_norm if warm else None
+    res = fit(data, penalty, warm_start=start)
+    beta, beta0, _, converged, objective = _reference_fit(
+        data, penalty, Sweeps(tolerance=1e-13, max_sweeps=200_000), start
+    )
+    assert converged and res.converged
+    assert np.allclose(res.beta_norm, beta, rtol=0.0, atol=1e-8)
+    assert res.beta0_norm == pytest.approx(beta0, abs=1e-8)
+    assert res.objective_value == pytest.approx(objective, rel=1e-12)
+    assert not np.any(res.beta_norm[~data.x.any(axis=0)])
+
+
+def _certified(data, penalty, result):
+    """The scale-free KKT residual, computed apart from `fit`."""
+    scale = np.max(np.abs(data.x.T @ (data.y - data.y.mean())))
+    residual = max(kkt_residuals(data, penalty, result)) / scale
+    assert residual == pytest.approx(result.kkt_residual, rel=1e-6, abs=1e-15)
+    return residual <= KKT_TOLERANCE
+
+
+def test_tie_at_lambda_max_joins_both_columns():
+    # two orthogonal centred columns with equal |x_j'y| reach lambda_max together
+    h = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    x = np.tile(h, (5, 1))
+    y = x @ np.array([1.0, -1.0])
+    data = Dataset(x=x, y=y)
+    lam = 0.5 * lambda_max(data)
+    res = fit(data, PenaltySpec(lam1=lam))
+    beta_ref, _ = orthogonal_solution(x.T @ y, (x * x).sum(axis=0), PenaltySpec(lam1=lam))
+    assert np.allclose(res.beta_norm, beta_ref, rtol=0.0, atol=1e-14)
+    assert np.all(res.beta_norm != 0.0)
+    assert _certified(data, PenaltySpec(lam1=lam), res)
+
+
+def _saturating_design():
+    """12 rows, 30 columns with a zero column, a constant column, a duplicate
+    of column 0 and a column that is column 1 plus column 2."""
+    rng = np.random.default_rng(17)
+    x = (rng.random((12, 30)) < 0.4).astype(float)
+    x[:, 5] = 0.0
+    x[:, 6] = 1.0
+    x[:, 7] = x[:, 0]
+    x[:, 8] = x[:, 1] + x[:, 2]
+    y = x[:, :4] @ np.array([2.0, -1.0, 1.5, 0.5]) + rng.standard_normal(12)
+    return Dataset(x=x, y=y)
+
+
+def test_degenerate_columns_never_join_and_the_path_saturates():
+    data = _saturating_design()
+    x = data.x
+    grid = lambda_grid(lambda_max(data), count=40, ratio=1e-6)
+    path = fit_path(data, 1.0, grid)
+    assert all(res.converged for res in path)
+    for lam, res in zip(grid, path):
+        assert _certified(data, PenaltySpec(lam1=lam), res)
+        beta = res.beta_norm
+        assert beta[5] == 0.0 and beta[6] == 0.0
+        # of two equal columns at most one is active, and the tie goes to the
+        # lower index
+        assert beta[7] == 0.0 or beta[0] == 0.0
+        # the span of the active columns has at most n - 1 centred dimensions
+        assert res.support.size <= data.n - 1
+        active = x[:, res.support] - x[:, res.support].mean(axis=0)
+        assert np.linalg.matrix_rank(active) == res.support.size
+    assert path[-1].support.size == data.n - 1
+
+
+def test_duplicate_column_matches_the_reference_optimum():
+    data = _saturating_design()
+    penalty = PenaltySpec(lam1=0.3 * lambda_max(data))
+    res = fit(data, penalty)
+    _, _, _, converged, objective = _reference_fit(
+        data, penalty, Sweeps(tolerance=1e-13, max_sweeps=200_000)
+    )
+    assert converged and _certified(data, penalty, res)
+    # the optimum is not unique here, its value is
+    assert res.objective_value == pytest.approx(objective, rel=1e-10)
+    assert res.beta_norm[7] == 0.0
+
+
+def test_warm_continuation_equals_a_cold_fit():
+    data, penalty = _wide_lasso()
+    lam = penalty.lam1
+    for start_lam, elnet in ((2.0 * lam, 0.0), (lam, 0.0), (4.0 * lam, 0.7)):
+        start = fit(data, PenaltySpec(lam1=start_lam, lam2=elnet))
+        target = PenaltySpec(lam1=lam, lam2=elnet)
+        warm = fit(data, target, warm_start=start.beta_norm)
+        cold = fit(data, target)
+        assert warm.converged and cold.converged
+        assert np.allclose(warm.beta_norm, cold.beta_norm, rtol=0.0, atol=1e-10)
+        # continuing from an exact solution takes no more steps than starting over
+        assert warm.sweeps_used <= cold.sweeps_used
+    # a start that is no solution, or one for a smaller lambda, starts cold
+    cold = fit(data, penalty)
+    for bad in (np.ones(data.p), fit(data, PenaltySpec(lam1=0.5 * lam)).beta_norm):
+        res = fit(data, penalty, warm_start=bad)
+        assert res.beta_norm.tobytes() == cold.beta_norm.tobytes()
+
+
+def test_fit_path_calls_fit_once_per_grid_point(monkeypatch):
+    data, _ = _wide_lasso()
+    calls = []
+    exact = normreg.solver.fit
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("warm_start") is not None)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(normreg.solver, "fit", counting)
+    grid = lambda_grid(lambda_max(data), count=7)
+    fit_path(data, 1.0, grid)
+    assert calls == [False] + [True] * 6
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["zero-column", "constant-column", "duplicate", "saturated", "ridge-singular",
+     "constant-response", "single-column", "elnet-wide"],
+)
+def test_every_degenerate_case_is_certified(case):
+    data = _saturating_design()
+    lam_max = lambda_max(data)
+    penalty = PenaltySpec(lam1=0.2 * lam_max)
+    if case == "zero-column":
+        data, penalty = _zero_column()
+    elif case == "constant-column":
+        data = Dataset(x=np.column_stack([data.x[:, :4], np.full(12, 0.3)]), y=data.y)
+    elif case == "saturated":
+        penalty = PenaltySpec(lam1=1e-9 * lam_max)
+    elif case == "ridge-singular":
+        data = Dataset(x=data.x[:, [0, 1, 2, 7, 8]], y=data.y)
+        penalty = PenaltySpec(lam1=0.0)
+    elif case == "constant-response":
+        data = Dataset(x=data.x, y=np.full(12, 2.0))
+    elif case == "single-column":
+        data = Dataset(x=data.x[:, :1], y=data.y)
+    elif case == "elnet-wide":
+        penalty = PenaltySpec(lam1=1e-6 * lam_max, lam2=1e-3)
+    res = fit(data, penalty)
+    assert res.converged
+    scale = np.max(np.abs(data.x.T @ (data.y - data.y.mean())))
+    if scale > 0.0:
+        assert _certified(data, penalty, res)
+    else:
+        assert max(kkt_residuals(data, penalty, res)) == 0.0
+
+
+def _small_design(case):
+    """p <= 3 designs, which `fit` solves on Python floats."""
+    rng = np.random.default_rng(26)
+    z = rng.standard_normal((30, 1))
+    x = z + 0.3 * rng.standard_normal((30, 3))
+    y = x @ np.array([2.0, -1.5, 0.2]) + rng.standard_normal(30)
+    lam_max = lambda_max(Dataset(x=x, y=y))
+    penalty = PenaltySpec(lam1=0.01 * lam_max)
+    if case == "elnet-weighted":
+        penalty = PenaltySpec(lam1=0.1 * lam_max, lam2=3.0, u=[0.5, 1.0, 2.0], v=[2.0, 1.0, 0.7])
+    elif case == "tie":
+        h = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        x = np.tile(h, (5, 1))
+        y = x @ np.array([1.0, -1.0])
+        penalty = PenaltySpec(lam1=0.5 * lambda_max(Dataset(x=x, y=y)))
+    elif case == "duplicate":
+        x = np.column_stack([x[:, 0], x[:, 1], x[:, 0]])
+    elif case == "zero-column":
+        x = np.column_stack([x[:, 0], np.zeros(30), x[:, 1]])
+    elif case == "saturated":
+        x, y = x[:3], y[:3]
+        penalty = PenaltySpec(lam1=1e-6 * lambda_max(Dataset(x=x, y=y)))
+    return Dataset(x=x, y=y), penalty
+
+
+@pytest.mark.parametrize(
+    "case", ["drop", "elnet-weighted", "tie", "duplicate", "zero-column", "saturated"]
+)
+def test_small_designs_match_the_reference_sweep(case):
+    data, penalty = _small_design(case)
+    res = fit(data, penalty)
+    assert res.converged and _certified(data, penalty, res)
+    if case == "saturated":
+        # three rows span two centred dimensions, where the sweep crawls
+        assert res.support.size == 2
+        return
+    _, _, _, converged, objective = _reference_fit(
+        data, penalty, Sweeps(tolerance=1e-13, max_sweeps=200_000)
+    )
+    assert converged
+    assert res.objective_value == pytest.approx(objective, rel=1e-12)
+    if case == "drop":
+        # a column leaves the path and comes back before the target
+        assert res.sweeps_used > res.support.size
+    if case == "duplicate":
+        # the lower index of two equal columns takes the tie
+        assert res.support.tolist() == [0, 1]
+
+
+def _random_design(seed):
+    """A random design with a duplicate, a zero and a summed column, and p
+    close to n: the conditions under which round-off can cost the path an
+    event. Returns the data, the weights and a grid ratio per alpha."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(5, 60)), int(rng.integers(1, 90))
+    kind = seed % 3
+    if kind == 0:
+        x = (rng.random((n, p)) < rng.uniform(0.02, 0.6, p)).astype(float)
+    elif kind == 1:
+        x = rng.standard_normal((n, p))
+    else:
+        x = np.round(rng.standard_normal((n, p)))
+    x[:, 1] = x[:, 0]
+    x[:, 2] = 0.0
+    x[:, 3] = x[:, 0] + x[:, 4]
+    y = x[:, :5] @ rng.standard_normal(5) + rng.standard_normal(n)
+    if seed % 7 == 0:
+        y = np.round(y)
+    u = rng.uniform(0.3, 3, p) if seed % 2 else None
+    v = rng.uniform(0.3, 3, p) if seed % 4 == 1 else None
+    ratios = {alpha: float(rng.choice([1e-1, 1e-3, 1e-6])) for alpha in (1.0, 0.5)}
+    return Dataset(x=x, y=y), u, v, ratios
+
+
+@pytest.mark.parametrize(
+    "seed, alpha",
+    [
+        # a column that dropped crosses its other bound on the next segment
+        pytest.param(7, 1.0, id="other-bound"),
+        # round-off flips the sign of a coefficient that reaches zero at lam1
+        pytest.param(1080, 0.5, id="drop-at-target"),
+        # a join refused on a worn inverse, which a fresh one accepts
+        pytest.param(2165, 0.5, id="false-refusal"),
+        # drops on an ill-conditioned M_A wear the inverse down until the
+        # directions miss events
+        pytest.param(1381, 0.5, id="worn-inverse"),
+    ],
+)
+def test_ill_conditioned_paths_stay_certified(seed, alpha):
+    data, u, v, ratios = _random_design(seed)
+    grid = lambda_grid(lambda_max(data), count=15, ratio=ratios[alpha])
+    for res in fit_path(data, alpha, grid, u=u, v=v):
+        assert res.converged, (res.lam1, res.kkt_residual)

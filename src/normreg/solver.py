@@ -338,7 +338,6 @@ class _Homotopy:
         self.act = np.empty(cap, dtype=np.intp)
         self.sgn = np.empty(cap)
         self.k = 0
-        self.active = np.zeros(p, dtype=bool)
         self.free = np.ones(p, dtype=bool)  # may join: inactive, not dead, not refused
         self.refused: list[int] = []
         self.beta = np.zeros(p)
@@ -393,7 +392,6 @@ class _Homotopy:
             inv[k, k] = 1.0 / schur
         self.act[k] = j
         self.sgn[k] = sign
-        self.active[j] = True
         self.k = k + 1
         return True
 
@@ -411,7 +409,6 @@ class _Homotopy:
         for r in range(0, last, _BLOCK):
             inv[r : min(r + _BLOCK, last), :last] -= np.multiply.outer(col[r : r + _BLOCK], f)
         self.k = last
-        self.active[j] = False
         self.beta[j] = 0.0
         # a smaller active set may no longer span a refused column
         self.free[self.refused] = True
@@ -593,7 +590,6 @@ class _Homotopy:
         self.inv[:k, :k] = np.linalg.inv(m)
         self.act[:k] = support
         self.sgn[:k] = sgn
-        self.active[support] = True
         self.free[support] = False
         self.k = k
         self.lam = max(lam, lam1)

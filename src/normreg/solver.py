@@ -49,7 +49,8 @@ some lam >= lam1 for the same lam2, and starts cold otherwise.
 
 Every fit ends with a KKT check: `converged` means that
 max(kkt_residuals) / max_j |x_j'(y - mean y)| is at most 1e-8. A fit that
-reaches the step cap returns its last point, flagged, and never raises; a
+reaches the step cap, or more than p events in a row of zero length (a cycle
+among tied columns), returns its last point, flagged, and never raises; a
 continuation that fails the check is redone from lambda_max.
 """
 
@@ -448,13 +449,15 @@ class _Homotopy:
         return c
 
     def run(self, lam1: float) -> bool:
-        """Follow the path down to lam1; False if the step cap stopped it."""
+        """Follow the path down to lam1; False if the step cap stopped it, or
+        if more than p events in a row took no step: a cycle among columns
+        tied at one lambda, which round-off can start at a warm start."""
         d = self.d
         u, v, lam2, gram = d.u, d.v, d.lam2, d.gram
         inf = np.full(u.shape, math.inf)
-        dropped, left = -1, 0.0
+        dropped, left, standing = -1, 0.0, 0
         while self.lam > lam1:
-            if self.steps >= self.max_steps:
+            if self.steps >= self.max_steps or standing > u.shape[0]:
                 return False
             self.steps += 1
             k = self.k
@@ -504,6 +507,7 @@ class _Homotopy:
             j_join = int(np.argmin(times))
             t_join = float(times[j_join])
             t = min(t_drop, t_join, lam - lam1)
+            standing = standing + 1 if t == 0.0 else 0
             self.beta[idx] = bk + t * dvec
             c -= t * a
             self.lam = lam1 if t >= lam - lam1 else lam - t

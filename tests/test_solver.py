@@ -578,6 +578,9 @@ def _random_design(seed):
         # drops on an ill-conditioned M_A wear the inverse down until the
         # directions miss events
         pytest.param(1381, 0.5, id="worn-inverse"),
+        # a warm start among columns tied at one lambda joins and drops them
+        # in a cycle of zero steps; the cycle is cut and the fit redone cold
+        pytest.param(5712, 1.0, id="tie-cycle"),
     ],
 )
 def test_ill_conditioned_paths_stay_certified(seed, alpha):
@@ -585,3 +588,4 @@ def test_ill_conditioned_paths_stay_certified(seed, alpha):
     grid = lambda_grid(lambda_max(data), count=15, ratio=ratios[alpha])
     for res in fit_path(data, alpha, grid, u=u, v=v):
         assert res.converged, (res.lam1, res.kkt_residual)
+        assert res.sweeps_used < normreg.solver._max_steps(data.p)

@@ -14,18 +14,19 @@ equivalence), which the tests exercise.
 
 The intercept is never penalized, so the solver works on the centered
 problem and sets beta0 = mean(y) - mean(X)' beta; centering goes through the
-column means, and X is never copied. With c_j = x_j'r - lam2 v_j beta_j on
-the centered residual r, the optimum at lam1 = lam has c_j = lam u_j sign(b_j)
-on the active set A and |c_j| <= lam u_j off it. At fixed lam2 that optimum
-is piecewise linear in lam (Rosset & Zhu, Ann. Statist. 2007): on a segment
-with signs s, beta_A moves by M_A^{-1} (u_A s) per unit decrease of lam,
-where M_A = X_A'X_A + lam2 diag(v_A). `fit` follows the path from
-lambda_max, where beta = 0, down to the target lam1 (the LARS-lasso homotopy
-with joins and drops of Efron et al., Ann. Statist. 2004). A segment ends
-where an inactive column reaches its bound (join) or an active coefficient
-reaches zero (drop). M_A^{-1} lives in one buffer per fit, updated in place
-by Schur complements; the final solve, and for p > 3 each direction, gets
-one step of iterative refinement against M_A itself.
+column means, and only the lam1 = 0 solve on a wide X copies X. With
+c_j = x_j'r - lam2 v_j beta_j on the centered residual r, the optimum at
+lam1 = lam has c_j = lam u_j sign(b_j) on the active set A and
+|c_j| <= lam u_j off it. At fixed lam2 that optimum is piecewise linear in
+lam (Rosset & Zhu, Ann. Statist. 2007): on a segment with signs s, beta_A
+moves by M_A^{-1} (u_A s) per unit decrease of lam, where
+M_A = X_A'X_A + lam2 diag(v_A). `fit` follows the path from lambda_max,
+where beta = 0, down to the target lam1 (the LARS-lasso homotopy with joins
+and drops of Efron et al., Ann. Statist. 2004). A segment ends where an
+inactive column reaches its bound (join) or an active coefficient reaches
+zero (drop). M_A^{-1} lives in one buffer per fit, updated in place by Schur
+complements; each direction and the final solve get one step of iterative
+refinement against M_A itself.
 
 The designs of the paper break general position, so events follow these
 rules. A column within a relative 1e-10 of its bound counts as on it, and
@@ -42,8 +43,9 @@ missed by round-off: it is dropped and the rest re-solved.
 
 On tall designs (p <= n) the Gram rows X'x_j are computed for a block of
 likely joiners per pass over X and a step costs O(p |A|); on wide ones a step
-multiplies by X and X' once each. p <= 3 runs the same homotopy on Python
-floats, lam1 = 0 is one ridge solve and p = 1 the soft-threshold closed form.
+multiplies by X and X' once each, and no p x p array is made: M_A^{-1}'s
+buffer doubles as A grows. lam1 = 0 is one ridge solve (in the n-dimensional
+row space when p > n) and p = 1 the soft-threshold closed form.
 A fit given `warm_start` continues from it when it is an exact solution at
 some lam >= lam1 for the same lam2, and starts cold otherwise.
 
@@ -73,6 +75,7 @@ _NEAR = 1e-6  # a Schur complement below this, relative, is recomputed by Choles
 _WORN = 1e-9  # a relative refinement above this calls for a fresh M_A^{-1}
 _BLOCK = 64  # rows per block of the in-place inverse updates
 _BLOCK_COLUMNS = 16  # Gram rows computed per pass over a tall X
+_SIDES = np.array([[1.0], [-1.0]])  # the upper and the lower bound of a join
 
 
 @dataclass(frozen=True)
@@ -202,116 +205,20 @@ def _soft_threshold(z: float, t: float) -> float:
     return 0.0 if abs(z) <= t else math.copysign(abs(z) - t, z)
 
 
-def _tiny_path(gram, c0, u, v, lam1, lam2, dead, cap, max_steps):
-    """The homotopy of _Homotopy on Python floats, for p <= 3, where numpy's
-    cost per call would dominate the fit: the same rules and the same Schur
-    updates of M_A^{-1}, without a warm start, and without the Cholesky check
-    since a joining column meets an inverse of at most 2 x 2. Returns (beta,
-    steps, finished)."""
-    p = len(c0)
-    beta, c = [0.0] * p, list(c0)
-    act: list[int] = []
-    sgn: list[float] = []
-    inv: list[list[float]] = []
-    free = [not dj for dj in dead]
-    mat = [[gram[i][j] + (lam2 * v[i] if i == j else 0.0) for j in range(p)] for i in range(p)]
-
-    def times_inv(vec):
-        return [sum(a * b for a, b in zip(row, vec)) for row in inv]
-
-    def join(j: int) -> bool:
-        free[j] = False
-        b = [mat[j][i] for i in act]
-        w = times_inv(b)
-        schur = mat[j][j] - sum(bi * wi for bi, wi in zip(b, w))
-        if len(act) >= cap or schur <= _SCHUR * mat[j][j]:
-            return False
-        for row, wr in zip(inv, w):
-            for col, wc in enumerate(w):
-                row[col] += wr * wc / schur
-            row.append(-wr / schur)
-        inv.append([-wc / schur for wc in w] + [1.0 / schur])
-        act.append(j)
-        sgn.append(1.0 if c[j] > 0.0 else -1.0)
-        return True
-
-    def drop(pos: int) -> int:
-        g = inv[pos][pos]
-        f = [row[pos] for row in inv]
-        for r, row in enumerate(inv):
-            for col in range(len(row)):
-                row[col] -= f[r] * f[col] / g
-            del row[pos]
-        del inv[pos]
-        sgn.pop(pos)
-        return act.pop(pos)
-
-    ratio = [-1.0 if dj else abs(cj) / uj for cj, uj, dj in zip(c0, u, dead)]
-    lam = max(ratio, default=0.0)
-    if lam <= lam1 or lam <= 0.0:
-        return beta, 0, True
-    join(ratio.index(lam))
-    steps, dropped, left, refused = 0, -1, 0.0, []
-    while True:
-        if steps >= max_steps:
-            return beta, steps, False
-        steps += 1
-        d = times_inv([u[i] * s for i, s in zip(act, sgn)])
-        a = [sum(gram[j][i] * di for i, di in zip(act, d)) for j in range(p)]
-        t, event = lam - lam1, None
-        for pos, (i, s, di) in enumerate(zip(act, sgn, d)):
-            if s * di < 0.0 and max(-beta[i] / di, 0.0) < t:
-                t, event = max(-beta[i] / di, 0.0), ~pos
-        for j in range(p):
-            if free[j]:
-                bound = lam * u[j]
-                for side in (1.0, -1.0):
-                    den = u[j] - side * a[j]
-                    if den > 0.0 and (j != dropped or side != left):
-                        gap = bound - side * c[j]
-                        tj = (gap if gap > _TIE * bound else 0.0) / den
-                        if tj < t:
-                            t, event = tj, j
-        for i, di in zip(act, d):
-            beta[i] += t * di
-        for j in range(p):
-            c[j] -= t * a[j]
-        if event is None:
-            break
-        lam -= t
-        for i, s in zip(act, sgn):
-            c[i] = lam * u[i] * s
-        dropped = -1
-        if event < 0:
-            left = sgn[~event]
-            dropped = drop(~event)
-            beta[dropped] = 0.0
-            for j in refused + [dropped]:
-                free[j] = True
-            refused = []
-        elif not join(event):
-            refused.append(event)
-    beta = [0.0] * p
-    while act:
-        rhs = [c0[i] - lam1 * u[i] * s for i, s in zip(act, sgn)]
-        b = times_inv(rhs)
-        # one step of refinement against M_A
-        fix = times_inv(
-            [r - sum(mat[i][j] * bj for j, bj in zip(act, b)) for i, r in zip(act, rhs)]
-        )
-        signed = [(bi + fi) * s for bi, fi, s in zip(b, fix, sgn)]
-        if min(signed) > 0.0:
-            for i, bi, fi in zip(act, b, fix):
-                beta[i] = bi + fi
-            break
-        # a sign against its own is a drop the path missed by round-off
-        drop(signed.index(min(signed)))
-    return beta, steps, True
-
-
 def _ridge(design: _Design) -> np.ndarray:
     """The lam1 = 0 optimum; the minimum-norm one when lam2 = 0 leaves a tie."""
-    p = design.x.shape[1]
+    x, n = design.x, design.n
+    p = x.shape[1]
+    if p > n:
+        # lam2 > 0, since fit refuses an unpenalized wide fit: with W = (lam2
+        # diag(v))^{-1}, beta = W X'(I + X W X')^{-1} y needs an n x n system,
+        # not the p x p Gram
+        xc = x - design.xbar
+        xc[:, np.einsum("ij,ij->j", xc, xc) <= _DEAD * np.einsum("ij,ij->j", x, x)] = 0.0
+        w = 1.0 / (design.lam2 * design.v)
+        system = (xc * w) @ xc.T
+        system[np.diag_indices(n)] += 1.0
+        return w * (xc.T @ np.linalg.solve(system, design.yc))
     gram = design.rows(np.arange(p))
     keep = np.flatnonzero(~design.dead)
     beta = np.zeros(p)
@@ -334,10 +241,11 @@ class _Homotopy:
         self.d, self.max_steps = d, max_steps
         # centered columns span at most n - 1 dimensions
         self.cap = p if d.lam2 > 0.0 else min(p, n - 1)
-        cap = max(self.cap, 1)
-        self.inv = np.empty((cap, cap))  # M_A^{-1}, in the order of act
-        self.act = np.empty(cap, dtype=np.intp)
-        self.sgn = np.empty(cap)
+        # sized for the active set, which can stay far below cap
+        size = max(min(self.cap, _BLOCK), 1)
+        self.inv = np.empty((size, size))  # M_A^{-1}, in the order of act
+        self.act = np.empty(size, dtype=np.intp)
+        self.sgn = np.empty(size)
         self.k = 0
         self.free = np.ones(p, dtype=bool)  # may join: inactive, not dead, not refused
         self.refused: list[int] = []
@@ -347,6 +255,18 @@ class _Homotopy:
         self.steps = 0
 
     # -- the active set --------------------------------------------------
+
+    def reserve(self, k: int) -> None:
+        """Room for k active columns: the buffers double, up to cap."""
+        size = self.act.shape[0]
+        if k <= size:
+            return
+        size = min(max(2 * size, k), self.cap)
+        inv = np.empty((size, size))
+        inv[: self.k, : self.k] = self.inv[: self.k, : self.k]
+        self.inv = inv
+        self.act = np.resize(self.act, size)
+        self.sgn = np.resize(self.sgn, size)
 
     def row(self, j: int) -> np.ndarray:
         d = self.d
@@ -382,6 +302,8 @@ class _Homotopy:
         if k >= self.cap or schur <= _SCHUR * m:
             self.refused.append(j)
             return False
+        self.reserve(k + 1)
+        inv = self.inv
         if near:
             inv[: k + 1, : k + 1] = np.linalg.inv(system)
         else:
@@ -419,7 +341,7 @@ class _Homotopy:
     def worn(self, fix: np.ndarray, value: np.ndarray) -> bool:
         """Whether a refinement this large shows an inverse worn down by the
         updates (drops on an ill-conditioned M_A); if so, rebuild it."""
-        if np.max(np.abs(fix)) <= _WORN * np.max(np.abs(value)):
+        if np.abs(fix).max() <= _WORN * np.abs(value).max():
             return False
         k = self.k
         self.inv[:k, :k] = np.linalg.inv(self.system(self.act[:k]))
@@ -454,7 +376,6 @@ class _Homotopy:
         tied at one lambda, which round-off can start at a warm start."""
         d = self.d
         u, v, lam2, gram = d.u, d.v, d.lam2, d.gram
-        inf = np.full(u.shape, math.inf)
         dropped, left, standing = -1, 0.0, 0
         while self.lam > lam1:
             if self.steps >= self.max_steps or standing > u.shape[0]:
@@ -486,32 +407,30 @@ class _Homotopy:
             toward = sgn * dvec < 0.0
             t_drop, i_drop = math.inf, -1
             if toward.any():
-                td = np.divide(-bk, dvec, out=inf[:k].copy(), where=toward)
+                td = np.divide(-bk, dvec, out=np.full(k, math.inf), where=toward)
                 i_drop = int(np.argmin(td))
                 t_drop = max(float(td[i_drop]), 0.0)
-            # joins: a free column reaches +-lam u_j; one already within _TIE
-            # of its bound joins now if the direction takes it outward. The
-            # column that just dropped left its bound on side `left`, so on
-            # this segment it can only reach the other one.
+            # joins: a free column reaches +lam u_j (row 0) or -lam u_j (row
+            # 1); one already within _TIE of its bound joins now if the
+            # direction takes it outward. The column that just dropped left
+            # its bound on side `left`, so on this segment it can only reach
+            # the other one.
             bound = lam * u
-            tie = _TIE * bound
-            times = inf.copy()
-            for side in (1.0, -1.0):
-                gap = bound - side * c
-                gap[gap <= tie] = 0.0
-                den = u - side * a
-                ok = self.free & (den > 0.0)
-                if side == left:
-                    ok[dropped] = False
-                np.minimum(times, np.divide(gap, den, out=inf.copy(), where=ok), out=times)
-            j_join = int(np.argmin(times))
+            gap = bound - _SIDES * c
+            gap[gap <= _TIE * bound] = 0.0
+            den = u - _SIDES * a
+            ok = (den > 0.0) & self.free
+            if left:
+                ok[0 if left > 0.0 else 1, dropped] = False
+            times = np.divide(gap, den, out=np.full(gap.shape, math.inf), where=ok).min(axis=0)
+            j_join = int(times.argmin())
             t_join = float(times[j_join])
             t = min(t_drop, t_join, lam - lam1)
             standing = standing + 1 if t == 0.0 else 0
             self.beta[idx] = bk + t * dvec
             c -= t * a
             self.lam = lam1 if t >= lam - lam1 else lam - t
-            c[idx] = self.lam * u[idx] * sgn
+            c[idx] = self.lam * target
             if self.lam == lam1:
                 break
             if t_drop <= t_join:
@@ -591,6 +510,7 @@ class _Homotopy:
             return False
         if np.any(pivots <= _SCHUR * m.diagonal()):
             return False
+        self.reserve(k)
         self.inv[:k, :k] = np.linalg.inv(m)
         self.act[:k] = support
         self.sgn[:k] = sgn
@@ -618,7 +538,8 @@ def _kkt(x, r, beta, lam1, lam2, u, v) -> np.ndarray:
 
 
 def _optimum(design: _Design, lam1: float, warm: np.ndarray | None, scale: float):
-    """(beta, steps) of the centered problem at lam1."""
+    """(beta, steps, warmed) of the centered problem at lam1; warmed tells
+    whether the path continued from warm."""
     x, u, v, lam2 = design.x, design.u, design.v, design.lam2
     n, p = x.shape
     if p == 1:
@@ -627,24 +548,15 @@ def _optimum(design: _Design, lam1: float, warm: np.ndarray | None, scale: float
         beta = np.zeros(1)
         if g > _DEAD * raw:
             beta[0] = _soft_threshold(float(design.c0[0]), lam1 * u[0]) / (g + lam2 * v[0])
-        return beta, 1
+        return beta, 1, False
     if lam1 == 0.0:
-        return _ridge(design), 1
-    if p <= 3:
-        gram = x.T @ x
-        raw = gram.diagonal().copy()
-        gram -= np.multiply.outer(n * design.xbar, design.xbar)
-        beta, steps, _ = _tiny_path(
-            gram.tolist(), design.c0.tolist(), u.tolist(), v.tolist(), lam1, lam2,
-            (gram.diagonal() <= _DEAD * raw).tolist(), p if lam2 > 0.0 else min(p, n - 1),
-            _max_steps(p),
-        )
-        return np.array(beta), steps
+        return _ridge(design), 1, False
     path = _Homotopy(design, _max_steps(p))
-    if warm is None or not path.start_warm(warm, lam1, scale):
+    warmed = warm is not None and path.start_warm(warm, lam1, scale)
+    if not warmed:
         path.start_cold()
     finished = path.run(lam1)
-    return (path.solve(lam1) if finished else path.beta.copy()), path.steps
+    return (path.solve(lam1) if finished else path.beta.copy()), path.steps, warmed
 
 
 def fit(
@@ -667,17 +579,18 @@ def fit(
 
     design = _Design(x, y, u, v, lam2)
     scale = float(np.max(np.abs(design.c0))) if p else 0.0
-    steps = 0
-    for start in (warm_start, None):
-        beta, taken = _optimum(design, lam1, start, scale)
+    steps, start = 0, warm_start
+    while True:
+        beta, taken, warmed = _optimum(design, lam1, start, scale)
         steps += taken
         beta0 = design.ybar - float(design.xbar @ beta)
         r = y - beta0 - x @ beta
         worst = float(_kkt(x, r, beta, lam1, lam2, u, v).max()) if p else 0.0
         residual = (0.0 if worst == 0.0 else math.inf) if scale == 0.0 else worst / scale
         # a continuation that lost the certificate is redone from lambda_max
-        if start is None or residual <= KKT_TOLERANCE:
+        if not warmed or residual <= KKT_TOLERANCE:
             break
+        start = None
     objective = _objective(r, beta, lam1, lam2, u, v)
     if plan is not None:
         beta_orig, beta0_orig = backtransform(beta, beta0, plan)

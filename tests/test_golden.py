@@ -111,18 +111,18 @@ GOLDEN = {
     "bias-var-weighted": "7eedc74cadc4fc35ca977a9be01815072fdf0c9ebc081a81974f991ae4639811",
     "cv": "b57857d1b9f2193829c05e1360d182e32559e5ee8714ccdf551921c17430b154",
     "decreasing-classbalance": "7dbe18f8507acf342375e084094dde46175358d3b2492b5ebd87d6b6967a1eed",
-    "interactions": "7a12fc5dde046b88ce826bd5251200cae26e64d301c69b409f4d8dbe656ceff2",
+    "interactions": "36cbd234b10fb49c47cd00bc4c6704a288be949f88eb68bbcd402f336e57abc0",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
-    "maxabs-gev-b": "1bc962d31c2515f432eb437e7b8d9930bf980eefbfd9e46216f019c460ef5298",
-    "mixed-data": "6095616aefa62d5cc8faff3a48c19fd181828ce689ee01f5bf9290388431ce2a",
-    "orthogonality": "79425ffe167723deca3273f5af3cd1d683e7fd59af384ecfe1ddd2c5d020ab78",
+    "maxabs-gev-b": "b511e4e2690fdd5d13d70b2507226a83083daba2b4b515f42ace484be58aaade",
+    "mixed-data": "3f9f332e698386449abf899435b9556ec20186a8c318a53c28743923cb6e5e70",
+    "orthogonality": "fcb2103c4e17e81cafcdc7fba7742734d57b7138dc08de61a1842d05d8a8ca5e",
     "path": "cb31d441c80998979e21e2dc7cfdb8b895feb2cc1811d3fe8afedba691ce5a73",
     "path-binary-delta": "05620f3a99178f3b0972d3f7e20dcbe80d888a7dc6d71193eef7322f337909ca",
     "path-omega": "da331a2596a12e44292bc84d39805e4cafc55fcd25b85bcbcc6c374b3b683d2f",
     "power-fdr": "9e37bf087a422df727909864ac7a4521b2e94a59908912b3a867c3f7533441d1",
     "predictive-sim": "b6be81af67d959c1b97dce84526b3d4831065fb42d933f998a9e64ab6750636b",
     "selection-probability": "c6e8553bbc216bcd3c2edbab765f86797dc316e48f94c6bc4433d036ccf826e7",
-    "weighted-elnet": "6acd0ba2bc819914bf2a836e7b69daced8ee7cba0c3b1ae9fa236164c7233e1d",
+    "weighted-elnet": "4e4247cc08cb313fd3b1d755d01e976a4e732077c24bfc324e1378073932b152",
 }
 
 

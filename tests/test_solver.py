@@ -218,9 +218,31 @@ def test_non_convergence_is_flagged_not_raised(monkeypatch):
     assert res.kkt_residual > KKT_TOLERANCE
     # the last point is returned as it stands, on the original scale as well
     assert np.array_equal(res.beta, res.beta_norm)
+    # a warm start the path cannot use leaves nothing to redo
+    warm = fit(data, penalty, warm_start=np.ones(data.p))
+    assert not warm.converged and warm.sweeps_used == 2
     monkeypatch.undo()
     full = fit(data, penalty)
     assert full.converged and full.sweeps_used > 2
+
+
+@pytest.mark.parametrize("lam1", [0.5, 0.0], ids=["elnet", "ridge"])
+def test_wide_elastic_net_makes_no_p_by_p_array(lam1):
+    import tracemalloc
+
+    rng = np.random.default_rng(31)
+    n, p = 20, 3000
+    data = Dataset(x=rng.standard_normal((n, p)), y=rng.standard_normal(n))
+    penalty = PenaltySpec(lam1=lam1 * lambda_max(data), lam2=1.0)
+    tracemalloc.start()
+    try:
+        res = fit(data, penalty)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    # a p x p float array would take 72 MB; a few copies of X take 0.5 MB each
+    assert peak < 8 * p * p / 20
 
 
 def test_penalty_validation():
@@ -462,7 +484,7 @@ def test_fit_path_calls_fit_once_per_grid_point(monkeypatch):
 @pytest.mark.parametrize(
     "case",
     ["zero-column", "constant-column", "duplicate", "saturated", "ridge-singular",
-     "constant-response", "single-column", "elnet-wide"],
+     "ridge-wide", "constant-response", "single-column", "elnet-wide"],
 )
 def test_every_degenerate_case_is_certified(case):
     data = _saturating_design()
@@ -477,6 +499,8 @@ def test_every_degenerate_case_is_certified(case):
     elif case == "ridge-singular":
         data = Dataset(x=data.x[:, [0, 1, 2, 7, 8]], y=data.y)
         penalty = PenaltySpec(lam1=0.0)
+    elif case == "ridge-wide":
+        penalty = PenaltySpec(lam1=0.0, lam2=1e-3)
     elif case == "constant-response":
         data = Dataset(x=data.x, y=np.full(12, 2.0))
     elif case == "single-column":
@@ -485,6 +509,10 @@ def test_every_degenerate_case_is_certified(case):
         penalty = PenaltySpec(lam1=1e-6 * lam_max, lam2=1e-3)
     res = fit(data, penalty)
     assert res.converged
+    if case == "ridge-wide":
+        # the zero and the constant column take no weight
+        assert res.beta_norm[5] == 0.0 and res.beta_norm[6] == 0.0
+        assert np.count_nonzero(res.beta_norm) == data.p - 2
     scale = np.max(np.abs(data.x.T @ (data.y - data.y.mean())))
     if scale > 0.0:
         assert _certified(data, penalty, res)
@@ -493,7 +521,7 @@ def test_every_degenerate_case_is_certified(case):
 
 
 def _small_design(case):
-    """p <= 3 designs, which `fit` solves on Python floats."""
+    """p <= 3 designs, where the active set never exceeds three columns."""
     rng = np.random.default_rng(26)
     z = rng.standard_normal((30, 1))
     x = z + 0.3 * rng.standard_normal((30, 3))

@@ -4,12 +4,14 @@ Everything runs in-process through main(argv) so exit codes and stderr text
 can be asserted without spawning subprocesses.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import normreg.cli as cli
+import normreg.solver
 from normreg import Dataset, FitResult, compute_plan, infer_kinds, Standardize, write_delimited
 from normreg.cli import main
 
@@ -60,6 +62,10 @@ def test_usage_errors_exit_one(toy_csv, capsys):
     assert main(["simulate", "--scenario", "bias-var", "--config", "x.cfg"]) == 1
     # malformed --param
     assert main(["simulate", "--scenario", "bias-var", "--param", "nonsense"]) == 1
+    # the two oracle scalings exclude each other
+    assert main(["oracle", "--curve", "limits", "--lambda1", "1",
+                 "--delta", "0.5", "--omega", "0.5"]) == 1
+    assert "--delta and --omega are mutually exclusive" in capsys.readouterr().err
 
 
 def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
@@ -384,6 +390,53 @@ def test_path_output_long_format(tmp_path, toy_csv):
     assert manifest["lambda_max"] > 0.0
     first = lines[1].split(",")
     assert first[3] == "(intercept)"
+
+
+def test_path_strict_uncertified_points_exit_three(tmp_path, toy_csv, monkeypatch, capsys):
+    exact = normreg.solver.fit
+
+    def uncertified(*args, **kwargs):
+        return dataclasses.replace(exact(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(normreg.solver, "fit", uncertified)
+    out = tmp_path / "path.csv"
+    argv = ["path", "--input", toy_csv, "--count", "5", "--out", str(out)]
+    assert main([*argv, "--strict"]) == 3
+    assert "5 grid points failed the KKT certificate" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "path.csv.manifest.json").exists()
+    # without --strict the path is still written, and its manifest counts them
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "path.csv.manifest.json").read_text())
+    assert manifest["non_converged"] == 5
+
+
+def test_cv_skips_a_fold_whose_binary_column_loses_its_one_positive(tmp_path, capsys):
+    rng = np.random.default_rng(13)
+    x = np.column_stack([rng.standard_normal(40), np.zeros(40)])
+    x[7, 1] = 1.0
+    y = x[:, 0] + x[:, 1] + 0.5 * rng.standard_normal(40)
+    data = tmp_path / "rare.csv"
+    write_delimited(Dataset(x=x, y=y), data)
+    out = tmp_path / "cv.csv"
+    code = main([
+        "cv", "--input", str(data), "--folds", "4", "--repeats", "2",
+        "--deltas", "0,0.5,1", "--lambda-count", "5", "--out", str(out),
+    ])
+    assert code == 0
+    assert "best:" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "cv.csv.manifest.json").read_text())
+    # in each repeat the fold that holds row 7 out trains on an all-zero
+    # column, whose scale nu^delta is zero for every delta > 0
+    skipped = manifest["skipped"]
+    assert len(skipped) == 2 * 2
+    for repeat in (0, 1):
+        for delta in (0.5, 1.0):
+            hits = [m for m in skipped if m.startswith(f"repeat {repeat} ") and f"delta {delta}:" in m]
+            assert len(hits) == 1 and "zero scale" in hits[0]
+    # delta 0 keeps all 2 x 4 folds, each delta > 0 keeps 2 x 3
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + (2 * 4 + 2 * 2 * 3) * 5
 
 
 def test_output_to_unwritable_target_exits_two(tmp_path, toy_csv, capsys):

@@ -32,6 +32,7 @@ from normreg.oracle import (
     st_variance,
 )
 from normreg.errors import DomainError, UnsupportedLimitError
+from normreg.normalize import LASSO_COMPARABLE, BinaryDelta
 from normreg.special import std_normal_cdf
 
 from conftest import quad_st_moments
@@ -300,6 +301,52 @@ def test_limits_ridge_other_branches():
     assert high.variance.kind == INFINITE
 
 
+def test_limits_omega_both_penalties_branches():
+    b = 5.0 / (1.0 * math.sqrt(100.0))
+    low = asymptotic_limits(model(lam1=5.0, lam2=10.0, scaling=Omega(0.3)))
+    assert (low.mean, low.variance.kind, low.selection) == (0.0, ZERO, 0.0)
+    half = asymptotic_limits(model(lam1=5.0, lam2=10.0, scaling=Omega(0.5)))
+    assert half.mean == 0.0
+    assert half.variance.kind == INFINITE
+    assert half.selection == pytest.approx(2.0 * std_normal_cdf(-b), abs=1e-15)
+    high = asymptotic_limits(model(beta=1.5, lam1=5.0, lam2=10.0, scaling=Omega(1.5)))
+    assert (high.mean, high.variance.kind, high.selection) == (1.5, INFINITE, 1.0)
+
+
+@pytest.mark.parametrize("omega", [0.3, 0.5, 0.8])
+def test_limits_omega_lasso_reduces_to_delta_omega(omega):
+    weighted = asymptotic_limits(model(lam1=5.0, scaling=Omega(omega)))
+    assert weighted == asymptotic_limits(model(lam1=5.0, scaling=Delta(omega)))
+
+
+@pytest.mark.parametrize("omega, kind", [(0.4, ZERO), (0.5, FINITE), (0.7, INFINITE)])
+def test_limits_omega_ridge_reduces_to_delta_half_omega(omega, kind):
+    weighted = asymptotic_limits(model(lam2=50.0, scaling=Omega(omega)))
+    assert weighted == asymptotic_limits(model(lam2=50.0, scaling=Delta(omega / 2.0)))
+    assert weighted.variance.kind == kind
+    if kind == FINITE:
+        assert weighted.variance.value == pytest.approx(100.0 / 2500.0, rel=1e-15)
+
+
+def test_limits_with_a_comparability_anchor():
+    # kappa (q0 - q0^2)^(1 - t): 2 * 0.16^0.5 = 0.8 at t = 1/2, 2 at t = 1
+    anchor = ComparabilityAnchor(kappa=2.0, q0=0.2)
+    fixed = dict(lam1=5.0, lam2=10.0, anchor=anchor)
+    b = 5.0 * 0.8 / 10.0
+    # Delta scales lam1 by the multiplier and lam2 by its square
+    delta = asymptotic_limits(model(scaling=Delta(0.5), **fixed))
+    expected = (2.0 * 100.0 / (100.0 + 10.0 * 0.64)) * std_normal_cdf(-b)
+    assert delta.mean == pytest.approx(expected, rel=1e-12)
+    assert delta.selection == pytest.approx(2.0 * std_normal_cdf(-b), rel=1e-12)
+    # Omega scales both by the multiplier
+    half = asymptotic_limits(model(scaling=Omega(0.5), **fixed))
+    assert half.selection == pytest.approx(2.0 * std_normal_cdf(-b), rel=1e-12)
+    one = asymptotic_limits(model(scaling=Omega(1.0), **fixed))
+    assert one.mean == pytest.approx(100.0 / 120.0, rel=1e-12)
+    ridge = asymptotic_limits(model(lam2=10.0, scaling=Omega(0.5), anchor=anchor))
+    assert ridge.variance.value == pytest.approx(100.0 / (10.0 * 0.8) ** 2, rel=1e-12)
+
+
 def test_limits_unsupported():
     with pytest.raises(UnsupportedLimitError):
         asymptotic_limits(model(lam1=0.0, lam2=0.0, scaling=Delta(0.5)))
@@ -344,6 +391,17 @@ def test_anchor_multiplier():
     anchor = ComparabilityAnchor(kappa=2.0, q0=0.5)
     assert anchor.multiplier(1.0) == pytest.approx(2.0, abs=1e-12)
     assert anchor.multiplier(0.0) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.25, 0.5, 1.0])
+def test_anchored_scale_matches_the_lasso_comparable_plan(delta):
+    # kappa (q0 - q0^2)^(1 - delta) nu^delta, read off d = n nu / s at lam2 = 0,
+    # against the normalize module's own implementation of the same rule
+    anchor = ComparabilityAnchor(kappa=1.7, q0=0.3)
+    plan = BinaryDelta(delta, LASSO_COMPARABLE, 1.7, 0.3)
+    for q in (0.5, 0.8, 0.97):
+        d = moments(model(q=q, lam1=1.0, scaling=Delta(delta), anchor=anchor)).d
+        assert 100.0 * (q - q * q) / d == pytest.approx(plan.scale_at(q), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

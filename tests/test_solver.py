@@ -466,6 +466,51 @@ def test_warm_continuation_equals_a_cold_fit():
         assert res.beta_norm.tobytes() == cold.beta_norm.tobytes()
 
 
+def _large_support(shape, ratio):
+    """A dense Gaussian design and a penalty at ratio * lambda_max whose fit
+    holds 80 (tall) or 84 (wide) active columns: more than the 64 the
+    active-set buffers start with."""
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal(shape)
+    y = x @ rng.standard_normal(shape[1]) + rng.standard_normal(shape[0])
+    data = Dataset(x=x, y=y)
+    return data, PenaltySpec(lam1=ratio * lambda_max(data))
+
+
+_LARGE_SUPPORTS = pytest.mark.parametrize(
+    "shape, ratio", [((200, 100), 0.03), ((150, 200), 0.1)], ids=["tall", "wide"]
+)
+
+
+@_LARGE_SUPPORTS
+def test_active_set_beyond_the_initial_buffers(shape, ratio):
+    data, penalty = _large_support(shape, ratio)
+    res = fit(data, penalty)
+    assert res.support.size > 64
+    assert res.converged and _certified(data, penalty, res)
+    beta, beta0, _, converged, objective = _reference_fit(
+        data, penalty, Sweeps(tolerance=1e-13, max_sweeps=200_000)
+    )
+    assert converged
+    assert np.allclose(res.beta_norm, beta, rtol=0.0, atol=1e-8)
+    assert res.beta0_norm == pytest.approx(beta0, abs=1e-8)
+    assert res.objective_value == pytest.approx(objective, rel=1e-12)
+
+
+@_LARGE_SUPPORTS
+def test_warm_continuation_from_beyond_the_initial_buffers(shape, ratio):
+    data, penalty = _large_support(shape, ratio)
+    start = fit(data, penalty)
+    assert start.support.size > 64
+    target = PenaltySpec(lam1=penalty.lam1 / 3.0)
+    warm = fit(data, target, warm_start=start.beta_norm)
+    cold = fit(data, target)
+    assert warm.converged and cold.converged and _certified(data, target, warm)
+    assert np.allclose(warm.beta_norm, cold.beta_norm, rtol=0.0, atol=1e-8)
+    # the path continued from the warm start rather than from lambda_max
+    assert warm.sweeps_used < cold.sweeps_used
+
+
 def test_fit_path_calls_fit_once_per_grid_point(monkeypatch):
     data, _ = _wide_lasso()
     calls = []

@@ -41,11 +41,12 @@ than from the updated inverse. A column with no variance never joins. A
 coefficient whose final solve comes out against its sign is a drop the path
 missed by round-off: it is dropped and the rest re-solved.
 
-On tall designs (p <= n) the Gram rows X'x_j are computed for a block of
-likely joiners per pass over X and a step costs O(p |A|); on wide ones a step
-multiplies by X and X' once each, and no p x p array is made: M_A^{-1}'s
-buffer doubles as A grows. lam1 = 0 is one ridge solve (in the n-dimensional
-row space when p > n) and p = 1 the soft-threshold closed form.
+`_Design` alone chooses between tall designs (p <= n) and wide ones. On
+tall ones the Gram rows X'x_j are computed for a block of likely joiners per
+pass over X and a step costs O(p |A|); on wide ones a step multiplies by X
+and X' once each, and no p x p array is made: M_A^{-1}'s buffer doubles as A
+grows. lam1 = 0 is one ridge solve (in the n-dimensional row space when
+p > n) and p = 1 the soft-threshold closed form.
 A fit given `warm_start` continues from it when it is an exact solution at
 some lam >= lam1 for the same lam2, and starts cold otherwise.
 
@@ -158,8 +159,9 @@ def _objective(r, beta, lam1, lam2, u, v) -> float:
 class _Design:
     """The centered design, seen through X and its column means.
 
-    Tall designs (p <= n) cache centered Gram rows, computed for a block of
-    columns per pass over X; wide ones multiply by X instead.
+    The one place that tells tall designs from wide ones: tall ones (p <= n)
+    cache centered Gram rows, computed for a block of columns per pass over
+    X; wide ones multiply by X instead.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, u, v, lam2: float):
@@ -180,11 +182,53 @@ class _Design:
         z -= float(self.xbar @ beta)
         return z
 
-    def correlations(self, beta: np.ndarray) -> np.ndarray:
-        """c = X'(y - X beta) - lam2 v beta on the centered problem."""
-        c = self.x.T @ (self.yc - self.times(beta))
+    def correlations(self, beta: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """c = X'(y - X beta) - lam2 v beta on the centered problem, for a
+        beta that is zero off idx."""
+        if self.gram is None:
+            c = self.x.T @ (self.yc - self.times(beta))
+        else:
+            missing = idx[~self.cached[idx]]
+            if missing.size:
+                self.rows(np.sort(missing))
+            c = self.c0 - beta[idx] @ self.gram[idx]
         c -= self.lam2 * self.v * beta
         return c
+
+    def product(self, idx: np.ndarray, dvec: np.ndarray, stale=None) -> np.ndarray:
+        """Centered X'X_A dvec, the move of c per unit step along dvec. A wide
+        design returns `stale`, the product of the unrefined direction, when
+        given one: a second pass over X per step costs more than it gains."""
+        if self.gram is not None:
+            return dvec @ self.gram[idx]
+        if stale is not None:
+            return stale
+        full = np.zeros(self.u.shape)
+        full[idx] = dvec
+        return self.x.T @ self.times(full)
+
+    def row(self, j: int, c: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """Centered X'x_j. A tall design caches it, with the rows of the free
+        columns likeliest to join next (largest |c_j| / u_j) in the same pass."""
+        if self.gram is None:
+            return self.rows(np.array([j]))[0]
+        if not self.cached[j]:
+            ratio = np.abs(c) / self.u
+            ratio[~free | self.cached] = -1.0
+            ratio[j] = math.inf
+            block = np.argsort(-ratio, kind="stable")[:_BLOCK_COLUMNS]
+            self.rows(np.sort(block[ratio[block] >= 0.0]))
+        return self.gram[j]
+
+    def system(self, cols: np.ndarray) -> np.ndarray:
+        """M_A = X_A'X_A + lam2 diag(v_A) on the centered design, built afresh."""
+        if self.gram is None:
+            xs = self.x[:, cols]
+            m = xs.T @ xs - np.multiply.outer(self.n * self.xbar[cols], self.xbar[cols])
+        else:
+            m = self.gram[np.ix_(cols, cols)]
+        m[np.diag_indices(len(cols))] += self.lam2 * self.v[cols]
+        return m
 
     def rows(self, cols: np.ndarray) -> np.ndarray:
         """Centered X' x_j for each j in cols (ascending), one row each; marks
@@ -209,7 +253,7 @@ def _ridge(design: _Design) -> np.ndarray:
     """The lam1 = 0 optimum; the minimum-norm one when lam2 = 0 leaves a tie."""
     x, n = design.x, design.n
     p = x.shape[1]
-    if p > n:
+    if design.gram is None:
         # lam2 > 0, since fit refuses an unpenalized wide fit: with W = (lam2
         # diag(v))^{-1}, beta = W X'(I + X W X')^{-1} y needs an n x n system,
         # not the p x p Gram
@@ -268,22 +312,9 @@ class _Homotopy:
         self.act = np.resize(self.act, size)
         self.sgn = np.resize(self.sgn, size)
 
-    def row(self, j: int) -> np.ndarray:
-        d = self.d
-        if d.gram is None:
-            return d.rows(np.array([j]))[0]
-        if not d.cached[j]:
-            # fill a block with the columns likeliest to join next
-            ratio = np.abs(self.c) / d.u
-            ratio[~self.free | d.cached] = -1.0
-            ratio[j] = math.inf
-            block = np.argsort(-ratio, kind="stable")[:_BLOCK_COLUMNS]
-            d.rows(np.sort(block[ratio[block] >= 0.0]))
-        return d.gram[j]
-
     def join(self, j: int, sign: float) -> bool:
         d, k, inv = self.d, self.k, self.inv
-        g = self.row(j)
+        g = d.row(j, self.c, self.free)
         self.free[j] = False
         if d.dead[j]:
             return False
@@ -294,7 +325,7 @@ class _Homotopy:
         if near:
             # Near the span of the active columns the updated inverse is too
             # coarse to judge by; a Cholesky factor of the bordered system is not.
-            system = self.system(np.append(self.act[:k], j))
+            system = d.system(np.append(self.act[:k], j))
             try:
                 schur = float(np.linalg.cholesky(system)[k, k]) ** 2
             except np.linalg.LinAlgError:
@@ -344,38 +375,17 @@ class _Homotopy:
         if np.abs(fix).max() <= _WORN * np.abs(value).max():
             return False
         k = self.k
-        self.inv[:k, :k] = np.linalg.inv(self.system(self.act[:k]))
+        self.inv[:k, :k] = np.linalg.inv(self.d.system(self.act[:k]))
         return True
 
-    def system(self, cols: np.ndarray) -> np.ndarray:
-        """M_A = X_A'X_A + lam2 diag(v_A) on the centered design, built afresh."""
-        d = self.d
-        if d.gram is None:
-            xs = d.x[:, cols]
-            m = xs.T @ xs - np.multiply.outer(d.n * d.xbar[cols], d.xbar[cols])
-        else:
-            m = d.gram[np.ix_(cols, cols)]
-        m[np.diag_indices(len(cols))] += d.lam2 * d.v[cols]
-        return m
-
     # -- moving along the path -------------------------------------------
-
-    def correlations(self, beta: np.ndarray) -> np.ndarray:
-        """c at beta, which is zero off the active set."""
-        d = self.d
-        if d.gram is None:
-            return d.correlations(beta)
-        idx = self.act[: self.k]
-        c = d.c0 - beta[idx] @ d.gram[idx]
-        c -= d.lam2 * d.v * beta
-        return c
 
     def run(self, lam1: float) -> bool:
         """Follow the path down to lam1; False if the step cap stopped it, or
         if more than p events in a row took no step: a cycle among columns
         tied at one lambda, which round-off can start at a warm start."""
         d = self.d
-        u, v, lam2, gram = d.u, d.v, d.lam2, d.gram
+        u, v, lam2 = d.u, d.v, d.lam2
         dropped, left, standing = -1, 0.0, 0
         while self.lam > lam1:
             if self.steps >= self.max_steps or standing > u.shape[0]:
@@ -386,21 +396,14 @@ class _Homotopy:
             inv = self.inv[:k, :k]
             sgn = self.sgn[:k]
             target = u[idx] * sgn
-            rows = gram[idx] if gram is not None else None
             for attempt in range(2):
                 dvec = inv @ target
-                if rows is not None:
-                    a = dvec @ rows
-                else:
-                    full = np.zeros(u.shape)
-                    full[idx] = dvec
-                    a = d.x.T @ d.times(full)
+                a = d.product(idx, dvec)
                 fix = inv @ (target - a[idx] - lam2 * v[idx] * dvec)
                 if attempt or not self.worn(fix, dvec):
                     break
             dvec += fix
-            if rows is not None:
-                a = dvec @ rows
+            a = d.product(idx, dvec, stale=a)
             c, lam = self.c, self.lam
             # drops: an active coefficient reaches zero
             bk = self.beta[idx]
@@ -457,7 +460,7 @@ class _Homotopy:
             target = lam * d.u[idx] * sgn
             for attempt in range(2):
                 beta[idx] = inv @ (d.c0[idx] - target)
-                fix = inv @ (self.correlations(beta)[idx] - target)
+                fix = inv @ (d.correlations(beta, idx)[idx] - target)
                 if attempt or not self.worn(fix, beta[idx]):
                     break
             beta[idx] += fix
@@ -484,13 +487,7 @@ class _Homotopy:
         k = support.size
         if not 0 < k <= self.cap or scale == 0.0:
             return False
-        if d.gram is None:
-            c = d.correlations(warm)
-        else:
-            missing = support[~d.cached[support]]
-            if missing.size:
-                d.rows(missing)
-            c = d.c0 - warm[support] @ d.gram[support] - d.lam2 * d.v * warm
+        c = d.correlations(warm, support)
         sgn = np.sign(warm[support])
         us = d.u[support]
         lam = float((c[support] * sgn) @ us / (us @ us))
@@ -503,7 +500,7 @@ class _Homotopy:
             return False
         # the Cholesky pivots are the Schur complements of joining the support
         # in index order, so the join test carries over
-        m = self.system(support)
+        m = d.system(support)
         try:
             pivots = np.linalg.cholesky(m).diagonal() ** 2
         except np.linalg.LinAlgError:

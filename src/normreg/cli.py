@@ -75,18 +75,16 @@ def _grid(text: str) -> _Grid:
     return grid
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+def _comma_list(kind, noun: str):
+    """Parser of a comma-separated list of `kind` values, named `noun` in errors."""
 
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}") from None
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    return parse
 
 
 def _add_output_flags(sub, default_format: str) -> None:
@@ -117,29 +115,28 @@ def _add_input_flags(sub) -> None:
 _STRATEGIES = ("none", "std", "l1", "maxabs", "minmax", "robust", "binary-delta")
 
 
-def _add_normalize_flags(sub, default: str) -> None:
-    sub.add_argument("--normalize", choices=_STRATEGIES, default=default)
-    sub.add_argument("--delta", type=float, default=0.5, help="binary-delta exponent")
+def _add_comparability_flag(sub) -> None:
     sub.add_argument(
         "--comparability",
         choices=(_normalize.PLAIN, _normalize.LASSO_COMPARABLE, _normalize.RIDGE_COMPARABLE),
         default=_normalize.PLAIN,
     )
+
+
+def _add_normalize_flags(sub, default: str) -> None:
+    sub.add_argument("--normalize", choices=_STRATEGIES, default=default)
+    sub.add_argument("--delta", type=float, default=0.5, help="binary-delta exponent")
+    _add_comparability_flag(sub)
     sub.add_argument("--kappa", type=float, default=2.0, help="comparability multiplier")
     sub.add_argument("--q0", type=float, default=0.5, help="comparability anchor balance")
 
 
 def _add_penalty_flags(sub) -> None:
+    """The penalty levels, read by _resolve_penalty."""
     sub.add_argument("--lambda1", type=float, help="l1 penalty level")
     sub.add_argument("--lambda2", type=float, help="quadratic penalty level")
     sub.add_argument("--alpha", type=float, help="elastic-net mixing (with --lambda)")
     sub.add_argument("--lambda", dest="lam", type=float, help="total penalty (with --alpha)")
-    sub.add_argument(
-        "--omega", type=float, help="penalty weights u = v = Var^omega on the fitted design"
-    )
-    sub.add_argument(
-        "--strict", action="store_true", help="exit 3 if the fit fails the KKT certificate"
-    )
 
 
 def build_parser() -> _Parser:
@@ -151,6 +148,12 @@ def build_parser() -> _Parser:
     _add_input_flags(p)
     _add_normalize_flags(p, default="none")
     _add_penalty_flags(p)
+    p.add_argument(
+        "--omega", type=float, help="penalty weights u = v = Var^omega on the fitted design"
+    )
+    p.add_argument(
+        "--strict", action="store_true", help="exit 3 if the fit fails the KKT certificate"
+    )
     _add_output_flags(p, _io.JSON)
     p.set_defaults(run=_cmd_fit)
 
@@ -173,14 +176,10 @@ def build_parser() -> _Parser:
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--alpha", type=float, default=1.0, help="elastic-net mixing")
     p.add_argument(
-        "--deltas", type=_float_list, default=(0.0, 0.25, 0.5, 0.75, 1.0),
+        "--deltas", type=_comma_list(float, "numbers"), default=(0.0, 0.25, 0.5, 0.75, 1.0),
         help="comma-separated binary-delta exponents",
     )
-    p.add_argument(
-        "--comparability",
-        choices=(_normalize.PLAIN, _normalize.LASSO_COMPARABLE, _normalize.RIDGE_COMPARABLE),
-        default=_normalize.PLAIN,
-    )
+    _add_comparability_flag(p)
     p.add_argument("--lambda-count", type=int, default=100)
     p.add_argument("--lambda-ratio", type=float, default=1e-2)
     _add_output_flags(p, _io.CSV)
@@ -212,10 +211,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", type=float, default=1.0, help="true coefficient")
     p.add_argument("--n", type=int, default=100, help="sample size")
     p.add_argument("--sigma", type=float, default=1.0, help="noise sd")
-    p.add_argument("--lambda1", type=float, help="l1 penalty level")
-    p.add_argument("--lambda2", type=float, help="quadratic penalty level")
-    p.add_argument("--alpha", type=float, help="elastic-net mixing (with --lambda)")
-    p.add_argument("--lambda", dest="lam", type=float, help="total penalty (with --alpha)")
+    _add_penalty_flags(p)
     p.add_argument("--delta", type=float, help="data-scaling exponent nu^delta")
     p.add_argument("--omega", type=float, help="penalty-weight exponent nu^omega")
     p.add_argument("--exponent-grid", type=_grid, help="sweep the exponent: lo:hi:count")
@@ -224,7 +220,9 @@ def build_parser() -> _Parser:
     p.add_argument("--q0", type=float, default=0.5, help="comparability anchor balance")
     p.add_argument("--mu", type=float, default=0.0, help="gumbel: normal mean")
     p.add_argument("--sd", type=float, default=1.0, help="gumbel: normal sd")
-    p.add_argument("--n-grid", type=_int_list, help="gumbel: comma-separated sample sizes")
+    p.add_argument(
+        "--n-grid", type=_comma_list(int, "integers"), help="gumbel: comma-separated sample sizes"
+    )
     _add_output_flags(p, _io.CSV)
     p.set_defaults(run=_cmd_oracle)
 
@@ -484,11 +482,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _oracle_model(args, lam1, lam2, exponent, q):
-    if args.omega is not None and args.delta is None:
-        scaling = _oracle.Omega(exponent)
-    else:
-        scaling = _oracle.Delta(exponent)
+def _oracle_model(args, scaling, lam1, lam2, q):
     anchor = None if args.kappa is None else _oracle.ComparabilityAnchor(args.kappa, args.q0)
     return _oracle.BinaryFeatureModel(
         beta=args.beta,
@@ -532,19 +526,22 @@ def _cmd_oracle(args) -> int:
     # checked here too, since only --kappa builds the anchor that checks it
     if not 0.0 < args.q0 < 1.0:
         raise DomainError(f"q0 must lie in (0, 1), got {args.q0!r}")
+    # --delta and --omega exclude each other; with neither, Delta is the mode
+    if args.omega is not None:
+        mode, scaling, value = "omega", _oracle.Omega, args.omega
+    else:
+        mode, scaling, value = "delta", _oracle.Delta, args.delta
     if args.exponent_grid is not None:
         exponents = args.exponent_grid.values("--exponent-grid")
     else:
-        value = args.omega if args.omega is not None else args.delta
         exponents = (0.5 if value is None else value,)
-    mode = "omega" if (args.omega is not None and args.delta is None) else "delta"
     extra.update({"lam1": lam1, "lam2": lam2, "mode": mode, "kappa": args.kappa, "q0": args.q0})
 
     if args.curve == "limits":
         header = ("exponent", "mean", "variance_kind", "variance", "selection")
         rows = []
         for t in exponents:
-            limits = _oracle.asymptotic_limits(_oracle_model(args, lam1, lam2, t, 0.5))
+            limits = _oracle.asymptotic_limits(_oracle_model(args, scaling(t), lam1, lam2, 0.5))
             value = float("inf") if limits.variance.is_infinite else limits.variance.value
             rows.append((t, limits.mean, limits.variance.kind, value, limits.selection))
         _emit(args, header, rows, _manifest(args, "oracle", extra))
@@ -557,7 +554,7 @@ def _cmd_oracle(args) -> int:
     rows = []
     for q in args.q_grid.values("--q-grid"):
         for t in exponents:
-            rows.append((q, t, func(_oracle_model(args, lam1, lam2, t, q))))
+            rows.append((q, t, func(_oracle_model(args, scaling(t), lam1, lam2, q))))
     _emit(args, header, rows, _manifest(args, "oracle", extra))
     return 0
 

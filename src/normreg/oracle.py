@@ -26,7 +26,7 @@ penalty weights like 2 * 4^(omega-1) * nu^omega (kappa=2, q0=1/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, UnsupportedLimitError
 from .special import (
@@ -330,23 +330,15 @@ def asymptotic_limits(model: BinaryFeatureModel) -> LimitSummary:
         return _delta_limits(model, model.scaling.delta, model.lam1 * m, model.lam2 * m * m)
     omega = model.scaling.omega
     lam1, lam2 = model.lam1 * m, model.lam2 * m
-    beta, n, sig = model.beta, model.n, model.sigma_eps
     if model.lam1 > 0.0 and model.lam2 > 0.0:
+        # variance and selection are those of Delta at delta = omega
         if omega < 1.0:
             mean = 0.0
         elif omega == 1.0:
-            mean = beta * n / (n + lam2)
+            mean = model.beta * model.n / (model.n + lam2)
         else:
-            mean = beta
-        variance = VarianceLimit(ZERO, 0.0) if omega < 0.5 else VarianceLimit(INFINITE)
-        b = lam1 / (sig * math.sqrt(n))
-        if omega < 0.5:
-            selection = 0.0
-        elif omega == 0.5:
-            selection = 2.0 * std_normal_cdf(-b)
-        else:
-            selection = 1.0
-        return LimitSummary(mean=mean, variance=variance, selection=selection)
+            mean = model.beta
+        return replace(_delta_limits(model, omega, lam1, lam2), mean=mean)
     if model.lam2 == 0.0:
         return _delta_limits(model, omega, lam1, 0.0)
     return _delta_limits(model, omega / 2.0, 0.0, lam2)

@@ -50,7 +50,7 @@ def std_normal_cdf(x: float) -> float:
 
 
 def _acklam(u: float) -> float:
-    # rational initial guess, three branches
+    # rational initial guess: the lower tail, its mirror image, the center
     if u < _ACKLAM_LOW:
         q = math.sqrt(-2.0 * math.log(u))
         c = _ACKLAM_C
@@ -59,12 +59,8 @@ def _acklam(u: float) -> float:
             (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
         )
     if u > 1.0 - _ACKLAM_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - u))
-        c = _ACKLAM_C
-        d = _ACKLAM_D
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
+        # 1 - u is exact here and below _ACKLAM_LOW, so this is the lower tail
+        return -_acklam(1.0 - u)
     q = u - 0.5
     r = q * q
     a = _ACKLAM_A

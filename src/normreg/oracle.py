@@ -29,12 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, UnsupportedLimitError
-from .special import (
-    folded_normal_pdf,
-    folded_normal_quantile,
-    std_normal_cdf,
-    std_normal_pdf,
-)
+from .special import _folded_offset, std_normal_cdf, std_normal_pdf
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -358,12 +353,15 @@ def maxabs_gumbel(mu: float, sigma: float, n: int) -> GumbelApprox:
 
     location b_n is the 1 - 1/n folded-normal quantile, scale
     a_n = 1 / (n f(b_n)), and the approximate mean is
-    b_n + euler_gamma * a_n.
+    b_n + euler_gamma * a_n. The density is taken at the offset b_n - |mu|,
+    which a large |mu| would round away from b_n itself.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n!r}")
-    b_n = folded_normal_quantile(1.0 - 1.0 / n, mu, sigma)
-    density = folded_normal_pdf(b_n, mu, sigma)
+    t = _folded_offset(1.0 - 1.0 / n, mu, sigma)
+    m = abs(mu)
+    density = (std_normal_pdf(t / sigma) + std_normal_pdf((t + 2.0 * m) / sigma)) / sigma
+    b_n = m + t
     if density == 0.0:
         raise DomainError(f"the folded normal density underflows to 0 at its quantile {b_n!r}")
     a_n = 1.0 / (n * density)

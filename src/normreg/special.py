@@ -4,7 +4,8 @@ The cdf is built on the C library's erfc (max error about 1 ulp). The
 standard normal quantile uses a rational initial guess (Acklam's
 approximation, |rel err| < 1.15e-9) refined by one Newton step on the cdf,
 which brings the absolute error below 1e-13 over (1e-300, 1-1e-16). The
-folded normal quantile inverts the cdf by bracketed bisection to 1e-10.
+folded normal quantile inverts the cdf by bracketed bisection to 1e-10, on
+the offset from |mu|.
 
 All functions take and return Python floats; vectorized callers should loop
 (grids in this package are small) or cache, as gen_quasinormal does.
@@ -108,12 +109,15 @@ def folded_normal_cdf(x: float, mu: float, sigma: float) -> float:
     return std_normal_cdf((x - mu) / sigma) + std_normal_cdf((x + mu) / sigma) - 1.0
 
 
-def folded_normal_quantile(u: float, mu: float, sigma: float) -> float:
-    """Inverse of folded_normal_cdf on (0, 1), by bracketed bisection.
+def _folded_offset(u: float, mu: float, sigma: float) -> float:
+    """x - |mu| at the u quantile x of |N(mu, sigma^2)|, by bracketed bisection.
 
-    Bisection runs until the bracket width drops below 1e-10, or until its
-    midpoint rounds to one of its ends (quantiles beyond about 2e5). An upper
-    bracket that overflows to inf raises DomainError.
+    The bisection runs on the offset t = x - |mu|, where the cdf reads
+    Phi(t/sigma) + Phi((t + 2|mu|)/sigma) - 1: t keeps its precision where
+    |mu| + t would round to the float spacing of a large |mu|. It stops when
+    the bracket width drops below 1e-10, or when its midpoint rounds to one of
+    its ends (offsets beyond about 2e5). An upper bracket |mu| + t that
+    overflows to inf raises DomainError.
     """
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {u!r}")
@@ -121,18 +125,30 @@ def folded_normal_quantile(u: float, mu: float, sigma: float) -> float:
         raise DomainError(f"mu must be finite, got {mu!r}")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be finite and positive, got {sigma!r}")
-    lo = 0.0
-    hi = abs(mu) + 2.0 * sigma
-    while folded_normal_cdf(hi, mu, sigma) < u:
+    m = abs(mu)
+
+    def cdf(t: float) -> float:
+        return std_normal_cdf(t / sigma) + std_normal_cdf((t + 2.0 * m) / sigma) - 1.0
+
+    lo = -m
+    hi = m + 2.0 * sigma
+    while cdf(hi - m) < u:
         hi *= 2.0
     if not math.isfinite(hi):
         raise DomainError(f"the {u!r} quantile of |N({mu!r}, {sigma!r}^2)| has no finite bracket")
+    hi -= m
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if folded_normal_cdf(mid, mu, sigma) < u:
+        if cdf(mid) < u:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def folded_normal_quantile(u: float, mu: float, sigma: float) -> float:
+    """Inverse of folded_normal_cdf on (0, 1): |mu| plus the offset that
+    _folded_offset finds by bisection."""
+    return abs(mu) + _folded_offset(u, mu, sigma)

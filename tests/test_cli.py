@@ -290,6 +290,15 @@ def test_oracle_gumbel_rows(capsys):
     assert means[1] > means[0]
 
 
+def test_oracle_gumbel_scale_holds_at_a_huge_mean(capsys):
+    scales = []
+    for mu in ("1e3", "1e17"):
+        assert main(["oracle", "--curve", "gumbel", "--n-grid", "10", "--mu", mu]) == 0
+        scales.append(json.loads(capsys.readouterr().out)["results"][0]["scale"])
+    assert scales[0] == pytest.approx(0.5698059856, abs=1e-9)
+    assert scales[1] == pytest.approx(scales[0], abs=1e-9)
+
+
 def test_normalize_rows_match_plan(tmp_path, toy_csv, capsys):
     assert main(["normalize", "--input", toy_csv, "--normalize", "std"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from normreg.oracle import (
+    EULER_GAMMA,
     FINITE,
     INFINITE,
     ZERO,
@@ -33,7 +34,7 @@ from normreg.oracle import (
 )
 from normreg.errors import DomainError, UnsupportedLimitError
 from normreg.normalize import LASSO_COMPARABLE, BinaryDelta
-from normreg.special import std_normal_cdf
+from normreg.special import std_normal_cdf, std_normal_pdf, std_normal_quantile
 
 from conftest import quad_st_moments
 
@@ -430,6 +431,17 @@ def test_gumbel_monte_carlo_n100():
     maxima = np.abs(rng.standard_normal((10_000, 100))).max(axis=1)
     ref = maxabs_gumbel(0.0, 1.0, 100).mean_approx
     assert abs(maxima.mean() - ref) / ref < 0.02
+
+
+@pytest.mark.parametrize("mu", [1e10, 1e15, 1e17, -1e17])
+def test_gumbel_at_large_means(mu):
+    # far from zero |X| is X ~ N(|mu|, 1): b_n = |mu| + z and a_n = 1 / (n phi(z))
+    # at z = Phi^-1(1 - 1/n), though |mu| + z rounds to the spacing of |mu|
+    z = std_normal_quantile(0.9)
+    g = maxabs_gumbel(mu, 1.0, 10)
+    assert g.scale == pytest.approx(1.0 / (10.0 * std_normal_pdf(z)), abs=1e-9)
+    assert g.location == pytest.approx(abs(mu) + z, rel=1e-15)
+    assert g.mean_approx == pytest.approx(abs(mu) + z + EULER_GAMMA * g.scale, rel=1e-15)
 
 
 def test_gumbel_rejects_tiny_n():

@@ -184,13 +184,13 @@ class _Design:
 
     def correlations(self, beta: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """c = X'(y - X beta) - lam2 v beta on the centered problem, for a
-        beta that is zero off idx."""
+        beta that is zero off idx (ascending where a Gram row is missing)."""
         if self.gram is None:
             c = self.x.T @ (self.yc - self.times(beta))
         else:
             missing = idx[~self.cached[idx]]
             if missing.size:
-                self.rows(np.sort(missing))
+                self.rows(missing)
             c = self.c0 - beta[idx] @ self.gram[idx]
         c -= self.lam2 * self.v * beta
         return c
@@ -244,36 +244,35 @@ class _Design:
             self.cached[cols] = True
         return g
 
+    def ridge(self) -> np.ndarray:
+        """The lam1 = 0 optimum; the minimum-norm one when lam2 = 0 leaves a tie."""
+        x, n = self.x, self.n
+        p = x.shape[1]
+        if self.gram is None:
+            # lam2 > 0, since fit refuses an unpenalized wide fit: with W = (lam2
+            # diag(v))^{-1}, beta = W X'(I + X W X')^{-1} y needs an n x n system,
+            # not the p x p Gram
+            xc = x - self.xbar
+            xc[:, np.einsum("ij,ij->j", xc, xc) <= _DEAD * np.einsum("ij,ij->j", x, x)] = 0.0
+            w = 1.0 / (self.lam2 * self.v)
+            system = (xc * w) @ xc.T
+            system[np.diag_indices(n)] += 1.0
+            return w * (xc.T @ np.linalg.solve(system, self.yc))
+        gram = self.rows(np.arange(p))
+        keep = np.flatnonzero(~self.dead)
+        beta = np.zeros(p)
+        if keep.size:
+            sub = gram[np.ix_(keep, keep)]
+            if self.lam2 > 0.0:
+                sub[np.diag_indices_from(sub)] += self.lam2 * self.v[keep]
+                beta[keep] = np.linalg.solve(sub, self.c0[keep])
+            else:
+                beta[keep] = np.linalg.lstsq(sub, self.c0[keep], rcond=None)[0]
+        return beta
+
 
 def _soft_threshold(z: float, t: float) -> float:
     return 0.0 if abs(z) <= t else math.copysign(abs(z) - t, z)
-
-
-def _ridge(design: _Design) -> np.ndarray:
-    """The lam1 = 0 optimum; the minimum-norm one when lam2 = 0 leaves a tie."""
-    x, n = design.x, design.n
-    p = x.shape[1]
-    if design.gram is None:
-        # lam2 > 0, since fit refuses an unpenalized wide fit: with W = (lam2
-        # diag(v))^{-1}, beta = W X'(I + X W X')^{-1} y needs an n x n system,
-        # not the p x p Gram
-        xc = x - design.xbar
-        xc[:, np.einsum("ij,ij->j", xc, xc) <= _DEAD * np.einsum("ij,ij->j", x, x)] = 0.0
-        w = 1.0 / (design.lam2 * design.v)
-        system = (xc * w) @ xc.T
-        system[np.diag_indices(n)] += 1.0
-        return w * (xc.T @ np.linalg.solve(system, design.yc))
-    gram = design.rows(np.arange(p))
-    keep = np.flatnonzero(~design.dead)
-    beta = np.zeros(p)
-    if keep.size:
-        sub = gram[np.ix_(keep, keep)]
-        if design.lam2 > 0.0:
-            sub[np.diag_indices_from(sub)] += design.lam2 * design.v[keep]
-            beta[keep] = np.linalg.solve(sub, design.c0[keep])
-        else:
-            beta[keep] = np.linalg.lstsq(sub, design.c0[keep], rcond=None)[0]
-    return beta
 
 
 class _Homotopy:
@@ -547,7 +546,7 @@ def _optimum(design: _Design, lam1: float, warm: np.ndarray | None, scale: float
             beta[0] = _soft_threshold(float(design.c0[0]), lam1 * u[0]) / (g + lam2 * v[0])
         return beta, 1, False
     if lam1 == 0.0:
-        return _ridge(design), 1, False
+        return design.ridge(), 1, False
     path = _Homotopy(design, _max_steps(p))
     warmed = warm is not None and path.start_warm(warm, lam1, scale)
     if not warmed:

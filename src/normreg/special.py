@@ -110,14 +110,13 @@ def folded_normal_cdf(x: float, mu: float, sigma: float) -> float:
 
 
 def _folded_offset(u: float, mu: float, sigma: float) -> float:
-    """x - |mu| at the u quantile x of |N(mu, sigma^2)|, by bracketed bisection.
+    """t = x - |mu| at the u quantile x of |N(mu, sigma^2)|.
 
-    The bisection runs on the offset t = x - |mu|, where the cdf reads
-    Phi(t/sigma) + Phi((t + 2|mu|)/sigma) - 1: t keeps its precision where
-    |mu| + t would round to the float spacing of a large |mu|. It stops when
-    the bracket width drops below 1e-10, or when its midpoint rounds to one of
-    its ends (offsets beyond about 2e5). An upper bracket |mu| + t that
-    overflows to inf raises DomainError.
+    Bracketed bisection on the centred cdf Phi(t/sigma) + Phi((t + 2|mu|)/sigma)
+    - 1 keeps t exact where |mu| + t rounds to the spacing of a large |mu|. It
+    stops at a bracket width of 1e-10, or when the midpoint rounds to an end
+    (offsets beyond about 2e5); an upper bracket |mu| + t that overflows to
+    inf raises DomainError.
     """
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {u!r}")
@@ -149,6 +148,5 @@ def _folded_offset(u: float, mu: float, sigma: float) -> float:
 
 
 def folded_normal_quantile(u: float, mu: float, sigma: float) -> float:
-    """Inverse of folded_normal_cdf on (0, 1): |mu| plus the offset that
-    _folded_offset finds by bisection."""
+    """Inverse of folded_normal_cdf on (0, 1): |mu| plus _folded_offset."""
     return abs(mu) + _folded_offset(u, mu, sigma)

@@ -353,8 +353,8 @@ def maxabs_gumbel(mu: float, sigma: float, n: int) -> GumbelApprox:
 
     location b_n is the 1 - 1/n folded-normal quantile, scale
     a_n = 1 / (n f(b_n)), and the approximate mean is
-    b_n + euler_gamma * a_n. The density is taken at the offset b_n - |mu|,
-    which a large |mu| would round away from b_n itself.
+    b_n + euler_gamma * a_n. Both are computed on the offset b_n - |mu|,
+    which b_n itself loses to rounding when |mu| is large.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n!r}")

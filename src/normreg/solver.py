@@ -43,10 +43,12 @@ missed by round-off: it is dropped and the rest re-solved.
 
 `_Design` alone chooses between tall designs (p <= n) and wide ones. On
 tall ones the Gram rows X'x_j are computed for a block of likely joiners per
-pass over X and a step costs O(p |A|); on wide ones a step multiplies by X
-and X' once each, and no p x p array is made: M_A^{-1}'s buffer doubles as A
-grows. lam1 = 0 is one ridge solve (in the n-dimensional row space when
-p > n) and p = 1 the soft-threshold closed form.
+pass over X and a step costs O(p |A|). Wide ones keep the active columns
+contiguous, one row of n floats each in the order of A, in a buffer that
+doubles with M_A^{-1}'s as A grows: a join costs x_j'X_A (2n|A| flops), and
+a step X'(X_A d - (xbar_A'd) 1), one pass over X plus 2n|A| flops. No p x p
+array is made. lam1 = 0 is one ridge solve (in the n-dimensional row space
+when p > n) and p = 1 the soft-threshold closed form.
 A fit given `warm_start` continues from it when it is an exact solution at
 some lam >= lam1 for the same lam2, and starts cold otherwise.
 
@@ -161,7 +163,9 @@ class _Design:
 
     The one place that tells tall designs from wide ones: tall ones (p <= n)
     cache centered Gram rows, computed for a block of columns per pass over
-    X; wide ones multiply by X instead.
+    X; wide ones keep the raw active columns contiguous, one row of n floats
+    each in the order of the path's active set, and center them through the
+    column means.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, u, v, lam2: float):
@@ -174,19 +178,37 @@ class _Design:
         self.c0 = x.T @ self.yc
         self.gram = np.empty((p, p)) if p <= n else None
         self.cached = np.zeros(p, dtype=bool)
-        self.dead = np.zeros(p, dtype=bool)  # no variance; known once a row is
+        self.active = np.empty((0, n)) if p > n else None
+        self.dead = np.zeros(p, dtype=bool)  # no variance; known once tested
 
-    def times(self, beta: np.ndarray) -> np.ndarray:
-        """Centered X beta."""
-        z = self.x @ beta
-        z -= float(self.xbar @ beta)
-        return z
+    # -- the active columns, in the order of the path's active set -------
+
+    def reserve(self, size: int, k: int) -> None:
+        """Room for size active columns, keeping the first k."""
+        if self.active is not None and size > self.active.shape[0]:
+            active = np.empty((size, self.n))
+            active[:k] = self.active[:k]
+            self.active = active
+
+    def enter(self, i: int, cols) -> None:
+        """Columns cols become the active columns i, i + 1, ..."""
+        if self.active is not None:
+            cols = np.atleast_1d(cols)
+            self.active[i : i + cols.size] = self.x[:, cols].T
+
+    def swap(self, i: int, last: int) -> None:
+        if self.active is not None:
+            self.active[[i, last]] = self.active[[last, i]]
+
+    # -- products --------------------------------------------------------
 
     def correlations(self, beta: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """c = X'(y - X beta) - lam2 v beta on the centered problem, for a
         beta that is zero off idx (ascending where a Gram row is missing)."""
         if self.gram is None:
-            c = self.x.T @ (self.yc - self.times(beta))
+            z = self.x @ beta
+            z -= float(self.xbar @ beta)
+            c = self.x.T @ (self.yc - z)
         else:
             missing = idx[~self.cached[idx]]
             if missing.size:
@@ -196,52 +218,61 @@ class _Design:
         return c
 
     def product(self, idx: np.ndarray, dvec: np.ndarray, stale=None) -> np.ndarray:
-        """Centered X'X_A dvec, the move of c per unit step along dvec. A wide
-        design returns `stale`, the product of the unrefined direction, when
-        given one: a second pass over X per step costs more than it gains."""
+        """Centered X'X_A dvec for the active columns idx, the move of c per
+        unit step along dvec. A wide design forms X_A dvec from its active
+        columns and returns `stale`, the product of the unrefined direction,
+        when given one: a second pass over X per step costs more than it gains."""
         if self.gram is not None:
             return dvec @ self.gram[idx]
         if stale is not None:
             return stale
-        full = np.zeros(self.u.shape)
-        full[idx] = dvec
-        return self.x.T @ self.times(full)
+        z = dvec @ self.active[: idx.shape[0]]
+        z -= float(self.xbar[idx] @ dvec)
+        return self.x.T @ z
 
-    def row(self, j: int, c: np.ndarray, free: np.ndarray) -> np.ndarray:
-        """Centered X'x_j. A tall design caches it, with the rows of the free
-        columns likeliest to join next (largest |c_j| / u_j) in the same pass."""
+    def cross(self, j: int, idx: np.ndarray, c: np.ndarray, free: np.ndarray):
+        """(centered x_j'X_A for the active columns idx, centered x_j'x_j);
+        marks j dead if it has no variance. A tall design caches the row
+        X'x_j, with the rows of the free columns likeliest to join next
+        (largest |c_j| / u_j) in the same pass."""
         if self.gram is None:
-            return self.rows(np.array([j]))[0]
+            xj = self.x[:, j]
+            raw = float(xj @ xj)
+            g = self.active[: idx.shape[0]] @ xj
+            g -= self.n * self.xbar[j] * self.xbar[idx]
+            own = raw - self.n * float(self.xbar[j]) ** 2
+            self.dead[j] = own <= _DEAD * raw
+            return g, own
         if not self.cached[j]:
             ratio = np.abs(c) / self.u
             ratio[~free | self.cached] = -1.0
             ratio[j] = math.inf
             block = np.argsort(-ratio, kind="stable")[:_BLOCK_COLUMNS]
             self.rows(np.sort(block[ratio[block] >= 0.0]))
-        return self.gram[j]
+        return self.gram[j, idx], self.gram[j, j]
 
     def system(self, cols: np.ndarray) -> np.ndarray:
-        """M_A = X_A'X_A + lam2 diag(v_A) on the centered design, built afresh."""
+        """M_A = X_A'X_A + lam2 diag(v_A) on the centered design, built afresh
+        for the active columns cols, in their order."""
         if self.gram is None:
-            xs = self.x[:, cols]
-            m = xs.T @ xs - np.multiply.outer(self.n * self.xbar[cols], self.xbar[cols])
+            xs = self.active[: cols.shape[0]]
+            m = xs @ xs.T - np.multiply.outer(self.n * self.xbar[cols], self.xbar[cols])
         else:
             m = self.gram[np.ix_(cols, cols)]
         m[np.diag_indices(len(cols))] += self.lam2 * self.v[cols]
         return m
 
     def rows(self, cols: np.ndarray) -> np.ndarray:
-        """Centered X' x_j for each j in cols (ascending), one row each; marks
-        dead columns."""
+        """Centered Gram rows X' x_j of a tall design for each j in cols
+        (ascending), cached; marks dead columns."""
         xj = self.x.T if len(cols) == self.x.shape[1] else np.ascontiguousarray(self.x[:, cols].T)
         g = xj @ self.x
         diag = (np.arange(len(cols)), cols)
         raw = g[diag]
         g -= np.multiply.outer(self.n * self.xbar[cols], self.xbar)
         self.dead[cols] = g[diag] <= _DEAD * raw
-        if self.gram is not None:
-            self.gram[cols] = g
-            self.cached[cols] = True
+        self.gram[cols] = g
+        self.cached[cols] = True
         return g
 
     def ridge(self) -> np.ndarray:
@@ -289,6 +320,7 @@ class _Homotopy:
         self.inv = np.empty((size, size))  # M_A^{-1}, in the order of act
         self.act = np.empty(size, dtype=np.intp)
         self.sgn = np.empty(size)
+        d.reserve(size, 0)
         self.k = 0
         self.free = np.ones(p, dtype=bool)  # may join: inactive, not dead, not refused
         self.refused: list[int] = []
@@ -300,7 +332,8 @@ class _Homotopy:
     # -- the active set --------------------------------------------------
 
     def reserve(self, k: int) -> None:
-        """Room for k active columns: the buffers double, up to cap."""
+        """Room for k active columns: the buffers, the design's among them,
+        double, up to cap."""
         size = self.act.shape[0]
         if k <= size:
             return
@@ -310,21 +343,25 @@ class _Homotopy:
         self.inv = inv
         self.act = np.resize(self.act, size)
         self.sgn = np.resize(self.sgn, size)
+        self.d.reserve(size, self.k)
 
     def join(self, j: int, sign: float) -> bool:
-        d, k, inv = self.d, self.k, self.inv
-        g = d.row(j, self.c, self.free)
+        d, k = self.d, self.k
+        idx = self.act[:k]
+        g, own = d.cross(j, idx, self.c, self.free)
         self.free[j] = False
         if d.dead[j]:
             return False
-        m = g[j] + d.lam2 * d.v[j]
-        w = inv[:k, :k] @ g[self.act[:k]]
-        schur = m - float(g[self.act[:k]] @ w)
+        m = own + d.lam2 * d.v[j]
+        w = self.inv[:k, :k] @ g
+        schur = m - float(g @ w)
         near = k < self.cap and schur <= _NEAR * m
         if near:
             # Near the span of the active columns the updated inverse is too
             # coarse to judge by; a Cholesky factor of the bordered system is not.
-            system = d.system(np.append(self.act[:k], j))
+            self.reserve(k + 1)
+            d.enter(k, j)
+            system = d.system(np.append(idx, j))
             try:
                 schur = float(np.linalg.cholesky(system)[k, k]) ** 2
             except np.linalg.LinAlgError:
@@ -333,6 +370,7 @@ class _Homotopy:
             self.refused.append(j)
             return False
         self.reserve(k + 1)
+        d.enter(k, j)
         inv = self.inv
         if near:
             inv[: k + 1, : k + 1] = np.linalg.inv(system)
@@ -357,6 +395,7 @@ class _Homotopy:
             inv[: self.k, [i, last]] = inv[: self.k, swap]
             self.act[[i, last]] = self.act[swap]
             self.sgn[[i, last]] = self.sgn[swap]
+            self.d.swap(i, last)
         col = inv[:last, last]
         f = col / inv[last, last]
         for r in range(0, last, _BLOCK):
@@ -499,6 +538,8 @@ class _Homotopy:
             return False
         # the Cholesky pivots are the Schur complements of joining the support
         # in index order, so the join test carries over
+        self.reserve(k)
+        d.enter(0, support)
         m = d.system(support)
         try:
             pivots = np.linalg.cholesky(m).diagonal() ** 2
@@ -506,7 +547,6 @@ class _Homotopy:
             return False
         if np.any(pivots <= _SCHUR * m.diagonal()):
             return False
-        self.reserve(k)
         self.inv[:k, :k] = np.linalg.inv(m)
         self.act[:k] = support
         self.sgn[:k] = sgn

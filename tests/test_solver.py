@@ -198,6 +198,32 @@ def test_permutation_invariance():
     assert np.allclose(res_p.beta_norm, res.beta_norm[perm], atol=1e-8)
 
 
+def test_wide_active_columns_follow_the_active_set(monkeypatch):
+    # a wide lasso keeps its active columns in a buffer in the order of the
+    # active set; this path grows it past 64 columns and drops columns there,
+    # which swaps buffer rows, so a buffer out of step would show as a fit
+    # that moves with the order of the columns or loses its certificate
+    rng = np.random.default_rng(5)
+    n, p = 90, 200
+    data = Dataset(x=rng.standard_normal((n, p)), y=rng.standard_normal(n))
+    penalty = PenaltySpec(lam1=1e-2 * lambda_max(data))
+    sizes = []
+    drop = normreg.solver._Homotopy.drop
+
+    def counted(path, i):
+        sizes.append(path.k)
+        return drop(path, i)
+
+    monkeypatch.setattr(normreg.solver._Homotopy, "drop", counted)
+    res = fit(data, penalty)
+    assert res.converged and res.support.size > 64
+    assert any(k > 64 for k in sizes)
+    perm = rng.permutation(p)
+    res_p = fit(Dataset(x=data.x[:, perm], y=data.y), penalty)
+    assert res_p.converged
+    assert np.allclose(res_p.beta_norm, res.beta_norm[perm], rtol=0.0, atol=1e-10)
+
+
 def test_unpenalized_wide_problem_rejected():
     rng = np.random.default_rng(6)
     data = Dataset(x=rng.standard_normal((5, 8)), y=rng.standard_normal(5))
@@ -226,14 +252,18 @@ def test_non_convergence_is_flagged_not_raised(monkeypatch):
     assert full.converged and full.sweeps_used > 2
 
 
-@pytest.mark.parametrize("lam1", [0.5, 0.0], ids=["elnet", "ridge"])
-def test_wide_elastic_net_makes_no_p_by_p_array(lam1):
+@pytest.mark.parametrize(
+    "n, lam1, lam2",
+    [(20, 0.5, 1.0), (20, 0.0, 1.0), (60, 1e-3, 0.0)],
+    ids=["elnet", "ridge", "lasso-saturated"],
+)
+def test_wide_elastic_net_makes_no_p_by_p_array(n, lam1, lam2):
     import tracemalloc
 
     rng = np.random.default_rng(31)
-    n, p = 20, 3000
+    p = 3000
     data = Dataset(x=rng.standard_normal((n, p)), y=rng.standard_normal(n))
-    penalty = PenaltySpec(lam1=lam1 * lambda_max(data), lam2=1.0)
+    penalty = PenaltySpec(lam1=lam1 * lambda_max(data), lam2=lam2)
     tracemalloc.start()
     try:
         res = fit(data, penalty)
@@ -241,8 +271,14 @@ def test_wide_elastic_net_makes_no_p_by_p_array(lam1):
     finally:
         tracemalloc.stop()
     assert res.converged
-    # a p x p float array would take 72 MB; a few copies of X take 0.5 MB each
-    assert peak < 8 * p * p / 20
+    if lam2 > 0.0:
+        # a p x p float array would take 72 MB; a few copies of X take 0.5 MB each
+        assert peak < 8 * p * p / 20
+    else:
+        # the lasso spans n - 1 columns here; a k x p array would take as
+        # much as X (1.4 MB), and the path needs neither one nor a copy of X
+        assert res.support.size == n - 1
+        assert peak < 8 * n * p / 2
 
 
 def test_penalty_validation():

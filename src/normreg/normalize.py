@@ -161,8 +161,10 @@ class NormalizationPlan:
         return self.centers.shape[0]
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        """(x - c) / s, column by column."""
-        return (x - self.centers) / self.scales
+        """(x - c) / s, column by column, in one new array."""
+        out = np.subtract(x, self.centers)
+        out /= self.scales
+        return out
 
 
 def class_balance(col: np.ndarray) -> float:

@@ -4,8 +4,8 @@ The cdf is built on the C library's erfc (max error about 1 ulp). The
 standard normal quantile uses a rational initial guess (Acklam's
 approximation, |rel err| < 1.15e-9) refined by one Newton step on the cdf,
 which brings the absolute error below 1e-13 over (1e-300, 1-1e-16). The
-folded normal quantile inverts the cdf by bracketed bisection to 1e-10, on
-the offset from |mu|.
+folded normal quantile inverts the cdf by bracketed bisection to 1e-10 sigma,
+on the offset from |mu|.
 
 All functions take and return Python floats; vectorized callers should loop
 (grids in this package are small) or cache, as gen_quasinormal does.
@@ -114,9 +114,9 @@ def _folded_offset(u: float, mu: float, sigma: float) -> float:
 
     Bracketed bisection on the centred cdf Phi(t/sigma) + Phi((t + 2|mu|)/sigma)
     - 1 keeps t exact where |mu| + t rounds to the spacing of a large |mu|. It
-    stops at a bracket width of 1e-10, or when the midpoint rounds to an end
-    (offsets beyond about 2e5); an upper bracket |mu| + t that overflows to
-    inf raises DomainError.
+    stops at a bracket width of 1e-10 sigma, so that t scales with sigma, or
+    when the midpoint rounds to an end (offsets beyond about 2e5 sigma); an
+    upper bracket |mu| + t that overflows to inf raises DomainError.
     """
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {u!r}")
@@ -136,7 +136,8 @@ def _folded_offset(u: float, mu: float, sigma: float) -> float:
     if not math.isfinite(hi):
         raise DomainError(f"the {u!r} quantile of |N({mu!r}, {sigma!r}^2)| has no finite bracket")
     hi -= m
-    while hi - lo > 1e-10:
+    width = 1e-10 * sigma
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break

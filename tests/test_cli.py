@@ -118,7 +118,6 @@ def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
         ([*gumbel, "--sd", "inf"], "sigma must be finite and positive, got inf"),
         ([*gumbel, "--sd", "nan"], "sigma must be finite and positive, got nan"),
         ([*gumbel, "--mu", "1e308"], "quantile of |N(1e+308, 1.0^2)| has no finite bracket"),
-        ([*gumbel, "--mu", "1", "--sd", "1e-300"], "density underflows to 0"),
         ([*limits, "--exponent-grid", "nan:1:2"],
          "--exponent-grid bounds must be finite, got nan:1.0"),
         ([*limits, "--exponent-grid", "0:inf:2"],
@@ -291,12 +290,15 @@ def test_oracle_gumbel_rows(capsys):
 
 
 def test_oracle_gumbel_scale_holds_at_a_huge_mean(capsys):
+    # the mean in units of sd is what counts: 1e3, 1e17 and 1e300
     scales = []
-    for mu in ("1e3", "1e17"):
-        assert main(["oracle", "--curve", "gumbel", "--n-grid", "10", "--mu", mu]) == 0
-        scales.append(json.loads(capsys.readouterr().out)["results"][0]["scale"])
+    for mu, sd in (("1e3", "1"), ("1e17", "1"), ("1", "1e-300")):
+        argv = ["oracle", "--curve", "gumbel", "--n-grid", "10", "--mu", mu, "--sd", sd]
+        assert main(argv) == 0
+        scales.append(json.loads(capsys.readouterr().out)["results"][0]["scale"] / float(sd))
     assert scales[0] == pytest.approx(0.5698059856, abs=1e-9)
     assert scales[1] == pytest.approx(scales[0], abs=1e-9)
+    assert scales[2] == pytest.approx(scales[0], rel=1e-9)
 
 
 def test_normalize_rows_match_plan(tmp_path, toy_csv, capsys):

@@ -444,6 +444,16 @@ def test_gumbel_at_large_means(mu):
     assert g.mean_approx == pytest.approx(abs(mu) + z + EULER_GAMMA * g.scale, rel=1e-15)
 
 
+@pytest.mark.parametrize("sigma", [1e-12, 1e-9, 1e3])
+def test_gumbel_is_scale_equivariant(sigma):
+    # max |X| for X ~ N(0, sigma^2) is sigma times max |Z|
+    unit = maxabs_gumbel(0.0, 1.0, 10)
+    g = maxabs_gumbel(0.0, sigma, 10)
+    assert g.location == pytest.approx(sigma * unit.location, rel=1e-9, abs=0.0)
+    assert g.scale == pytest.approx(sigma * unit.scale, rel=1e-9, abs=0.0)
+    assert g.mean_approx == pytest.approx(sigma * unit.mean_approx, rel=1e-9, abs=0.0)
+
+
 def test_gumbel_rejects_tiny_n():
     with pytest.raises(DomainError):
         maxabs_gumbel(0.0, 1.0, 1)

@@ -197,6 +197,7 @@ class _Design:
             self.active[i : i + cols.size] = self.x[:, cols].T
 
     def swap(self, i: int, last: int) -> None:
+        """Active columns i and last trade places."""
         if self.active is not None:
             self.active[[i, last]] = self.active[[last, i]]
 

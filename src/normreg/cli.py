@@ -288,11 +288,17 @@ def _resolve_penalty(args) -> tuple[float, float]:
     return args.lambda1 or 0.0, args.lambda2 or 0.0
 
 
-def _omega_weights(x_norm: np.ndarray, omega: float | None):
-    if omega is None:
-        return None, None
-    w = x_norm.var(axis=0) ** omega
-    return w, w
+def _weights(data: Dataset, plan: _normalize.NormalizationPlan, omega: float | None):
+    """Weights u = s w, v = s^2 w that fit data as its normalized copy with
+    weights w = Var(normalized column)^omega, or w = 1 without --omega."""
+    s = plan.scales
+    w = 1.0 if omega is None else (data.x.var(axis=0) / (s * s)) ** omega
+    return s * w, s * s * w
+
+
+def _normalized(plan: _normalize.NormalizationPlan, beta0: float, beta: np.ndarray):
+    """The coefficients of the normalized copy: (beta0 + c'beta, s beta)."""
+    return beta0 + float(plan.centers @ beta), plan.scales * beta
 
 
 def _emit(args, header, rows, manifest, summary: _io.ResultTable | None = None) -> None:
@@ -328,10 +334,8 @@ def _cmd_fit(args) -> int:
     lam1, lam2 = _resolve_penalty(args)
     data = _read_dataset(args)
     plan, strategy_name = _plan_for(data, args)
-    normalized = _normalize.apply(data, plan)
-    u, v = _omega_weights(normalized.x, args.omega)
-    penalty = PenaltySpec(lam1=lam1, lam2=lam2, u=u, v=v)
-    result = _fit(normalized, penalty, plan=plan)
+    u, v = _weights(data, plan, args.omega)
+    result = _fit(data, PenaltySpec(lam1=lam1, lam2=lam2, u=u, v=v))
     if not result.converged:
         print(
             f"normreg fit: failed the KKT certificate (residual {result.kkt_residual:.3g})",
@@ -341,10 +345,11 @@ def _cmd_fit(args) -> int:
             return _NUMERIC_EXIT
     support = [data.names[j] for j in result.support]
     header = ("term", "estimate", "estimate_normalized", "selected")
-    rows = [("(intercept)", result.beta0, result.beta0_norm, 1)]
+    beta0_norm, beta_norm = _normalized(plan, result.beta0, result.beta)
+    rows = [("(intercept)", result.beta0, beta0_norm, 1)]
     for j, name in enumerate(data.names):
         rows.append(
-            (name, float(result.beta[j]), float(result.beta_norm[j]), int(result.beta_norm[j] != 0.0))
+            (name, float(result.beta[j]), float(beta_norm[j]), int(result.beta[j] != 0.0))
         )
     manifest = _manifest(
         args,
@@ -369,10 +374,9 @@ def _cmd_fit(args) -> int:
 def _cmd_path(args) -> int:
     data = _read_dataset(args)
     plan, strategy_name = _plan_for(data, args)
-    normalized = _normalize.apply(data, plan)
-    u, v = _omega_weights(normalized.x, args.omega)
-    grid = lambda_grid(lambda_max(normalized, u), args.count, args.ratio)
-    results = fit_path(normalized, args.alpha, grid, u=u, v=v, plan=plan)
+    u, v = _weights(data, plan, args.omega)
+    grid = lambda_grid(lambda_max(data, u), args.count, args.ratio)
+    results = fit_path(data, args.alpha, grid, u=u, v=v)
     stragglers = [r for r in results if not r.converged]
     if stragglers:
         print(
@@ -385,9 +389,10 @@ def _cmd_path(args) -> int:
     rows = []
     for res in results:
         lam = res.lam1 + res.lam2
-        rows.append((lam, res.lam1, res.lam2, "(intercept)", res.beta0, res.beta0_norm))
+        beta0_norm, beta_norm = _normalized(plan, res.beta0, res.beta)
+        rows.append((lam, res.lam1, res.lam2, "(intercept)", res.beta0, beta0_norm))
         for j, name in enumerate(data.names):
-            rows.append((lam, res.lam1, res.lam2, name, float(res.beta[j]), float(res.beta_norm[j])))
+            rows.append((lam, res.lam1, res.lam2, name, float(res.beta[j]), float(beta_norm[j])))
     manifest = _manifest(
         args,
         "path",

@@ -7,12 +7,13 @@ all-signals-detected event, not per-feature recall.
 
 cross_validate tunes (lambda, delta) on repeated k-fold splits. To avoid
 leakage, normalization factors are recomputed on each training fold through
-normalize.compute_plan and never see held-out rows; only the lambda grid is
-anchored once at lambda_max of the full data so fold errors aggregate on
-common knots. Selection pools held-out predictions per repeat, which keeps
-leave-one-out (where every per-fold variance is degenerate) well defined,
-and ties break toward heavier regularization: larger lambda, then smaller
-delta.
+normalize.compute_plan and never see held-out rows; they enter each fit as
+penalty weights u = s, v = s^2 on the raw training rows, so every delta
+shares the fold's solver set-up. Only the lambda grid is anchored once at
+lambda_max of the full data so fold errors aggregate on common knots.
+Selection pools held-out predictions per repeat, which keeps leave-one-out
+(where every per-fold variance is degenerate) well defined, and ties break
+toward heavier regularization: larger lambda, then smaller delta.
 """
 
 from __future__ import annotations
@@ -150,10 +151,9 @@ def cross_validate(
     strategies: dict[float, PerFeature] = {}
     for delta in plan.deltas:
         strategy = mixed_binary_delta(data, BinaryDelta(delta, comparability=plan.comparability))
-        full_plan = _normalize.compute_plan(data, strategy)
-        full_norm = _normalize.apply(data, full_plan)
+        scales = _normalize.compute_plan(data, strategy).scales
         grids[delta] = lambda_grid(
-            lambda_max(full_norm), count=plan.lambda_count, ratio=plan.lambda_ratio
+            lambda_max(data, u=scales), count=plan.lambda_count, ratio=plan.lambda_ratio
         )
         strategies[delta] = strategy
 
@@ -184,20 +184,18 @@ def cross_validate(
                 skipped.append(msg)
             for delta in plan.deltas:
                 try:
-                    fold_plan = _normalize.compute_plan(train, strategies[delta])
+                    s = _normalize.compute_plan(train, strategies[delta]).scales
                 except ZeroScaleError as exc:
                     msg = f"repeat {repeat} fold {fold_id} delta {delta}: {exc}"
                     _log.info(msg)
                     skipped.append(msg)
                     continue
-                train_norm = _normalize.apply(train, fold_plan)
-                x_test_norm = fold_plan.transform(x_test)
                 counts[delta][repeat] += test_idx.shape[0]
-                path = fit_path(train_norm, alpha, grids[delta])
+                path = fit_path(train, alpha, grids[delta], u=s, v=s * s)
                 fits += len(path)
                 uncertified += sum(not res.converged for res in path)
                 for i, (lam, res) in enumerate(zip(grids[delta], path)):
-                    pred = res.beta0_norm + x_test_norm @ res.beta_norm
+                    pred = res.beta0 + x_test @ res.beta
                     sq = y_test - pred
                     pooled[(delta, i)][repeat] += float(np.dot(sq, sq))
                     if test_var > 0.0:

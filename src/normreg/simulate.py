@@ -412,19 +412,17 @@ def _run_selection_probability(spec, cfg, rec):
         for q in qs:
             x = columns[q][:, np.newaxis]
             base = Dataset(x=x, y=np.zeros(n))
-            scaled = {}
-            for d in cfg["delta_grid"]:
-                plan = _normalize.compute_plan(base, BinaryDelta(d))
-                scaled[d] = (plan.transform(x), plan)
+            scales = {
+                d: _normalize.compute_plan(base, BinaryDelta(d)).scales for d in cfg["delta_grid"]
+            }
             for s in cfg["sigma_grid"]:
                 y = beta * columns[q] if noise[s] is None else beta * columns[q] + noise[s]
+                data = Dataset(x=x, y=y)
                 for d in cfg["delta_grid"]:
-                    xn, plan = scaled[d]
-                    data = Dataset(x=xn, y=y)
                     for lam1 in cfg["lambda1_grid"]:
-                        res = fit(data, PenaltySpec(lam1=lam1), plan=plan)
+                        res = fit(data, PenaltySpec(lam1=lam1, u=scales[d]))
                         cell = (q, d, lam1, s)
-                        selected = 1.0 if res.beta_norm[0] != 0.0 else 0.0
+                        selected = 1.0 if res.beta[0] != 0.0 else 0.0
                         rec.add(rep, cell, selected=selected, oracle_probability=oracle[cell])
     return {
         "lambda_rule": "fixed lambda1 grid on the normalized scale (no rescaling)",
@@ -473,20 +471,19 @@ def _run_bias_var(spec, cfg, rec):
         for q in qs:
             x = columns[q][:, np.newaxis]
             base = Dataset(x=x, y=np.zeros(n))
-            prepared = {}
+            penalties = {}
             for t in cfg["exponent_grid"]:
                 if variant == "weighted":
-                    w = np.array([BinaryDelta(t).scale_at(q)])
-                    prepared[t] = (base.x, None, PenaltySpec(lam1=lam1, lam2=lam2, u=w, v=w))
+                    u = v = np.array([BinaryDelta(t).scale_at(q)])
                 else:
-                    plan = _normalize.compute_plan(base, BinaryDelta(t))
-                    prepared[t] = (plan.transform(x), plan, PenaltySpec(lam1=lam1, lam2=lam2))
+                    u = _normalize.compute_plan(base, BinaryDelta(t)).scales
+                    v = u * u
+                penalties[t] = PenaltySpec(lam1=lam1, lam2=lam2, u=u, v=v)
             for s in cfg["sigma_grid"]:
                 y = beta * columns[q] if noise[s] is None else beta * columns[q] + noise[s]
+                data = Dataset(x=x, y=y)
                 for t in cfg["exponent_grid"]:
-                    xn, plan, penalty = prepared[t]
-                    data = Dataset(x=xn, y=y)
-                    res = fit(data, penalty, plan=plan)
+                    res = fit(data, penalties[t])
                     rec.add(rep, (q, t, s), estimate=res.beta[0], **oracle[(q, t, s)])
     rule = (
         "penalty weights u = v = nu^omega from the nominal class balance"
@@ -549,7 +546,7 @@ def _run_decreasing_classbalance(spec, cfg, rec):
             lam1 = 2.0 * sigma * math.sqrt(2.0 * math.log(p))
             for d in cfg["delta_grid"]:
                 plan = _normalize.compute_plan(data, BinaryDelta(d))
-                res = fit(_normalize.apply(data, plan), PenaltySpec(lam1=lam1), plan=plan)
+                res = fit(data, PenaltySpec(lam1=lam1, u=plan.scales))
                 estimates = {f"estimate_{j + 1:02d}": res.beta[j] for j in range(k)}
                 rec.add(rep, (d, rho), **estimates, support_size=len(res.support))
     return {
@@ -612,15 +609,14 @@ def _run_mixed_data(spec, cfg, rec):
                     strategy = _normalize.PerFeature(
                         (BinaryDelta(d, comparability, cfg["kappa"], cfg["q0"]), Standardize())
                     )
-                    plan = _normalize.compute_plan(data, strategy)
-                    nd = _normalize.apply(data, plan)
-                    lam_max = lambda_max(nd)
+                    s = _normalize.compute_plan(data, strategy).scales
+                    lam_max = lambda_max(data, u=s)
                     penalty = (
-                        PenaltySpec(lam1=lam_max / 2.0)
+                        PenaltySpec(lam1=lam_max / 2.0, u=s)
                         if model == "lasso"
-                        else PenaltySpec(lam1=0.0, lam2=2.0 * lam_max)
+                        else PenaltySpec(lam1=0.0, lam2=2.0 * lam_max, v=s * s)
                     )
-                    res = fit(nd, penalty, plan=plan)
+                    res = fit(data, penalty)
                     rec.add(
                         rep,
                         (model, q, d),
@@ -667,18 +663,15 @@ def _run_interactions(spec, cfg, rec):
             x = np.column_stack([x1, x2, x3])
             s1 = binary_scale.scale_at(class_balance(x1))
             s2 = float(x2.std())
-            centers = x.mean(axis=0)
-            plans = {
-                1: NormalizationPlan(centers, np.array([s1, s2, float(x3.std())])),
-                2: NormalizationPlan(centers, np.array([s1, s2, s1 * s2])),
-            }
+            # the centers of both plans are the column means, which the
+            # intercept absorbs; the scales enter as penalty weights
+            scales = {1: np.array([s1, s2, float(x3.std())]), 2: np.array([s1, s2, s1 * s2])}
             for beta3 in cfg["beta3_grid"]:
                 beta = np.array([cfg["beta_binary"], cfg["beta_cont"], beta3])
                 sigma = sigma_for_snr(x, beta, cfg["snr"])
                 data = Dataset(x=x, y=x @ beta + sigma * z)
-                for strategy, plan in plans.items():
-                    nd = _normalize.apply(data, plan)
-                    res = fit(nd, PenaltySpec(lam1=lam1), plan=plan)
+                for strategy, s in scales.items():
+                    res = fit(data, PenaltySpec(lam1=lam1, u=s))
                     rec.add(
                         rep,
                         (q, beta3, strategy),
@@ -792,14 +785,12 @@ def _run_orthogonality(spec, cfg, rec):
             sigma = sigma_for_snr(x, beta, cfg["snr"])
             corr = float(np.corrcoef(x[:, 0], x[:, 1])[0, 1])
             plan = _normalize.compute_plan(Dataset(x=x, y=np.zeros(n)), Standardize())
-            designs[(q2, rho)] = (x, plan.transform(x), plan, sigma, corr)
+            designs[(q2, rho)] = (np.asfortranarray(x), plan.scales, sigma, corr)
     for rep, _, ge in _replications(spec, cfg):
         z = ge.standard_normal(n)
-        for (q2, rho), (x, xn, plan, sigma, corr) in designs.items():
-            y = x @ beta + sigma * z
-            nd = Dataset(x=xn, y=y)
-            lam_max = lambda_max(nd)
-            res = fit(nd, PenaltySpec(lam1=lam_max / 2.0), plan=plan)
+        for (q2, rho), (x, s, sigma, corr) in designs.items():
+            data = Dataset(x=x, y=x @ beta + sigma * z)
+            res = fit(data, PenaltySpec(lam1=lambda_max(data, u=s) / 2.0, u=s))
             cell = (q2, rho)
             rec.add(rep, cell, estimate_1=res.beta[0], estimate_2=res.beta[1], realized_corr=corr)
     return {
@@ -853,8 +844,7 @@ def _run_power_fdr(spec, cfg, rec):
             data = Dataset(x=x_full[:, :p], y=y)
             for d in cfg["delta_grid"]:
                 plan = _normalize.compute_plan(data, BinaryDelta(d))
-                lam1 = n * 4.0**d / 10.0
-                res = fit(_normalize.apply(data, plan), PenaltySpec(lam1=lam1), plan=plan)
+                res = fit(data, PenaltySpec(lam1=n * 4.0**d / 10.0, u=plan.scales))
                 support = set(res.support.tolist())
                 y_hat = res.beta0 + data.x @ res.beta
                 rec.add(
@@ -929,25 +919,26 @@ def _run_predictive_sim(spec, cfg, rec):
         order = gs.permutation(n)
         train, val, test = order[:third], order[third : 2 * third], order[2 * third :]
         signal = x[:, :k] @ beta[:k]
+        xt, xv, xs = np.asfortranarray(x[train]), x[val], x[test]
+        scales = {d: _tolerant_plan(xt, d).scales for d in cfg["delta_grid"]}
         for snr in cfg["snr_grid"]:
             sigma = sigma_for_snr(x, beta, snr)
             y = signal + sigma * z
+            data = Dataset(x=xt, y=y[train])
             for d in cfg["delta_grid"]:
-                plan = _tolerant_plan(x[train], d)
-                nd = Dataset(x=plan.transform(x[train]), y=y[train])
-                grid = lambda_grid(lambda_max(nd), count=cfg["path_count"], ratio=cfg["path_ratio"])
-                xv = plan.transform(x[val])
+                s = scales[d]
+                lam_max = lambda_max(data, u=s)
+                grid = lambda_grid(lam_max, count=cfg["path_count"], ratio=cfg["path_ratio"])
                 best = None
-                for lam, res in zip(grid, fit_path(nd, 1.0, grid)):
-                    score = nmse(y[val], res.beta0_norm + xv @ res.beta_norm)
+                for lam, res in zip(grid, fit_path(data, 1.0, grid, u=s)):
+                    score = nmse(y[val], res.beta0 + xv @ res.beta)
                     if best is None or score < best[0]:
                         best = (score, float(lam), res)
                 _, lam, res = best
-                xs = plan.transform(x[test])
                 rec.add(
                     rep,
                     (snr, d),
-                    nmse_test=nmse(y[test], res.beta0_norm + xs @ res.beta_norm),
+                    nmse_test=nmse(y[test], res.beta0 + xs @ res.beta),
                     lambda_selected=lam,
                     support_size=len(res.support),
                 )
@@ -1008,8 +999,7 @@ def _run_maxabs_gev(spec, cfg, rec):
                 sigma = sigma_for_snr(x, beta, cfg["snr"])
                 data = Dataset(x=x, y=x @ beta + sigma * ge.standard_normal(n))
                 plan = _normalize.compute_plan(data, MaxAbs())
-                nd = _normalize.apply(data, plan)
-                res = fit(nd, PenaltySpec(lam1=n * nu1 / 2.0), plan=plan)
+                res = fit(data, PenaltySpec(lam1=n * nu1 / 2.0, u=plan.scales))
                 rec.add(rep, ("b", n), estimate_binary=res.beta[0], estimate_normal=res.beta[1])
         return {
             "lambda_rule": "lambda1 = n nu1 / 2, anchored on the binary feature",

@@ -5,12 +5,15 @@ Minimizes, over (beta0, beta) and for fixed per-feature weights u, v > 0,
     (1/2) ||y - beta0 - X beta||^2
         + lam1 * sum_j u_j |beta_j| + (lam2 / 2) * sum_j v_j beta_j^2.
 
-The module operates on already-normalized data and never computes
-normalization factors itself; pass the plan that produced the data to get
-original-scale coefficients in the result. With u = v = 1 this is the
-standard elastic net; with u_j = s_j and v_j = s_j^2 on centered unscaled
-data it reproduces the normalized fit exactly (the weighted/normalized
-equivalence), which the tests exercise.
+The solver fits the data it is given and reports coefficients on that data's
+scale. Normalization enters through the weights, not through a copy of X:
+the fit of (X - c)/s with weights (u, v) is the fit of X with (s u, s^2 v),
+its coefficients divided by s and the centers absorbed by the unpenalized
+intercept (the weighted/normalized equivalence, which the tests exercise).
+So a caller with a plan fits the raw data with u = s u0, v = s^2 v0 and
+takes lambda_max(data, u=s u0) as the null-model level. `fit` still takes the
+plan of an already normalized copy, to report original-scale coefficients
+as well.
 
 The intercept is never penalized, so the solver works on the centered
 problem and sets beta0 = mean(y) - mean(X)' beta; centering goes through the
@@ -31,32 +34,40 @@ refinement against M_A itself.
 The designs of the paper break general position, so events follow these
 rules. A column within a relative 1e-10 of its bound counts as on it, and
 joins at once if the direction takes it outward: ties at lambda_max, which
-are part of the designs, join one after the other this way. The column that
-just dropped sits on its bound moving inward, so on the next segment only its
+are part of the designs, join one after the other this way. A column whose
+outward rate u_j - a_j is within a relative 1e-10 of zero, such as a
+duplicate of an active column, is not moving outward. The column that just
+dropped sits on its bound moving inward, so on the next segment only its
 other bound is tested. A join whose Schur complement is at most 1e-10 of its
 diagonal is refused until the next drop, since that column lies in the span
-of the active ones (a duplicate, or any column once |A| = n - 1); below 1e-6
-the complement is taken from a Cholesky factor of the bordered system rather
-than from the updated inverse. A column with no variance never joins. A
-coefficient whose final solve comes out against its sign is a drop the path
-missed by round-off: it is dropped and the rest re-solved.
+of the active ones (any column once |A| = n - 1); below 1e-6 the complement
+is taken from a Cholesky factor of the bordered system rather than from the
+updated inverse. A column with no variance never joins. A coefficient whose
+final solve comes out against its sign is a drop the path missed by
+round-off: it is dropped and the rest re-solved.
 
-`_Design` alone chooses between tall designs (p <= n) and wide ones. On
-tall ones the Gram rows X'x_j are computed for a block of likely joiners per
-pass over X and a step costs O(p |A|). Wide ones keep the active columns
-contiguous, one row of n floats each in the order of A, in a buffer that
-doubles with M_A^{-1}'s as A grows: a join costs x_j'X_A (2n|A| flops), and
-a step X'(X_A d - (xbar_A'd) 1), one pass over X plus 2n|A| flops. No p x p
-array is made. lam1 = 0 is one ridge solve (in the n-dimensional row space
-when p > n) and p = 1 the soft-threshold closed form.
-A fit given `warm_start` continues from it when it is an exact solution at
-some lam >= lam1 for the same lam2, and starts cold otherwise.
+What depends on (x, y) alone is set up once per Dataset and kept on it: the
+column means, mean(y), X'(y - mean y), the centered Gram rows of a tall
+design and the columns found to have no variance. A Dataset's arrays are
+read-only, so this cannot go stale. The weights, lam2 and a wide design's
+active columns belong to each fit. `_Design` alone chooses between tall
+designs (p <= n) and wide ones. On tall ones the Gram rows X'x_j are
+computed for a block of likely joiners per pass over X and a step costs
+O(p |A|). Wide ones keep the active columns contiguous, one row of n floats
+each in the order of A, in a buffer that doubles with M_A^{-1}'s as A grows:
+a join costs x_j'X_A (2n|A| flops), and a step X'(X_A d - (xbar_A'd) 1), one
+pass over X plus 2n|A| flops. No p x p array is made. lam1 = 0 is one ridge
+solve (in the n-dimensional row space when p > n) and p = 1 the
+soft-threshold closed form.
 
-Every fit ends with a KKT check: `converged` means that
-max(kkt_residuals) / max_j |x_j'(y - mean y)| is at most 1e-8. A fit that
-reaches the step cap, or more than p events in a row of zero length (a cycle
-among tied columns), returns its last point, flagged, and never raises; a
-continuation that fails the check is redone from lambda_max.
+`fit_path` calls `fit` once per grid point. At alpha = 1 it hands each fit
+the homotopy of the fit before, which continues down to the next point; at
+alpha < 1 lam2 moves with lambda, and each point starts from lambda_max.
+
+Every fit ends with a KKT check on the data it was given: `converged` means
+that max(kkt_residuals) / max_j |x_j'(y - mean y)| is at most 1e-8. A fit
+that reaches the step cap returns its last point, flagged, and never raises;
+a continued path point that fails the check is redone from lambda_max.
 """
 
 from __future__ import annotations
@@ -72,7 +83,7 @@ from .normalize import NormalizationPlan, backtransform
 
 KKT_TOLERANCE = 1e-8  # largest scale-free KKT residual of a certified fit
 _DEAD = 1e-12  # a constant column centers to round-off, not to zero
-_TIE = 1e-10  # relative distance from its bound at which a column joins
+_TIE = 1e-10  # relative: a column this near its bound is on it; one moving out this slowly is not
 _SCHUR = 1e-10  # smallest Schur complement, relative to the diagonal, of a join
 _NEAR = 1e-6  # a Schur complement below this, relative, is recomputed by Cholesky
 _WORN = 1e-9  # a relative refinement above this calls for a fresh M_A^{-1}
@@ -99,10 +110,10 @@ class PenaltySpec:
             w = getattr(self, name)
             if w is None:
                 continue
-            w = np.ascontiguousarray(np.asarray(w, dtype=np.float64))
+            w = np.ascontiguousarray(w, dtype=np.float64)
             if w.ndim != 1:
                 raise DimensionMismatchError(f"{name} must be 1-d")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+            if not (np.isfinite(w).all() and (w > 0.0).all()):
                 raise DomainError(f"{name} entries must be positive and finite")
             w.setflags(write=False)
             object.__setattr__(self, name, w)
@@ -126,9 +137,11 @@ def from_mixing(alpha: float, lam: float, u=None, v=None) -> PenaltySpec:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Solver output on both scales.
+    """Solver output.
 
-    beta/beta0 equal beta_norm/beta0_norm when no plan was supplied.
+    beta_norm/beta0_norm are on the scale of the data the fit received, where
+    the KKT certificate holds; beta/beta0 equal them unless the plan of a
+    normalized copy was given, and are then on the original scale.
     sweeps_used counts homotopy steps (1 for a closed form or ridge solve);
     converged means the fit passed the KKT certificate, and kkt_residual is
     its scale-free residual.
@@ -158,28 +171,61 @@ def _objective(r, beta, lam1, lam2, u, v) -> float:
     )
 
 
-class _Design:
-    """The centered design, seen through X and its column means.
+class _Setup:
+    """What every fit of one Dataset shares: the column means, mean(y),
+    X'(y - mean y) and its largest entry, a tall design's centered Gram rows
+    as they are computed, and the columns found to have no variance."""
 
-    The one place that tells tall designs from wide ones: tall ones (p <= n)
-    cache centered Gram rows, computed for a block of columns per pass over
-    X; wide ones keep the raw active columns contiguous, one row of n floats
-    each in the order of the path's active set, and center them through the
-    column means.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, u, v, lam2: float):
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         n, p = x.shape
-        self.x, self.n, self.u, self.v, self.lam2 = x, n, u, v, lam2
+        self.x, self.n = x, n
         # one BLAS call; x.mean(axis=0) is several times slower on a tall X
         self.xbar = np.ones(n) @ x / n
         self.ybar = float(y.sum() / n)
         self.yc = y - self.ybar
         self.c0 = x.T @ self.yc
+        self.scale = float(np.max(np.abs(self.c0))) if p else 0.0
         self.gram = np.empty((p, p)) if p <= n else None
         self.cached = np.zeros(p, dtype=bool)
-        self.active = np.empty((0, n)) if p > n else None
         self.dead = np.zeros(p, dtype=bool)  # no variance; known once tested
+
+    def rows(self, cols: np.ndarray) -> np.ndarray:
+        """Centered Gram rows X' x_j of a tall design for each j in cols
+        (ascending), cached; marks dead columns."""
+        xj = self.x.T if len(cols) == self.x.shape[1] else np.ascontiguousarray(self.x[:, cols].T)
+        g = xj @ self.x
+        diag = (np.arange(len(cols)), cols)
+        raw = g[diag]
+        g -= np.multiply.outer(self.n * self.xbar[cols], self.xbar)
+        self.dead[cols] = g[diag] <= _DEAD * raw
+        self.gram[cols] = g
+        self.cached[cols] = True
+        return g
+
+
+def _setup(data: Dataset) -> _Setup:
+    """data's set-up, made on first use and kept on the instance."""
+    setup = data.__dict__.get("_setup")
+    if setup is None:
+        setup = data.__dict__["_setup"] = _Setup(data.x, data.y)
+    return setup
+
+
+class _Design:
+    """The centered design of one fit: its set-up, weights and lam2.
+
+    The one place that tells tall designs from wide ones: tall ones (p <= n)
+    use the set-up's centered Gram rows, computed for a block of columns per
+    pass over X; wide ones keep the raw active columns contiguous, one row of
+    n floats each in the order of the path's active set, and center them
+    through the column means.
+    """
+
+    def __init__(self, setup: _Setup, u, v, lam2: float):
+        self.setup, self.u, self.v, self.lam2 = setup, u, v, lam2
+        self.x, self.n, self.xbar, self.c0 = setup.x, setup.n, setup.xbar, setup.c0
+        self.gram, self.dead = setup.gram, setup.dead
+        self.active = np.empty((0, self.n)) if self.gram is None else None
 
     # -- the active columns, in the order of the path's active set -------
 
@@ -190,11 +236,10 @@ class _Design:
             active[:k] = self.active[:k]
             self.active = active
 
-    def enter(self, i: int, cols) -> None:
-        """Columns cols become the active columns i, i + 1, ..."""
+    def enter(self, i: int, j: int) -> None:
+        """Column j becomes active column i."""
         if self.active is not None:
-            cols = np.atleast_1d(cols)
-            self.active[i : i + cols.size] = self.x[:, cols].T
+            self.active[i] = self.x[:, j]
 
     def swap(self, i: int, last: int) -> None:
         """Active columns i and last trade places."""
@@ -209,11 +254,11 @@ class _Design:
         if self.gram is None:
             z = self.x @ beta
             z -= float(self.xbar @ beta)
-            c = self.x.T @ (self.yc - z)
+            c = self.x.T @ (self.setup.yc - z)
         else:
-            missing = idx[~self.cached[idx]]
+            missing = idx[~self.setup.cached[idx]]
             if missing.size:
-                self.rows(missing)
+                self.setup.rows(missing)
             c = self.c0 - beta[idx] @ self.gram[idx]
         c -= self.lam2 * self.v * beta
         return c
@@ -244,12 +289,13 @@ class _Design:
             own = raw - self.n * float(self.xbar[j]) ** 2
             self.dead[j] = own <= _DEAD * raw
             return g, own
-        if not self.cached[j]:
+        cached = self.setup.cached
+        if not cached[j]:
             ratio = np.abs(c) / self.u
-            ratio[~free | self.cached] = -1.0
+            ratio[~free | cached] = -1.0
             ratio[j] = math.inf
             block = np.argsort(-ratio, kind="stable")[:_BLOCK_COLUMNS]
-            self.rows(np.sort(block[ratio[block] >= 0.0]))
+            self.setup.rows(np.sort(block[ratio[block] >= 0.0]))
         return self.gram[j, idx], self.gram[j, j]
 
     def system(self, cols: np.ndarray) -> np.ndarray:
@@ -262,19 +308,6 @@ class _Design:
             m = self.gram[np.ix_(cols, cols)]
         m[np.diag_indices(len(cols))] += self.lam2 * self.v[cols]
         return m
-
-    def rows(self, cols: np.ndarray) -> np.ndarray:
-        """Centered Gram rows X' x_j of a tall design for each j in cols
-        (ascending), cached; marks dead columns."""
-        xj = self.x.T if len(cols) == self.x.shape[1] else np.ascontiguousarray(self.x[:, cols].T)
-        g = xj @ self.x
-        diag = (np.arange(len(cols)), cols)
-        raw = g[diag]
-        g -= np.multiply.outer(self.n * self.xbar[cols], self.xbar)
-        self.dead[cols] = g[diag] <= _DEAD * raw
-        self.gram[cols] = g
-        self.cached[cols] = True
-        return g
 
     def ridge(self) -> np.ndarray:
         """The lam1 = 0 optimum; the minimum-norm one when lam2 = 0 leaves a tie."""
@@ -289,8 +322,8 @@ class _Design:
             w = 1.0 / (self.lam2 * self.v)
             system = (xc * w) @ xc.T
             system[np.diag_indices(n)] += 1.0
-            return w * (xc.T @ np.linalg.solve(system, self.yc))
-        gram = self.rows(np.arange(p))
+            return w * (xc.T @ np.linalg.solve(system, self.setup.yc))
+        gram = self.setup.rows(np.arange(p))
         keep = np.flatnonzero(~self.dead)
         beta = np.zeros(p)
         if keep.size:
@@ -308,7 +341,7 @@ def _soft_threshold(z: float, t: float) -> float:
 
 
 class _Homotopy:
-    """One pass of the lam1 path at fixed lam2 on a centered design."""
+    """The lam1 path at fixed lam2 on a centered design, from lambda_max down."""
 
     def __init__(self, design: _Design, max_steps: int):
         d = design
@@ -322,13 +355,23 @@ class _Homotopy:
         self.act = np.empty(size, dtype=np.intp)
         self.sgn = np.empty(size)
         d.reserve(size, 0)
-        self.k = 0
-        self.free = np.ones(p, dtype=bool)  # may join: inactive, not dead, not refused
+        self.restart()
+
+    def restart(self) -> None:
+        """Start at lambda_max, where the column of largest |c_j| / u_j joins."""
+        d = self.d
+        self.k = self.steps = 0
+        self.free = ~d.dead  # may join: inactive, not dead, not refused
         self.refused: list[int] = []
-        self.beta = np.zeros(p)
+        self.dropped, self.left = -1, 0.0  # the last drop, and the bound it left
+        self.beta = np.zeros(d.c0.shape[0])
         self.c = d.c0.copy()
-        self.lam = 0.0
-        self.steps = 0
+        ratio = np.abs(d.c0) / d.u
+        while True:
+            j = int(np.argmax(np.where(self.free, ratio, -1.0)))
+            self.lam = float(ratio[j]) if self.free[j] else 0.0
+            if self.lam == 0.0 or self.join(j, 1.0 if d.c0[j] > 0.0 else -1.0):
+                return
 
     # -- the active set --------------------------------------------------
 
@@ -387,9 +430,10 @@ class _Homotopy:
         self.k = k + 1
         return True
 
-    def drop(self, i: int) -> int:
+    def drop(self, i: int) -> None:
         inv, last = self.inv, self.k - 1
         j = int(self.act[i])
+        self.dropped, self.left = j, float(self.sgn[i])
         if i != last:
             swap = [last, i]
             inv[[i, last], : self.k] = inv[swap, : self.k]
@@ -405,8 +449,8 @@ class _Homotopy:
         self.beta[j] = 0.0
         # a smaller active set may no longer span a refused column
         self.free[self.refused] = True
+        self.free[j] = True
         self.refused.clear()
-        return j
 
     def worn(self, fix: np.ndarray, value: np.ndarray) -> bool:
         """Whether a refinement this large shows an inverse worn down by the
@@ -420,14 +464,11 @@ class _Homotopy:
     # -- moving along the path -------------------------------------------
 
     def run(self, lam1: float) -> bool:
-        """Follow the path down to lam1; False if the step cap stopped it, or
-        if more than p events in a row took no step: a cycle among columns
-        tied at one lambda, which round-off can start at a warm start."""
+        """Follow the path down to lam1; False if the step cap stopped it."""
         d = self.d
         u, v, lam2 = d.u, d.v, d.lam2
-        dropped, left, standing = -1, 0.0, 0
         while self.lam > lam1:
-            if self.steps >= self.max_steps or standing > u.shape[0]:
+            if self.steps >= self.max_steps:
                 return False
             self.steps += 1
             k = self.k
@@ -454,21 +495,20 @@ class _Homotopy:
                 t_drop = max(float(td[i_drop]), 0.0)
             # joins: a free column reaches +lam u_j (row 0) or -lam u_j (row
             # 1); one already within _TIE of its bound joins now if the
-            # direction takes it outward. The column that just dropped left
-            # its bound on side `left`, so on this segment it can only reach
-            # the other one.
+            # direction takes it outward by more than round-off. The column
+            # that just dropped left its bound on side `left`, so on this
+            # segment it can only reach the other one.
             bound = lam * u
             gap = bound - _SIDES * c
             gap[gap <= _TIE * bound] = 0.0
             den = u - _SIDES * a
-            ok = (den > 0.0) & self.free
-            if left:
-                ok[0 if left > 0.0 else 1, dropped] = False
+            ok = (den > _TIE * u) & self.free
+            if self.left:
+                ok[0 if self.left > 0.0 else 1, self.dropped] = False
             times = np.divide(gap, den, out=np.full(gap.shape, math.inf), where=ok).min(axis=0)
             j_join = int(times.argmin())
             t_join = float(times[j_join])
             t = min(t_drop, t_join, lam - lam1)
-            standing = standing + 1 if t == 0.0 else 0
             self.beta[idx] = bk + t * dvec
             c -= t * a
             self.lam = lam1 if t >= lam - lam1 else lam - t
@@ -476,11 +516,9 @@ class _Homotopy:
             if self.lam == lam1:
                 break
             if t_drop <= t_join:
-                left = float(sgn[i_drop])
-                dropped = self.drop(i_drop)
-                self.free[dropped] = True
+                self.drop(i_drop)
             else:
-                dropped, left = -1, 0.0
+                self.dropped, self.left = -1, 0.0
                 self.join(j_join, 1.0 if c[j_join] > 0.0 else -1.0)
         return True
 
@@ -508,57 +546,6 @@ class _Homotopy:
                 return beta
             self.drop(int(np.argmin(signed)))
 
-    # -- starting points -------------------------------------------------
-
-    def start_cold(self) -> None:
-        """Start at lambda_max, where the column of largest |c_j| / u_j joins."""
-        ratio = np.abs(self.d.c0) / self.d.u
-        while True:
-            j = int(np.argmax(np.where(self.free, ratio, -1.0)))
-            self.lam = float(ratio[j]) if self.free[j] else 0.0
-            if self.lam == 0.0 or self.join(j, 1.0 if self.d.c0[j] > 0.0 else -1.0):
-                return
-
-    def start_warm(self, warm: np.ndarray, lam1: float, scale: float) -> bool:
-        """Continue from warm if it is an exact solution at some lam >= lam1."""
-        d = self.d
-        support = np.flatnonzero(warm)
-        k = support.size
-        if not 0 < k <= self.cap or scale == 0.0:
-            return False
-        c = d.correlations(warm, support)
-        sgn = np.sign(warm[support])
-        us = d.u[support]
-        lam = float((c[support] * sgn) @ us / (us @ us))
-        if not lam >= lam1 * (1.0 - _TIE):
-            return False
-        station = float(np.max(np.abs(c[support] - lam * us * sgn)))
-        excess = np.abs(c) - lam * d.u
-        excess[support] = 0.0
-        if not max(station, float(excess.max())) <= KKT_TOLERANCE * scale:
-            return False
-        # the Cholesky pivots are the Schur complements of joining the support
-        # in index order, so the join test carries over
-        self.reserve(k)
-        d.enter(0, support)
-        m = d.system(support)
-        try:
-            pivots = np.linalg.cholesky(m).diagonal() ** 2
-        except np.linalg.LinAlgError:
-            return False
-        if np.any(pivots <= _SCHUR * m.diagonal()):
-            return False
-        self.inv[:k, :k] = np.linalg.inv(m)
-        self.act[:k] = support
-        self.sgn[:k] = sgn
-        self.free[support] = False
-        self.k = k
-        self.lam = max(lam, lam1)
-        self.beta[:] = warm
-        self.c = c
-        self.c[support] = self.lam * us * sgn
-        return True
-
 
 def _max_steps(p: int) -> int:
     # a safeguard: criterion 7's fits take at most 645 steps at p = 1000
@@ -574,9 +561,9 @@ def _kkt(x, r, beta, lam1, lam2, u, v) -> np.ndarray:
     return np.where(beta != 0.0, station, excess)
 
 
-def _optimum(design: _Design, lam1: float, warm: np.ndarray | None, scale: float):
-    """(beta, steps, warmed) of the centered problem at lam1; warmed tells
-    whether the path continued from warm."""
+def _optimum(design: _Design, lam1: float, path: _Homotopy | None):
+    """(beta, steps, continued) of the centered problem at lam1; continued
+    tells whether path went on from a point below lambda_max."""
     x, u, v, lam2 = design.x, design.u, design.v, design.lam2
     n, p = x.shape
     if p == 1:
@@ -588,46 +575,49 @@ def _optimum(design: _Design, lam1: float, warm: np.ndarray | None, scale: float
         return beta, 1, False
     if lam1 == 0.0:
         return design.ridge(), 1, False
-    path = _Homotopy(design, _max_steps(p))
-    warmed = warm is not None and path.start_warm(warm, lam1, scale)
-    if not warmed:
-        path.start_cold()
+    if path is None:
+        path = _Homotopy(design, _max_steps(p))
+    elif not path.k or path.lam < lam1:
+        # an empty active set, above lambda_max, has no direction to go on along
+        path.restart()
+    start = path.steps
     finished = path.run(lam1)
-    return (path.solve(lam1) if finished else path.beta.copy()), path.steps, warmed
+    return (path.solve(lam1) if finished else path.beta.copy()), path.steps - start, start > 0
 
 
 def fit(
     data: Dataset,
     penalty: PenaltySpec,
     plan: NormalizationPlan | None = None,
-    warm_start: np.ndarray | None = None,
+    *,
+    continuation: _Homotopy | None = None,
 ) -> FitResult:
-    """Solve the weighted elastic net on (already normalized) data exactly."""
+    """Solve the weighted elastic net on data exactly.
+
+    plan is that of a normalized copy given as data, for original-scale
+    coefficients in beta/beta0. continuation is fit_path's: the homotopy of
+    the point before, on this data at penalty's weights and lam2.
+    """
     x, y = data.x, data.y
     n, p = data.n, data.p
     if penalty.lam1 == 0.0 and penalty.lam2 == 0.0 and p >= n:
         raise DomainError("unpenalized fit requires p < n")
     u, v = penalty.resolve_weights(p)
     lam1, lam2 = penalty.lam1, penalty.lam2
-    if warm_start is not None:
-        warm_start = np.asarray(warm_start, dtype=np.float64)
-        if warm_start.shape != (p,):
-            raise DimensionMismatchError(f"warm_start must have shape ({p},)")
-
-    design = _Design(x, y, u, v, lam2)
-    scale = float(np.max(np.abs(design.c0))) if p else 0.0
-    steps, start = 0, warm_start
+    setup = _setup(data)
+    design = continuation.d if continuation is not None else _Design(setup, u, v, lam2)
+    scale, steps = setup.scale, 0
     while True:
-        beta, taken, warmed = _optimum(design, lam1, start, scale)
+        beta, taken, continued = _optimum(design, lam1, continuation)
         steps += taken
-        beta0 = design.ybar - float(design.xbar @ beta)
+        beta0 = setup.ybar - float(setup.xbar @ beta)
         r = y - beta0 - x @ beta
         worst = float(_kkt(x, r, beta, lam1, lam2, u, v).max()) if p else 0.0
         residual = (0.0 if worst == 0.0 else math.inf) if scale == 0.0 else worst / scale
-        # a continuation that lost the certificate is redone from lambda_max
-        if not warmed or residual <= KKT_TOLERANCE:
+        # a continued point that lost the certificate is redone from lambda_max
+        if not continued or residual <= KKT_TOLERANCE:
             break
-        start = None
+        continuation.restart()
     objective = _objective(r, beta, lam1, lam2, u, v)
     if plan is not None:
         beta_orig, beta0_orig = backtransform(beta, beta0, plan)
@@ -679,8 +669,7 @@ def lambda_max(data: Dataset, u: np.ndarray | None = None) -> float:
         raise DimensionMismatchError(f"u must have shape ({data.p},)")
     if np.any(u_arr <= 0.0):
         raise DomainError("u entries must be positive")
-    grads = np.abs(data.x.T @ (data.y - data.y.mean())) / u_arr
-    value = float(grads.max()) if data.p else 0.0
+    value = float(np.max(np.abs(_setup(data).c0) / u_arr)) if data.p else 0.0
     if value == 0.0:
         raise DomainError("lambda_max undefined: all columns uncorrelated with response")
     # pad by a few ulps so lam1 * u_j >= |x_j' r| survives the divide/multiply
@@ -703,24 +692,24 @@ def fit_path(
     lambdas: np.ndarray,
     u: np.ndarray | None = None,
     v: np.ndarray | None = None,
-    plan: NormalizationPlan | None = None,
 ) -> list[FitResult]:
-    """Fits over the caller's lambda grid, in the given order, one per value.
+    """Fits over the caller's lambda grid, in the given order, one `fit` each.
 
     The caller owns the grid: lambda_grid(lambda_max(data, u), count, ratio)
     gives a path from this data's null model down, and any other anchor (the
     full-data lambda_max for a cross-validation fold, say) works the same.
-    Each fit is offered the previous coefficients as a warm start; at
-    alpha = 1 the homotopy continues from them, while at alpha < 1 lam2
-    moves with lambda and each fit starts cold.
+    At alpha = 1 one homotopy continues down the grid, stopping at each
+    point; a point above the last, or past an empty active set, starts it
+    again from lambda_max. At alpha < 1 lam2 moves with lambda, so each fit
+    starts from lambda_max. Every fit shares the data's set-up.
     """
-    results: list[FitResult] = []
-    warm: np.ndarray | None = None
-    for lam in lambdas:
-        res = fit(data, from_mixing(alpha, float(lam), u=u, v=v), plan=plan, warm_start=warm)
-        warm = res.beta_norm
-        results.append(res)
-    return results
+    path = None
+    if alpha == 1.0:
+        weights = PenaltySpec(0.0, u=u, v=v).resolve_weights(data.p)
+        path = _Homotopy(_Design(_setup(data), *weights, 0.0), _max_steps(data.p))
+    return [
+        fit(data, from_mixing(alpha, float(lam), u=u, v=v), continuation=path) for lam in lambdas
+    ]
 
 
 def kkt_residuals(data: Dataset, penalty: PenaltySpec, result: FitResult):

@@ -244,9 +244,11 @@ def test_non_convergence_is_flagged_not_raised(monkeypatch):
     assert res.kkt_residual > KKT_TOLERANCE
     # the last point is returned as it stands, on the original scale as well
     assert np.array_equal(res.beta, res.beta_norm)
-    # a warm start the path cannot use leaves nothing to redo
-    warm = fit(data, penalty, warm_start=np.ones(data.p))
-    assert not warm.converged and warm.sweeps_used == 2
+    # a continued path point that fails is redone from lambda_max: one step
+    # to the first point, one more to the cap, then two from lambda_max
+    near, far = fit_path(data, 1.0, [0.999 * lambda_max(data), penalty.lam1])
+    assert near.converged and near.sweeps_used == 1
+    assert not far.converged and far.sweeps_used == 1 + 2
     monkeypatch.undo()
     full = fit(data, penalty)
     assert full.converged and full.sweeps_used > 2
@@ -303,7 +305,7 @@ def test_backtransform_through_fit():
     assert np.allclose(pred_orig, pred_norm, atol=1e-9)
 
 
-def _reference_fit(data, penalty, options, warm_start=None):
+def _reference_fit(data, penalty, options):
     """The coordinate-descent loop the package used before the homotopy.
 
     Frozen as an independent reference for `fit`: run to a tight tolerance it
@@ -315,7 +317,7 @@ def _reference_fit(data, penalty, options, warm_start=None):
     lam1, lam2 = penalty.lam1, penalty.lam2
     col_sq = np.einsum("ij,ij->j", x, x)
     denom = col_sq + lam2 * v
-    beta = np.array(warm_start, dtype=np.float64) if warm_start is not None else np.zeros(p)
+    beta = np.zeros(p)
     beta0 = 0.0
     r = y - x @ beta
 
@@ -393,20 +395,18 @@ Sweeps = namedtuple("Sweeps", "tolerance max_sweeps")
 
 
 @pytest.mark.parametrize(
-    "problem, warm",
+    "problem",
     [
-        pytest.param(_wide_lasso, False, id="wide-converged"),
-        pytest.param(_wide_lasso, True, id="warm-start"),
-        pytest.param(_elastic_net_weighted, False, id="elnet-weighted"),
-        pytest.param(_zero_column, False, id="zero-column"),
+        pytest.param(_wide_lasso, id="wide-converged"),
+        pytest.param(_elastic_net_weighted, id="elnet-weighted"),
+        pytest.param(_zero_column, id="zero-column"),
     ],
 )
-def test_fit_equals_converged_reference_sweep(problem, warm):
+def test_fit_equals_converged_reference_sweep(problem):
     data, penalty = problem()
-    start = fit(data, PenaltySpec(lam1=2.0 * penalty.lam1)).beta_norm if warm else None
-    res = fit(data, penalty, warm_start=start)
+    res = fit(data, penalty)
     beta, beta0, _, converged, objective = _reference_fit(
-        data, penalty, Sweeps(tolerance=1e-13, max_sweeps=200_000), start
+        data, penalty, Sweeps(tolerance=1e-13, max_sweeps=200_000)
     )
     assert converged and res.converged
     assert np.allclose(res.beta_norm, beta, rtol=0.0, atol=1e-8)
@@ -483,23 +483,59 @@ def test_duplicate_column_matches_the_reference_optimum():
     assert res.beta_norm[7] == 0.0
 
 
-def test_warm_continuation_equals_a_cold_fit():
-    data, penalty = _wide_lasso()
-    lam = penalty.lam1
-    for start_lam, elnet in ((2.0 * lam, 0.0), (lam, 0.0), (4.0 * lam, 0.7)):
-        start = fit(data, PenaltySpec(lam1=start_lam, lam2=elnet))
-        target = PenaltySpec(lam1=lam, lam2=elnet)
-        warm = fit(data, target, warm_start=start.beta_norm)
-        cold = fit(data, target)
-        assert warm.converged and cold.converged
-        assert np.allclose(warm.beta_norm, cold.beta_norm, rtol=0.0, atol=1e-10)
-        # continuing from an exact solution takes no more steps than starting over
-        assert warm.sweeps_used <= cold.sweeps_used
-    # a start that is no solution, or one for a smaller lambda, starts cold
-    cold = fit(data, penalty)
-    for bad in (np.ones(data.p), fit(data, PenaltySpec(lam1=0.5 * lam)).beta_norm):
-        res = fit(data, penalty, warm_start=bad)
-        assert res.beta_norm.tobytes() == cold.beta_norm.tobytes()
+def test_a_duplicate_of_an_active_column_never_tries_to_join(monkeypatch):
+    # the duplicate sits on its bound and moves with the active column, so
+    # its outward rate is round-off; taken as outward it would join at zero
+    # length, be refused by the Schur test and cost a whole step
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((40, 120))
+    x[:, 1] = x[:, 0]
+    y = x[:, [0, 2, 4]] @ np.array([2.0, -1.5, 1.0]) + rng.standard_normal(40)
+    data = Dataset(x=x, y=y)
+    tried = []
+    join = normreg.solver._Homotopy.join
+
+    def counted(path, j, sign):
+        tried.append(j)
+        return join(path, j, sign)
+
+    monkeypatch.setattr(normreg.solver._Homotopy, "join", counted)
+    penalty = PenaltySpec(lam1=0.01 * lambda_max(data))
+    res = fit(data, penalty)
+    assert res.converged and _certified(data, penalty, res)
+    assert 0 in tried and 1 not in tried
+    alone = fit(Dataset(x=np.delete(x, 1, axis=1), y=y), penalty)
+    assert res.beta_norm[1] == 0.0
+    assert np.allclose(np.delete(res.beta_norm, 1), alone.beta_norm, rtol=0.0, atol=1e-10)
+
+
+def _tall_lasso():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((80, 30)) * rng.uniform(0.2, 5.0, 30) + rng.uniform(-3.0, 3.0, 30)
+    y = x[:, :5] @ np.array([1.0, -0.5, 0.3, 0.2, -0.1]) + rng.standard_normal(80)
+    data = Dataset(x=x, y=y)
+    return data, PenaltySpec(lam1=0.05 * lambda_max(data))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5], ids=["lasso", "elnet"])
+@pytest.mark.parametrize("problem", [_tall_lasso, _wide_lasso], ids=["tall", "wide"])
+def test_path_points_equal_cold_fits(problem, alpha):
+    data, _ = problem()
+    # the lasso's first two points lie at and above lambda_max, where the
+    # path's one column drops again and leaves the active set empty
+    grid = np.concatenate([[1.5 * lambda_max(data)], lambda_grid(lambda_max(data), 12, 1e-2)])
+    path = fit_path(data, alpha, grid)
+    assert alpha < 1.0 or path[0].support.size == path[1].support.size == 0
+    for lam, res in zip(grid, path):
+        cold = fit(data, from_mixing(alpha, lam))
+        assert res.converged and cold.converged
+        assert _certified(data, from_mixing(alpha, lam), res)
+        assert np.allclose(res.beta_norm, cold.beta_norm, rtol=0.0, atol=1e-10)
+        assert res.beta0_norm == pytest.approx(cold.beta0_norm, abs=1e-10)
+    if alpha == 1.0:
+        # the path continued: it took the last cold fit's steps, and one
+        # more per point, where it stopped inside a segment
+        assert sum(res.sweeps_used for res in path) <= cold.sweeps_used + len(grid)
 
 
 def _large_support(shape, ratio):
@@ -534,17 +570,16 @@ def test_active_set_beyond_the_initial_buffers(shape, ratio):
 
 
 @_LARGE_SUPPORTS
-def test_warm_continuation_from_beyond_the_initial_buffers(shape, ratio):
+def test_path_continues_beyond_the_initial_buffers(shape, ratio):
     data, penalty = _large_support(shape, ratio)
-    start = fit(data, penalty)
-    assert start.support.size > 64
     target = PenaltySpec(lam1=penalty.lam1 / 3.0)
-    warm = fit(data, target, warm_start=start.beta_norm)
+    start, end = fit_path(data, 1.0, [penalty.lam1, target.lam1])
+    assert start.support.size > 64
     cold = fit(data, target)
-    assert warm.converged and cold.converged and _certified(data, target, warm)
-    assert np.allclose(warm.beta_norm, cold.beta_norm, rtol=0.0, atol=1e-8)
-    # the path continued from the warm start rather than from lambda_max
-    assert warm.sweeps_used < cold.sweeps_used
+    assert end.converged and cold.converged and _certified(data, target, end)
+    assert np.allclose(end.beta_norm, cold.beta_norm, rtol=0.0, atol=1e-8)
+    # the path went on from the point before rather than from lambda_max
+    assert end.sweeps_used < cold.sweeps_used
 
 
 def test_fit_path_calls_fit_once_per_grid_point(monkeypatch):
@@ -553,13 +588,13 @@ def test_fit_path_calls_fit_once_per_grid_point(monkeypatch):
     exact = normreg.solver.fit
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("warm_start") is not None)
+        calls.append(args[:2])
         return exact(*args, **kwargs)
 
     monkeypatch.setattr(normreg.solver, "fit", counting)
     grid = lambda_grid(lambda_max(data), count=7)
     fit_path(data, 1.0, grid)
-    assert calls == [False] + [True] * 6
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize(
@@ -687,8 +722,8 @@ def _random_design(seed):
         # drops on an ill-conditioned M_A wear the inverse down until the
         # directions miss events
         pytest.param(1381, 0.5, id="worn-inverse"),
-        # a warm start among columns tied at one lambda joins and drops them
-        # in a cycle of zero steps; the cycle is cut and the fit redone cold
+        # columns tied at one lambda, where a warm start once joined and
+        # dropped them in a cycle of zero steps; the continued path does not
         pytest.param(5712, 1.0, id="tie-cycle"),
     ],
 )

@@ -14,6 +14,7 @@ All functions take and return Python floats; vectorized callers should loop
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError
 
@@ -116,7 +117,8 @@ def _folded_offset(u: float, mu: float, sigma: float) -> float:
     - 1 keeps t exact where |mu| + t rounds to the spacing of a large |mu|. It
     stops at a bracket width of 1e-10 sigma, so that t scales with sigma, or
     when the midpoint rounds to an end (offsets beyond about 2e5 sigma); an
-    upper bracket |mu| + t that overflows to inf raises DomainError.
+    upper bracket |mu| + t that overflows to inf, or a subnormal sigma,
+    raises DomainError.
     """
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {u!r}")
@@ -124,6 +126,9 @@ def _folded_offset(u: float, mu: float, sigma: float) -> float:
         raise DomainError(f"mu must be finite, got {mu!r}")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be finite and positive, got {sigma!r}")
+    if sigma < sys.float_info.min:
+        # 1/sigma overflows, so the density would too
+        raise DomainError(f"sigma {sigma!r} is subnormal")
     m = abs(mu)
 
     def cdf(t: float) -> float:
@@ -137,15 +142,16 @@ def _folded_offset(u: float, mu: float, sigma: float) -> float:
         raise DomainError(f"the {u!r} quantile of |N({mu!r}, {sigma!r}^2)| has no finite bracket")
     hi -= m
     width = 1e-10 * sigma
+    # lo + half the width: 0.5 * (lo + hi) overflows near the top of the range
     while hi - lo > width:
-        mid = 0.5 * (lo + hi)
+        mid = lo + 0.5 * (hi - lo)
         if not lo < mid < hi:
             break
         if cdf(mid) < u:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo + 0.5 * (hi - lo)
 
 
 def folded_normal_quantile(u: float, mu: float, sigma: float) -> float:

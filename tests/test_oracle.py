@@ -454,6 +454,22 @@ def test_gumbel_is_scale_equivariant(sigma):
     assert g.mean_approx == pytest.approx(sigma * unit.mean_approx, rel=1e-9, abs=0.0)
 
 
+def test_gumbel_near_the_top_of_the_float_range():
+    # the quantile, about 8e307, lies where lo + hi overflows in the bisection
+    unit = maxabs_gumbel(0.0, 1.0, 10**15)
+    g = maxabs_gumbel(0.0, 1e307, 10**15)
+    assert g.location == pytest.approx(1e307 * unit.location, rel=1e-9, abs=0.0)
+    # at n = 1e15 the cdf's spacing below 1 fixes the quantile only to about
+    # 1e-3 sigma, which the density, and so the scale, magnifies
+    assert g.scale == pytest.approx(1e307 * unit.scale, rel=1e-2, abs=0.0)
+
+
+def test_gumbel_rejects_a_subnormal_sigma():
+    # 1 / sigma overflows there, which gave a scale of 0.0 without an error
+    with pytest.raises(DomainError, match="subnormal"):
+        maxabs_gumbel(1.0, 1e-310, 10)
+
+
 def test_gumbel_rejects_tiny_n():
     with pytest.raises(DomainError):
         maxabs_gumbel(0.0, 1.0, 1)

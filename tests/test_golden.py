@@ -106,21 +106,21 @@ def _host() -> str:
 
 
 GOLDEN = {
-    "bias-var": "004394352466226eb9a5f7560daf0811df5220ccdb47d72a1ec70706d4724dd7",
-    "bias-var-json": "1f909c8be5789b35c5065f9a552b83d13dc1343eca518cb2e48aee423a5e4fc9",
+    "bias-var": "691b85b4b57a4608a2a19b04dde36da108b7cdf8f1c930e4c14d9183f4ad4dc3",
+    "bias-var-json": "90df58cb09a1ae1f13df91992c47171c4d7d1bfd1119b1648c0351d4c6a509ec",
     "bias-var-weighted": "7eedc74cadc4fc35ca977a9be01815072fdf0c9ebc081a81974f991ae4639811",
-    "cv": "b57857d1b9f2193829c05e1360d182e32559e5ee8714ccdf551921c17430b154",
-    "decreasing-classbalance": "7dbe18f8507acf342375e084094dde46175358d3b2492b5ebd87d6b6967a1eed",
-    "interactions": "36cbd234b10fb49c47cd00bc4c6704a288be949f88eb68bbcd402f336e57abc0",
+    "cv": "dc1a3a9d80162476848c22b4188efb43076e8ea711c93d82398325f029663d18",
+    "decreasing-classbalance": "061063a0ae4d8cccf63bd0d4670e4d52d6bbd1e84ffff9aef7686b44ed08862b",
+    "interactions": "2aa8c3272c198731e5c5fc922f240ac75943e9347d4320b9c7fe7b743bf40496",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
-    "maxabs-gev-b": "b511e4e2690fdd5d13d70b2507226a83083daba2b4b515f42ace484be58aaade",
-    "mixed-data": "3f9f332e698386449abf899435b9556ec20186a8c318a53c28743923cb6e5e70",
-    "orthogonality": "fcb2103c4e17e81cafcdc7fba7742734d57b7138dc08de61a1842d05d8a8ca5e",
-    "path": "cb31d441c80998979e21e2dc7cfdb8b895feb2cc1811d3fe8afedba691ce5a73",
-    "path-binary-delta": "05620f3a99178f3b0972d3f7e20dcbe80d888a7dc6d71193eef7322f337909ca",
-    "path-omega": "da331a2596a12e44292bc84d39805e4cafc55fcd25b85bcbcc6c374b3b683d2f",
-    "power-fdr": "9e37bf087a422df727909864ac7a4521b2e94a59908912b3a867c3f7533441d1",
-    "predictive-sim": "b6be81af67d959c1b97dce84526b3d4831065fb42d933f998a9e64ab6750636b",
+    "maxabs-gev-b": "7299bbdadf9cf5f15fb6e9650eb03b270d6c107b8aa6613b37bad1c515cebb84",
+    "mixed-data": "ae92b67410479f1c292cc5b1e2308adcf66e79b609bd244c495908b5acc448e0",
+    "orthogonality": "cf6bce657bd93a320d2d7ed5ac0e8607a93fa22503491f5e07e013defbaedd86",
+    "path": "38e017012db3bff2f561a5b80a3296a034db70a31af73e231052daad160e7185",
+    "path-binary-delta": "c42f2acd5d74771e09595c6e1effb9af4208a2a2733f46608a5e172f995f5e1d",
+    "path-omega": "231b9a46c34fc2c0747bab107ee5d1fd5dc016308f31bf4ac03b6e72a7780501",
+    "power-fdr": "34b0520fb0f3338fd076d25f25367d15d6938339c44b92712397120839b4ae18",
+    "predictive-sim": "e4fe99554f1851df7446a86701ff67876059b3fdd720cb582a05fa42d4cf1434",
     "selection-probability": "c6e8553bbc216bcd3c2edbab765f86797dc316e48f94c6bc4433d036ccf826e7",
     "weighted-elnet": "4e4247cc08cb313fd3b1d755d01e976a4e732077c24bfc324e1378073932b152",
 }

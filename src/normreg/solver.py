@@ -5,19 +5,18 @@ Minimizes, over (beta0, beta) and for fixed per-feature weights u, v > 0,
     (1/2) ||y - beta0 - X beta||^2
         + lam1 * sum_j u_j |beta_j| + (lam2 / 2) * sum_j v_j beta_j^2.
 
-The solver fits the data it is given and reports coefficients on that data's
-scale. Normalization enters through the weights, not through a copy of X:
-the fit of (X - c)/s with weights (u, v) is the fit of X with (s u, s^2 v),
-its coefficients divided by s and the centers absorbed by the unpenalized
-intercept (the weighted/normalized equivalence, which the tests exercise).
-So a caller with a plan fits the raw data with u = s u0, v = s^2 v0 and
-takes lambda_max(data, u=s u0) as the null-model level. `fit` still takes the
-plan of an already normalized copy, to report original-scale coefficients
-as well.
+The solver fits the data it is given and reports coefficients on its scale.
+Normalization enters through the weights, not a copy of X: the fit of
+(X - c)/s with weights (u, v) is the fit of X with (s u, s^2 v), divided by
+s, the centers absorbed by the unpenalized intercept (which the tests
+exercise). Callers with a plan fit the raw data so, at lambda_max(data,
+u=s u0); `fit` still takes the plan of a normalized copy, to report
+original-scale coefficients too.
 
 The intercept is never penalized, so the solver works on the centered
 problem and sets beta0 = mean(y) - mean(X)' beta; centering goes through the
-column means, and only the lam1 = 0 solve on a wide X copies X. With
+column means, and only a design whose means dwarf its spread (centered once)
+and the lam1 = 0 solve on a wide X copy X. With
 c_j = x_j'r - lam2 v_j beta_j on the centered residual r, the optimum at
 lam1 = lam has c_j = lam u_j sign(b_j) on the active set A and
 |c_j| <= lam u_j off it. At fixed lam2 that optimum is piecewise linear in
@@ -174,13 +173,23 @@ def _objective(r, beta, lam1, lam2, u, v) -> float:
 class _Setup:
     """What every fit of one Dataset shares: the column means, mean(y),
     X'(y - mean y) and its largest entry, a tall design's centered Gram rows
-    as they are computed, and the columns found to have no variance."""
+    as they are computed, and the columns found to have no variance.
+
+    Centering through the means costs a column (mean / sd)^2 ulps of its
+    Gram entries, so a design with a non-constant column whose mean exceeds
+    100 sd is centered once, in a copy x, and shift holds the means taken out.
+    """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         n, p = x.shape
-        self.x, self.n = x, n
         # one BLAS call; x.mean(axis=0) is several times slower on a tall X
-        self.xbar = np.ones(n) @ x / n
+        xbar = np.ones(n) @ x / n
+        raw = np.einsum("ij,ij->j", x, x)
+        self.shift = None
+        if np.any((raw - n * xbar * xbar < 1e-4 * raw) & (np.ptp(x, axis=0) > 0.0)):
+            x, self.shift = x - xbar, xbar
+            xbar = np.ones(n) @ x / n
+        self.x, self.n, self.xbar = x, n, xbar
         self.ybar = float(y.sum() / n)
         self.yc = y - self.ybar
         self.c0 = x.T @ self.yc
@@ -598,8 +607,7 @@ def fit(
     coefficients in beta/beta0. continuation is fit_path's: the homotopy of
     the point before, on this data at penalty's weights and lam2.
     """
-    x, y = data.x, data.y
-    n, p = data.n, data.p
+    y, n, p = data.y, data.n, data.p
     if penalty.lam1 == 0.0 and penalty.lam2 == 0.0 and p >= n:
         raise DomainError("unpenalized fit requires p < n")
     u, v = penalty.resolve_weights(p)
@@ -607,6 +615,7 @@ def fit(
     setup = _setup(data)
     design = continuation.d if continuation is not None else _Design(setup, u, v, lam2)
     scale, steps = setup.scale, 0
+    x = setup.x
     while True:
         beta, taken, continued = _optimum(design, lam1, continuation)
         steps += taken
@@ -619,6 +628,8 @@ def fit(
             break
         continuation.restart()
     objective = _objective(r, beta, lam1, lam2, u, v)
+    if setup.shift is not None:
+        beta0 -= float(setup.shift @ beta)
     if plan is not None:
         beta_orig, beta0_orig = backtransform(beta, beta0, plan)
     else:

@@ -509,6 +509,24 @@ def test_a_duplicate_of_an_active_column_never_tries_to_join(monkeypatch):
     assert np.allclose(np.delete(res.beta_norm, 1), alone.beta_norm, rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("offset", [1e5, 1e7])
+def test_columns_far_from_their_means_fit_like_centered_ones(offset):
+    # centered through their means, such columns would lose (offset / sd)^2
+    # ulps of their Gram entries, and their KKT check as much again
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((200, 8))
+    y = x @ rng.standard_normal(8) + rng.standard_normal(200)
+    shifted = Dataset(x=x + offset, y=y)
+    near = Dataset(x=shifted.x - offset, y=y)  # the same columns, rounded alike
+    grid = lambda_grid(lambda_max(near), 10, 1e-3)
+    for res, ref in zip(fit_path(shifted, 1.0, grid), fit_path(near, 1.0, grid)):
+        assert res.converged and ref.converged
+        assert np.allclose(res.beta_norm, ref.beta_norm, rtol=1e-9, atol=0.0)
+        assert res.beta0_norm == pytest.approx(ref.beta0_norm - offset * ref.beta_norm.sum())
+    ridge = fit(shifted, PenaltySpec(lam1=0.0, lam2=1.0))
+    assert ridge.converged
+
+
 def _tall_lasso():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((80, 30)) * rng.uniform(0.2, 5.0, 30) + rng.uniform(-3.0, 3.0, 30)

@@ -253,7 +253,7 @@ def _read_dataset(args) -> Dataset:
     return _io.read_delimited(args.input, schema)
 
 
-def _plan_for(data: Dataset, args) -> tuple[_normalize.NormalizationPlan, str]:
+def _plan_for(data: Dataset, args) -> _normalize.NormalizationPlan:
     name = args.normalize
     if name == "binary-delta":
         strategy = _normalize.mixed_binary_delta(
@@ -268,7 +268,7 @@ def _plan_for(data: Dataset, args) -> tuple[_normalize.NormalizationPlan, str]:
             "minmax": _normalize.MinMax,
             "robust": _normalize.Robust,
         }[name]()
-    return _normalize.compute_plan(data, strategy), name
+    return _normalize.compute_plan(data, strategy)
 
 
 def _resolve_penalty(args) -> tuple[float, float]:
@@ -333,7 +333,7 @@ def _manifest(args, command: str, extra: dict) -> dict:
 def _cmd_fit(args) -> int:
     lam1, lam2 = _resolve_penalty(args)
     data = _read_dataset(args)
-    plan, strategy_name = _plan_for(data, args)
+    plan = _plan_for(data, args)
     u, v = _weights(data, plan, args.omega)
     result = _fit(data, PenaltySpec(lam1=lam1, lam2=lam2, u=u, v=v))
     if not result.converged:
@@ -356,7 +356,7 @@ def _cmd_fit(args) -> int:
         "fit",
         {
             "input": args.input,
-            "normalize": strategy_name,
+            "normalize": args.normalize,
             "lam1": lam1,
             "lam2": lam2,
             "omega": args.omega,
@@ -373,7 +373,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_path(args) -> int:
     data = _read_dataset(args)
-    plan, strategy_name = _plan_for(data, args)
+    plan = _plan_for(data, args)
     u, v = _weights(data, plan, args.omega)
     grid = lambda_grid(lambda_max(data, u), args.count, args.ratio)
     results = fit_path(data, args.alpha, grid, u=u, v=v)
@@ -398,7 +398,7 @@ def _cmd_path(args) -> int:
         "path",
         {
             "input": args.input,
-            "normalize": strategy_name,
+            "normalize": args.normalize,
             "alpha": args.alpha,
             "omega": args.omega,
             "count": args.count,
@@ -566,14 +566,14 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_normalize(args) -> int:
     data = _read_dataset(args)
-    plan, strategy_name = _plan_for(data, args)
+    plan = _plan_for(data, args)
     header = ("term", "kind", "center", "scale")
     rows = [
         (name, kind, float(c), float(s))
         for name, kind, c, s in zip(data.names, infer_kinds(data.x), plan.centers, plan.scales)
     ]
     manifest = _manifest(
-        args, "normalize", {"input": args.input, "normalize": strategy_name, "n": data.n}
+        args, "normalize", {"input": args.input, "normalize": args.normalize, "n": data.n}
     )
     _emit(args, header, rows, manifest)
     return 0

@@ -174,7 +174,8 @@ def cross_validate(
         for fold_id, test_idx in enumerate(folds):
             mask = np.ones(n, dtype=bool)
             mask[test_idx] = False
-            train = Dataset(data.x[mask], data.y[mask], names=data.names)
+            # the Fortran-ordered rows of the fold, which Dataset keeps uncopied
+            train = Dataset(data.x.T.compress(mask, axis=1).T, data.y[mask], names=data.names)
             x_test = data.x[test_idx]
             y_test = data.y[test_idx]
             test_var = float(np.mean((y_test - y_test.mean()) ** 2))

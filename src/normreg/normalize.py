@@ -160,12 +160,6 @@ class NormalizationPlan:
     def p(self) -> int:
         return self.centers.shape[0]
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        """(x - c) / s, column by column, in one new array."""
-        out = np.subtract(x, self.centers)
-        out /= self.scales
-        return out
-
 
 def class_balance(col: np.ndarray) -> float:
     """Fraction of ones in a binary column."""
@@ -242,7 +236,9 @@ def apply(data: Dataset, plan: NormalizationPlan) -> Dataset:
     """Return data with x mapped to (x - c) / s; the response is untouched."""
     if plan.p != data.p:
         raise DimensionMismatchError(f"plan covers {plan.p} columns, data has {data.p}")
-    return Dataset(x=plan.transform(data.x), y=data.y.copy(), names=data.names)
+    x = np.subtract(data.x, plan.centers)
+    x /= plan.scales
+    return Dataset(x=x, y=data.y.copy(), names=data.names)
 
 
 def backtransform(beta_norm: np.ndarray, beta0_norm: float, plan: NormalizationPlan):

@@ -36,8 +36,6 @@ from .normalize import (
     RIDGE_COMPARABLE,
     BinaryDelta,
     MaxAbs,
-    NormalizationPlan,
-    Standardize,
     class_balance,
     make_interaction,
 )
@@ -411,10 +409,8 @@ def _run_selection_probability(spec, cfg, rec):
         noise = {s: (s * ge.standard_normal(n) if s > 0.0 else None) for s in cfg["sigma_grid"]}
         for q in qs:
             x = columns[q][:, np.newaxis]
-            base = Dataset(x=x, y=np.zeros(n))
-            scales = {
-                d: _normalize.compute_plan(base, BinaryDelta(d)).scales for d in cfg["delta_grid"]
-            }
+            q_hat = class_balance(columns[q])
+            scales = {d: np.array([BinaryDelta(d).scale_at(q_hat)]) for d in cfg["delta_grid"]}
             for s in cfg["sigma_grid"]:
                 y = beta * columns[q] if noise[s] is None else beta * columns[q] + noise[s]
                 data = Dataset(x=x, y=y)
@@ -470,14 +466,12 @@ def _run_bias_var(spec, cfg, rec):
         noise = {s: (s * ge.standard_normal(n) if s > 0.0 else None) for s in cfg["sigma_grid"]}
         for q in qs:
             x = columns[q][:, np.newaxis]
-            base = Dataset(x=x, y=np.zeros(n))
+            # weights at the nominal balance; scaling at the realized one
+            q_hat = q if variant == "weighted" else class_balance(columns[q])
             penalties = {}
             for t in cfg["exponent_grid"]:
-                if variant == "weighted":
-                    u = v = np.array([BinaryDelta(t).scale_at(q)])
-                else:
-                    u = _normalize.compute_plan(base, BinaryDelta(t)).scales
-                    v = u * u
+                u = np.array([BinaryDelta(t).scale_at(q_hat)])
+                v = u if variant == "weighted" else u * u
                 penalties[t] = PenaltySpec(lam1=lam1, lam2=lam2, u=u, v=v)
             for s in cfg["sigma_grid"]:
                 y = beta * columns[q] if noise[s] is None else beta * columns[q] + noise[s]
@@ -602,14 +596,12 @@ def _run_mixed_data(spec, cfg, rec):
             sigma = 0.0 if cfg["noise_free"] else sigma_for_snr(x, beta, cfg["snr"])
             y = x @ beta + sigma * z
             data = Dataset(x=x, y=y)
-            sd2 = float(x2.std())
+            q1, sd2 = class_balance(x1), float(x2.std())
             for model in cfg["model_grid"]:
                 comparability = LASSO_COMPARABLE if model == "lasso" else RIDGE_COMPARABLE
                 for d in cfg["delta_grid"]:
-                    strategy = _normalize.PerFeature(
-                        (BinaryDelta(d, comparability, cfg["kappa"], cfg["q0"]), Standardize())
-                    )
-                    s = _normalize.compute_plan(data, strategy).scales
+                    rule = BinaryDelta(d, comparability, cfg["kappa"], cfg["q0"])
+                    s = np.array([rule.scale_at(q1), sd2])
                     lam_max = lambda_max(data, u=s)
                     penalty = (
                         PenaltySpec(lam1=lam_max / 2.0, u=s)
@@ -784,8 +776,8 @@ def _run_orthogonality(spec, cfg, rec):
                 continue
             sigma = sigma_for_snr(x, beta, cfg["snr"])
             corr = float(np.corrcoef(x[:, 0], x[:, 1])[0, 1])
-            plan = _normalize.compute_plan(Dataset(x=x, y=np.zeros(n)), Standardize())
-            designs[(q2, rho)] = (np.asfortranarray(x), plan.scales, sigma, corr)
+            x = np.asfortranarray(x)
+            designs[(q2, rho)] = (x, x.std(axis=0), sigma, corr)
     for rep, _, ge in _replications(spec, cfg):
         z = ge.standard_normal(n)
         for (q2, rho), (x, s, sigma, corr) in designs.items():
@@ -869,8 +861,8 @@ def _run_power_fdr(spec, cfg, rec):
 # scenario 9: held-out predictive error across SNR
 
 
-def _tolerant_plan(x_train: np.ndarray, delta: float) -> NormalizationPlan:
-    """BinaryDelta(delta) factors of a binary training split, tolerating
+def _tolerant_scales(x_train: np.ndarray, delta: float) -> np.ndarray:
+    """BinaryDelta(delta) scales of a binary training split, tolerating
     constant columns.
 
     A column constant on the split gets scale 1 (its normalized version is
@@ -879,10 +871,9 @@ def _tolerant_plan(x_train: np.ndarray, delta: float) -> NormalizationPlan:
     `scale_at`, per column, as in `compute_plan`: numpy's vectorized pow can
     round differently from libm's.
     """
-    means = x_train.mean(axis=0)
     rule = BinaryDelta(delta)
-    scales = np.array([1.0 if q in (0.0, 1.0) else rule.scale_at(q) for q in means.tolist()])
-    return NormalizationPlan(means, scales)
+    qs = x_train.mean(axis=0).tolist()
+    return np.array([1.0 if q in (0.0, 1.0) else rule.scale_at(q) for q in qs])
 
 
 @_scenario(
@@ -920,7 +911,7 @@ def _run_predictive_sim(spec, cfg, rec):
         train, val, test = order[:third], order[third : 2 * third], order[2 * third :]
         signal = x[:, :k] @ beta[:k]
         xt, xv, xs = np.asfortranarray(x[train]), x[val], x[test]
-        scales = {d: _tolerant_plan(xt, d).scales for d in cfg["delta_grid"]}
+        scales = {d: _tolerant_scales(xt, d) for d in cfg["delta_grid"]}
         for snr in cfg["snr_grid"]:
             sigma = sigma_for_snr(x, beta, snr)
             y = signal + sigma * z

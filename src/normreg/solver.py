@@ -10,8 +10,7 @@ Normalization enters through the weights, not a copy of X: the fit of
 (X - c)/s with weights (u, v) is the fit of X with (s u, s^2 v), divided by
 s, the centers absorbed by the unpenalized intercept (which the tests
 exercise). Callers with a plan fit the raw data so, at lambda_max(data,
-u=s u0); `fit` still takes the plan of a normalized copy, to report
-original-scale coefficients too.
+u=s u0); the solver knows nothing of plans.
 
 The intercept is never penalized, so the solver works on the centered
 problem and sets beta0 = mean(y) - mean(X)' beta; centering goes through the
@@ -78,7 +77,6 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DimensionMismatchError, DomainError
-from .normalize import NormalizationPlan, backtransform
 
 KKT_TOLERANCE = 1e-8  # largest scale-free KKT residual of a certified fit
 _DEAD = 1e-12  # a constant column centers to round-off, not to zero
@@ -138,9 +136,9 @@ def from_mixing(alpha: float, lam: float, u=None, v=None) -> PenaltySpec:
 class FitResult:
     """Solver output.
 
-    beta_norm/beta0_norm are on the scale of the data the fit received, where
-    the KKT certificate holds; beta/beta0 equal them unless the plan of a
-    normalized copy was given, and are then on the original scale.
+    beta/beta0 are on the scale of the data the fit received, where the KKT
+    certificate holds; beta_norm/beta0_norm hold the same values (beta_norm
+    in an array of its own).
     sweeps_used counts homotopy steps (1 for a closed form or ridge solve);
     converged means the fit passed the KKT certificate, and kkt_residual is
     its scale-free residual.
@@ -597,15 +595,14 @@ def _optimum(design: _Design, lam1: float, path: _Homotopy | None):
 def fit(
     data: Dataset,
     penalty: PenaltySpec,
-    plan: NormalizationPlan | None = None,
     *,
     continuation: _Homotopy | None = None,
 ) -> FitResult:
     """Solve the weighted elastic net on data exactly.
 
-    plan is that of a normalized copy given as data, for original-scale
-    coefficients in beta/beta0. continuation is fit_path's: the homotopy of
-    the point before, on this data at penalty's weights and lam2.
+    A normalized fit is this fit at weights u = s u0, v = s^2 v0 (see the
+    module docstring). continuation is fit_path's: the homotopy of the point
+    before, on this data at penalty's weights and lam2.
     """
     y, n, p = data.y, data.n, data.p
     if penalty.lam1 == 0.0 and penalty.lam2 == 0.0 and p >= n:
@@ -630,15 +627,11 @@ def fit(
     objective = _objective(r, beta, lam1, lam2, u, v)
     if setup.shift is not None:
         beta0 -= float(setup.shift @ beta)
-    if plan is not None:
-        beta_orig, beta0_orig = backtransform(beta, beta0, plan)
-    else:
-        beta_orig, beta0_orig = beta.copy(), beta0
     return FitResult(
         beta_norm=beta,
         beta0_norm=beta0,
-        beta=beta_orig,
-        beta0=beta0_orig,
+        beta=beta.copy(),
+        beta0=beta0,
         sweeps_used=steps,
         converged=residual <= KKT_TOLERANCE,
         objective_value=objective,

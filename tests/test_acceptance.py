@@ -20,7 +20,7 @@ import pytest
 from conftest import binary_design, orthogonal_design, record_acceptance
 from normreg.cli import main
 from normreg.dataset import Dataset
-from normreg.normalize import BinaryDelta, apply, compute_plan
+from normreg.normalize import BinaryDelta, apply, backtransform, compute_plan
 from normreg.oracle import (
     BinaryFeatureModel,
     Delta,
@@ -76,13 +76,14 @@ def test_criterion_02_weighted_equals_normalized():
         plan = compute_plan(data, BinaryDelta(deltas[seed % 5]))
         lam1 = float(rng.uniform(0.1, 2.0))
         lam2 = float(rng.uniform(0.5, 3.0))
-        normalized = fit(apply(data, plan), PenaltySpec(lam1=lam1, lam2=lam2), plan=plan)
+        copy = fit(apply(data, plan), PenaltySpec(lam1=lam1, lam2=lam2))
+        beta, beta0 = backtransform(copy.beta, copy.beta0, plan)
         weighted = fit(
             data,
             PenaltySpec(lam1=lam1, lam2=lam2, u=plan.scales, v=plan.scales**2),
         )
-        worst = max(worst, float(np.max(np.abs(weighted.beta - normalized.beta))))
-        worst = max(worst, abs(weighted.beta0 - normalized.beta0))
+        worst = max(worst, float(np.max(np.abs(weighted.beta - beta))))
+        worst = max(worst, abs(weighted.beta0 - beta0))
     elapsed = time.perf_counter() - start
     passed = worst <= 1e-8 and elapsed < 5.0
     record_acceptance(
@@ -121,8 +122,9 @@ def test_criterion_03_selection_frequency_matches_oracle():
             # tie the vectorized frequency to the real pipeline on a few draws
             for rep in range(10):
                 y = beta * x + sigma * eps[rep]
-                plan = compute_plan(Dataset(x=x[:, None], y=y), BinaryDelta(d))
-                res = fit(apply(Dataset(x=x[:, None], y=y), plan), PenaltySpec(lam1=lam1), plan=plan)
+                data = Dataset(x=x[:, None], y=y)
+                plan = compute_plan(data, BinaryDelta(d))
+                res = fit(data, PenaltySpec(lam1=lam1, u=plan.scales))
                 agree += (res.support.size > 0) == (abs(stat[rep]) > lam1 * scale)
                 total += 1
     elapsed = time.perf_counter() - start
@@ -169,10 +171,11 @@ def test_criterion_04_bias_and_variance_match_closed_forms():
                 pull_var = abs(mc_var - estimator_variance(model)) / se_var
                 worst_pull = max(worst_pull, pull_mean, pull_var)
                 cells_ok += pull_mean <= 3.0 and pull_var <= 3.0
-                # one draw per cell through normalize+solver against the formula
+                # one draw per cell through the plan's weights and the solver against the formula
                 y = beta * x + sigma * eps[0]
-                plan = compute_plan(Dataset(x=x[:, None], y=y), BinaryDelta(d))
-                res = fit(apply(Dataset(x=x[:, None], y=y), plan), PenaltySpec(lam1=lam1), plan=plan)
+                data = Dataset(x=x[:, None], y=y)
+                plan = compute_plan(data, BinaryDelta(d))
+                res = fit(data, PenaltySpec(lam1=lam1, u=plan.scales))
                 spot_gap = max(spot_gap, abs(float(res.beta[0]) - float(draws[0])))
     elapsed = time.perf_counter() - start
     passed = cells_ok >= 35 and spot_gap <= 1e-8 and elapsed < 300.0
@@ -247,10 +250,10 @@ def test_criterion_06_noiseless_estimates_flat_in_balance():
         x = gen_binary(n, float(q), rng)
         data = Dataset(x=x[:, None], y=beta * x)
         plan_l = compute_plan(data, BinaryDelta(1.0))
-        res_l = fit(apply(data, plan_l), PenaltySpec(lam1=lam1), plan=plan_l)
+        res_l = fit(data, PenaltySpec(lam1=lam1, u=plan_l.scales))
         lasso_vals.append(float(res_l.beta[0]))
         plan_r = compute_plan(data, BinaryDelta(0.5))
-        res_r = fit(apply(data, plan_r), PenaltySpec(lam1=0.0, lam2=lam2), plan=plan_r)
+        res_r = fit(data, PenaltySpec(lam1=0.0, lam2=lam2, v=plan_r.scales**2))
         ridge_vals.append(float(res_r.beta[0]))
     lasso_spread = (max(lasso_vals) - min(lasso_vals)) / abs(np.mean(lasso_vals))
     ridge_spread = (max(ridge_vals) - min(ridge_vals)) / abs(np.mean(ridge_vals))

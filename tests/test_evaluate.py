@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import normreg.evaluate
 import normreg.normalize
 import normreg.solver
 from conftest import binary_design
@@ -230,3 +231,24 @@ def test_cross_validate_warns_once_about_uncertified_fits(caplog, monkeypatch):
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
         ("WARNING", "12 of 12 path fits failed the KKT certificate")
     ]
+
+
+def test_each_training_fold_is_copied_once(monkeypatch):
+    folds = []
+
+    class Recorded(Dataset):
+        def __post_init__(self):
+            given = self.x
+            super().__post_init__()
+            folds.append((given, self.x))
+
+    monkeypatch.setattr(normreg.evaluate, "Dataset", Recorded)
+    data = binary_design(8)
+    plan = CVPlan(folds=5, repeats=1, lambda_count=4, deltas=(0.5,))
+    cross_validate(data, plan)
+    assert len(folds) == plan.folds
+    # the rows come out of the indexing in column-major order, which the
+    # Dataset keeps instead of copying them again
+    for given, kept in folds:
+        assert np.shares_memory(kept, given)
+        assert not np.shares_memory(given, data.x)

@@ -30,7 +30,6 @@ def test_no_fit_path_makes_a_normalized_copy(case, tmp_path, monkeypatch, capsys
             for key, value in list(vars(module).items()):
                 if value is normalize.apply:
                     monkeypatch.setattr(module, key, refuse)
-    monkeypatch.setattr(normalize.NormalizationPlan, "transform", refuse)
     argv = CASES.get(case, FIT)
     if argv[0] in ("cv", "path", "fit"):
         argv = [*argv, "--input", _mixed_csv(tmp_path / "mixed.csv")]
@@ -80,3 +79,81 @@ def test_cross_validation_sets_up_once_per_training_fold(setups):
     assert not result.skipped
     # the full data's, for the lambda grids, and one per training fold
     assert setups[0] == 1 + plan.folds * plan.repeats
+
+
+_DELTAS = (0.0, 0.25, 0.5, 1.0)
+
+
+def _mixed(comparability, kappa=2.0, q0=0.5):
+    return [
+        normalize.PerFeature(
+            (normalize.BinaryDelta(d, comparability, kappa, q0), normalize.Standardize())
+        )
+        for d in _DELTAS
+    ]
+
+
+# scenario, its parameters, the weight that carries the scale, and the
+# strategy of each fit on one design, in the order the scenario fits them
+_SCALED = {
+    "selection-probability": (
+        "selection-probability",
+        {"q_grid": (0.5, 0.7, 0.9), "delta_grid": _DELTAS, "sigma_grid": (2.0,),
+         "lambda1_grid": (40.0,)},
+        "u",
+        [normalize.BinaryDelta(d) for d in _DELTAS],
+    ),
+    "bias-var-lasso": (
+        "bias-var",
+        {"model": "lasso", "exponent_grid": _DELTAS, "sigma_grid": (1.0,)},
+        "u",
+        [normalize.BinaryDelta(d) for d in _DELTAS],
+    ),
+    "bias-var-ridge": (
+        "bias-var",
+        {"model": "ridge", "exponent_grid": _DELTAS, "sigma_grid": (1.0,)},
+        "v",
+        [normalize.BinaryDelta(d) for d in _DELTAS],
+    ),
+    "mixed-data-lasso": (
+        "mixed-data",
+        {"model_grid": ("lasso",), "q_grid": (0.5, 0.7, 0.9), "delta_grid": _DELTAS},
+        "u",
+        _mixed(normalize.LASSO_COMPARABLE),
+    ),
+    "mixed-data-ridge": (
+        "mixed-data",
+        {"model_grid": ("ridge",), "q_grid": (0.5, 0.7, 0.9), "delta_grid": _DELTAS,
+         "kappa": 3.0, "q0": 0.3},
+        "v",
+        _mixed(normalize.RIDGE_COMPARABLE, 3.0, 0.3),
+    ),
+    "mixed-data-noise-free": (
+        "mixed-data",
+        {"model_grid": ("lasso",), "q_grid": (0.6,), "delta_grid": _DELTAS, "noise_free": True},
+        "u",
+        _mixed(normalize.LASSO_COMPARABLE),
+    ),
+    "orthogonality": ("orthogonality", {}, "u", [normalize.Standardize()]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCALED))
+def test_scenario_scales_equal_compute_plans(case, monkeypatch):
+    """Scenarios that read a scale off a column apply compute_plan's rule exactly."""
+    scenario, params, weight, strategies = _SCALED[case]
+    calls = []
+    fit = normreg.simulate.fit
+
+    def recorded(data, penalty, **kwargs):
+        calls.append((data, penalty))
+        return fit(data, penalty, **kwargs)
+
+    monkeypatch.setattr(normreg.simulate, "fit", recorded)
+    # an odd n keeps the realized class balances off round values
+    run_scenario(ScenarioSpec(scenario=scenario, seed=5, n=97, replications=2, params=params))
+    assert calls and len(calls) % len(strategies) == 0
+    for i, (data, penalty) in enumerate(calls):
+        scales = normalize.compute_plan(data, strategies[i % len(strategies)]).scales
+        want = scales if weight == "u" else scales**2
+        assert np.array_equal(getattr(penalty, weight), want)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import normalize as _normalize
 from .dataset import Dataset
-from .errors import DimensionMismatchError, DomainError, ParseError
+from .errors import DimensionMismatchError, DomainError, ParseError, ZeroScaleError
 from .evaluate import fdr, nmse, power_all
 from .io import ResultTable
 from .normalize import (
@@ -538,9 +538,9 @@ def _run_decreasing_classbalance(spec, cfg, rec):
             sigma = sigma_for_snr(xr, beta, cfg["snr"])
             data = Dataset(x=xr, y=xr[:, :k] @ beta[:k] + sigma * z)
             lam1 = 2.0 * sigma * math.sqrt(2.0 * math.log(p))
+            balances = data.x.mean(axis=0).tolist()
             for d in cfg["delta_grid"]:
-                plan = _normalize.compute_plan(data, BinaryDelta(d))
-                res = fit(data, PenaltySpec(lam1=lam1, u=plan.scales))
+                res = fit(data, PenaltySpec(lam1=lam1, u=_delta_scales(balances, d)))
                 estimates = {f"estimate_{j + 1:02d}": res.beta[j] for j in range(k)}
                 rec.add(rep, (d, rho), **estimates, support_size=len(res.support))
     return {
@@ -834,9 +834,9 @@ def _run_power_fdr(spec, cfg, rec):
         y_test = signal + cfg["sigma"] * gt.standard_normal(n)
         for p in cfg["p_grid"]:
             data = Dataset(x=x_full[:, :p], y=y)
+            balances = data.x.mean(axis=0).tolist()
             for d in cfg["delta_grid"]:
-                plan = _normalize.compute_plan(data, BinaryDelta(d))
-                res = fit(data, PenaltySpec(lam1=n * 4.0**d / 10.0, u=plan.scales))
+                res = fit(data, PenaltySpec(lam1=n * 4.0**d / 10.0, u=_delta_scales(balances, d)))
                 support = set(res.support.tolist())
                 y_hat = res.beta0 + data.x @ res.beta
                 rec.add(
@@ -861,19 +861,25 @@ def _run_power_fdr(spec, cfg, rec):
 # scenario 9: held-out predictive error across SNR
 
 
-def _tolerant_scales(x_train: np.ndarray, delta: float) -> np.ndarray:
-    """BinaryDelta(delta) scales of a binary training split, tolerating
-    constant columns.
+def _delta_scales(balances: list[float], delta: float, tolerant: bool = False) -> np.ndarray:
+    """BinaryDelta(delta) scales of binary columns with these class balances.
 
-    A column constant on the split gets scale 1 (its normalized version is
-    identically zero, and the solver leaves its coefficient at zero), so one
-    unlucky split cannot abort the sweep. Scales come from the scalar
-    `scale_at`, per column, as in `compute_plan`: numpy's vectorized pow can
-    round differently from libm's.
+    Scales come from the scalar `scale_at`, per column, as in `compute_plan`:
+    numpy's vectorized pow can round differently from libm's. A constant
+    column has zero scale at delta > 0, which raises ZeroScaleError as in
+    `compute_plan`; when tolerant it gets scale 1 instead (its normalized
+    version is identically zero, and the solver leaves its coefficient at
+    zero), so one unlucky training split cannot abort a sweep.
     """
     rule = BinaryDelta(delta)
-    qs = x_train.mean(axis=0).tolist()
-    return np.array([1.0 if q in (0.0, 1.0) else rule.scale_at(q) for q in qs])
+    scales = np.array([rule.scale_at(q) for q in balances])
+    zero = scales <= 0.0
+    if zero.any():
+        if not tolerant:
+            j = int(np.argmax(zero))
+            raise ZeroScaleError(f"column {j} has zero scale under BinaryDelta")
+        scales[zero] = 1.0
+    return scales
 
 
 @_scenario(
@@ -911,7 +917,8 @@ def _run_predictive_sim(spec, cfg, rec):
         train, val, test = order[:third], order[third : 2 * third], order[2 * third :]
         signal = x[:, :k] @ beta[:k]
         xt, xv, xs = np.asfortranarray(x[train]), x[val], x[test]
-        scales = {d: _tolerant_scales(xt, d) for d in cfg["delta_grid"]}
+        balances = xt.mean(axis=0).tolist()
+        scales = {d: _delta_scales(balances, d, tolerant=True) for d in cfg["delta_grid"]}
         for snr in cfg["snr_grid"]:
             sigma = sigma_for_snr(x, beta, snr)
             y = signal + sigma * z

@@ -25,9 +25,14 @@ M_A = X_A'X_A + lam2 diag(v_A). `fit` follows the path from lambda_max,
 where beta = 0, down to the target lam1 (the LARS-lasso homotopy with joins
 and drops of Efron et al., Ann. Statist. 2004). A segment ends where an
 inactive column reaches its bound (join) or an active coefficient reaches
-zero (drop). M_A^{-1} lives in one buffer per fit, updated in place by Schur
-complements; each direction and the final solve get one step of iterative
-refinement against M_A itself.
+zero (drop). M_A^{-1} lives in one buffer per fit, updated by Schur
+complements: a join adds a rank-1 term w w'/schur, a drop subtracts one.
+While A holds at most _RANK columns each term is added at once. Beyond that
+a term is kept pending, as one column of a pair of _RANK-column buffers,
+and one matrix product folds in _RANK of them: adding a term rewrites all
+|A|^2 entries, about ten times the cost of a product of M_A^{-1} with a
+vector, and every such product reads the pending terms too. Each direction
+and the final solve get one step of iterative refinement against M_A itself.
 
 The designs of the paper break general position, so events follow these
 rules. A column within a relative 1e-10 of its bound counts as on it, and
@@ -84,7 +89,8 @@ _TIE = 1e-10  # relative: a column this near its bound is on it; one moving out 
 _SCHUR = 1e-10  # smallest Schur complement, relative to the diagonal, of a join
 _NEAR = 1e-6  # a Schur complement below this, relative, is recomputed by Cholesky
 _WORN = 1e-9  # a relative refinement above this calls for a fresh M_A^{-1}
-_BLOCK = 64  # rows per block of the in-place inverse updates
+_BLOCK = 64  # initial room for active columns, before the buffers first double
+_RANK = 32  # rank-1 updates of M_A^{-1} kept pending before one product folds them in
 _BLOCK_COLUMNS = 16  # Gram rows computed per pass over a tall X
 _SIDES = np.array([[1.0], [-1.0]])  # the upper and the lower bound of a join
 
@@ -358,7 +364,10 @@ class _Homotopy:
         self.cap = p if d.lam2 > 0.0 else min(p, n - 1)
         # sized for the active set, which can stay far below cap
         size = max(min(self.cap, _BLOCK), 1)
-        self.inv = np.empty((size, size))  # M_A^{-1}, in the order of act
+        # M_A^{-1} = inv + lo hi' over the first m columns of (lo, hi) = pend,
+        # in the order of act
+        self.inv = np.empty((size, size))
+        self.pend = np.empty((2, size, _RANK))
         self.act = np.empty(size, dtype=np.intp)
         self.sgn = np.empty(size)
         d.reserve(size, 0)
@@ -367,7 +376,7 @@ class _Homotopy:
     def restart(self) -> None:
         """Start at lambda_max, where the column of largest |c_j| / u_j joins."""
         d = self.d
-        self.k = self.steps = 0
+        self.k = self.steps = self.m = 0
         self.free = ~d.dead  # may join: inactive, not dead, not refused
         self.refused: list[int] = []
         self.dropped, self.left = -1, 0.0  # the last drop, and the bound it left
@@ -389,12 +398,50 @@ class _Homotopy:
         if k <= size:
             return
         size = min(max(2 * size, k), self.cap)
+        k, m = self.k, self.m
         inv = np.empty((size, size))
-        inv[: self.k, : self.k] = self.inv[: self.k, : self.k]
+        inv[:k, :k] = self.inv[:k, :k]
         self.inv = inv
+        pend = np.empty((2, size, _RANK))
+        pend[:, :k, :m] = self.pend[:, :k, :m]
+        self.pend = pend
         self.act = np.resize(self.act, size)
         self.sgn = np.resize(self.sgn, size)
-        self.d.reserve(size, self.k)
+        self.d.reserve(size, k)
+
+    # -- M_A^{-1} --------------------------------------------------------
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """M_A^{-1} z, the pending updates included."""
+        k, m = self.k, self.m
+        out = self.inv[:k, :k] @ z
+        if m:
+            lo, hi = self.pend[:, :k, :m]
+            out += lo @ (hi.T @ z)
+        return out
+
+    def update(self, size: int, col: np.ndarray, row: np.ndarray) -> None:
+        """Add col row' to the leading size x size block of M_A^{-1}: at once
+        up to _RANK columns, else as a pending update."""
+        if size <= _RANK:
+            self.fold(size)
+            self.inv[:size, :size] += np.multiply.outer(col, row)
+            return
+        m = self.m
+        self.pend[0, :size, m] = col
+        self.pend[1, :size, m] = row
+        self.m = m + 1
+        if self.m == _RANK:
+            self.fold(size)
+
+    def fold(self, size: int) -> None:
+        """Fold the pending updates into the leading size x size block."""
+        if self.m:
+            lo, hi = self.pend[:, :size, : self.m]
+            self.inv[:size, :size] += lo @ hi.T
+            self.m = 0
+
+    # -- joins and drops -------------------------------------------------
 
     def join(self, j: int, sign: float) -> bool:
         d, k = self.d, self.k
@@ -404,7 +451,7 @@ class _Homotopy:
         if d.dead[j]:
             return False
         m = own + d.lam2 * d.v[j]
-        w = self.inv[:k, :k] @ g
+        w = self.apply(g)
         schur = m - float(g @ w)
         near = k < self.cap and schur <= _NEAR * m
         if near:
@@ -425,10 +472,13 @@ class _Homotopy:
         inv = self.inv
         if near:
             inv[: k + 1, : k + 1] = np.linalg.inv(system)
+            self.m = 0
         else:
             ws = w / schur
-            for i in range(0, k, _BLOCK):
-                inv[i : min(i + _BLOCK, k), :k] += np.multiply.outer(w[i : i + _BLOCK], ws)
+            self.update(k, w, ws)
+            if self.m:
+                # the new row and column are exact in inv; no pending term touches them
+                self.pend[:, k, : self.m] = 0.0
             inv[:k, k] = -ws
             inv[k, :k] = -ws
             inv[k, k] = 1.0 / schur
@@ -438,20 +488,25 @@ class _Homotopy:
         return True
 
     def drop(self, i: int) -> None:
-        inv, last = self.inv, self.k - 1
+        inv, k, m = self.inv, self.k, self.m
+        last = k - 1
         j = int(self.act[i])
         self.dropped, self.left = j, float(self.sgn[i])
         if i != last:
             swap = [last, i]
-            inv[[i, last], : self.k] = inv[swap, : self.k]
-            inv[: self.k, [i, last]] = inv[: self.k, swap]
+            inv[[i, last], :k] = inv[swap, :k]
+            inv[:k, [i, last]] = inv[:k, swap]
+            if m:
+                self.pend[:, [i, last], :m] = self.pend[:, swap, :m]
             self.act[[i, last]] = self.act[swap]
             self.sgn[[i, last]] = self.sgn[swap]
             self.d.swap(i, last)
-        col = inv[:last, last]
-        f = col / inv[last, last]
-        for r in range(0, last, _BLOCK):
-            inv[r : min(r + _BLOCK, last), :last] -= np.multiply.outer(col[r : r + _BLOCK], f)
+        col, piv = inv[:last, last], inv[last, last]
+        if m:
+            lo, hi = self.pend[:, :k, :m]
+            full = inv[:k, last] + lo @ hi[last]
+            col, piv = full[:last], full[last]
+        self.update(last, col, col / -piv)
         self.k = last
         self.beta[j] = 0.0
         # a smaller active set may no longer span a refused column
@@ -466,6 +521,7 @@ class _Homotopy:
             return False
         k = self.k
         self.inv[:k, :k] = np.linalg.inv(self.d.system(self.act[:k]))
+        self.m = 0
         return True
 
     # -- moving along the path -------------------------------------------
@@ -480,13 +536,12 @@ class _Homotopy:
             self.steps += 1
             k = self.k
             idx = self.act[:k]
-            inv = self.inv[:k, :k]
             sgn = self.sgn[:k]
             target = u[idx] * sgn
             for attempt in range(2):
-                dvec = inv @ target
+                dvec = self.apply(target)
                 a = d.product(idx, dvec)
-                fix = inv @ (target - a[idx] - lam2 * v[idx] * dvec)
+                fix = self.apply(target - a[idx] - lam2 * v[idx] * dvec)
                 if attempt or not self.worn(fix, dvec):
                     break
             dvec += fix
@@ -539,12 +594,11 @@ class _Homotopy:
             if not k:
                 return beta
             idx = self.act[:k]
-            inv = self.inv[:k, :k]
             sgn = self.sgn[:k]
             target = lam * d.u[idx] * sgn
             for attempt in range(2):
-                beta[idx] = inv @ (d.c0[idx] - target)
-                fix = inv @ (d.correlations(beta, idx)[idx] - target)
+                beta[idx] = self.apply(d.c0[idx] - target)
+                fix = self.apply(d.correlations(beta, idx)[idx] - target)
                 if attempt or not self.worn(fix, beta[idx]):
                     break
             beta[idx] += fix
@@ -667,12 +721,7 @@ def lambda_max(data: Dataset, u: np.ndarray | None = None) -> float:
     max_j |x_j' (y - mean(y))| / u_j: at or above this level every
     coordinate satisfies the zero-coefficient optimality condition.
     """
-    u_arr = u if u is not None else np.ones(data.p)
-    u_arr = np.asarray(u_arr, dtype=np.float64)
-    if u_arr.shape != (data.p,):
-        raise DimensionMismatchError(f"u must have shape ({data.p},)")
-    if np.any(u_arr <= 0.0):
-        raise DomainError("u entries must be positive")
+    u_arr = PenaltySpec(0.0, u=u).resolve_weights(data.p)[0]
     value = float(np.max(np.abs(_setup(data).c0) / u_arr)) if data.p else 0.0
     if value == 0.0:
         raise DomainError("lambda_max undefined: all columns uncorrelated with response")
@@ -683,8 +732,8 @@ def lambda_max(data: Dataset, u: np.ndarray | None = None) -> float:
 
 def lambda_grid(lam_max: float, count: int = 100, ratio: float = 1e-2) -> np.ndarray:
     """Log-spaced grid from lam_max down to ratio * lam_max."""
-    if lam_max <= 0.0 or count < 1 or not 0.0 < ratio <= 1.0:
-        raise DomainError("need lam_max > 0, count >= 1, ratio in (0, 1]")
+    if not (math.isfinite(lam_max) and lam_max > 0.0) or count < 1 or not 0.0 < ratio <= 1.0:
+        raise DomainError("need finite lam_max > 0, count >= 1, ratio in (0, 1]")
     if count == 1:
         return np.array([lam_max])
     return lam_max * np.exp(np.linspace(0.0, np.log(ratio), count))

@@ -135,6 +135,19 @@ _SCALED = {
         _mixed(normalize.LASSO_COMPARABLE),
     ),
     "orthogonality": ("orthogonality", {}, "u", [normalize.Standardize()]),
+    "decreasing-classbalance": (
+        "decreasing-classbalance",
+        {"p": 200, "delta_grid": _DELTAS, "rho_grid": (0.0, 0.3), "q_last": 0.95,
+         "null_q_high": 0.95},
+        "u",
+        [normalize.BinaryDelta(d) for d in _DELTAS],
+    ),
+    "power-fdr": (
+        "power-fdr",
+        {"p_grid": (20, 40), "delta_grid": _DELTAS, "q_last": 0.95, "null_q_high": 0.95},
+        "u",
+        [normalize.BinaryDelta(d) for d in _DELTAS],
+    ),
 }
 
 

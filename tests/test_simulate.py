@@ -32,6 +32,7 @@ from normreg import (
     scenario_defaults,
     sigma_for_snr,
     signal_balances,
+    ZeroScaleError,
 )
 from normreg.simulate import _Collector
 
@@ -594,17 +595,34 @@ def test_parse_value_agrees_between_config_and_param(tmp_path):
 
 
 def test_tolerant_scales_are_binary_delta_with_unit_scale_for_constant_columns():
-    from normreg.simulate import _tolerant_scales
+    from normreg.simulate import _delta_scales
 
     x = np.column_stack([gen_binary(40, q, _gen(stream_id=j)) for j, q in
                          enumerate((0.5, 0.1, 0.3, 0.85, 0.95))])
     x = np.column_stack([x, np.zeros(40), np.ones(40)])
     varying = Dataset(x=x[:, :5], y=np.zeros(40))
+    balances = x.mean(axis=0).tolist()
     for delta in (0.0, 0.25, 0.5, 1.0):
-        scales = _tolerant_scales(x, delta)
+        scales = _delta_scales(balances, delta, tolerant=True)
         assert np.array_equal(scales[5:], [1.0, 1.0])
         ref = compute_plan(varying, BinaryDelta(delta))
         assert np.array_equal(scales[:5], ref.scales)
+
+
+def test_delta_scales_raise_on_a_constant_column_as_compute_plan_does():
+    from normreg.simulate import _delta_scales
+
+    x = np.column_stack([gen_binary(40, 0.3, _gen(stream_id=0)), np.ones(40)])
+    data = Dataset(x=x, y=np.zeros(40))
+    balances = x.mean(axis=0).tolist()
+    # delta = 0 leaves every column at scale 1, a constant one included
+    ref = compute_plan(data, BinaryDelta(0.0)).scales
+    assert np.array_equal(_delta_scales(balances, 0.0), ref)
+    for delta in (0.5, 1.0):
+        with pytest.raises(ZeroScaleError, match="column 1 has zero scale"):
+            compute_plan(data, BinaryDelta(delta))
+        with pytest.raises(ZeroScaleError, match="column 1 has zero scale"):
+            _delta_scales(balances, delta)
 
 
 def test_parse_scenario_config_errors(tmp_path):

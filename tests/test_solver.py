@@ -111,6 +111,22 @@ def test_lambda_grid_shape():
         lambda_grid(0.0)
 
 
+@pytest.mark.parametrize("lam_max", [np.nan, np.inf])
+def test_lambda_grid_rejects_a_non_finite_lambda_max(lam_max):
+    with pytest.raises(DomainError, match="finite lam_max"):
+        lambda_grid(lam_max)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_lambda_max_rejects_weights_a_fit_rejects(bad):
+    rng = np.random.default_rng(2)
+    data = Dataset(x=rng.standard_normal((20, 2)), y=rng.standard_normal(20))
+    with pytest.raises(DomainError, match="positive and finite"):
+        lambda_max(data, u=[bad, 1.0])
+    with pytest.raises(DomainError, match="positive and finite"):
+        fit(data, PenaltySpec(lam1=1.0, u=[bad, 1.0]))
+
+
 def test_fit_path_starts_null_and_matches_cold_refits():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((60, 20))
@@ -220,6 +236,95 @@ def test_wide_active_columns_follow_the_active_set(monkeypatch):
     res_p = fit(Dataset(x=data.x[:, perm], y=data.y), penalty)
     assert res_p.converged
     assert np.allclose(res_p.beta_norm, res.beta_norm[perm], rtol=0.0, atol=1e-10)
+
+
+def _inverse_error(path) -> float:
+    """Largest entry of M_A^{-1}, pending updates included, minus the inverse of
+    a fresh M_A, relative to the largest entry of that inverse."""
+    k = path.k
+    exact = np.linalg.inv(path.d.system(path.act[:k]))
+    return float(np.abs(path.apply(np.eye(k)) - exact).max() / np.abs(exact).max())
+
+
+def _traced_homotopy(monkeypatch, data, ratio, check):
+    """Run the wide lasso homotopy of data down to ratio * lambda_max; count
+    folds of pending updates, drops and buffer growths while updates are
+    pending, and call check(path) after each of those and at the end."""
+    H = normreg.solver._Homotopy
+    fold, drop, reserve = H.fold, H.drop, H.reserve
+    seen = {"fold": 0, "pending drop": 0, "pending growth": 0, "drop": 0}
+
+    def counted_fold(path, size):
+        seen["fold"] += path.m > 0
+        fold(path, size)
+
+    def counted_drop(path, i):
+        seen["drop"] += 1
+        seen["pending drop"] += path.m > 0
+        drop(path, i)
+        check(path)
+
+    def counted_reserve(path, k):
+        grows = k > path.act.shape[0] and path.m > 0
+        seen["pending growth"] += grows
+        reserve(path, k)
+        if grows:
+            check(path)
+
+    monkeypatch.setattr(H, "fold", counted_fold)
+    monkeypatch.setattr(H, "drop", counted_drop)
+    monkeypatch.setattr(H, "reserve", counted_reserve)
+    u, v = PenaltySpec(0.0).resolve_weights(data.p)
+    design = normreg.solver._Design(normreg.solver._setup(data), u, v, 0.0)
+    path = H(design, normreg.solver._max_steps(data.p))
+    assert path.run(ratio * lambda_max(data))
+    check(path)
+    return path, seen
+
+
+def test_deferred_inverse_updates_keep_the_inverse_exact(monkeypatch):
+    # beyond _RANK active columns a join's or a drop's rank-1 update of
+    # M_A^{-1} waits in (lo, hi) until _RANK have built up; every product
+    # with M_A^{-1} must still see the exact inverse, across folds, across
+    # drops (which swap rows of the pending buffers) and across buffer growth
+    rng = np.random.default_rng(5)
+    n, p = 90, 200
+    data = Dataset(x=rng.standard_normal((n, p)), y=rng.standard_normal(n))
+    errors = []
+    path, seen = _traced_homotopy(
+        monkeypatch, data, 1e-2, lambda path: errors.append(_inverse_error(path))
+    )
+    assert path.k > 64 and seen["drop"] > 0
+    assert seen["fold"] >= 1 and seen["pending drop"] >= 1 and seen["pending growth"] >= 1
+    assert max(errors) <= 1e-9
+    beta = path.solve(path.lam)
+    res = fit(data, PenaltySpec(lam1=path.lam))
+    assert res.converged
+    assert np.allclose(beta, res.beta, rtol=0.0, atol=1e-10)
+
+
+def test_small_active_sets_update_the_inverse_at_once(monkeypatch):
+    # an active set of at most _RANK columns takes each update as it comes,
+    # so such fits do the same arithmetic as an inverse updated in place
+    rng = np.random.default_rng(5)
+    n, p = 60, 120
+    data = Dataset(x=rng.standard_normal((n, p)), y=rng.standard_normal(n))
+    sizes, pending = [], []
+
+    def check(path):
+        sizes.append(path.k)
+        pending.append(path.m)
+
+    update = normreg.solver._Homotopy.update
+
+    def recorded(path, size, col, row):
+        update(path, size, col, row)
+        check(path)
+
+    monkeypatch.setattr(normreg.solver._Homotopy, "update", recorded)
+    path, seen = _traced_homotopy(monkeypatch, data, 0.2, check)
+    assert seen["drop"] > 0 and 20 < max(sizes) <= normreg.solver._RANK
+    assert not any(pending) and seen["fold"] == 0
 
 
 def test_unpenalized_wide_problem_rejected():

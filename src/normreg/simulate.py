@@ -166,6 +166,26 @@ def _binary_design(n: int, p: int, qs: np.ndarray, cfg: dict, gx) -> np.ndarray:
     return x
 
 
+def _delta_scales(balances: list[float], delta: float, tolerant: bool = False) -> np.ndarray:
+    """BinaryDelta(delta) scales of binary columns with these class balances.
+
+    Scales come from the scalar `scale_at`, per column, as in `compute_plan`:
+    numpy's vectorized pow can round differently from libm's. A zero scale
+    (a constant column at delta > 0) raises ZeroScaleError as there. When
+    tolerant, a constant column gets scale 1 instead: its normalized version
+    is identically zero and the solver leaves its coefficient at zero, so one
+    unlucky training split cannot abort a sweep.
+    """
+    rule = BinaryDelta(delta)
+    scales = np.array(
+        [1.0 if tolerant and q in (0.0, 1.0) else rule.scale_at(q) for q in balances]
+    )
+    zero = np.flatnonzero(scales <= 0.0)
+    if zero.size:
+        raise ZeroScaleError(f"column {zero[0]} has zero scale under BinaryDelta")
+    return scales
+
+
 # ---------------------------------------------------------------------------
 # spec / result plumbing
 
@@ -859,27 +879,6 @@ def _run_power_fdr(spec, cfg, rec):
 
 # ---------------------------------------------------------------------------
 # scenario 9: held-out predictive error across SNR
-
-
-def _delta_scales(balances: list[float], delta: float, tolerant: bool = False) -> np.ndarray:
-    """BinaryDelta(delta) scales of binary columns with these class balances.
-
-    Scales come from the scalar `scale_at`, per column, as in `compute_plan`:
-    numpy's vectorized pow can round differently from libm's. A constant
-    column has zero scale at delta > 0, which raises ZeroScaleError as in
-    `compute_plan`; when tolerant it gets scale 1 instead (its normalized
-    version is identically zero, and the solver leaves its coefficient at
-    zero), so one unlucky training split cannot abort a sweep.
-    """
-    rule = BinaryDelta(delta)
-    scales = np.array([rule.scale_at(q) for q in balances])
-    zero = scales <= 0.0
-    if zero.any():
-        if not tolerant:
-            j = int(np.argmax(zero))
-            raise ZeroScaleError(f"column {j} has zero scale under BinaryDelta")
-        scales[zero] = 1.0
-    return scales
 
 
 @_scenario(

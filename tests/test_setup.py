@@ -135,6 +135,7 @@ _SCALED = {
         _mixed(normalize.LASSO_COMPARABLE),
     ),
     "orthogonality": ("orthogonality", {}, "u", [normalize.Standardize()]),
+    # at n = 97 a balance of 0.99 would make an all-ones column
     "decreasing-classbalance": (
         "decreasing-classbalance",
         {"p": 200, "delta_grid": _DELTAS, "rho_grid": (0.0, 0.3), "q_last": 0.95,

@@ -22,6 +22,7 @@ from normreg import (
     ParseError,
     RandomStream,
     ScenarioSpec,
+    ZeroScaleError,
     compute_plan,
     correlated_binary_pair,
     gen_binary,
@@ -32,7 +33,6 @@ from normreg import (
     scenario_defaults,
     sigma_for_snr,
     signal_balances,
-    ZeroScaleError,
 )
 from normreg.simulate import _Collector
 

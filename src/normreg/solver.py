@@ -370,6 +370,9 @@ class _Homotopy:
         self.pend = np.empty((2, size, _RANK))
         self.act = np.empty(size, dtype=np.intp)
         self.sgn = np.empty(size)
+        # each step's drop and join times, inf where a bound is not reached
+        self.drop_times = np.empty(size)
+        self.join_times = np.empty((2, p))
         d.reserve(size, 0)
         self.restart()
 
@@ -407,6 +410,7 @@ class _Homotopy:
         self.pend = pend
         self.act = np.resize(self.act, size)
         self.sgn = np.resize(self.sgn, size)
+        self.drop_times = np.empty(size)
         self.d.reserve(size, k)
 
     # -- M_A^{-1} --------------------------------------------------------
@@ -552,7 +556,9 @@ class _Homotopy:
             toward = sgn * dvec < 0.0
             t_drop, i_drop = math.inf, -1
             if toward.any():
-                td = np.divide(-bk, dvec, out=np.full(k, math.inf), where=toward)
+                td = self.drop_times[:k]
+                td.fill(math.inf)
+                np.divide(-bk, dvec, out=td, where=toward)
                 i_drop = int(np.argmin(td))
                 t_drop = max(float(td[i_drop]), 0.0)
             # joins: a free column reaches +lam u_j (row 0) or -lam u_j (row
@@ -567,7 +573,8 @@ class _Homotopy:
             ok = (den > _TIE * u) & self.free
             if self.left:
                 ok[0 if self.left > 0.0 else 1, self.dropped] = False
-            times = np.divide(gap, den, out=np.full(gap.shape, math.inf), where=ok).min(axis=0)
+            self.join_times.fill(math.inf)
+            times = np.divide(gap, den, out=self.join_times, where=ok).min(axis=0)
             j_join = int(times.argmin())
             t_join = float(times[j_join])
             t = min(t_drop, t_join, lam - lam1)

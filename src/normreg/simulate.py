@@ -6,6 +6,11 @@ and noise draws. That gives common random numbers across cells (cross-cell
 contrasts have reduced Monte Carlo variance) and makes every run bit-exactly
 reproducible regardless of execution order.
 
+A binary column at balance q holds exactly ceil(n q - 1e-9) ones. It draws n
+uniform keys and puts its k ones at the ranks of its first k keys, a uniformly
+random k-subset of rows; a design draws its columns' keys one after another
+from one stream, a block of columns at a time.
+
 Scenario output is a tidy table: one row per (replication, cell, metric),
 plus a per-cell summary (mean, uncorrected sd, count) and a manifest that
 echoes every resolved parameter, the lambda-scaling rule in force, any
@@ -66,19 +71,47 @@ def _stream(seed: int, rep: int, purpose: int) -> np.random.Generator:
 
 
 def gen_binary(n: int, q: float, stream: np.random.Generator) -> np.ndarray:
-    """Binary column with exactly ceil(n q) ones placed uniformly.
+    """Binary column with exactly ceil(n q) ones at a uniformly random subset
+    of rows: n keys from stream.random, ones at the ranks of the first
+    ceil(n q) keys. The one-column case of `_binary_columns`.
 
     The 1e-9 slack keeps float products like 1000 * 0.7 = 699.999... from
     rounding the count up. q = 1 - 1/(2n) style values can still yield an
     all-ones column; that degenerate case is the caller's to reject.
     """
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q!r}")
+    return _binary_columns(n, np.array([q], dtype=np.float64), stream)[:, 0]
+
+
+# most keys drawn at once (a whole column at least); the stream fills in
+# order, so the design does not depend on this size, only the memory does
+_BLOCK_KEYS = 1 << 15
+
+
+def _ones(n: int, qs):
+    """Ones in an n-row binary column at each balance: ceil(n q - 1e-9)."""
+    return np.ceil(n * qs - 1e-9).astype(np.intp)
+
+
+def _binary_columns(n: int, qs: np.ndarray, stream: np.random.Generator) -> np.ndarray:
+    """F-ordered n x len(qs) binary design. Column j draws n uniform keys from
+    stream.random, after those of column j - 1, and holds its _ones(n, q_j)
+    ones at the ranks of its first _ones(n, q_j) keys. The ranks of n keys
+    are a uniformly random permutation, so every subset of rows of that size
+    is equally likely, and the count is exact whatever the keys.
+    """
+    bad = np.flatnonzero(~((qs > 0.0) & (qs < 1.0)))
+    if bad.size:
+        raise DomainError(f"q must lie in (0, 1), got {float(qs[bad[0]])!r}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
-    k = math.ceil(n * q - 1e-9)
-    x = np.zeros(n)
-    x[stream.choice(n, size=k, replace=False)] = 1.0
+    counts = _ones(n, qs)
+    x = np.empty((n, qs.size), order="F")
+    step = max(_BLOCK_KEYS // n, 1)
+    for j in range(0, qs.size, step):
+        k = counts[j : j + step, None]
+        keys = stream.random((k.size, n))
+        # row i of the order holds the key of rank i; it is one of the first k
+        np.less(keys.argsort(axis=1), k, out=x.T[j : j + step], casting="unsafe")
     return x
 
 
@@ -136,7 +169,7 @@ def sigma_for_snr(x: np.ndarray, beta_star: np.ndarray, snr: float) -> float:
 
 
 def _feasible_q(n: int, q: float) -> bool:
-    return math.ceil(n * q - 1e-9) < n
+    return bool(_ones(n, q) < n)
 
 
 _ALL_ONES = "ceil(n q) = n gives an all-ones column"
@@ -150,19 +183,14 @@ def _name_all_ones_bound(n: int, cfg: dict, names) -> None:
             raise DomainError(f"{name}={cfg[name]}: {_ALL_ONES} at n={n}")
 
 
-def _name_all_ones_nulls(n: int, k: int, x: np.ndarray, cfg: dict) -> None:
-    """Name the null balance bound if a drawn null column of x is all ones."""
-    if (x[:, k:] == 1.0).all(axis=0).any():
-        _name_all_ones_bound(n, cfg, ("null_q_high", "null_q_low"))
-
-
-def _binary_design(n: int, p: int, qs: np.ndarray, cfg: dict, gx) -> np.ndarray:
+def _binary_design(n: int, p: int, qs: np.ndarray, cfg: dict, gx, doomed: bool = False):
     """n x p binary design: signal columns at balances qs, then null columns at
-    balances drawn uniformly between null_q_low and null_q_high."""
+    balances drawn uniformly between null_q_low and null_q_high. When doomed,
+    an all-ones null column names the null balance bound."""
     null_q = gx.uniform(cfg["null_q_low"], cfg["null_q_high"], size=p - len(qs))
-    x = np.empty((n, p), order="F")
-    for j, q in enumerate(np.concatenate([qs, null_q])):
-        x[:, j] = gen_binary(n, float(q), gx)
+    x = _binary_columns(n, np.concatenate([qs, null_q]), gx)
+    if doomed and (_ones(n, null_q) == n).any():
+        _name_all_ones_bound(n, cfg, ("null_q_high", "null_q_low"))
     return x
 
 
@@ -549,9 +577,7 @@ def _run_decreasing_classbalance(spec, cfg, rec):
     if doomed:
         _name_all_ones_bound(n, cfg, ("q_first", "q_last"))
     for rep, gx, ge in _replications(spec, cfg):
-        x = _binary_design(n, p, qs, cfg, gx)
-        if doomed:
-            _name_all_ones_nulls(n, k, x, cfg)
+        x = _binary_design(n, p, qs, cfg, gx, doomed)
         z = ge.standard_normal(n)
         for rho in cfg["rho_grid"]:
             xr = inject_correlation(x, rho) if rho > 0.0 else x
@@ -846,9 +872,7 @@ def _run_power_fdr(spec, cfg, rec):
         _name_all_ones_bound(n, cfg, ("q_first", "q_last"))
     for rep, gx, ge in _replications(spec, cfg):
         gt = _stream(spec.seed, rep, _TEST)
-        x_full = _binary_design(n, p_max, qs, cfg, gx)
-        if doomed:
-            _name_all_ones_nulls(n, k, x_full, cfg)
+        x_full = _binary_design(n, p_max, qs, cfg, gx, doomed)
         signal = cfg["beta_signal"] * x_full[:, :k].sum(axis=1)
         y = signal + cfg["sigma"] * ge.standard_normal(n)
         y_test = signal + cfg["sigma"] * gt.standard_normal(n)

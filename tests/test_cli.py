@@ -103,6 +103,10 @@ def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
          "parameter 'snr' takes finite float values, got inf"),
         (["simulate", "--scenario", "power-fdr", "--param", "n_signal=inf"],
          "parameter 'n_signal' takes int values, got inf"),
+        (["simulate", "--scenario", "power-fdr", "--n", "40", "--param", "p_grid=8",
+          "--param", "n_signal=3", "--param", "null_q_low=1.2", "--param", "null_q_high=1.5",
+          "--param", "delta_grid=0"],
+         "q must lie in (0, 1), got 1.4828812658648638"),
         (["cv", "--input", toy_csv, "--seed", "-1"], "master_seed must be non-negative, got -1"),
     ):
         assert main(argv) == 2, argv

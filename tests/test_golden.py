@@ -7,7 +7,8 @@ and the manifest with its input path removed, so a changed skip message or
 resolved parameter shows up too.
 
 A change that is meant to move numbers re-pins the digests; print the
-current ones, and the PINNED_ON line for this host, with
+current ones, each that differs from GOLDEN marked, and the PINNED_ON line
+for this host, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -181,5 +182,6 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             value = _digest(CASES[case], Path(tmp))
-        print(f"    \"{case}\": \"{value}\",")
+        mark = "" if GOLDEN.get(case) == value else "  # differs from GOLDEN"
+        print(f"    \"{case}\": \"{value}\",{mark}")
     print(f"PINNED_ON = {_host()!r}")

@@ -34,7 +34,8 @@ from normreg import (
     sigma_for_snr,
     signal_balances,
 )
-from normreg.simulate import _Collector
+from normreg import simulate
+from normreg.simulate import _binary_columns, _Collector
 
 
 def _gen(seed: int = 0, stream_id: int = 0) -> np.random.Generator:
@@ -49,6 +50,40 @@ def test_gen_binary_exact_counts():
         assert set(np.unique(col)) <= {0.0, 1.0}
     # 1000 * 0.7 = 699.999... in floats; the ceiling must not round up
     assert gen_binary(1000, 0.7, _gen()).sum() == 700
+
+
+def test_binary_design_counts_layout_and_column_case():
+    qs = np.array([0.7, 0.05, 0.5, 0.99, 0.9995, 1e-12])
+    x = _binary_columns(1000, qs, _gen())
+    assert x.flags.f_contiguous
+    assert set(np.unique(x)) == {0.0, 1.0}
+    # 699.999... must not round up; 0.9995 gives k = n, 1e-12 gives k = 0
+    assert x.sum(axis=0).tolist() == [700, 50, 500, 990, 1000, 0]
+    # gen_binary is column 0 of a one-column design from an equal stream
+    assert np.array_equal(gen_binary(1000, 0.7, _gen()), _binary_columns(1000, qs[:1], _gen())[:, 0])
+
+
+def test_binary_design_does_not_depend_on_the_key_block(monkeypatch):
+    qs = np.linspace(0.1, 0.9, 37)
+    whole = _binary_columns(50, qs, _gen(4))
+    monkeypatch.setattr(simulate, "_BLOCK_KEYS", 1)
+    assert np.array_equal(_binary_columns(50, qs, _gen(4)), whole)
+
+
+def test_binary_design_subsets_are_uniform():
+    # 2 ones in 4 rows: each of the 6 subsets has probability 1/6
+    x = _binary_columns(4, np.full(6000, 0.5), _gen(7))
+    assert (x.sum(axis=0) == 2).all()
+    codes = (x * np.array([[1.0], [2.0], [4.0], [8.0]])).sum(axis=0).astype(int)
+    counts = np.bincount(codes, minlength=16)[[3, 5, 6, 9, 10, 12]]
+    sd = math.sqrt(6000 * (1 / 6) * (5 / 6))
+    assert np.abs(counts - 1000).max() <= 5 * sd
+
+
+def test_binary_design_names_the_first_bad_balance_in_column_order():
+    for qs, bad in (([0.5, 1.2, -0.1], "1.2"), ([0.5, 0.0], "0.0"), ([np.nan, 2.0], "nan")):
+        with pytest.raises(DomainError, match=rf"q must lie in \(0, 1\), got {bad}$"):
+            _binary_columns(10, np.array(qs), _gen())
 
 
 def test_gen_binary_ceiling_hazard_and_validation():

@@ -107,23 +107,23 @@ def _host() -> str:
 
 
 GOLDEN = {
-    "bias-var": "691b85b4b57a4608a2a19b04dde36da108b7cdf8f1c930e4c14d9183f4ad4dc3",
-    "bias-var-json": "90df58cb09a1ae1f13df91992c47171c4d7d1bfd1119b1648c0351d4c6a509ec",
-    "bias-var-weighted": "7eedc74cadc4fc35ca977a9be01815072fdf0c9ebc081a81974f991ae4639811",
+    "bias-var": "b5bbd5a55cc6e9c038a06a9132d55ce4efd5be465ef4f0f02e3d1bb9955898b6",
+    "bias-var-json": "bd3920587959415873c9137b88ea32e554eec35fd92bc3d42ea73b54614a317f",
+    "bias-var-weighted": "85415a0e4b2bdb467a5dbc951b27144afd9f6c6645f4a481b2c744d7005e73e6",
     "cv": "dc1a3a9d80162476848c22b4188efb43076e8ea711c93d82398325f029663d18",
-    "decreasing-classbalance": "061063a0ae4d8cccf63bd0d4670e4d52d6bbd1e84ffff9aef7686b44ed08862b",
-    "interactions": "2aa8c3272c198731e5c5fc922f240ac75943e9347d4320b9c7fe7b743bf40496",
+    "decreasing-classbalance": "32a93394fe5d73b91ac1f2ec098cbc2f5312b9f79e1ff1c938e3482fd4149f95",
+    "interactions": "52723ea594c3af31fd1edb6b6c81e5769f08628a6d106b078354b71114878010",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
-    "maxabs-gev-b": "7299bbdadf9cf5f15fb6e9650eb03b270d6c107b8aa6613b37bad1c515cebb84",
-    "mixed-data": "ae92b67410479f1c292cc5b1e2308adcf66e79b609bd244c495908b5acc448e0",
+    "maxabs-gev-b": "b890c009157df77778d3401daddfbf96518629aa3ca94c2db741a75c4ed7be17",
+    "mixed-data": "fb162cff0b97e422ca5eb6307f1131ed5f30f62a28d55a58d6bba067e368a64e",
     "orthogonality": "cf6bce657bd93a320d2d7ed5ac0e8607a93fa22503491f5e07e013defbaedd86",
     "path": "38e017012db3bff2f561a5b80a3296a034db70a31af73e231052daad160e7185",
     "path-binary-delta": "c42f2acd5d74771e09595c6e1effb9af4208a2a2733f46608a5e172f995f5e1d",
     "path-omega": "231b9a46c34fc2c0747bab107ee5d1fd5dc016308f31bf4ac03b6e72a7780501",
-    "power-fdr": "34b0520fb0f3338fd076d25f25367d15d6938339c44b92712397120839b4ae18",
-    "predictive-sim": "e4fe99554f1851df7446a86701ff67876059b3fdd720cb582a05fa42d4cf1434",
+    "power-fdr": "dce9e1220249743f3d7c59ede58a304c16ac13eb973b3d32e97e7f8b887bae38",
+    "predictive-sim": "bb6c021d151b4ed2d81d6578399b750b4be90988cb0678ded781dcdd0c14869b",
     "selection-probability": "c6e8553bbc216bcd3c2edbab765f86797dc316e48f94c6bc4433d036ccf826e7",
-    "weighted-elnet": "4e4247cc08cb313fd3b1d755d01e976a4e732077c24bfc324e1378073932b152",
+    "weighted-elnet": "6157210c89c94970bcec07b61709c047581fb6eb25ec898e4a33d6d88667fd02",
 }
 
 

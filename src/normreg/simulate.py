@@ -99,9 +99,9 @@ def _binary_columns(n: int, qs: np.ndarray, stream: np.random.Generator) -> np.n
     are a uniformly random permutation, so every subset of rows of that size
     is equally likely, and the count is exact whatever the keys.
     """
-    bad = np.flatnonzero(~((qs > 0.0) & (qs < 1.0)))
-    if bad.size:
-        raise DomainError(f"q must lie in (0, 1), got {float(qs[bad[0]])!r}")
+    ok = (qs > 0.0) & (qs < 1.0)
+    if not ok.all():
+        raise DomainError(f"q must lie in (0, 1), got {float(qs[ok.argmin()])!r}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
     counts = _ones(n, qs)
@@ -110,7 +110,7 @@ def _binary_columns(n: int, qs: np.ndarray, stream: np.random.Generator) -> np.n
     for j in range(0, qs.size, step):
         k = counts[j : j + step, None]
         keys = stream.random((k.size, n))
-        # row i of the order holds the key of rank i; it is one of the first k
+        # a one at rank i when the key of rank i is one of the first k
         np.less(keys.argsort(axis=1), k, out=x.T[j : j + step], casting="unsafe")
     return x
 
@@ -183,7 +183,9 @@ def _name_all_ones_bound(n: int, cfg: dict, names) -> None:
             raise DomainError(f"{name}={cfg[name]}: {_ALL_ONES} at n={n}")
 
 
-def _binary_design(n: int, p: int, qs: np.ndarray, cfg: dict, gx, doomed: bool = False):
+def _binary_design(
+    n: int, p: int, qs: np.ndarray, cfg: dict, gx, doomed: bool = False
+) -> np.ndarray:
     """n x p binary design: signal columns at balances qs, then null columns at
     balances drawn uniformly between null_q_low and null_q_high. When doomed,
     an all-ones null column names the null balance bound."""

@@ -50,17 +50,15 @@ def test_gen_binary_exact_counts():
         assert set(np.unique(col)) <= {0.0, 1.0}
     # 1000 * 0.7 = 699.999... in floats; the ceiling must not round up
     assert gen_binary(1000, 0.7, _gen()).sum() == 700
-
-
-def test_binary_design_counts_layout_and_column_case():
+    # a design: every column exact, 0.9995 giving k = n and 1e-12 giving k = 0
     qs = np.array([0.7, 0.05, 0.5, 0.99, 0.9995, 1e-12])
     x = _binary_columns(1000, qs, _gen())
     assert x.flags.f_contiguous
     assert set(np.unique(x)) == {0.0, 1.0}
-    # 699.999... must not round up; 0.9995 gives k = n, 1e-12 gives k = 0
     assert x.sum(axis=0).tolist() == [700, 50, 500, 990, 1000, 0]
     # gen_binary is column 0 of a one-column design from an equal stream
-    assert np.array_equal(gen_binary(1000, 0.7, _gen()), _binary_columns(1000, qs[:1], _gen())[:, 0])
+    column = _binary_columns(1000, qs[:1], _gen())[:, 0]
+    assert np.array_equal(gen_binary(1000, 0.7, _gen()), column)
 
 
 def test_binary_design_does_not_depend_on_the_key_block(monkeypatch):

@@ -27,7 +27,7 @@ import numpy as np
 from . import normalize as _normalize
 from .dataset import Dataset
 from .errors import DimensionMismatchError, DomainError, ZeroScaleError
-from .normalize import PLAIN, BinaryDelta, PerFeature, mixed_binary_delta
+from .normalize import PLAIN, BinaryDelta, mixed_binary_delta
 from .rng import RandomStream
 from .solver import fit_path, lambda_grid, lambda_max
 from .solver import fit  # noqa: F401  (perfbench/test_bench.py pins this binding site)
@@ -146,28 +146,24 @@ def cross_validate(
         raise DomainError("cross_validate undefined for a constant response")
 
     # Per-delta lambda grid, anchored at full-data lambda_max under that
-    # delta's normalization. Factors used for fitting remain fold-local.
-    grids: dict[float, np.ndarray] = {}
-    strategies: dict[float, PerFeature] = {}
+    # delta's normalization, in plan.deltas order. Factors used for fitting
+    # remain fold-local.
+    grids = []
+    strategies = []
     for delta in plan.deltas:
         strategy = mixed_binary_delta(data, BinaryDelta(delta, comparability=plan.comparability))
         scales = _normalize.compute_plan(data, strategy).scales
-        grids[delta] = lambda_grid(
-            lambda_max(data, u=scales), count=plan.lambda_count, ratio=plan.lambda_ratio
-        )
-        strategies[delta] = strategy
+        lam_max = lambda_max(data, u=scales)
+        grids.append(lambda_grid(lam_max, count=plan.lambda_count, ratio=plan.lambda_ratio))
+        strategies.append(strategy)
 
     assignments = fold_assignments(n, plan)
     rows: list[CVRow] = []
     skipped: list[str] = []
-    # pooled squared-error sums: (delta, lam_index) -> per-repeat totals,
-    # with per-delta row counts so skipped folds do not bias the pooled mean
-    pooled = {
-        (delta, i): np.zeros(plan.repeats)
-        for delta in plan.deltas
-        for i in range(plan.lambda_count)
-    }
-    counts = {delta: np.zeros(plan.repeats) for delta in plan.deltas}
+    # pooled squared errors per (delta, lambda, repeat), with held-out row
+    # counts per (delta, repeat) so skipped folds do not bias the pooled mean
+    pooled = np.zeros((len(plan.deltas), plan.lambda_count, plan.repeats))
+    counts = np.zeros((len(plan.deltas), plan.repeats))
     fits = uncertified = 0
 
     for repeat, folds in enumerate(assignments):
@@ -183,22 +179,22 @@ def cross_validate(
                 msg = f"repeat {repeat} fold {fold_id}: constant held-out response, per-fold rows skipped"
                 _log.info(msg)
                 skipped.append(msg)
-            for delta in plan.deltas:
+            for d, delta in enumerate(plan.deltas):
                 try:
-                    s = _normalize.compute_plan(train, strategies[delta]).scales
+                    s = _normalize.compute_plan(train, strategies[d]).scales
                 except ZeroScaleError as exc:
                     msg = f"repeat {repeat} fold {fold_id} delta {delta}: {exc}"
                     _log.info(msg)
                     skipped.append(msg)
                     continue
-                counts[delta][repeat] += test_idx.shape[0]
-                path = fit_path(train, alpha, grids[delta], u=s, v=s * s)
+                counts[d, repeat] += test_idx.shape[0]
+                path = fit_path(train, alpha, grids[d], u=s, v=s * s)
                 fits += len(path)
                 uncertified += sum(not res.converged for res in path)
-                for i, (lam, res) in enumerate(zip(grids[delta], path)):
+                for i, (lam, res) in enumerate(zip(grids[d], path)):
                     pred = res.beta0 + x_test @ res.beta
                     sq = y_test - pred
-                    pooled[(delta, i)][repeat] += float(np.dot(sq, sq))
+                    pooled[d, i, repeat] += float(np.dot(sq, sq))
                     if test_var > 0.0:
                         rows.append(
                             CVRow(repeat, fold_id, float(lam), delta,
@@ -207,21 +203,18 @@ def cross_validate(
     if uncertified:
         _log.warning("%d of %d path fits failed the KKT certificate", uncertified, fits)
 
-    best_key = None
-    best_score = None
-    for delta in plan.deltas:
-        covered = counts[delta] > 0
-        if not np.any(covered):
-            continue
-        for i, lam in enumerate(grids[delta]):
-            per_repeat = pooled[(delta, i)][covered] / (counts[delta][covered] * y_var_full)
-            score = float(np.mean(per_repeat))
-            key = (score, -float(lam), delta)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_score = (delta, float(lam), score)
-    if best_score is None:
+    # ties break toward larger lambda, then smaller delta
+    keys = []
+    for d, delta in enumerate(plan.deltas):
+        covered = counts[d] > 0
+        if covered.any():
+            per_repeat = pooled[d][:, covered] / (counts[d, covered] * y_var_full)
+            keys += [
+                (float(np.mean(row)), -float(lam), delta) for row, lam in zip(per_repeat, grids[d])
+            ]
+    if not keys:
         raise DomainError("every fold degenerated under every delta; nothing to select")
-    best = CVBest(delta=best_score[0], lam=best_score[1], mean_nmse=best_score[2])
-    lambdas = {delta: tuple(float(v) for v in grid) for delta, grid in grids.items()}
+    score, neg_lam, delta = min(keys)
+    best = CVBest(delta=delta, lam=-neg_lam, mean_nmse=score)
+    lambdas = {delta: tuple(float(v) for v in grid) for delta, grid in zip(plan.deltas, grids)}
     return CVResult(rows=tuple(rows), best=best, lambdas=lambdas, skipped=tuple(skipped))

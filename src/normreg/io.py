@@ -180,25 +180,11 @@ def read_sparse_labeled(path) -> Dataset:
     return Dataset(x=x, y=np.asarray(labels))
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value):
-            return "NaN"
-        if math.isinf(value):
-            return "Inf" if value > 0 else "-Inf"
-        return repr(value)
-    return str(value)
-
-
 def json_value(value):
     """value ready for json.dumps: numpy scalars as Python values and
     non-finite floats as the strings NaN, Inf and -Inf, recursively through
-    dicts, lists and tuples."""
+    dicts, lists and tuples. A CSV cell is the str of this value, so a float
+    is its repr."""
     if isinstance(value, dict):
         return {key: json_value(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -209,8 +195,10 @@ def json_value(value):
         return int(value)
     if isinstance(value, (float, np.floating)):
         value = float(value)
-        if not math.isfinite(value):
-            return _format_value(value)
+        if math.isnan(value):
+            return "NaN"
+        if math.isinf(value):
+            return "Inf" if value > 0 else "-Inf"
         return value
     return value
 
@@ -274,7 +262,7 @@ def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
     if fmt == CSV:
         lines = [",".join(table.header)]
         for row in table.rows:
-            lines.append(",".join(_format_value(v) for v in row))
+            lines.append(",".join(str(json_value(v)) for v in row))
         atomic_write_text(path, "\n".join(lines) + "\n")
     elif fmt == JSON:
         atomic_write_text(path, json.dumps(json_records(table), indent=2, sort_keys=False) + "\n")
@@ -289,7 +277,7 @@ def write_delimited(data: Dataset, path) -> None:
     read_delimited with the default schema)."""
     lines = [",".join([*data.names, "y"])]
     for i in range(data.n):
-        cells = [_format_value(v) for v in data.x[i]]
-        cells.append(_format_value(data.y[i]))
+        cells = [str(json_value(v)) for v in data.x[i]]
+        cells.append(str(json_value(data.y[i])))
         lines.append(",".join(cells))
     atomic_write_text(path, "\n".join(lines) + "\n")

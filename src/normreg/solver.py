@@ -263,15 +263,13 @@ class _Design:
 
     def correlations(self, beta: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """c = X'(y - X beta) - lam2 v beta on the centered problem, for a
-        beta that is zero off idx (ascending where a Gram row is missing)."""
+        beta that is zero off the active columns idx, whose Gram rows a tall
+        design cached as each joined."""
         if self.gram is None:
             z = self.x @ beta
             z -= float(self.xbar @ beta)
             c = self.x.T @ (self.setup.yc - z)
         else:
-            missing = idx[~self.setup.cached[idx]]
-            if missing.size:
-                self.setup.rows(missing)
             c = self.c0 - beta[idx] @ self.gram[idx]
         c -= self.lam2 * self.v * beta
         return c
@@ -741,8 +739,6 @@ def lambda_grid(lam_max: float, count: int = 100, ratio: float = 1e-2) -> np.nda
     """Log-spaced grid from lam_max down to ratio * lam_max."""
     if not (math.isfinite(lam_max) and lam_max > 0.0) or count < 1 or not 0.0 < ratio <= 1.0:
         raise DomainError("need finite lam_max > 0, count >= 1, ratio in (0, 1]")
-    if count == 1:
-        return np.array([lam_max])
     return lam_max * np.exp(np.linspace(0.0, np.log(ratio), count))
 
 

@@ -316,17 +316,18 @@ def _replications(spec: ScenarioSpec, cfg: dict):
         yield rep, _stream(spec.seed, rep, _X), _stream(spec.seed, rep, _EPS)
 
 
-def _resolve(spec: ScenarioSpec, defaults: dict) -> tuple[dict, list[str]]:
-    """Merge overrides into the scenario defaults, tracking what changed."""
+def _resolve(spec: ScenarioSpec, defaults: dict) -> tuple[dict, set[str]]:
+    """Merge overrides into the scenario defaults, tracking what changed; a
+    param wins over the spec field of its name."""
     cfg = dict(defaults)
-    overridden = []
+    overridden = set()
     for name in ("n", "p", "replications"):
         value = getattr(spec, name)
         if value is not None:
             if name not in cfg:
                 raise DomainError(f"scenario {spec.scenario!r} takes no {name} override")
             cfg[name] = int(value)
-            overridden.append(name)
+            overridden.add(name)
     for key, value in spec.params.items():
         if key not in cfg:
             raise DomainError(
@@ -340,7 +341,10 @@ def _resolve(spec: ScenarioSpec, defaults: dict) -> tuple[dict, list[str]]:
         else:
             value = _exact(key, value, defaults[key])
         cfg[key] = value
-        overridden.append(key)
+        overridden.add(key)
+    for name in ("n", "p", "replications"):
+        if cfg.get(name, 1) < 1:
+            raise DomainError(f"{name} must be >= 1, got {cfg[name]!r}")
     return cfg, overridden
 
 
@@ -390,6 +394,7 @@ def parse_scenario_config(path) -> ScenarioSpec:
     everything else lands in params.
     """
     pairs: dict[str, object] = {}
+    fields = ("seed", "n", "p", "replications")
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -401,17 +406,13 @@ def parse_scenario_config(path) -> ScenarioSpec:
             key = key.strip()
             if key in pairs:
                 raise ParseError(f"duplicate key {key!r}", line=line_no)
-            pairs[key] = parse_value(value)
+            pairs[key] = value = parse_value(value)
+            if key in fields and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ParseError(f"{key} must be an integer, got {value!r}", line=line_no)
     if "scenario" not in pairs:
         raise ParseError("config must set `scenario`", line=1)
-    fields = {"scenario": str(pairs.pop("scenario"))}
-    for name in ("seed", "n", "p", "replications"):
-        if name in pairs:
-            value = pairs.pop(name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParseError(f"{name} must be an integer, got {value!r}", line=1)
-            fields[name] = value
-    return ScenarioSpec(params=pairs, **fields)
+    spec = {name: pairs.pop(name) for name in fields if name in pairs}
+    return ScenarioSpec(str(pairs.pop("scenario")), params=pairs, **spec)
 
 
 _CATALOGUE: dict[str, tuple] = {}  # id -> (cell columns, defaults, runner)

@@ -108,6 +108,15 @@ def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
           "--param", "delta_grid=0"],
          "q must lie in (0, 1), got 1.4828812658648638"),
         (["cv", "--input", toy_csv, "--seed", "-1"], "master_seed must be non-negative, got -1"),
+        # n, p and replications get one check, set as fields or as params
+        (["simulate", "--scenario", "decreasing-classbalance", "--replications", "0"],
+         "replications must be >= 1, got 0"),
+        (["simulate", "--scenario", "decreasing-classbalance", "--param", "replications=0"],
+         "replications must be >= 1, got 0"),
+        (["simulate", "--scenario", "decreasing-classbalance", "--param", "n=0"],
+         "n must be >= 1, got 0"),
+        (["simulate", "--scenario", "decreasing-classbalance", "--param", "p=0"],
+         "p must be >= 1, got 0"),
     ):
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err, argv

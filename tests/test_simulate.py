@@ -188,6 +188,14 @@ def test_scenario_spec_validation():
         ScenarioSpec("bias-var", replications=0)
 
 
+def test_a_size_set_as_field_and_param_is_checked_and_listed_once():
+    result = run_scenario(ScenarioSpec("bias-var", n=50, replications=1, params={"n": 60}))
+    assert result.manifest["overridden"] == ["n", "replications"]
+    assert result.manifest["resolved"]["n"] == 60  # the param wins
+    with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+        run_scenario(ScenarioSpec("bias-var", n=50, params={"n": 0}))
+
+
 def test_scenario_rejects_unknown_parameter_and_override():
     with pytest.raises(DomainError, match="unknown parameter"):
         run_scenario(ScenarioSpec("bias-var", params={"bogus": 1}))
@@ -668,6 +676,10 @@ def test_parse_scenario_config_errors(tmp_path):
         parse_scenario_config(path)
     path.write_text("scenario = bias-var\nn = abc\n")
     with pytest.raises(ParseError, match="integer"):
+        parse_scenario_config(path)
+    # the error names the line of the key, not line 1
+    path.write_text("scenario = bias-var\nseed = 1\n\n# sizes\nn = abc\n")
+    with pytest.raises(ParseError, match=r"n must be an integer, got 'abc' \(line 5\)"):
         parse_scenario_config(path)
     path.write_text("scenario = bias-var\n= 5\n")
     with pytest.raises(ParseError, match="key = value"):

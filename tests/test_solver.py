@@ -1,6 +1,6 @@
 """Homotopy solver against closed forms, a frozen coordinate descent and KKT conditions."""
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -818,26 +818,74 @@ def _random_design(seed):
     return Dataset(x=x, y=y), u, v, ratios
 
 
+def _count_rules(monkeypatch) -> Counter:
+    """Counts, as paths run, of the solver's rules for degenerate designs:
+    M_A built from a tall design's Gram rows, a join judged by a Cholesky
+    factor of the bordered system or refused when that factor fails, and a
+    join refused with the active set full or by its Schur complement."""
+    seen = Counter()
+    solver = normreg.solver
+    system, join, cholesky = solver._Design.system, solver._Homotopy.join, np.linalg.cholesky
+
+    def counted_system(design, cols):
+        seen["tall-system"] += design.gram is not None
+        return system(design, cols)
+
+    def counted_join(path, j, sign):
+        joined = join(path, j, sign)
+        if not joined and not path.d.dead[j]:
+            seen["full-refusal" if path.k >= path.cap else "schur-refusal"] += 1
+        return joined
+
+    def counted_cholesky(a):
+        try:
+            factor = cholesky(a)
+        except np.linalg.LinAlgError:
+            seen["cholesky-failure"] += 1
+            raise
+        seen["cholesky"] += 1
+        return factor
+
+    monkeypatch.setattr(solver._Design, "system", counted_system)
+    monkeypatch.setattr(solver._Homotopy, "join", counted_join)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    return seen
+
+
 @pytest.mark.parametrize(
-    "seed, alpha",
+    "seed, alpha, rule",
     [
         # a column that dropped crosses its other bound on the next segment
-        pytest.param(7, 1.0, id="other-bound"),
+        pytest.param(7, 1.0, None, id="other-bound"),
         # round-off flips the sign of a coefficient that reaches zero at lam1
-        pytest.param(1080, 0.5, id="drop-at-target"),
-        # a join refused on a worn inverse, which a fresh one accepts
-        pytest.param(2165, 0.5, id="false-refusal"),
+        pytest.param(1080, 0.5, None, id="drop-at-target"),
+        # joins within 1e-6 of the span of the active columns, which a worn
+        # inverse could refuse falsely; judged by a Cholesky factor, each is
+        # accepted
+        pytest.param(2165, 0.5, "cholesky", id="false-refusal"),
         # drops on an ill-conditioned M_A wear the inverse down until the
         # directions miss events
-        pytest.param(1381, 0.5, id="worn-inverse"),
+        pytest.param(1381, 0.5, None, id="worn-inverse"),
         # columns tied at one lambda, where a warm start once joined and
         # dropped them in a cycle of zero steps; the continued path does not
-        pytest.param(5712, 1.0, id="tie-cycle"),
+        pytest.param(5712, 1.0, None, id="tie-cycle"),
+        # a worn inverse of a tall design is rebuilt from its Gram rows
+        pytest.param(8, 0.5, "tall-system", id="tall-system"),
+        # with n - 1 columns active, every other column is in their span
+        pytest.param(672, 1.0, "full-refusal", id="full-refusal"),
+        # a Schur complement below 1e-10 of its diagonal refuses the join
+        pytest.param(1878, 1.0, "schur-refusal", id="schur-refusal"),
+        # the bordered system is not positive definite to Cholesky, so the
+        # join is refused
+        pytest.param(1246, 1.0, "cholesky-failure", id="cholesky-failure"),
     ],
 )
-def test_ill_conditioned_paths_stay_certified(seed, alpha):
+def test_ill_conditioned_paths_stay_certified(seed, alpha, rule, monkeypatch):
+    seen = _count_rules(monkeypatch)
     data, u, v, ratios = _random_design(seed)
     grid = lambda_grid(lambda_max(data), count=15, ratio=ratios[alpha])
     for res in fit_path(data, alpha, grid, u=u, v=v):
         assert res.converged, (res.lam1, res.kkt_residual)
         assert res.sweeps_used < normreg.solver._max_steps(data.p)
+    if rule is not None:
+        assert seen[rule], seen

@@ -32,8 +32,9 @@ Constant columns have no scale under most strategies (and nu^delta = 0 for
 delta > 0 on a single-class binary column). compute_plan raises
 ZeroScaleError for them rather than produce infinite normalized values; cross
 validation then skips that fold and delta. Predictive-sim's training-split
-plan instead gives such a column scale 1: its normalized version is
-identically zero and its coefficient stays at zero.
+scales (an array of penalty weights, not a plan) instead give such a column
+scale 1: its normalized version is identically zero and its coefficient stays
+at zero.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ Strategy = NoNorm | Standardize | L1Centered | MaxAbs | MinMax | Robust | Binary
 class NormalizationPlan:
     """Frozen per-column centers and scales.
 
-    Plans can also be constructed directly with explicit factors (scales must
-    be positive), which is how product-feature scale rules are realized.
+    compute_plan makes them from a strategy; a plan built directly from
+    explicit factors gets the same checks (finite, scales positive).
     """
 
     centers: np.ndarray

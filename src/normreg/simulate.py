@@ -73,7 +73,8 @@ def _stream(seed: int, rep: int, purpose: int) -> np.random.Generator:
 def gen_binary(n: int, q: float, stream: np.random.Generator) -> np.ndarray:
     """Binary column with exactly ceil(n q) ones at a uniformly random subset
     of rows: n keys from stream.random, ones at the ranks of the first
-    ceil(n q) keys. The one-column case of `_binary_columns`.
+    ceil(n q) keys, found by one sort of tagged keys; a tie between keys goes
+    to the earlier one. The one-column case of `_binary_columns`.
 
     The 1e-9 slack keeps float products like 1000 * 0.7 = 699.999... from
     rounding the count up. q = 1 - 1/(2n) style values can still yield an
@@ -94,10 +95,17 @@ def _ones(n: int, qs):
 
 def _binary_columns(n: int, qs: np.ndarray, stream: np.random.Generator) -> np.ndarray:
     """F-ordered n x len(qs) binary design. Column j draws n uniform keys from
-    stream.random, after those of column j - 1, and holds its _ones(n, q_j)
-    ones at the ranks of its first _ones(n, q_j) keys. The ranks of n keys
-    are a uniformly random permutation, so every subset of rows of that size
-    is equally likely, and the count is exact whatever the keys.
+    stream.random, after those of column j - 1, and holds its k = _ones(n, q_j)
+    ones at the ranks of its first k keys. The ranks of n keys are a
+    uniformly random permutation, so every subset of rows of that size is
+    equally likely, and the count is exact whatever the keys.
+
+    The ranks come from one sort of tagged keys: doubles in [0, 1) order like
+    their bit patterns, whose top bit is 0, so shifting each pattern left by
+    one bit keeps the order and frees the low bit to tag the keys after the
+    first k. Row i of the sorted column is a one when its low bit is 0. Of
+    two equal keys, the untagged one sorts first, so the design equals
+    np.argsort(keys, axis=1, kind="stable") < k, ties included.
     """
     ok = (qs > 0.0) & (qs < 1.0)
     if not ok.all():
@@ -107,11 +115,21 @@ def _binary_columns(n: int, qs: np.ndarray, stream: np.random.Generator) -> np.n
     counts = _ones(n, qs)
     x = np.empty((n, qs.size), order="F")
     step = max(_BLOCK_KEYS // n, 1)
+    keys = np.empty((min(step, qs.size), n))
+    bits = keys.view(np.uint64)
+    tagged = np.empty(keys.shape, dtype=bool)
+    rank = np.arange(n)
     for j in range(0, qs.size, step):
         k = counts[j : j + step, None]
-        keys = stream.random((k.size, n))
+        block, tag = bits[: k.size], tagged[: k.size]
+        stream.random(out=keys[: k.size])
+        np.left_shift(block, 1, out=block)
+        np.greater_equal(rank, k, out=tag)
+        np.bitwise_or(block, tag, out=block)
+        block.sort(axis=1)
         # a one at rank i when the key of rank i is one of the first k
-        np.less(keys.argsort(axis=1), k, out=x.T[j : j + step], casting="unsafe")
+        np.bitwise_and(block, 1, out=block)
+        np.equal(block, 0, out=x.T[j : j + step], casting="unsafe")
     return x
 
 

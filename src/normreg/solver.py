@@ -45,23 +45,24 @@ other bound is tested. A join whose Schur complement is at most 1e-10 of its
 diagonal is refused until the next drop, since that column lies in the span
 of the active ones (any column once |A| = n - 1); below 1e-6 the complement
 is taken from a Cholesky factor of the bordered system rather than from the
-updated inverse. A column with no variance never joins. A coefficient whose
+updated inverse. A column with no variance is found once, at set-up: its
+X'(y - mean y) is taken as zero and it never joins. A coefficient whose
 final solve comes out against its sign is a drop the path missed by
 round-off: it is dropped and the rest re-solved.
 
 What depends on (x, y) alone is set up once per Dataset and kept on it: the
-column means, mean(y), X'(y - mean y), the centered Gram rows of a tall
-design and the columns found to have no variance. A Dataset's arrays are
-read-only, so this cannot go stale. The weights, lam2 and a wide design's
-active columns belong to each fit. `_Design` alone chooses between tall
-designs (p <= n) and wide ones. On tall ones the Gram rows X'x_j are
-computed for a block of likely joiners per pass over X and a step costs
-O(p |A|). Wide ones keep the active columns contiguous, one row of n floats
-each in the order of A, in a buffer that doubles with M_A^{-1}'s as A grows:
-a join costs x_j'X_A (2n|A| flops), and a step X'(X_A d - (xbar_A'd) 1), one
-pass over X plus 2n|A| flops. No p x p array is made. lam1 = 0 is one ridge
-solve (in the n-dimensional row space when p > n) and p = 1 the
-soft-threshold closed form.
+column means, the columns with no variance, mean(y), X'(y - mean y) and the
+centered Gram rows of a tall design. A Dataset's arrays are read-only, so
+this cannot go stale. The weights, lam2 and a wide design's active columns
+belong to each fit. `_Design` alone chooses between tall designs (p <= n)
+and wide ones. On tall ones the Gram rows X'x_j are computed for a block of
+likely joiners per pass over X and a step costs O(p |A|). Wide ones keep
+the active columns contiguous, one row of n floats each in the order of A,
+in a buffer that doubles with M_A^{-1}'s as A grows: a join costs x_j'X_A
+(2n|A| flops), and a step X'(X_A d - (xbar_A'd) 1), one pass over X plus
+2n|A| flops. No p x p array is made. lam1 = 0 is one ridge solve (in the
+n-dimensional row space when p > n) and p = 1 the soft-threshold closed
+form.
 
 `fit_path` calls `fit` once per grid point. At alpha = 1 it hands each fit
 the homotopy of the fit before, which continues down to the next point; at
@@ -92,7 +93,6 @@ _WORN = 1e-9  # a relative refinement above this calls for a fresh M_A^{-1}
 _BLOCK = 64  # initial room for active columns, before the buffers first double
 _RANK = 32  # rank-1 updates of M_A^{-1} kept pending before one product folds them in
 _BLOCK_COLUMNS = 16  # Gram rows computed per pass over a tall X
-_SIDES = np.array([[1.0], [-1.0]])  # the upper and the lower bound of a join
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,9 @@ def _objective(r, beta, lam1, lam2, u, v) -> float:
 
 
 class _Setup:
-    """What every fit of one Dataset shares: the column means, mean(y),
-    X'(y - mean y) and its largest entry, a tall design's centered Gram rows
-    as they are computed, and the columns found to have no variance.
+    """What every fit of one Dataset shares: the column means, the columns
+    with no variance, mean(y), X'(y - mean y) (zero on those columns) and its
+    largest entry, and a tall design's centered Gram rows as they are computed.
 
     Centering through the means costs a column (mean / sd)^2 ulps of its
     Gram entries, so a design with a non-constant column whose mean exceeds
@@ -189,28 +189,32 @@ class _Setup:
         # one BLAS call; x.mean(axis=0) is several times slower on a tall X
         xbar = np.ones(n) @ x / n
         raw = np.einsum("ij,ij->j", x, x)
+        own = raw - n * xbar * xbar
+        # only a column that fails the spread test can need the shift
+        suspect = np.flatnonzero(own < 1e-4 * raw)
         self.shift = None
-        if np.any((raw - n * xbar * xbar < 1e-4 * raw) & (np.ptp(x, axis=0) > 0.0)):
+        if np.any(np.ptp(x[:, suspect], axis=0) > 0.0):
             x, self.shift = x - xbar, xbar
             xbar = np.ones(n) @ x / n
+            raw = np.einsum("ij,ij->j", x, x)
+            own = raw - n * xbar * xbar
         self.x, self.n, self.xbar = x, n, xbar
+        self.dead = own <= _DEAD * raw  # no variance
         self.ybar = float(y.sum() / n)
         self.yc = y - self.ybar
         self.c0 = x.T @ self.yc
+        # a dead column's correlation is round-off
+        self.c0[self.dead] = 0.0
         self.scale = float(np.max(np.abs(self.c0))) if p else 0.0
         self.gram = np.empty((p, p)) if p <= n else None
         self.cached = np.zeros(p, dtype=bool)
-        self.dead = np.zeros(p, dtype=bool)  # no variance; known once tested
 
     def rows(self, cols: np.ndarray) -> np.ndarray:
         """Centered Gram rows X' x_j of a tall design for each j in cols
-        (ascending), cached; marks dead columns."""
+        (ascending), cached."""
         xj = self.x.T if len(cols) == self.x.shape[1] else np.ascontiguousarray(self.x[:, cols].T)
         g = xj @ self.x
-        diag = (np.arange(len(cols)), cols)
-        raw = g[diag]
         g -= np.multiply.outer(self.n * self.xbar[cols], self.xbar)
-        self.dead[cols] = g[diag] <= _DEAD * raw
         self.gram[cols] = g
         self.cached[cols] = True
         return g
@@ -288,18 +292,14 @@ class _Design:
         return self.x.T @ z
 
     def cross(self, j: int, idx: np.ndarray, c: np.ndarray, free: np.ndarray):
-        """(centered x_j'X_A for the active columns idx, centered x_j'x_j);
-        marks j dead if it has no variance. A tall design caches the row
-        X'x_j, with the rows of the free columns likeliest to join next
-        (largest |c_j| / u_j) in the same pass."""
+        """(centered x_j'X_A for the active columns idx, centered x_j'x_j).
+        A tall design caches the row X'x_j, with the rows of the free columns
+        likeliest to join next (largest |c_j| / u_j) in the same pass."""
         if self.gram is None:
             xj = self.x[:, j]
-            raw = float(xj @ xj)
             g = self.active[: idx.shape[0]] @ xj
             g -= self.n * self.xbar[j] * self.xbar[idx]
-            own = raw - self.n * float(self.xbar[j]) ** 2
-            self.dead[j] = own <= _DEAD * raw
-            return g, own
+            return g, float(xj @ xj) - self.n * float(self.xbar[j]) ** 2
         cached = self.setup.cached
         if not cached[j]:
             ratio = np.abs(c) / self.u
@@ -329,7 +329,7 @@ class _Design:
             # diag(v))^{-1}, beta = W X'(I + X W X')^{-1} y needs an n x n system,
             # not the p x p Gram
             xc = x - self.xbar
-            xc[:, np.einsum("ij,ij->j", xc, xc) <= _DEAD * np.einsum("ij,ij->j", x, x)] = 0.0
+            xc[:, self.dead] = 0.0
             w = 1.0 / (self.lam2 * self.v)
             system = (xc * w) @ xc.T
             system[np.diag_indices(n)] += 1.0
@@ -371,6 +371,15 @@ class _Homotopy:
         # each step's drop and join times, inf where a bound is not reached
         self.drop_times = np.empty(size)
         self.join_times = np.empty((2, p))
+        # the join search's p-sized work arrays; row 0 of each 2 x p one is
+        # the upper bound +lam u_j, row 1 the lower bound -lam u_j
+        self.tie_u = _TIE * d.u
+        self.bound = np.empty(p)
+        self.near = np.empty(p)
+        self.gap = np.empty((2, p))
+        self.rate = np.empty((2, p))
+        self.ok = np.empty((2, p), dtype=bool)
+        self.first = np.empty(p)
         d.reserve(size, 0)
         self.restart()
 
@@ -450,8 +459,6 @@ class _Homotopy:
         idx = self.act[:k]
         g, own = d.cross(j, idx, self.c, self.free)
         self.free[j] = False
-        if d.dead[j]:
-            return False
         m = own + d.lam2 * d.v[j]
         w = self.apply(g)
         schur = m - float(g @ w)
@@ -564,15 +571,22 @@ class _Homotopy:
             # direction takes it outward by more than round-off. The column
             # that just dropped left its bound on side `left`, so on this
             # segment it can only reach the other one.
-            bound = lam * u
-            gap = bound - _SIDES * c
-            gap[gap <= _TIE * bound] = 0.0
-            den = u - _SIDES * a
-            ok = (den > _TIE * u) & self.free
+            bound, gap, rate, ok = self.bound, self.gap, self.rate, self.ok
+            np.multiply(lam, u, out=bound)
+            np.subtract(bound, c, out=gap[0])
+            np.add(bound, c, out=gap[1])
+            np.multiply(_TIE, bound, out=self.near)
+            np.less_equal(gap, self.near, out=ok)
+            np.copyto(gap, 0.0, where=ok)
+            np.subtract(u, a, out=rate[0])
+            np.add(u, a, out=rate[1])
+            np.greater(rate, self.tie_u, out=ok)
+            np.logical_and(ok, self.free, out=ok)
             if self.left:
                 ok[0 if self.left > 0.0 else 1, self.dropped] = False
             self.join_times.fill(math.inf)
-            times = np.divide(gap, den, out=self.join_times, where=ok).min(axis=0)
+            np.divide(gap, rate, out=self.join_times, where=ok)
+            times = self.join_times.min(axis=0, out=self.first)
             j_join = int(times.argmin())
             t_join = float(times[j_join])
             t = min(t_drop, t_join, lam - lam1)
@@ -633,10 +647,9 @@ def _optimum(design: _Design, lam1: float, path: _Homotopy | None):
     x, u, v, lam2 = design.x, design.u, design.v, design.lam2
     n, p = x.shape
     if p == 1:
-        raw = float(x[:, 0] @ x[:, 0])
-        g = raw - n * float(design.xbar[0]) ** 2
         beta = np.zeros(1)
-        if g > _DEAD * raw:
+        if not design.dead[0]:
+            g = float(x[:, 0] @ x[:, 0]) - n * float(design.xbar[0]) ** 2
             beta[0] = _soft_threshold(float(design.c0[0]), lam1 * u[0]) / (g + lam2 * v[0])
         return beta, 1, False
     if lam1 == 0.0:

@@ -3,9 +3,9 @@
 The cdf is built on the C library's erfc (max error about 1 ulp). The
 standard normal quantile uses a rational initial guess (Acklam's
 approximation, |rel err| < 1.15e-9) refined by one Newton step on the cdf,
-which brings the absolute error below 1e-13 over (1e-300, 1-1e-16). The
-folded normal quantile inverts the cdf by bracketed bisection to 1e-10 sigma,
-on the offset from |mu|.
+which brings the absolute error below 1e-13 over (1e-300, 1-1e-16). A
+folded normal quantile is found by bracketed bisection on the cdf to
+1e-10 sigma, as its offset from |mu| (_folded_offset, for maxabs_gumbel).
 
 All functions take and return Python floats; vectorized callers should loop
 (grids in this package are small) or cache, as gen_quasinormal does.
@@ -92,15 +92,6 @@ def std_normal_quantile(u: float) -> float:
     return x
 
 
-def folded_normal_pdf(x: float, mu: float, sigma: float) -> float:
-    """Density of |Y| where Y ~ N(mu, sigma^2); zero for x < 0."""
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
-    if x < 0.0:
-        return 0.0
-    return (std_normal_pdf((x - mu) / sigma) + std_normal_pdf((x + mu) / sigma)) / sigma
-
-
 def folded_normal_cdf(x: float, mu: float, sigma: float) -> float:
     """P(|Y| <= x) for Y ~ N(mu, sigma^2); zero for x < 0."""
     if sigma <= 0.0:
@@ -152,8 +143,3 @@ def _folded_offset(u: float, mu: float, sigma: float) -> float:
         else:
             hi = mid
     return lo + 0.5 * (hi - lo)
-
-
-def folded_normal_quantile(u: float, mu: float, sigma: float) -> float:
-    """Inverse of folded_normal_cdf on (0, 1): |mu| plus _folded_offset."""
-    return abs(mu) + _folded_offset(u, mu, sigma)

@@ -68,6 +68,38 @@ def test_binary_design_does_not_depend_on_the_key_block(monkeypatch):
     assert np.array_equal(_binary_columns(50, qs, _gen(4)), whole)
 
 
+class _KeysInOrder:
+    """A stream whose random(out=...) hands out the given keys in order."""
+
+    def __init__(self, keys):
+        self.keys, self.used = keys.ravel(), 0
+
+    def random(self, *, out):
+        out.flat = self.keys[self.used : self.used + out.size]
+        self.used += out.size
+        return out
+
+
+@pytest.mark.parametrize("block", [1, simulate._BLOCK_KEYS])
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_binary_design_is_the_stable_rank_rule(monkeypatch, n, block):
+    monkeypatch.setattr(simulate, "_BLOCK_KEYS", block)
+    # the first two columns have k = 0 and k = n ones
+    qs = np.concatenate([[1e-12, 1.0 - 1e-12], np.linspace(0.05, 0.95, 19)])
+    k = simulate._ones(n, qs)[:, None]
+    assert k[0] == 0 and k[1] == n
+
+    def stable(keys):
+        return (np.argsort(keys, axis=1, kind="stable") < k).T
+
+    keys = _gen(5).random((qs.size, n))
+    assert np.array_equal(_binary_columns(n, qs, _gen(5)), stable(keys))
+    # keys of three values tie across the k boundary of most columns
+    tied = np.floor(np.random.default_rng(n).random((qs.size, n)) * 3.0) / 4.0
+    assert np.array_equal(_binary_columns(n, qs, _KeysInOrder(tied)), stable(tied))
+    assert _binary_columns(n, qs[:0], _gen()).shape == (n, 0)
+
+
 def test_binary_design_subsets_are_uniform():
     # 2 ones in 4 rows: each of the 6 subsets has probability 1/6
     x = _binary_columns(4, np.full(6000, 0.5), _gen(7))

@@ -102,6 +102,18 @@ def test_lambda_max_examples():
     assert lambda_max(data, u=np.array([2.0])) == pytest.approx(lambda_max(data) / 2.0, abs=1e-12)
 
 
+def test_a_constant_columns_round_off_is_no_correlation():
+    # x'(y - mean y) of the 0.1 column is round-off (7.9e-18 with this y),
+    # which must not pass for a lambda_max
+    x = np.column_stack([np.full(5, 0.1), np.zeros(5)])
+    data = Dataset(x=x, y=np.random.default_rng(0).standard_normal(5))
+    with pytest.raises(DomainError, match="uncorrelated"):
+        lambda_max(data)
+    res = fit(data, PenaltySpec(lam1=1e-3))
+    assert res.converged and not res.beta.any()
+    assert res.beta0 == pytest.approx(data.y.mean(), abs=1e-15)
+
+
 def test_lambda_grid_shape():
     grid = lambda_grid(10.0, count=5, ratio=1e-2)
     assert grid[0] == 10.0

@@ -112,7 +112,15 @@ def _add_input_flags(sub) -> None:
     )
 
 
-_STRATEGIES = ("none", "std", "l1", "maxabs", "minmax", "robust", "binary-delta")
+# --normalize's strategies without parameters; binary-delta is built from its flags
+_STRATEGIES = {
+    "none": _normalize.NoNorm,
+    "std": _normalize.Standardize,
+    "l1": _normalize.L1Centered,
+    "maxabs": _normalize.MaxAbs,
+    "minmax": _normalize.MinMax,
+    "robust": _normalize.Robust,
+}
 
 
 def _add_comparability_flag(sub) -> None:
@@ -124,7 +132,7 @@ def _add_comparability_flag(sub) -> None:
 
 
 def _add_normalize_flags(sub, default: str) -> None:
-    sub.add_argument("--normalize", choices=_STRATEGIES, default=default)
+    sub.add_argument("--normalize", choices=(*_STRATEGIES, "binary-delta"), default=default)
     sub.add_argument("--delta", type=float, default=0.5, help="binary-delta exponent")
     _add_comparability_flag(sub)
     sub.add_argument("--kappa", type=float, default=2.0, help="comparability multiplier")
@@ -254,20 +262,12 @@ def _read_dataset(args) -> Dataset:
 
 
 def _plan_for(data: Dataset, args) -> _normalize.NormalizationPlan:
-    name = args.normalize
-    if name == "binary-delta":
+    if args.normalize == "binary-delta":
         strategy = _normalize.mixed_binary_delta(
             data, _normalize.BinaryDelta(args.delta, args.comparability, args.kappa, args.q0)
         )
     else:
-        strategy = {
-            "none": _normalize.NoNorm,
-            "std": _normalize.Standardize,
-            "l1": _normalize.L1Centered,
-            "maxabs": _normalize.MaxAbs,
-            "minmax": _normalize.MinMax,
-            "robust": _normalize.Robust,
-        }[name]()
+        strategy = _STRATEGIES[args.normalize]()
     return _normalize.compute_plan(data, strategy)
 
 

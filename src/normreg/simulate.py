@@ -60,6 +60,8 @@ from .special import std_normal_quantile
 # stream slots reserved per replication; purposes index into this block
 _SLOTS = 4
 _X, _EPS, _TEST = 0, 1, 2
+# the spec fields a scenario's defaults may hold, each an integer >= 1
+_SIZES = ("n", "p", "replications")
 
 
 def _stream(seed: int, rep: int, purpose: int) -> np.random.Generator:
@@ -254,12 +256,12 @@ class ScenarioSpec:
             raise DomainError(
                 f"unknown scenario {self.scenario!r}; expected one of {', '.join(SCENARIOS)}"
             )
-        if not 0 <= self.seed < 2**63:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**63:
             raise DomainError(f"seed must be a non-negative 63-bit integer, got {self.seed!r}")
-        for name in ("n", "p", "replications"):
+        for name in _SIZES:
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise DomainError(f"{name} must be >= 1, got {value!r}")
+            if value is not None:
+                _count(name, value)
         object.__setattr__(self, "params", dict(self.params))
 
 
@@ -338,16 +340,12 @@ def _resolve(spec: ScenarioSpec, defaults: dict) -> tuple[dict, set[str]]:
     """Merge overrides into the scenario defaults, tracking what changed; a
     param wins over the spec field of its name."""
     cfg = dict(defaults)
-    overridden = set()
-    for name in ("n", "p", "replications"):
-        value = getattr(spec, name)
-        if value is not None:
-            if name not in cfg:
-                raise DomainError(f"scenario {spec.scenario!r} takes no {name} override")
-            cfg[name] = int(value)
-            overridden.add(name)
-    for key, value in spec.params.items():
+    sizes = {name: getattr(spec, name) for name in _SIZES if getattr(spec, name) is not None}
+    overrides = {**sizes, **spec.params}
+    for key, value in overrides.items():
         if key not in cfg:
+            if key not in spec.params:
+                raise DomainError(f"scenario {spec.scenario!r} takes no {key} override")
             raise DomainError(
                 f"unknown parameter {key!r} for scenario {spec.scenario!r}; "
                 f"expected one of {', '.join(sorted(cfg))}"
@@ -358,20 +356,26 @@ def _resolve(spec: ScenarioSpec, defaults: dict) -> tuple[dict, set[str]]:
             value = tuple(_exact(key, v, defaults[key][0]) for v in value)
         else:
             value = _exact(key, value, defaults[key])
-        cfg[key] = value
-        overridden.add(key)
-    for name in ("n", "p", "replications"):
-        if cfg.get(name, 1) < 1:
-            raise DomainError(f"{name} must be >= 1, got {cfg[name]!r}")
-    return cfg, overridden
+        cfg[key] = _count(key, value) if key in _SIZES else value
+    return cfg, set(overrides)
+
+
+def _count(name: str, value) -> int:
+    """value, if it is an int (not a bool) >= 1; else DomainError naming name."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value!r}")
+    return value
 
 
 def _exact(key: str, value, default):
     """value as the type of default; DomainError if that fails, would change
-    it (3.9 for an integer, "abc" for a float) or gives a non-finite float."""
+    it (3.9 for an integer, "abc" for a float, 1 for a bool, True for a
+    number) or gives a non-finite float."""
     kind = type(default)
     try:
-        converted = kind(value)
+        converted = kind(value) if isinstance(value, bool) == (kind is bool) else None
     except (TypeError, ValueError, OverflowError):
         converted = None
     if converted is None or converted != value:
@@ -412,7 +416,7 @@ def parse_scenario_config(path) -> ScenarioSpec:
     everything else lands in params.
     """
     pairs: dict[str, object] = {}
-    fields = ("seed", "n", "p", "replications")
+    fields = ("seed", *_SIZES)
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -425,7 +429,7 @@ def parse_scenario_config(path) -> ScenarioSpec:
             if key in pairs:
                 raise ParseError(f"duplicate key {key!r}", line=line_no)
             pairs[key] = value = parse_value(value)
-            if key in fields and (not isinstance(value, int) or isinstance(value, bool)):
+            if key in fields and type(value) is not int:
                 raise ParseError(f"{key} must be an integer, got {value!r}", line=line_no)
     if "scenario" not in pairs:
         raise ParseError("config must set `scenario`", line=1)

@@ -61,15 +61,16 @@ the active columns contiguous, one row of n floats each in the order of A,
 in a buffer that doubles with M_A^{-1}'s as A grows: a join costs x_j'X_A
 (2n|A| flops), and a step X'(X_A d - (xbar_A'd) 1), one pass over X plus
 2n|A| flops. No p x p array is made. lam1 = 0 is one ridge solve (in the
-n-dimensional row space when p > n) and p = 1 the soft-threshold closed
-form.
+n-dimensional row space when p > n), p = 1 the soft-threshold closed
+form and p = 0 the null model.
 
 `fit_path` calls `fit` once per grid point. At alpha = 1 it hands each fit
 the homotopy of the fit before, which continues down to the next point; at
 alpha < 1 lam2 moves with lambda, and each point starts from lambda_max.
 
 Every fit ends with a KKT check on the data it was given: `converged` means
-that max(kkt_residuals) / max_j |x_j'(y - mean y)| is at most 1e-8. A fit
+that max(kkt_residuals) / max_j |x_j'(y - mean y)| is at most 1e-8, where
+x_j'r of a column with no variance is round-off and counts as zero. A fit
 that reaches the step cap returns its last point, flagged, and never raises;
 a continued path point that fails the check is redone from lambda_max.
 """
@@ -632,10 +633,12 @@ def _max_steps(p: int) -> int:
     return 100 + 10 * p
 
 
-def _kkt(x, r, beta, lam1, lam2, u, v) -> np.ndarray:
+def _kkt(x, r, beta, lam1, lam2, u, v, dead) -> np.ndarray:
     """Per-coordinate KKT residual at residual r: |stationarity| on the
-    support, the excess of |x_j'r| over lam1 u_j (or 0) off it."""
+    support, the excess of |x_j'r| over lam1 u_j (or 0) off it. A dead
+    column's x_j'r is round-off, taken as zero."""
     grads = x.T @ r
+    grads[dead] = 0.0
     station = np.abs(grads - lam2 * v * beta - lam1 * u * np.sign(beta))
     excess = np.maximum(np.abs(grads) - lam1 * u, 0.0)
     return np.where(beta != 0.0, station, excess)
@@ -646,9 +649,9 @@ def _optimum(design: _Design, lam1: float, path: _Homotopy | None):
     tells whether path went on from a point below lambda_max."""
     x, u, v, lam2 = design.x, design.u, design.v, design.lam2
     n, p = x.shape
-    if p == 1:
-        beta = np.zeros(1)
-        if not design.dead[0]:
+    if p <= 1:
+        beta = np.zeros(p)
+        if not design.dead.all():  # p = 0 is the null model
             g = float(x[:, 0] @ x[:, 0]) - n * float(design.xbar[0]) ** 2
             beta[0] = _soft_threshold(float(design.c0[0]), lam1 * u[0]) / (g + lam2 * v[0])
         return beta, 1, False
@@ -690,7 +693,7 @@ def fit(
         steps += taken
         beta0 = setup.ybar - float(setup.xbar @ beta)
         r = y - beta0 - x @ beta
-        worst = float(_kkt(x, r, beta, lam1, lam2, u, v).max()) if p else 0.0
+        worst = float(_kkt(x, r, beta, lam1, lam2, u, v, setup.dead).max(initial=0.0))
         residual = (0.0 if worst == 0.0 else math.inf) if scale == 0.0 else worst / scale
         # a continued point that lost the certificate is redone from lambda_max
         if not continued or residual <= KKT_TOLERANCE:
@@ -773,7 +776,7 @@ def fit_path(
     starts from lambda_max. Every fit shares the data's set-up.
     """
     path = None
-    if alpha == 1.0:
+    if alpha == 1.0 and data.p > 1:  # p <= 1 has a closed form
         weights = PenaltySpec(0.0, u=u, v=v).resolve_weights(data.p)
         path = _Homotopy(_Design(_setup(data), *weights, 0.0), _max_steps(data.p))
     return [
@@ -789,7 +792,7 @@ def kkt_residuals(data: Dataset, penalty: PenaltySpec, result: FitResult):
     """
     u, v = penalty.resolve_weights(data.p)
     r = data.y - result.beta0_norm - data.x @ result.beta_norm
-    res = _kkt(data.x, r, result.beta_norm, penalty.lam1, penalty.lam2, u, v)
+    res = _kkt(data.x, r, result.beta_norm, penalty.lam1, penalty.lam2, u, v, _setup(data).dead)
     active = result.beta_norm != 0.0
     return (
         float(np.max(res, where=active, initial=0.0)),

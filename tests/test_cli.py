@@ -87,8 +87,13 @@ def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
         ("q_grid=abc", "parameter 'q_grid' takes float values, got 'abc'"),
         ("n_signal=3.9", "parameter 'n_signal' takes int values, got 3.9"),
         ("p_grid=12.7", "parameter 'p_grid' takes int values, got 12.7"),
+        # a bool is not a number, nor a number a bool
+        ("sigma_grid=true", "parameter 'sigma_grid' takes float values, got True"),
+        ("n_signal=false", "parameter 'n_signal' takes int values, got False"),
+        ("noise_free=1", "parameter 'noise_free' takes bool values, got 1"),
     ):
-        scenario = "bias-var" if item.startswith("q_grid") else "power-fdr"
+        scenario = {"q_grid": "bias-var", "sigma_grid": "selection-probability",
+                    "noise_free": "mixed-data"}.get(item.split("=")[0], "power-fdr")
         assert main(["simulate", "--scenario", scenario, "--param", item]) == 2
         assert message in capsys.readouterr().err
     # a non-finite penalty, oracle parameter or float --param value is named
@@ -183,6 +188,18 @@ def test_fit_above_lambda_max_reports_empty_support(tmp_path, toy_csv, capsys):
     assert payload["manifest"]["support"] == []
     assert payload["manifest"]["support_size"] == 0
     assert all(r["selected"] == 0 for r in payload["results"] if r["term"] != "(intercept)")
+
+
+def test_fit_on_a_table_of_only_the_response_is_the_null_model(tmp_path, capsys):
+    path = tmp_path / "y.csv"
+    path.write_text("y\n1.0\n2.5\n0.3\n-1.0\n0.7\n")
+    for normalize in ("none", "std", "binary-delta"):
+        argv = ["fit", "--input", str(path), "--lambda1", "1", "--normalize", normalize]
+        assert main([*argv, "--strict"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["manifest"]["converged"] is True
+        assert [row["term"] for row in payload["results"]] == ["(intercept)"]
+        assert payload["results"][0]["estimate"] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_fit_alpha_lambda_parameterization(toy_csv, capsys):

@@ -218,6 +218,13 @@ def test_scenario_spec_validation():
         ScenarioSpec("bias-var", seed=-1)
     with pytest.raises(DomainError):
         ScenarioSpec("bias-var", replications=0)
+    # the seed and sizes are ints, as a config file must give them; a bool is none
+    for name, value in (("n", 30.9), ("n", 30.0), ("p", True), ("replications", 2.5)):
+        with pytest.raises(DomainError, match=f"{name} must be an integer, got {value!r}"):
+            ScenarioSpec("bias-var", **{name: value})
+    for seed in (True, 1.5):
+        with pytest.raises(DomainError, match=f"seed must be a non-negative 63-bit integer, got {seed!r}"):
+            ScenarioSpec("bias-var", seed=seed)
 
 
 def test_a_size_set_as_field_and_param_is_checked_and_listed_once():
@@ -226,6 +233,14 @@ def test_a_size_set_as_field_and_param_is_checked_and_listed_once():
     assert result.manifest["resolved"]["n"] == 60  # the param wins
     with pytest.raises(DomainError, match="n must be >= 1, got 0"):
         run_scenario(ScenarioSpec("bias-var", n=50, params={"n": 0}))
+    # a param is typed by the one rule, whichever field it sets
+    for params, message in (({"n": 30.9}, "parameter 'n' takes int values, got 30.9"),
+                            ({"replications": True}, "takes int values, got True"),
+                            ({"sigma_grid": (True,)}, "takes float values, got True"),
+                            ({"noise_free": 1}, "takes bool values, got 1")):
+        scenario = "mixed-data" if "noise_free" in params else "bias-var"
+        with pytest.raises(DomainError, match=message):
+            run_scenario(ScenarioSpec(scenario, params=params))
 
 
 def test_scenario_rejects_unknown_parameter_and_override():

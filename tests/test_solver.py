@@ -109,9 +109,26 @@ def test_a_constant_columns_round_off_is_no_correlation():
     data = Dataset(x=x, y=np.random.default_rng(0).standard_normal(5))
     with pytest.raises(DomainError, match="uncorrelated"):
         lambda_max(data)
-    res = fit(data, PenaltySpec(lam1=1e-3))
-    assert res.converged and not res.beta.any()
-    assert res.beta0 == pytest.approx(data.y.mean(), abs=1e-15)
+    # below that round-off too, and as a ridge, the certificate reads the
+    # dead columns' x_j'r as zero
+    for penalty in (PenaltySpec(lam1=1e-3), PenaltySpec(lam1=4e-18), PenaltySpec(lam1=1e-20),
+                    PenaltySpec(lam1=0.0, lam2=1.0)):
+        res = fit(data, penalty)
+        assert res.converged and res.kkt_residual == 0.0 and not res.beta.any()
+        assert res.beta0 == pytest.approx(data.y.mean(), abs=1e-15)
+        assert kkt_residuals(data, penalty, res) == (0.0, 0.0)
+
+
+def test_a_design_without_columns_fits_the_null_model():
+    y = np.random.default_rng(0).standard_normal(5)
+    data = Dataset(x=np.zeros((5, 0)), y=y)
+    penalties = (PenaltySpec(lam1=1.0), PenaltySpec(lam1=0.0, lam2=1.0),
+                 PenaltySpec(lam1=1.0, lam2=1.0))
+    results = [fit(data, penalty) for penalty in penalties]
+    results += fit_path(data, 1.0, [2.0, 1.0]) + fit_path(data, 0.5, [2.0, 1.0])
+    for res in results:
+        assert res.converged and res.kkt_residual == 0.0
+        assert res.beta.shape == (0,) and res.beta0 == y.sum() / 5
 
 
 def test_lambda_grid_shape():

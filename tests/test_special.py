@@ -33,7 +33,8 @@ def test_quantile_frozen_values():
 
 
 def test_quantile_matches_bisection_oracle():
-    for u in (1e-10, 1e-4, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-4, 1.0 - 1e-10):
+    for u in (1e-300, 1e-100, 1e-10, 1e-4, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-4,
+              1.0 - 1e-10, 1.0 - 1e-16):
         assert std_normal_quantile(u) == pytest.approx(bisect_normal_quantile(u), abs=1e-9)
 
 

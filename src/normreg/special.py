@@ -1,11 +1,11 @@
 """Scalar special functions: standard normal and folded normal.
 
 The cdf is built on the C library's erfc (max error about 1 ulp). The
-standard normal quantile uses a rational initial guess (Acklam's
-approximation, |rel err| < 1.15e-9) refined by one Newton step on the cdf,
-which brings the absolute error below 1e-13 over (1e-300, 1-1e-16). A
-folded normal quantile is found by bracketed bisection on the cdf to
-1e-10 sigma, as its offset from |mu| (_folded_offset, for maxabs_gumbel).
+standard normal quantile is the standard library's NormalDist.inv_cdf
+(Wichura's AS 241), within a relative 1e-15 of the cdf's inverse over
+(1e-300, 1-1e-16). A folded normal quantile is found by bracketed bisection
+on the cdf to 1e-10 sigma, as its offset from |mu| (_folded_offset, for
+maxabs_gumbel).
 
 All functions take and return Python floats; vectorized callers should loop
 (grids in this package are small) or cache, as gen_quasinormal does.
@@ -15,30 +15,13 @@ from __future__ import annotations
 
 import math
 import sys
+from statistics import NormalDist
 
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation coefficients for the inverse normal cdf.
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-_ACKLAM_LOW = 0.02425
+_STD_NORMAL = NormalDist()
 
 
 def std_normal_pdf(x: float) -> float:
@@ -51,45 +34,11 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _acklam(u: float) -> float:
-    # rational initial guess: the lower tail, its mirror image, the center
-    if u < _ACKLAM_LOW:
-        q = math.sqrt(-2.0 * math.log(u))
-        c = _ACKLAM_C
-        d = _ACKLAM_D
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if u > 1.0 - _ACKLAM_LOW:
-        # 1 - u is exact here and below _ACKLAM_LOW, so this is the lower tail
-        return -_acklam(1.0 - u)
-    q = u - 0.5
-    r = q * q
-    a = _ACKLAM_A
-    b = _ACKLAM_B
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
 def std_normal_quantile(u: float) -> float:
-    """Inverse of std_normal_cdf on (0, 1).
-
-    Acklam initial guess plus one Newton refinement on the cdf. The Newton
-    residual is formed on the nearer tail: for u >= 1/2 it solves
-    0.5*erfc(x/sqrt2) = 1-u, where 1-u is exact and both sides stay far from
-    1, so no cancellation. Naive Phi(x)-u loses ~7 digits near u=1.
-    """
+    """Inverse of std_normal_cdf on (0, 1)."""
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {u!r}")
-    x = _acklam(u)
-    pdf = std_normal_pdf(x)
-    if pdf > 0.0:
-        if u >= 0.5:
-            x += (0.5 * math.erfc(x / _SQRT2) - (1.0 - u)) / pdf
-        else:
-            x -= (0.5 * math.erfc(-x / _SQRT2) - u) / pdf
-    return x
+    return _STD_NORMAL.inv_cdf(u)
 
 
 def folded_normal_cdf(x: float, mu: float, sigma: float) -> float:

@@ -112,10 +112,10 @@ GOLDEN = {
     "bias-var-weighted": "85415a0e4b2bdb467a5dbc951b27144afd9f6c6645f4a481b2c744d7005e73e6",
     "cv": "dc1a3a9d80162476848c22b4188efb43076e8ea711c93d82398325f029663d18",
     "decreasing-classbalance": "32a93394fe5d73b91ac1f2ec098cbc2f5312b9f79e1ff1c938e3482fd4149f95",
-    "interactions": "52723ea594c3af31fd1edb6b6c81e5769f08628a6d106b078354b71114878010",
+    "interactions": "85f43b593ca505c68a9fc49a8ce3731c106aa7c9c3d38a7c191e405d9f1f8b46",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
     "maxabs-gev-b": "b890c009157df77778d3401daddfbf96518629aa3ca94c2db741a75c4ed7be17",
-    "mixed-data": "fb162cff0b97e422ca5eb6307f1131ed5f30f62a28d55a58d6bba067e368a64e",
+    "mixed-data": "131208dc07316a69e0feb7230440f5f70e9bbf1e61a9b631b182507e22043eb4",
     "orthogonality": "cf6bce657bd93a320d2d7ed5ac0e8607a93fa22503491f5e07e013defbaedd86",
     "path": "38e017012db3bff2f561a5b80a3296a034db70a31af73e231052daad160e7185",
     "path-binary-delta": "c42f2acd5d74771e09595c6e1effb9af4208a2a2733f46608a5e172f995f5e1d",
@@ -123,7 +123,7 @@ GOLDEN = {
     "power-fdr": "dce9e1220249743f3d7c59ede58a304c16ac13eb973b3d32e97e7f8b887bae38",
     "predictive-sim": "bb6c021d151b4ed2d81d6578399b750b4be90988cb0678ded781dcdd0c14869b",
     "selection-probability": "c6e8553bbc216bcd3c2edbab765f86797dc316e48f94c6bc4433d036ccf826e7",
-    "weighted-elnet": "6157210c89c94970bcec07b61709c047581fb6eb25ec898e4a33d6d88667fd02",
+    "weighted-elnet": "87e3fbe38649540569591d49e498bb8a425d1a770e0cadb3d2ce60f41d8fae67",
 }
 
 

@@ -242,7 +242,8 @@ def _delta_scales(balances: list[float], delta: float, tolerant: bool = False) -
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A scenario id plus overrides; unset fields take catalogue defaults."""
+    """A scenario id plus overrides; unset fields take catalogue defaults.
+    seed, n, p and replications must be ints (not bools)."""
 
     scenario: str
     seed: int = 0
@@ -338,7 +339,7 @@ def _replications(spec: ScenarioSpec, cfg: dict):
 
 def _resolve(spec: ScenarioSpec, defaults: dict) -> tuple[dict, set[str]]:
     """Merge overrides into the scenario defaults, tracking what changed; a
-    param wins over the spec field of its name."""
+    param wins over the spec field of its name, and both are typed by _exact."""
     cfg = dict(defaults)
     sizes = {name: getattr(spec, name) for name in _SIZES if getattr(spec, name) is not None}
     overrides = {**sizes, **spec.params}

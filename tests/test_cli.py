@@ -83,17 +83,15 @@ def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
     assert main(argv) == 2
     assert "q_last=0.99: ceil(n q) = n gives an all-ones column at n=40" in capsys.readouterr().err
     # a --param value that does not convert exactly to its default's type
-    for item, message in (
-        ("q_grid=abc", "parameter 'q_grid' takes float values, got 'abc'"),
-        ("n_signal=3.9", "parameter 'n_signal' takes int values, got 3.9"),
-        ("p_grid=12.7", "parameter 'p_grid' takes int values, got 12.7"),
+    for scenario, item, message in (
+        ("bias-var", "q_grid=abc", "parameter 'q_grid' takes float values, got 'abc'"),
+        ("power-fdr", "n_signal=3.9", "parameter 'n_signal' takes int values, got 3.9"),
+        ("power-fdr", "p_grid=12.7", "parameter 'p_grid' takes int values, got 12.7"),
         # a bool is not a number, nor a number a bool
-        ("sigma_grid=true", "parameter 'sigma_grid' takes float values, got True"),
-        ("n_signal=false", "parameter 'n_signal' takes int values, got False"),
-        ("noise_free=1", "parameter 'noise_free' takes bool values, got 1"),
+        ("bias-var", "sigma_grid=true", "parameter 'sigma_grid' takes float values, got True"),
+        ("power-fdr", "n_signal=false", "parameter 'n_signal' takes int values, got False"),
+        ("mixed-data", "noise_free=1", "parameter 'noise_free' takes bool values, got 1"),
     ):
-        scenario = {"q_grid": "bias-var", "sigma_grid": "selection-probability",
-                    "noise_free": "mixed-data"}.get(item.split("=")[0], "power-fdr")
         assert main(["simulate", "--scenario", scenario, "--param", item]) == 2
         assert message in capsys.readouterr().err
     # a non-finite penalty, oracle parameter or float --param value is named

@@ -290,9 +290,14 @@ def _resolve_penalty(args) -> tuple[float, float]:
 
 def _weights(data: Dataset, plan: _normalize.NormalizationPlan, omega: float | None):
     """Weights u = s w, v = s^2 w that fit data as its normalized copy with
-    weights w = Var(normalized column)^omega, or w = 1 without --omega."""
-    s = plan.scales
-    w = 1.0 if omega is None else (data.x.var(axis=0) / (s * s)) ** omega
+    weights w = Var(normalized column)^omega, or w = 1 without --omega. A
+    column with no variance keeps w = 1, as it keeps scale 1."""
+    s, w = plan.scales, 1.0
+    if omega is not None:
+        if not math.isfinite(omega):
+            raise DomainError(f"--omega must be finite, got {omega!r}")
+        var = data.x.var(axis=0) / (s * s)
+        w = np.where(np.ptp(data.x, axis=0) == 0.0, 1.0, var) ** omega
     return s * w, s * s * w
 
 

@@ -95,6 +95,13 @@ def _ones(n: int, qs):
     return np.ceil(n * qs - 1e-9).astype(np.intp)
 
 
+def _check_balances(qs: np.ndarray) -> None:
+    """Refuse a class balance outside (0, 1), naming the first in column order."""
+    ok = (qs > 0.0) & (qs < 1.0)
+    if not ok.all():
+        raise DomainError(f"q must lie in (0, 1), got {float(qs[ok.argmin()])!r}")
+
+
 def _binary_columns(n: int, qs: np.ndarray, stream: np.random.Generator) -> np.ndarray:
     """F-ordered n x len(qs) binary design. Column j draws n uniform keys from
     stream.random, after those of column j - 1, and holds its k = _ones(n, q_j)
@@ -109,9 +116,7 @@ def _binary_columns(n: int, qs: np.ndarray, stream: np.random.Generator) -> np.n
     two equal keys, the untagged one sorts first, so the design equals
     np.argsort(keys, axis=1, kind="stable") < k, ties included.
     """
-    ok = (qs > 0.0) & (qs < 1.0)
-    if not ok.all():
-        raise DomainError(f"q must lie in (0, 1), got {float(qs[ok.argmin()])!r}")
+    _check_balances(qs)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
     counts = _ones(n, qs)
@@ -189,6 +194,8 @@ def sigma_for_snr(x: np.ndarray, beta_star: np.ndarray, snr: float) -> float:
 
 
 def _feasible_q(n: int, q: float) -> bool:
+    """Whether an n-row binary column at balance q keeps a zero; q outside (0, 1) is refused."""
+    _check_balances(np.array([q], dtype=np.float64))
     return bool(_ones(n, q) < n)
 
 
@@ -806,13 +813,12 @@ def _run_weighted_elnet(spec, cfg, rec):
 def correlated_binary_pair(n: int, q1: float, q2: float, rho: float) -> np.ndarray | None:
     """Two binary columns with exact joint counts matching correlation rho.
 
-    Cell probabilities come from p11 = q1 q2 + rho sqrt(nu1 nu2); returns
-    None when rounding makes any cell count negative (rho outside the
-    Frechet bounds for these balances).
+    Cell probabilities come from p11 = q1 q2 + rho sqrt(nu1 nu2); a balance
+    outside (0, 1) is refused. Returns None when rounding makes a column
+    constant or a cell count negative (rho outside the Frechet bounds).
     """
+    _check_balances(np.array([q1, q2], dtype=np.float64))
     nu1, nu2 = q1 - q1 * q1, q2 - q2 * q2
-    if nu1 <= 0.0 or nu2 <= 0.0:
-        return None
     n11 = round(n * (q1 * q2 + rho * math.sqrt(nu1 * nu2)))
     n10 = round(n * q1) - n11
     n01 = round(n * q2) - n11

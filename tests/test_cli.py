@@ -111,6 +111,15 @@ def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
           "--param", "delta_grid=0"],
          "q must lie in (0, 1), got 1.4828812658648638"),
         (["cv", "--input", toy_csv, "--seed", "-1"], "master_seed must be non-negative, got -1"),
+        # a class balance outside (0, 1) in a grid or setting is refused, not skipped
+        (["simulate", "--scenario", "selection-probability", "--n", "30", "--replications", "1",
+          "--param", "q_grid=0.5,1.5"], "q must lie in (0, 1), got 1.5"),
+        (["simulate", "--scenario", "mixed-data", "--n", "30", "--replications", "1",
+          "--param", "q_grid=0.5,1.0"], "q must lie in (0, 1), got 1.0"),
+        (["simulate", "--scenario", "orthogonality", "--n", "30", "--replications", "1",
+          "--param", "q2_grid=0.5,1.2"], "q must lie in (0, 1), got 1.2"),
+        (["simulate", "--scenario", "maxabs-gev", "--replications", "1", "--param", "part=b",
+          "--param", "q=1.0"], "q must lie in (0, 1), got 1.0"),
         # n, p and replications get one check, set as fields or as params
         (["simulate", "--scenario", "decreasing-classbalance", "--replications", "0"],
          "replications must be >= 1, got 0"),
@@ -145,6 +154,9 @@ def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
         ([*limits, "--delta", "0.5", "--kappa", "nan"], "kappa must be finite and > 0, got nan"),
         ([*binary, "--delta", "nan"], "delta must be finite and >= 0, got nan"),
         ([*binary, "--kappa", "inf"], "kappa must be finite and > 0, got inf"),
+        (["fit", "--input", toy_csv, "--lambda1", "1", "--omega", "nan"],
+         "--omega must be finite, got nan"),
+        (["path", "--input", toy_csv, "--omega", "inf"], "--omega must be finite, got inf"),
     ):
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err, argv
@@ -476,6 +488,32 @@ def test_cv_skips_a_fold_whose_binary_column_loses_its_one_positive(tmp_path, ca
     # delta 0 keeps all 2 x 4 folds, each delta > 0 keeps 2 x 3
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + (2 * 4 + 2 * 2 * 3) * 5
+
+
+def test_constant_columns_fit_at_zero(tmp_path, capsys):
+    # a constant continuous column and an all-zero binary column keep weight 1
+    # under --omega, and the fit leaves both at zero
+    rng = np.random.default_rng(21)
+    x = np.column_stack([
+        rng.standard_normal(30), np.full(30, 3.0), rng.integers(0, 2, 30).astype(float),
+        np.zeros(30),
+    ])
+    y = x[:, 0] - x[:, 2] + 0.3 * rng.standard_normal(30)
+    data = tmp_path / "constant.csv"
+    write_delimited(Dataset(x=x, y=y), data)
+    out = tmp_path / "out.csv"
+    runs = [
+        ["fit", "--lambda1", "1", "--format", "csv"],
+        ["fit", "--lambda1", "1", "--omega", "0.5", "--strict", "--format", "csv"],
+        ["path", "--omega", "1", "--count", "4", "--strict"],
+    ]
+    for argv in runs:
+        assert main([*argv, "--input", str(data), "--out", str(out)]) == 0, argv
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        term = 3 if argv[0] == "path" else 0
+        constant = [row for row in rows if row[term] in ("x2", "x4")]
+        assert constant and all(float(row[term + 1]) == 0.0 for row in constant), argv
+    capsys.readouterr()
 
 
 def test_output_to_unwritable_target_exits_two(tmp_path, toy_csv, capsys):

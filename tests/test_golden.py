@@ -79,6 +79,8 @@ CASES = {
     "maxabs-gev-b": _simulate("maxabs-gev", "part=b", "n_grid=1,10,100", replications=3),
     "cv": ["cv", "--folds", "3", "--repeats", "2", "--deltas", "0,0.5,1",
            "--lambda-count", "6", "--seed", "5"],
+    "cv-rare": ["cv", "--folds", "4", "--repeats", "2", "--deltas", "0,0.5,1",
+                "--lambda-count", "6", "--seed", "5"],
     "path": ["path", "--normalize", "std", "--count", "6"],
     "path-omega": ["path", "--normalize", "std", "--omega", "0.5", "--count", "6"],
     "path-binary-delta": ["path", "--normalize", "binary-delta", "--delta", "1",
@@ -111,6 +113,7 @@ GOLDEN = {
     "bias-var-json": "bd3920587959415873c9137b88ea32e554eec35fd92bc3d42ea73b54614a317f",
     "bias-var-weighted": "85415a0e4b2bdb467a5dbc951b27144afd9f6c6645f4a481b2c744d7005e73e6",
     "cv": "dc1a3a9d80162476848c22b4188efb43076e8ea711c93d82398325f029663d18",
+    "cv-rare": "17c0ea0603501c0ec074aa2a7a4c64c43d89628f6a319a822bb53bbd3d970642",
     "decreasing-classbalance": "32a93394fe5d73b91ac1f2ec098cbc2f5312b9f79e1ff1c938e3482fd4149f95",
     "interactions": "85f43b593ca505c68a9fc49a8ce3731c106aa7c9c3d38a7c191e405d9f1f8b46",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
@@ -143,11 +146,33 @@ def _mixed_csv(path: Path) -> str:
     return str(path)
 
 
-def _digest(argv: list[str], workdir: Path) -> str:
-    """SHA-256 over every file the run writes, manifests without input paths."""
+def _rare_csv(path: Path) -> str:
+    """Seeded design whose second column is binary with one positive row, so
+    every training fold that holds that row out sees the column constant."""
+    rng = np.random.default_rng(2025)
+    n = 40
+    x = np.column_stack([
+        rng.standard_normal(n),
+        np.zeros(n),
+        (rng.uniform(size=n) < 0.5).astype(float),
+        rng.standard_normal(n),
+    ])
+    x[11, 1] = 1.0
+    y = x[:, 0] + 2.0 * x[:, 1] - 0.7 * x[:, 2] + 0.5 * rng.standard_normal(n)
+    write_delimited(Dataset(x=x, y=y), path)
+    return str(path)
+
+
+# the cv and path cases that read a table other than _mixed_csv
+TABLES = {"cv-rare": _rare_csv}
+
+
+def _digest(case: str, workdir: Path) -> str:
+    """SHA-256 over every file the case's run writes, manifests without input paths."""
+    argv = CASES[case]
     out = workdir / ("out.json" if "json" in argv else "out.csv")
     if argv[0] in ("cv", "path"):
-        argv = [*argv, "--input", _mixed_csv(workdir / "mixed.csv")]
+        argv = [*argv, "--input", TABLES.get(case, _mixed_csv)(workdir / "input.csv")]
     code = main([*argv, "--out", str(out)])
     assert code == 0, f"{' '.join(argv)} exited {code}"
     h = hashlib.sha256()
@@ -165,7 +190,7 @@ def _digest(argv: list[str], workdir: Path) -> str:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_digest_is_pinned(case, tmp_path, capsys):
-    actual = _digest(CASES[case], tmp_path)
+    actual = _digest(case, tmp_path)
     capsys.readouterr()
     assert actual == GOLDEN[case], (
         f"golden digest changed: {case!r}: {actual!r}, "
@@ -181,7 +206,7 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            value = _digest(CASES[case], Path(tmp))
+            value = _digest(case, Path(tmp))
         mark = "" if GOLDEN.get(case) == value else "  # differs from GOLDEN"
         print(f"    \"{case}\": \"{value}\",{mark}")
     print(f"PINNED_ON = {_host()!r}")

@@ -209,6 +209,10 @@ def test_correlated_binary_pair_counts_and_feasibility():
     assert x[:, 0].sum() == 50 and x[:, 1].sum() == 50
     assert np.corrcoef(x[:, 0], x[:, 1])[0, 1] == pytest.approx(0.5, abs=0.03)
     assert correlated_binary_pair(100, 0.5, 0.9, 0.6) is None
+    # a balance outside (0, 1) is refused, not reported as infeasible counts
+    for q1, q2, bad in ((0.5, 1.2, "1.2"), (0.0, 0.5, "0.0"), (0.5, 1.0, "1.0")):
+        with pytest.raises(DomainError, match=rf"q must lie in \(0, 1\), got {bad}$"):
+            correlated_binary_pair(100, q1, q2, 0.0)
 
 
 def test_scenario_spec_validation():

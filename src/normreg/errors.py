@@ -24,7 +24,7 @@ class KindMismatchError(NormRegError, ValueError):
 
 
 class ZeroScaleError(NormRegError, ValueError):
-    """A normalization scale factor came out as zero (constant column)."""
+    """A normalization scale factor came out as zero on a column that varies."""
 
 
 class ParseError(NormRegError, ValueError):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import normalize as _normalize
 from .dataset import Dataset
-from .errors import DimensionMismatchError, DomainError, ZeroScaleError
+from .errors import DimensionMismatchError, DomainError
 from .normalize import PLAIN, BinaryDelta, mixed_binary_delta
 from .rng import RandomStream
 from .solver import fit_path, lambda_grid, lambda_max
@@ -133,10 +133,11 @@ def cross_validate(
     """Repeated k-fold search over the (lambda, delta) grid.
 
     Returns per-(repeat, fold, lambda, delta) NMSE rows plus the best cell
-    under mean pooled-per-repeat NMSE. Folds whose held-out response is
-    constant contribute no per-fold row (logged) but still enter the pooled
-    selection; a fold whose training columns degenerate under a delta (for
-    example a single-class binary column) is skipped for that delta.
+    under mean pooled-per-repeat NMSE. Every fold is scored under every
+    delta: a training column with no variance (for example a binary column
+    whose positives are all held out) gets scale 1 and a zero coefficient.
+    Folds whose held-out response is constant contribute no per-fold row
+    (logged) but still enter the pooled selection.
     """
     n = data.n
     if n < plan.folds:
@@ -160,10 +161,8 @@ def cross_validate(
     assignments = fold_assignments(n, plan)
     rows: list[CVRow] = []
     skipped: list[str] = []
-    # pooled squared errors per (delta, lambda, repeat), with held-out row
-    # counts per (delta, repeat) so skipped folds do not bias the pooled mean
+    # pooled squared errors per (delta, lambda, repeat); each repeat holds all n rows out once
     pooled = np.zeros((len(plan.deltas), plan.lambda_count, plan.repeats))
-    counts = np.zeros((len(plan.deltas), plan.repeats))
     fits = uncertified = 0
 
     for repeat, folds in enumerate(assignments):
@@ -180,14 +179,7 @@ def cross_validate(
                 _log.info(msg)
                 skipped.append(msg)
             for d, delta in enumerate(plan.deltas):
-                try:
-                    s = _normalize.compute_plan(train, strategies[d]).scales
-                except ZeroScaleError as exc:
-                    msg = f"repeat {repeat} fold {fold_id} delta {delta}: {exc}"
-                    _log.info(msg)
-                    skipped.append(msg)
-                    continue
-                counts[d, repeat] += test_idx.shape[0]
+                s = _normalize.compute_plan(train, strategies[d]).scales
                 path = fit_path(train, alpha, grids[d], u=s, v=s * s)
                 fits += len(path)
                 uncertified += sum(not res.converged for res in path)
@@ -206,14 +198,10 @@ def cross_validate(
     # ties break toward larger lambda, then smaller delta
     keys = []
     for d, delta in enumerate(plan.deltas):
-        covered = counts[d] > 0
-        if covered.any():
-            per_repeat = pooled[d][:, covered] / (counts[d, covered] * y_var_full)
-            keys += [
-                (float(np.mean(row)), -float(lam), delta) for row, lam in zip(per_repeat, grids[d])
-            ]
-    if not keys:
-        raise DomainError("every fold degenerated under every delta; nothing to select")
+        per_repeat = pooled[d] / (n * y_var_full)
+        keys += [
+            (float(np.mean(row)), -float(lam), delta) for row, lam in zip(per_repeat, grids[d])
+        ]
     score, neg_lam, delta = min(keys)
     best = CVBest(delta=delta, lam=-neg_lam, mean_nmse=score)
     lambdas = {delta: tuple(float(v) for v in grid) for delta, grid in zip(plan.deltas, grids)}

@@ -28,13 +28,13 @@ The ridge exponent makes s(q0)^2 equal the anchor variance q0 - q0^2, which
 is what the quadratic penalty requires; the lasso exponent makes s(q0) equal
 kappa * (q0 - q0^2).
 
-Constant columns have no scale under most strategies (and nu^delta = 0 for
-delta > 0 on a single-class binary column). compute_plan raises
-ZeroScaleError for them rather than produce infinite normalized values; cross
-validation then skips that fold and delta. Predictive-sim's training-split
-scales (an array of penalty weights, not a plan) instead give such a column
-scale 1: its normalized version is identically zero and its coefficient stays
-at zero.
+A column with no variance gets scale 1 under every strategy: most rules give
+it none (and nu^delta = 0 for delta > 0 on a single-class binary column).
+Its normalized version is identically zero, and the solver, which finds such
+columns once at set-up, keeps its coefficient at exactly zero whatever its
+weight, so a constant training fold or split changes no other coefficient.
+compute_plan raises ZeroScaleError only for a varying column whose scale
+comes out zero, such as Robust on a column with a zero interquartile range.
 """
 
 from __future__ import annotations
@@ -107,8 +107,10 @@ class BinaryDelta:
             raise DomainError(f"q0 must lie in (0, 1), got {self.q0!r}")
 
     def scale_at(self, q: float) -> float:
-        """Scale factor for a binary column with class balance q."""
+        """Scale factor for a binary column with class balance q; 1 when nu = 0."""
         nu = q - q * q
+        if nu == 0.0:
+            return 1.0
         if self.comparability == LASSO_COMPARABLE:
             nu0 = self.q0 - self.q0 * self.q0
             return self.kappa * nu0 ** (1.0 - self.delta) * nu**self.delta
@@ -200,6 +202,8 @@ def _column_factors(col: np.ndarray, strategy, j: int) -> tuple[float, float]:
         s = strategy.scale_at(q)
     else:
         raise DomainError(f"unknown strategy {strategy!r}")
+    if col.min() == col.max():
+        return c, 1.0
     if s <= 0.0:
         raise ZeroScaleError(f"column {j} has zero scale under {type(strategy).__name__}")
     return c, s

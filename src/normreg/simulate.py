@@ -33,7 +33,7 @@ import numpy as np
 
 from . import normalize as _normalize
 from .dataset import Dataset
-from .errors import DimensionMismatchError, DomainError, ParseError, ZeroScaleError
+from .errors import DimensionMismatchError, DomainError, ParseError
 from .evaluate import fdr, nmse, power_all
 from .io import ResultTable
 from .normalize import (
@@ -80,7 +80,7 @@ def gen_binary(n: int, q: float, stream: np.random.Generator) -> np.ndarray:
 
     The 1e-9 slack keeps float products like 1000 * 0.7 = 699.999... from
     rounding the count up. q = 1 - 1/(2n) style values can still yield an
-    all-ones column; that degenerate case is the caller's to reject.
+    all-ones column, which gets scale 1 and a zero coefficient in a fit.
     """
     return _binary_columns(n, np.array([q], dtype=np.float64), stream)[:, 0]
 
@@ -202,45 +202,22 @@ def _feasible_q(n: int, q: float) -> bool:
 _ALL_ONES = "ceil(n q) = n gives an all-ones column"
 
 
-def _name_all_ones_bound(n: int, cfg: dict, names) -> None:
-    """Raise DomainError naming the first balance bound in names at which an
-    n-row binary column comes out all ones."""
-    for name in names:
-        if not _feasible_q(n, cfg[name]):
-            raise DomainError(f"{name}={cfg[name]}: {_ALL_ONES} at n={n}")
-
-
-def _binary_design(
-    n: int, p: int, qs: np.ndarray, cfg: dict, gx, doomed: bool = False
-) -> np.ndarray:
+def _binary_design(n: int, p: int, qs: np.ndarray, cfg: dict, gx) -> np.ndarray:
     """n x p binary design: signal columns at balances qs, then null columns at
-    balances drawn uniformly between null_q_low and null_q_high. When doomed,
-    an all-ones null column names the null balance bound."""
+    balances drawn uniformly between null_q_low and null_q_high."""
     null_q = gx.uniform(cfg["null_q_low"], cfg["null_q_high"], size=p - len(qs))
-    x = _binary_columns(n, np.concatenate([qs, null_q]), gx)
-    if doomed and (_ones(n, null_q) == n).any():
-        _name_all_ones_bound(n, cfg, ("null_q_high", "null_q_low"))
-    return x
+    return _binary_columns(n, np.concatenate([qs, null_q]), gx)
 
 
-def _delta_scales(balances: list[float], delta: float, tolerant: bool = False) -> np.ndarray:
+def _delta_scales(balances: list[float], delta: float) -> np.ndarray:
     """BinaryDelta(delta) scales of binary columns with these class balances.
 
     Scales come from the scalar `scale_at`, per column, as in `compute_plan`:
-    numpy's vectorized pow can round differently from libm's. A zero scale
-    (a constant column at delta > 0) raises ZeroScaleError as there. When
-    tolerant, a constant column gets scale 1 instead: its normalized version
-    is identically zero and the solver leaves its coefficient at zero, so one
-    unlucky training split cannot abort a sweep.
+    numpy's vectorized pow can round differently from libm's. A constant
+    column (balance 0 or 1) gets scale 1, as there.
     """
     rule = BinaryDelta(delta)
-    scales = np.array(
-        [1.0 if tolerant and q in (0.0, 1.0) else rule.scale_at(q) for q in balances]
-    )
-    zero = np.flatnonzero(scales <= 0.0)
-    if zero.size:
-        raise ZeroScaleError(f"column {zero[0]} has zero scale under BinaryDelta")
-    return scales
+    return np.array([rule.scale_at(q) for q in balances])
 
 
 # ---------------------------------------------------------------------------
@@ -603,14 +580,8 @@ def _run_decreasing_classbalance(spec, cfg, rec):
     beta = np.zeros(p)
     beta[:k] = 1.0
     lam_rule = "lambda1 = 2 sigma sqrt(2 log p); plain nu^delta scaling"
-    # An all-ones column has zero scale at every delta > 0. It stays whole at
-    # rho = 0 (rho > 0 copies column 1 into the top rows of the others), so
-    # only then is the failure certain; it is named here, not by column index.
-    doomed = any(d > 0.0 for d in cfg["delta_grid"]) and 0.0 in cfg["rho_grid"]
-    if doomed:
-        _name_all_ones_bound(n, cfg, ("q_first", "q_last"))
     for rep, gx, ge in _replications(spec, cfg):
-        x = _binary_design(n, p, qs, cfg, gx, doomed)
+        x = _binary_design(n, p, qs, cfg, gx)
         z = ge.standard_normal(n)
         for rho in cfg["rho_grid"]:
             xr = inject_correlation(x, rho) if rho > 0.0 else x
@@ -898,13 +869,9 @@ def _run_power_fdr(spec, cfg, rec):
         raise DomainError(f"every p must exceed n_signal={k}")
     qs = np.linspace(cfg["q_first"], cfg["q_last"], k)
     truth = set(range(k))
-    # an all-ones column has zero scale at every delta > 0; name its bound
-    doomed = any(d > 0.0 for d in cfg["delta_grid"])
-    if doomed:
-        _name_all_ones_bound(n, cfg, ("q_first", "q_last"))
     for rep, gx, ge in _replications(spec, cfg):
         gt = _stream(spec.seed, rep, _TEST)
-        x_full = _binary_design(n, p_max, qs, cfg, gx, doomed)
+        x_full = _binary_design(n, p_max, qs, cfg, gx)
         signal = cfg["beta_signal"] * x_full[:, :k].sum(axis=1)
         y = signal + cfg["sigma"] * ge.standard_normal(n)
         y_test = signal + cfg["sigma"] * gt.standard_normal(n)
@@ -973,7 +940,7 @@ def _run_predictive_sim(spec, cfg, rec):
         signal = x[:, :k] @ beta[:k]
         xt, xv, xs = np.asfortranarray(x[train]), x[val], x[test]
         balances = xt.mean(axis=0).tolist()
-        scales = {d: _delta_scales(balances, d, tolerant=True) for d in cfg["delta_grid"]}
+        scales = {d: _delta_scales(balances, d) for d in cfg["delta_grid"]}
         for snr in cfg["snr_grid"]:
             sigma = sigma_for_snr(x, beta, snr)
             y = signal + sigma * z

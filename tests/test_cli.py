@@ -77,11 +77,6 @@ def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
     assert main(["fit", "--input", str(bad), "--lambda1", "1"]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "column 2" in err
-    # a balance bound that rounds to an all-ones column is named up front
-    argv = ["simulate", "--scenario", "power-fdr", "--n", "40", "--replications", "1",
-            "--param", "p_grid=8", "--param", "n_signal=3"]
-    assert main(argv) == 2
-    assert "q_last=0.99: ceil(n q) = n gives an all-ones column at n=40" in capsys.readouterr().err
     # a --param value that does not convert exactly to its default's type
     for scenario, item, message in (
         ("bias-var", "q_grid=abc", "parameter 'q_grid' takes float values, got 'abc'"),
@@ -462,7 +457,7 @@ def test_path_strict_uncertified_points_exit_three(tmp_path, toy_csv, monkeypatc
     assert manifest["non_converged"] == 5
 
 
-def test_cv_skips_a_fold_whose_binary_column_loses_its_one_positive(tmp_path, capsys):
+def test_cv_scores_every_fold_of_a_binary_column_with_one_positive(tmp_path, capsys):
     rng = np.random.default_rng(13)
     x = np.column_stack([rng.standard_normal(40), np.zeros(40)])
     x[7, 1] = 1.0
@@ -478,21 +473,16 @@ def test_cv_skips_a_fold_whose_binary_column_loses_its_one_positive(tmp_path, ca
     assert "best:" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "cv.csv.manifest.json").read_text())
     # in each repeat the fold that holds row 7 out trains on an all-zero
-    # column, whose scale nu^delta is zero for every delta > 0
-    skipped = manifest["skipped"]
-    assert len(skipped) == 2 * 2
-    for repeat in (0, 1):
-        for delta in (0.5, 1.0):
-            hits = [m for m in skipped if m.startswith(f"repeat {repeat} ") and f"delta {delta}:" in m]
-            assert len(hits) == 1 and "zero scale" in hits[0]
-    # delta 0 keeps all 2 x 4 folds, each delta > 0 keeps 2 x 3
+    # column; it gets scale 1 at every delta, so every fold is scored
+    assert manifest["skipped"] == []
     lines = out.read_text().splitlines()
-    assert len(lines) == 1 + (2 * 4 + 2 * 2 * 3) * 5
+    assert len(lines) == 1 + 2 * 4 * 3 * 5
 
 
 def test_constant_columns_fit_at_zero(tmp_path, capsys):
-    # a constant continuous column and an all-zero binary column keep weight 1
-    # under --omega, and the fit leaves both at zero
+    # a constant continuous column (x2) and an all-zero binary column (x4) get
+    # scale 1 under every strategy and weight 1 under --omega, and every fit
+    # leaves both at zero
     rng = np.random.default_rng(21)
     x = np.column_stack([
         rng.standard_normal(30), np.full(30, 3.0), rng.integers(0, 2, 30).astype(float),
@@ -502,17 +492,25 @@ def test_constant_columns_fit_at_zero(tmp_path, capsys):
     data = tmp_path / "constant.csv"
     write_delimited(Dataset(x=x, y=y), data)
     out = tmp_path / "out.csv"
-    runs = [
-        ["fit", "--lambda1", "1", "--format", "csv"],
-        ["fit", "--lambda1", "1", "--omega", "0.5", "--strict", "--format", "csv"],
-        ["path", "--omega", "1", "--count", "4", "--strict"],
-    ]
-    for argv in runs:
+
+    def run(*argv):
         assert main([*argv, "--input", str(data), "--out", str(out)]) == 0, argv
-        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        term = 3 if argv[0] == "path" else 0
-        constant = [row for row in rows if row[term] in ("x2", "x4")]
-        assert constant and all(float(row[term + 1]) == 0.0 for row in constant), argv
+        return [line.split(",") for line in out.read_text().splitlines()[1:]]
+
+    for normalize in ("none", "std", "binary-delta"):
+        for omega in ((), ("--omega", "0.5")):
+            rows = run("fit", "--normalize", normalize, "--lambda1", "1", *omega, "--strict",
+                       "--format", "csv")
+            assert [float(row[1]) for row in rows if row[0] in ("x2", "x4")] == [0.0, 0.0]
+    for normalize in ("none", "std"):
+        rows = run("path", "--normalize", normalize, "--omega", "1", "--count", "4", "--strict")
+        constant = [float(row[4]) for row in rows if row[3] in ("x2", "x4")]
+        assert constant == [0.0] * 8
+    rows = run("normalize", "--normalize", "std")
+    plan = {row[0]: (float(row[2]), float(row[3])) for row in rows}
+    assert (plan["x2"], plan["x4"]) == ((3.0, 1.0), (0.0, 1.0))
+    run("cv", "--folds", "3", "--repeats", "1", "--deltas", "0,1", "--lambda-count", "4")
+    assert json.loads((tmp_path / "out.csv.manifest.json").read_text())["skipped"] == []
     capsys.readouterr()
 
 

@@ -113,7 +113,7 @@ GOLDEN = {
     "bias-var-json": "bd3920587959415873c9137b88ea32e554eec35fd92bc3d42ea73b54614a317f",
     "bias-var-weighted": "85415a0e4b2bdb467a5dbc951b27144afd9f6c6645f4a481b2c744d7005e73e6",
     "cv": "dc1a3a9d80162476848c22b4188efb43076e8ea711c93d82398325f029663d18",
-    "cv-rare": "17c0ea0603501c0ec074aa2a7a4c64c43d89628f6a319a822bb53bbd3d970642",
+    "cv-rare": "ae5267794d4c29c8bc765a22eb27e9783812fbb7fc92d10f323bb15f7e6f3fdf",
     "decreasing-classbalance": "32a93394fe5d73b91ac1f2ec098cbc2f5312b9f79e1ff1c938e3482fd4149f95",
     "interactions": "85f43b593ca505c68a9fc49a8ce3731c106aa7c9c3d38a7c191e405d9f1f8b46",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",

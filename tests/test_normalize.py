@@ -9,6 +9,7 @@ from normreg.dataset import BINARY, Dataset
 from normreg.errors import DimensionMismatchError, DomainError, KindMismatchError, ZeroScaleError
 from normreg.normalize import (
     LASSO_COMPARABLE,
+    PLAIN,
     RIDGE_COMPARABLE,
     BinaryDelta,
     L1Centered,
@@ -164,9 +165,25 @@ def test_backtransform_prediction_roundtrip():
 
 
 def test_zero_scale_names_column():
-    data = Dataset(x=np.column_stack([np.arange(4.0), np.ones(4)]), y=np.zeros(4))
-    with pytest.raises(ZeroScaleError, match="column 1"):
-        compute_plan(data, Standardize())
+    # a column with no variance gets scale 1 under every strategy, at its center
+    data = Dataset(x=np.column_stack([np.arange(4.0), np.full(4, 3.0)]), y=np.zeros(4))
+    for strategy, center in (
+        (NoNorm(), 0.0), (Standardize(), 3.0), (L1Centered(), 3.0),
+        (MaxAbs(), 0.0), (MinMax(), 3.0), (Robust(), 3.0),
+    ):
+        plan = compute_plan(data, strategy)
+        assert (plan.centers[1], plan.scales[1]) == (center, 1.0), strategy
+    x = np.column_stack([[0.0, 1.0, 1.0, 0.0], np.zeros(4), np.ones(4)])
+    binary = Dataset(x=x, y=np.zeros(4))
+    for comparability in (PLAIN, LASSO_COMPARABLE, RIDGE_COMPARABLE):
+        for delta in (0.0, 0.5, 1.0):
+            plan = compute_plan(binary, BinaryDelta(delta, comparability))
+            assert plan.centers[1:].tolist() == [0.0, 1.0]
+            assert plan.scales[1:].tolist() == [1.0, 1.0], (comparability, delta)
+    # a varying column whose scale comes out zero is still refused, by index
+    x = np.column_stack([np.arange(5.0), [0.0, 0.0, 0.0, 0.0, 1.0]])
+    with pytest.raises(ZeroScaleError, match="column 1 has zero scale under Robust"):
+        compute_plan(Dataset(x=x, y=np.zeros(5)), Robust())
 
 
 def test_binary_delta_on_continuous_rejected():

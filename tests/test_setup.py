@@ -15,7 +15,7 @@ from normreg import CVPlan, Dataset, ScenarioSpec, cross_validate, run_scenario
 from normreg import normalize
 from normreg.cli import main
 
-from test_golden import CASES, _mixed_csv
+from test_golden import CASES, TABLES, _mixed_csv
 
 FIT = ["fit", "--normalize", "binary-delta", "--delta", "1", "--omega", "0.5", "--lambda1", "2"]
 
@@ -32,7 +32,7 @@ def test_no_fit_path_makes_a_normalized_copy(case, tmp_path, monkeypatch, capsys
                     monkeypatch.setattr(module, key, refuse)
     argv = CASES.get(case, FIT)
     if argv[0] in ("cv", "path", "fit"):
-        argv = [*argv, "--input", _mixed_csv(tmp_path / "mixed.csv")]
+        argv = [*argv, "--input", TABLES.get(case, _mixed_csv)(tmp_path / "input.csv")]
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
     capsys.readouterr()
 
@@ -149,6 +149,14 @@ _SCALED = {
         "u",
         [normalize.BinaryDelta(d) for d in _DELTAS],
     ),
+    # at n = 97 the 0.99 signal column is all ones, so every training split
+    # holds a constant column
+    "predictive-sim": (
+        "predictive-sim",
+        {"p": 40, "n_signal": 3, "snr_grid": (1.0,), "delta_grid": _DELTAS, "path_count": 3},
+        "u",
+        [normalize.BinaryDelta(d) for d in _DELTAS],
+    ),
 }
 
 
@@ -157,17 +165,22 @@ def test_scenario_scales_equal_compute_plans(case, monkeypatch):
     """Scenarios that read a scale off a column apply compute_plan's rule exactly."""
     scenario, params, weight, strategies = _SCALED[case]
     calls = []
-    fit = normreg.simulate.fit
+    fit, fit_path = normreg.simulate.fit, normreg.simulate.fit_path
 
     def recorded(data, penalty, **kwargs):
-        calls.append((data, penalty))
+        calls.append((data, {"u": penalty.u, "v": penalty.v}))
         return fit(data, penalty, **kwargs)
 
+    def recorded_path(data, alpha, lambdas, u=None, v=None):
+        calls.append((data, {"u": u, "v": v}))
+        return fit_path(data, alpha, lambdas, u=u, v=v)
+
     monkeypatch.setattr(normreg.simulate, "fit", recorded)
+    monkeypatch.setattr(normreg.simulate, "fit_path", recorded_path)
     # an odd n keeps the realized class balances off round values
     run_scenario(ScenarioSpec(scenario=scenario, seed=5, n=97, replications=2, params=params))
     assert calls and len(calls) % len(strategies) == 0
-    for i, (data, penalty) in enumerate(calls):
+    for i, (data, weights) in enumerate(calls):
         scales = normalize.compute_plan(data, strategies[i % len(strategies)]).scales
         want = scales if weight == "u" else scales**2
-        assert np.array_equal(getattr(penalty, weight), want)
+        assert np.array_equal(weights[weight], want)

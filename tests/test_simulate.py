@@ -22,7 +22,6 @@ from normreg import (
     ParseError,
     RandomStream,
     ScenarioSpec,
-    ZeroScaleError,
     compute_plan,
     correlated_binary_pair,
     gen_binary,
@@ -547,33 +546,37 @@ def test_decreasing_classbalance_smoke():
     assert "lambda1 = 2 sigma sqrt(2 log p)" in result.manifest["lambda_rule"]
 
 
-def test_balance_bound_that_rounds_to_all_ones_is_named():
-    # at n = 40, 0.99 rounds to 40 ones; where every delta > 0 fit would then
-    # fail, the error names the bound
+def test_all_ones_columns_fit_at_zero(monkeypatch):
+    # at n = 40 a balance of 0.99 rounds to 40 ones: a signal column, every
+    # null column, and power-fdr's last signal column at its defaults. Each
+    # gets scale 1 at every delta and a certified fit keeps it at zero.
+    fits = []
+    fit = simulate.fit
+
+    def recorded(data, penalty, **kwargs):
+        res = fit(data, penalty, **kwargs)
+        fits.append((data, res))
+        return res
+
+    monkeypatch.setattr(simulate, "fit", recorded)
+    deltas = {"delta_grid": (0.0, 0.5, 1.0)}
     cases = [
-        ("decreasing-classbalance", {"n_signal": 5}, "q_last=0.99"),
-        ("decreasing-classbalance", {"n_signal": 5, "q_last": 0.9, "null_q_low": 0.98},
-         "null_q_high=0.99"),
-        ("power-fdr", {"p_grid": (8,), "n_signal": 3, "q_first": 0.99, "q_last": 0.5,
-                       "null_q_high": 0.9}, "q_first=0.99"),
+        ("decreasing-classbalance", {"n_signal": 5, "rho_grid": (0.0, 0.5)}, 6),
+        ("decreasing-classbalance", {"n_signal": 5, "q_last": 0.9, "null_q_low": 0.98,
+                                     "rho_grid": (0.0, 0.5)}, 6),
+        ("power-fdr", {"p_grid": (8,), "n_signal": 3}, 3),
     ]
-    for scenario, params, name in cases:
+    for scenario, params, count in cases:
+        fits.clear()
         sizes = {"p": 20} if scenario != "power-fdr" else {}
-        spec = ScenarioSpec(scenario, n=40, replications=1, params=params, **sizes)
-        with pytest.raises(DomainError, match=f"{name}: .* all-ones column at n=40"):
-            run_scenario(spec)
-    # runs that never scale an all-ones column still complete: delta = 0 only,
-    # rho > 0 only (column 1 breaks the column up), and predictive-sim, whose
-    # training-split plan gives a constant column scale 1
-    completes = [
-        ("decreasing-classbalance", {"n_signal": 5, "rho_grid": (0.5,)}),
-        ("power-fdr", {"p_grid": (8,), "n_signal": 3, "delta_grid": (0.0,)}),
-        ("predictive-sim", {"n_signal": 3, "snr_grid": (1.0,), "path_count": 3}),
-    ]
-    for scenario, params in completes:
-        sizes = {"p": 20} if scenario != "power-fdr" else {}
-        spec = ScenarioSpec(scenario, n=40, replications=1, params=params, **sizes)
+        spec = ScenarioSpec(scenario, n=40, replications=1, params={**params, **deltas}, **sizes)
         assert run_scenario(spec).rows
+        assert len(fits) == count
+        constant = [np.ptp(data.x, axis=0) == 0.0 for data, _ in fits]
+        assert all(c.any() for c in constant[:3]), scenario  # rho = 0 keeps them whole
+        for (data, res), dead in zip(fits, constant):
+            assert res.converged
+            assert np.all(res.beta[dead] == 0.0)
 
 
 def test_power_fdr_smoke_metrics_in_range():
@@ -686,35 +689,18 @@ def test_parse_value_agrees_between_config_and_param(tmp_path):
         assert repr(value) == repr(want)
 
 
-def test_tolerant_scales_are_binary_delta_with_unit_scale_for_constant_columns():
+def test_delta_scales_equal_compute_plan_with_constant_columns():
     from normreg.simulate import _delta_scales
 
     x = np.column_stack([gen_binary(40, q, _gen(stream_id=j)) for j, q in
                          enumerate((0.5, 0.1, 0.3, 0.85, 0.95))])
     x = np.column_stack([x, np.zeros(40), np.ones(40)])
-    varying = Dataset(x=x[:, :5], y=np.zeros(40))
-    balances = x.mean(axis=0).tolist()
-    for delta in (0.0, 0.25, 0.5, 1.0):
-        scales = _delta_scales(balances, delta, tolerant=True)
-        assert np.array_equal(scales[5:], [1.0, 1.0])
-        ref = compute_plan(varying, BinaryDelta(delta))
-        assert np.array_equal(scales[:5], ref.scales)
-
-
-def test_delta_scales_raise_on_a_constant_column_as_compute_plan_does():
-    from normreg.simulate import _delta_scales
-
-    x = np.column_stack([gen_binary(40, 0.3, _gen(stream_id=0)), np.ones(40)])
     data = Dataset(x=x, y=np.zeros(40))
     balances = x.mean(axis=0).tolist()
-    # delta = 0 leaves every column at scale 1, a constant one included
-    ref = compute_plan(data, BinaryDelta(0.0)).scales
-    assert np.array_equal(_delta_scales(balances, 0.0), ref)
-    for delta in (0.5, 1.0):
-        with pytest.raises(ZeroScaleError, match="column 1 has zero scale"):
-            compute_plan(data, BinaryDelta(delta))
-        with pytest.raises(ZeroScaleError, match="column 1 has zero scale"):
-            _delta_scales(balances, delta)
+    for delta in (0.0, 0.25, 0.5, 1.0):
+        scales = _delta_scales(balances, delta)
+        assert np.array_equal(scales, compute_plan(data, BinaryDelta(delta)).scales)
+        assert np.array_equal(scales[5:], [1.0, 1.0])
 
 
 def test_parse_scenario_config_errors(tmp_path):

@@ -689,6 +689,21 @@ def test_parse_value_agrees_between_config_and_param(tmp_path):
         assert repr(value) == repr(want)
 
 
+def test_tolerant_scales_are_binary_delta_with_unit_scale_for_constant_columns():
+    from normreg.simulate import _delta_scales
+
+    x = np.column_stack([gen_binary(40, q, _gen(stream_id=j)) for j, q in
+                         enumerate((0.5, 0.1, 0.3, 0.85, 0.95))])
+    x = np.column_stack([x, np.zeros(40), np.ones(40)])
+    varying = Dataset(x=x[:, :5], y=np.zeros(40))
+    balances = x.mean(axis=0).tolist()
+    for delta in (0.0, 0.25, 0.5, 1.0):
+        scales = _delta_scales(balances, delta)
+        assert np.array_equal(scales[5:], [1.0, 1.0])
+        ref = compute_plan(varying, BinaryDelta(delta))
+        assert np.array_equal(scales[:5], ref.scales)
+
+
 def test_delta_scales_equal_compute_plan_with_constant_columns():
     from normreg.simulate import _delta_scales
 

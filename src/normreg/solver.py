@@ -51,14 +51,15 @@ final solve comes out against its sign is a drop the path missed by
 round-off: it is dropped and the rest re-solved.
 
 What depends on (x, y) alone is set up once per Dataset and kept on it: the
-column means, the columns with no variance, mean(y), X'(y - mean y) and the
-centered Gram rows of a tall design. A Dataset's arrays are read-only, so
-this cannot go stale. The weights, lam2 and a wide design's active columns
-belong to each fit. `_Design` alone chooses between tall designs (p <= n)
-and wide ones. On tall ones the Gram rows X'x_j are computed for a block of
-likely joiners per pass over X and a step costs O(p |A|). Wide ones keep
-the active columns contiguous, one row of n floats each in the order of A,
-in a buffer that doubles with M_A^{-1}'s as A grows: a join costs x_j'X_A
+column means, the columns with no variance, mean(y), X'(y - mean y) and, for
+a tall design (p <= n), the centered Gram X'X - n xbar xbar', built once
+from one product X'X whose diagonal also gives the column sums of squares.
+A Dataset's arrays are read-only, and so are its set-up's, so this cannot go
+stale. The weights, lam2 and a wide design's active columns belong to each
+fit. `_Design` alone chooses between tall designs and wide ones. On tall
+ones a join reads a row of the Gram and a step costs O(p |A|). Wide ones
+keep the active columns contiguous, one row of n floats each in the order of
+A, in a buffer that doubles with M_A^{-1}'s as A grows: a join costs x_j'X_A
 (2n|A| flops), and a step X'(X_A d - (xbar_A'd) 1), one pass over X plus
 2n|A| flops. No p x p array is made. lam1 = 0 is one ridge solve (in the
 n-dimensional row space when p > n), p = 1 the soft-threshold closed
@@ -93,7 +94,6 @@ _NEAR = 1e-6  # a Schur complement below this, relative, is recomputed by Choles
 _WORN = 1e-9  # a relative refinement above this calls for a fresh M_A^{-1}
 _BLOCK = 64  # initial room for active columns, before the buffers first double
 _RANK = 32  # rank-1 updates of M_A^{-1} kept pending before one product folds them in
-_BLOCK_COLUMNS = 16  # Gram rows computed per pass over a tall X
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,9 @@ class FitResult:
     """Solver output.
 
     beta/beta0 are on the scale of the data the fit received, where the KKT
-    certificate holds; beta_norm/beta0_norm hold the same values (beta_norm
-    in an array of its own).
+    certificate holds. beta_norm/beta0_norm hold the same values (beta_norm
+    in an array of its own) and nothing in normreg reads them: they stay only
+    because perfbench/test_bench.py constructs a FitResult with them.
     sweeps_used counts homotopy steps (1 for a closed form or ridge solve);
     converged means the fit passed the KKT certificate, and kkt_residual is
     its scale-free residual.
@@ -164,7 +165,7 @@ class FitResult:
 
     @property
     def support(self) -> np.ndarray:
-        return np.nonzero(self.beta_norm)[0]
+        return np.nonzero(self.beta)[0]
 
 
 def _objective(r, beta, lam1, lam2, u, v) -> float:
@@ -175,10 +176,21 @@ def _objective(r, beta, lam1, lam2, u, v) -> float:
     )
 
 
+def _moments(x: np.ndarray, tall: bool):
+    """(column means, X'X of a tall x or None, column sums of squares): a
+    tall x's sums of squares are the diagonal of X'X, not another pass."""
+    # one BLAS call; x.mean(axis=0) is several times slower on a tall X
+    xbar = np.ones(x.shape[0]) @ x / x.shape[0]
+    if not tall:
+        return xbar, None, np.einsum("ij,ij->j", x, x)
+    gram = x.T @ x
+    return xbar, gram, gram.diagonal().copy()
+
+
 class _Setup:
-    """What every fit of one Dataset shares: the column means, the columns
-    with no variance, mean(y), X'(y - mean y) (zero on those columns) and its
-    largest entry, and a tall design's centered Gram rows as they are computed.
+    """What every fit of one Dataset shares, read-only: the column means, the
+    columns with no variance, mean(y), X'(y - mean y) (zero on those columns)
+    and its largest entry, and a tall design's centered Gram, built once.
 
     Centering through the means costs a column (mean / sd)^2 ulps of its
     Gram entries, so a design with a non-constant column whose mean exceeds
@@ -187,17 +199,14 @@ class _Setup:
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         n, p = x.shape
-        # one BLAS call; x.mean(axis=0) is several times slower on a tall X
-        xbar = np.ones(n) @ x / n
-        raw = np.einsum("ij,ij->j", x, x)
+        xbar, gram, raw = _moments(x, p <= n)
         own = raw - n * xbar * xbar
         # only a column that fails the spread test can need the shift
         suspect = np.flatnonzero(own < 1e-4 * raw)
         self.shift = None
         if np.any(np.ptp(x[:, suspect], axis=0) > 0.0):
             x, self.shift = x - xbar, xbar
-            xbar = np.ones(n) @ x / n
-            raw = np.einsum("ij,ij->j", x, x)
+            xbar, gram, raw = _moments(x, p <= n)
             own = raw - n * xbar * xbar
         self.x, self.n, self.xbar = x, n, xbar
         self.dead = own <= _DEAD * raw  # no variance
@@ -207,18 +216,12 @@ class _Setup:
         # a dead column's correlation is round-off
         self.c0[self.dead] = 0.0
         self.scale = float(np.max(np.abs(self.c0))) if p else 0.0
-        self.gram = np.empty((p, p)) if p <= n else None
-        self.cached = np.zeros(p, dtype=bool)
-
-    def rows(self, cols: np.ndarray) -> np.ndarray:
-        """Centered Gram rows X' x_j of a tall design for each j in cols
-        (ascending), cached."""
-        xj = self.x.T if len(cols) == self.x.shape[1] else np.ascontiguousarray(self.x[:, cols].T)
-        g = xj @ self.x
-        g -= np.multiply.outer(self.n * self.xbar[cols], self.xbar)
-        self.gram[cols] = g
-        self.cached[cols] = True
-        return g
+        if gram is not None:
+            gram -= np.multiply.outer(n * xbar, xbar)
+        self.gram = gram
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 def _setup(data: Dataset) -> _Setup:
@@ -233,16 +236,15 @@ class _Design:
     """The centered design of one fit: its set-up, weights and lam2.
 
     The one place that tells tall designs from wide ones: tall ones (p <= n)
-    use the set-up's centered Gram rows, computed for a block of columns per
-    pass over X; wide ones keep the raw active columns contiguous, one row of
-    n floats each in the order of the path's active set, and center them
-    through the column means.
+    read the centered Gram their set-up built once; wide ones keep the raw
+    active columns contiguous, one row of n floats each in the order of the
+    path's active set, and center them through the column means.
     """
 
     def __init__(self, setup: _Setup, u, v, lam2: float):
-        self.setup, self.u, self.v, self.lam2 = setup, u, v, lam2
-        self.x, self.n, self.xbar, self.c0 = setup.x, setup.n, setup.xbar, setup.c0
-        self.gram, self.dead = setup.gram, setup.dead
+        self.u, self.v, self.lam2 = u, v, lam2
+        self.x, self.n, self.xbar, self.yc = setup.x, setup.n, setup.xbar, setup.yc
+        self.c0, self.gram, self.dead = setup.c0, setup.gram, setup.dead
         self.active = np.empty((0, self.n)) if self.gram is None else None
 
     # -- the active columns, in the order of the path's active set -------
@@ -268,12 +270,11 @@ class _Design:
 
     def correlations(self, beta: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """c = X'(y - X beta) - lam2 v beta on the centered problem, for a
-        beta that is zero off the active columns idx, whose Gram rows a tall
-        design cached as each joined."""
+        beta that is zero off the active columns idx."""
         if self.gram is None:
             z = self.x @ beta
             z -= float(self.xbar @ beta)
-            c = self.x.T @ (self.setup.yc - z)
+            c = self.x.T @ (self.yc - z)
         else:
             c = self.c0 - beta[idx] @ self.gram[idx]
         c -= self.lam2 * self.v * beta
@@ -292,22 +293,13 @@ class _Design:
         z -= float(self.xbar[idx] @ dvec)
         return self.x.T @ z
 
-    def cross(self, j: int, idx: np.ndarray, c: np.ndarray, free: np.ndarray):
-        """(centered x_j'X_A for the active columns idx, centered x_j'x_j).
-        A tall design caches the row X'x_j, with the rows of the free columns
-        likeliest to join next (largest |c_j| / u_j) in the same pass."""
+    def cross(self, j: int, idx: np.ndarray):
+        """(centered x_j'X_A for the active columns idx, centered x_j'x_j)."""
         if self.gram is None:
             xj = self.x[:, j]
             g = self.active[: idx.shape[0]] @ xj
             g -= self.n * self.xbar[j] * self.xbar[idx]
             return g, float(xj @ xj) - self.n * float(self.xbar[j]) ** 2
-        cached = self.setup.cached
-        if not cached[j]:
-            ratio = np.abs(c) / self.u
-            ratio[~free | cached] = -1.0
-            ratio[j] = math.inf
-            block = np.argsort(-ratio, kind="stable")[:_BLOCK_COLUMNS]
-            self.setup.rows(np.sort(block[ratio[block] >= 0.0]))
         return self.gram[j, idx], self.gram[j, j]
 
     def system(self, cols: np.ndarray) -> np.ndarray:
@@ -334,12 +326,11 @@ class _Design:
             w = 1.0 / (self.lam2 * self.v)
             system = (xc * w) @ xc.T
             system[np.diag_indices(n)] += 1.0
-            return w * (xc.T @ np.linalg.solve(system, self.setup.yc))
-        gram = self.setup.rows(np.arange(p))
+            return w * (xc.T @ np.linalg.solve(system, self.yc))
         keep = np.flatnonzero(~self.dead)
         beta = np.zeros(p)
         if keep.size:
-            sub = gram[np.ix_(keep, keep)]
+            sub = self.gram[np.ix_(keep, keep)]
             if self.lam2 > 0.0:
                 sub[np.diag_indices_from(sub)] += self.lam2 * self.v[keep]
                 beta[keep] = np.linalg.solve(sub, self.c0[keep])
@@ -458,7 +449,7 @@ class _Homotopy:
     def join(self, j: int, sign: float) -> bool:
         d, k = self.d, self.k
         idx = self.act[:k]
-        g, own = d.cross(j, idx, self.c, self.free)
+        g, own = d.cross(j, idx)
         self.free[j] = False
         m = own + d.lam2 * d.v[j]
         w = self.apply(g)
@@ -791,9 +782,9 @@ def kkt_residuals(data: Dataset, penalty: PenaltySpec, result: FitResult):
     inactive ones |x_j' r| <= lam1 u_j. Both residuals scale with n.
     """
     u, v = penalty.resolve_weights(data.p)
-    r = data.y - result.beta0_norm - data.x @ result.beta_norm
-    res = _kkt(data.x, r, result.beta_norm, penalty.lam1, penalty.lam2, u, v, _setup(data).dead)
-    active = result.beta_norm != 0.0
+    r = data.y - result.beta0 - data.x @ result.beta
+    res = _kkt(data.x, r, result.beta, penalty.lam1, penalty.lam2, u, v, _setup(data).dead)
+    active = result.beta != 0.0
     return (
         float(np.max(res, where=active, initial=0.0)),
         float(np.max(res, where=~active, initial=0.0)),

@@ -66,6 +66,18 @@ def test_usage_errors_exit_one(toy_csv, capsys):
     assert main(["oracle", "--curve", "limits", "--lambda1", "1",
                  "--delta", "0.5", "--omega", "0.5"]) == 1
     assert "--delta and --omega are mutually exclusive" in capsys.readouterr().err
+    # malformed grids and lists
+    mean = ["oracle", "--curve", "mean", "--delta", "0.5", "--lambda1", "1", "--q-grid"]
+    for argv, message in (
+        ([*mean, "0.1:0.9"], "expected lo:hi:count, got '0.1:0.9'"),
+        ([*mean, "0.1:0.9:0"], "grid count must be >= 1"),
+        (["oracle", "--curve", "gumbel", "--n-grid", "10,x"],
+         "expected comma-separated integers, got '10,x'"),
+        (["cv", "--input", toy_csv, "--deltas", "0,abc"],
+         "expected comma-separated numbers, got '0,abc'"),
+    ):
+        assert main(argv) == 1, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
@@ -124,6 +136,10 @@ def test_data_errors_exit_two(tmp_path, toy_csv, capsys):
          "n must be >= 1, got 0"),
         (["simulate", "--scenario", "decreasing-classbalance", "--param", "p=0"],
          "p must be >= 1, got 0"),
+        # a grid whose every cell is skipped fails, naming the skips
+        (["simulate", "--scenario", "selection-probability", "--n", "50", "--param",
+          "q_grid=0.999"],
+         "produced no cells: q=0.999: ceil(n q) = n gives an all-ones column"),
     ):
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err, argv
@@ -477,6 +493,30 @@ def test_cv_scores_every_fold_of_a_binary_column_with_one_positive(tmp_path, cap
     assert manifest["skipped"] == []
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 2 * 4 * 3 * 5
+
+
+def test_cv_leave_one_out_reports_only_the_selection(tmp_path, capsys):
+    # a held-out fold of one row has a constant response and no NMSE of its
+    # own, so its rows are skipped; the selection, scored on the pooled
+    # squared errors, is the one row written
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6, 2))
+    data = tmp_path / "six.csv"
+    write_delimited(Dataset(x=x, y=x[:, 0] + 0.1 * rng.standard_normal(6)), data)
+    out = tmp_path / "loo.csv"
+    code = main(["cv", "--input", str(data), "--folds", "6", "--repeats", "1",
+                 "--format", "csv", "--out", str(out)])
+    assert code == 0
+    assert "best:" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "loo.csv.manifest.json").read_text())
+    assert len(manifest["skipped"]) == 6
+    best = manifest["best"]
+    assert best["mean_nmse"] > 0.0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "repeat,fold,lambda,delta,nmse"
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == [
+        [-1.0, -1.0, best["lambda"], best["delta"], best["mean_nmse"]]
+    ]
 
 
 def test_constant_columns_fit_at_zero(tmp_path, capsys):

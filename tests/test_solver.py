@@ -53,7 +53,7 @@ def test_single_feature_fit_matches_hand_value():
     y_target = 0.5 * x  # x'y = 5
     data = Dataset(x=x[:, np.newaxis], y=y_target)
     res = fit(data, PenaltySpec(lam1=2.0))
-    assert res.beta_norm[0] == pytest.approx(0.3, abs=1e-10)
+    assert res.beta[0] == pytest.approx(0.3, abs=1e-10)
     assert res.converged
 
 
@@ -66,8 +66,8 @@ def test_null_model_at_lambda_max():
         Dataset(x=data.x - data.x.mean(axis=0), y=data.y),
         PenaltySpec(lam1=lam * 1.0001),
     )
-    assert np.all(res.beta_norm == 0.0)
-    assert res.beta0_norm == pytest.approx(data.y.mean(), abs=1e-12)
+    assert np.all(res.beta == 0.0)
+    assert res.beta0 == pytest.approx(data.y.mean(), abs=1e-12)
     assert res.support.size == 0
     res = fit(
         Dataset(x=data.x - data.x.mean(axis=0), y=data.y),
@@ -90,8 +90,8 @@ def test_solver_matches_orthogonal_closed_form():
         xty = data.x.T @ data.y
         diag = np.sum(data.x * data.x, axis=0)
         beta_ref, beta0_ref = orthogonal_solution(xty, diag, penalty, float(data.y.mean()))
-        assert np.allclose(res.beta_norm, beta_ref, atol=1e-8)
-        assert res.beta0_norm == pytest.approx(beta0_ref, abs=1e-8)
+        assert np.allclose(res.beta, beta_ref, atol=1e-8)
+        assert res.beta0 == pytest.approx(beta0_ref, abs=1e-8)
 
 
 def test_lambda_max_examples():
@@ -177,7 +177,7 @@ def test_fit_path_starts_null_and_matches_cold_refits():
         for res in path:
             cold = fit(data, from_mixing(alpha, res.lam1 + res.lam2))
             assert res.converged and cold.converged
-            assert np.allclose(res.beta_norm, cold.beta_norm, rtol=0.0, atol=1e-10)
+            assert np.allclose(res.beta, cold.beta, rtol=0.0, atol=1e-10)
 
 
 def test_objective_non_increasing():
@@ -199,10 +199,10 @@ def test_objective_non_increasing():
         r = y - beta0 - x @ beta
         return 0.5 * r @ r + penalty.lam1 * np.abs(beta).sum() + 0.25 * beta @ beta
 
-    assert objective(res.beta0_norm, res.beta_norm) == pytest.approx(res.objective_value, abs=1e-12)
+    assert objective(res.beta0, res.beta) == pytest.approx(res.objective_value, abs=1e-12)
     for _ in range(50):
         step = 1e-4 * rng.standard_normal(11)
-        moved = objective(res.beta0_norm + step[0], res.beta_norm + step[1:])
+        moved = objective(res.beta0 + step[0], res.beta + step[1:])
         assert moved >= res.objective_value - 1e-12
 
 
@@ -238,7 +238,7 @@ def test_permutation_invariance():
     perm = np.array([3, 0, 5, 1, 4, 2])
     permuted = Dataset(x=centered.x[:, perm], y=centered.y)
     res_p = fit(permuted, penalty)
-    assert np.allclose(res_p.beta_norm, res.beta_norm[perm], atol=1e-8)
+    assert np.allclose(res_p.beta, res.beta[perm], atol=1e-8)
 
 
 def test_wide_active_columns_follow_the_active_set(monkeypatch):
@@ -264,7 +264,7 @@ def test_wide_active_columns_follow_the_active_set(monkeypatch):
     perm = rng.permutation(p)
     res_p = fit(Dataset(x=data.x[:, perm], y=data.y), penalty)
     assert res_p.converged
-    assert np.allclose(res_p.beta_norm, res.beta_norm[perm], rtol=0.0, atol=1e-10)
+    assert np.allclose(res_p.beta, res.beta[perm], rtol=0.0, atol=1e-10)
 
 
 def _inverse_error(path) -> float:
@@ -374,8 +374,9 @@ def test_non_convergence_is_flagged_not_raised(monkeypatch):
     assert not res.converged
     assert res.sweeps_used == 2
     assert res.kkt_residual > KKT_TOLERANCE
-    # the last point is returned as it stands, on the original scale as well
-    assert np.array_equal(res.beta, res.beta_norm)
+    # the last point is returned as it stands: its residual is the one reported
+    scale = np.abs(x.T @ (y - y.mean())).max()
+    assert max(kkt_residuals(data, penalty, res)) / scale == pytest.approx(res.kkt_residual)
     # a continued path point that fails is redone from lambda_max: one step
     # to the first point, one more to the cap, then two from lambda_max
     near, far = fit_path(data, 1.0, [0.999 * lambda_max(data), penalty.lam1])
@@ -413,6 +414,28 @@ def test_wide_elastic_net_makes_no_p_by_p_array(n, lam1, lam2):
         # much as X (1.4 MB), and the path needs neither one nor a copy of X
         assert res.support.size == n - 1
         assert peak < 8 * n * p / 2
+
+
+@pytest.mark.parametrize("shape", [(60, 12), (12, 40)], ids=["tall", "wide"])
+def test_a_set_up_is_read_only_and_a_tall_one_holds_the_centered_gram(shape):
+    # every fit of one Dataset shares its set-up and nothing writes to it
+    # after it is made: a lasso path, a ridge fit and an elastic-net fit
+    # leave all of its arrays read-only
+    rng = np.random.default_rng(17)
+    x = 3.0 + rng.standard_normal(shape)
+    data = Dataset(x=x, y=x[:, :3].sum(axis=1) + rng.standard_normal(shape[0]))
+    lam = lambda_max(data)
+    fits = fit_path(data, 1.0, lambda_grid(lam, count=8, ratio=1e-2))
+    fits += [fit(data, PenaltySpec(0.0, lam2=1.0)), fit(data, from_mixing(0.5, 0.1 * lam))]
+    assert all(res.converged for res in fits)
+    setup = normreg.solver._setup(data)
+    arrays = [value for value in vars(setup).values() if isinstance(value, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    if shape[0] < shape[1]:
+        assert setup.gram is None
+        return
+    xc = x - x.mean(axis=0)
+    assert np.allclose(setup.gram, xc.T @ xc, rtol=0.0, atol=1e-12 * np.abs(x).max() ** 2 * x.shape[0])
 
 
 def test_penalty_validation():
@@ -528,10 +551,10 @@ def test_fit_equals_converged_reference_sweep(problem):
         data, penalty, Sweeps(tolerance=1e-13, max_sweeps=200_000)
     )
     assert converged and res.converged
-    assert np.allclose(res.beta_norm, beta, rtol=0.0, atol=1e-8)
-    assert res.beta0_norm == pytest.approx(beta0, abs=1e-8)
+    assert np.allclose(res.beta, beta, rtol=0.0, atol=1e-8)
+    assert res.beta0 == pytest.approx(beta0, abs=1e-8)
     assert res.objective_value == pytest.approx(objective, rel=1e-12)
-    assert not np.any(res.beta_norm[~data.x.any(axis=0)])
+    assert not np.any(res.beta[~data.x.any(axis=0)])
 
 
 def _certified(data, penalty, result):
@@ -551,8 +574,8 @@ def test_tie_at_lambda_max_joins_both_columns():
     lam = 0.5 * lambda_max(data)
     res = fit(data, PenaltySpec(lam1=lam))
     beta_ref, _ = orthogonal_solution(x.T @ y, (x * x).sum(axis=0), PenaltySpec(lam1=lam))
-    assert np.allclose(res.beta_norm, beta_ref, rtol=0.0, atol=1e-14)
-    assert np.all(res.beta_norm != 0.0)
+    assert np.allclose(res.beta, beta_ref, rtol=0.0, atol=1e-14)
+    assert np.all(res.beta != 0.0)
     assert _certified(data, PenaltySpec(lam1=lam), res)
 
 
@@ -577,7 +600,7 @@ def test_degenerate_columns_never_join_and_the_path_saturates():
     assert all(res.converged for res in path)
     for lam, res in zip(grid, path):
         assert _certified(data, PenaltySpec(lam1=lam), res)
-        beta = res.beta_norm
+        beta = res.beta
         assert beta[5] == 0.0 and beta[6] == 0.0
         # of two equal columns at most one is active, and the tie goes to the
         # lower index
@@ -599,7 +622,7 @@ def test_duplicate_column_matches_the_reference_optimum():
     assert converged and _certified(data, penalty, res)
     # the optimum is not unique here, its value is
     assert res.objective_value == pytest.approx(objective, rel=1e-10)
-    assert res.beta_norm[7] == 0.0
+    assert res.beta[7] == 0.0
 
 
 def test_a_duplicate_of_an_active_column_never_tries_to_join(monkeypatch):
@@ -624,8 +647,8 @@ def test_a_duplicate_of_an_active_column_never_tries_to_join(monkeypatch):
     assert res.converged and _certified(data, penalty, res)
     assert 0 in tried and 1 not in tried
     alone = fit(Dataset(x=np.delete(x, 1, axis=1), y=y), penalty)
-    assert res.beta_norm[1] == 0.0
-    assert np.allclose(np.delete(res.beta_norm, 1), alone.beta_norm, rtol=0.0, atol=1e-10)
+    assert res.beta[1] == 0.0
+    assert np.allclose(np.delete(res.beta, 1), alone.beta, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("offset", [1e5, 1e7])
@@ -640,8 +663,8 @@ def test_columns_far_from_their_means_fit_like_centered_ones(offset):
     grid = lambda_grid(lambda_max(near), 10, 1e-3)
     for res, ref in zip(fit_path(shifted, 1.0, grid), fit_path(near, 1.0, grid)):
         assert res.converged and ref.converged
-        assert np.allclose(res.beta_norm, ref.beta_norm, rtol=1e-9, atol=0.0)
-        assert res.beta0_norm == pytest.approx(ref.beta0_norm - offset * ref.beta_norm.sum())
+        assert np.allclose(res.beta, ref.beta, rtol=1e-9, atol=0.0)
+        assert res.beta0 == pytest.approx(ref.beta0 - offset * ref.beta.sum())
     ridge = fit(shifted, PenaltySpec(lam1=0.0, lam2=1.0))
     assert ridge.converged
 
@@ -667,8 +690,8 @@ def test_path_points_equal_cold_fits(problem, alpha):
         cold = fit(data, from_mixing(alpha, lam))
         assert res.converged and cold.converged
         assert _certified(data, from_mixing(alpha, lam), res)
-        assert np.allclose(res.beta_norm, cold.beta_norm, rtol=0.0, atol=1e-10)
-        assert res.beta0_norm == pytest.approx(cold.beta0_norm, abs=1e-10)
+        assert np.allclose(res.beta, cold.beta, rtol=0.0, atol=1e-10)
+        assert res.beta0 == pytest.approx(cold.beta0, abs=1e-10)
     if alpha == 1.0:
         # the path continued: it took the last cold fit's steps, and one
         # more per point, where it stopped inside a segment
@@ -701,8 +724,8 @@ def test_active_set_beyond_the_initial_buffers(shape, ratio):
         data, penalty, Sweeps(tolerance=1e-13, max_sweeps=200_000)
     )
     assert converged
-    assert np.allclose(res.beta_norm, beta, rtol=0.0, atol=1e-8)
-    assert res.beta0_norm == pytest.approx(beta0, abs=1e-8)
+    assert np.allclose(res.beta, beta, rtol=0.0, atol=1e-8)
+    assert res.beta0 == pytest.approx(beta0, abs=1e-8)
     assert res.objective_value == pytest.approx(objective, rel=1e-12)
 
 
@@ -714,7 +737,7 @@ def test_path_continues_beyond_the_initial_buffers(shape, ratio):
     assert start.support.size > 64
     cold = fit(data, target)
     assert end.converged and cold.converged and _certified(data, target, end)
-    assert np.allclose(end.beta_norm, cold.beta_norm, rtol=0.0, atol=1e-8)
+    assert np.allclose(end.beta, cold.beta, rtol=0.0, atol=1e-8)
     # the path went on from the point before rather than from lambda_max
     assert end.sweeps_used < cold.sweeps_used
 
@@ -764,8 +787,8 @@ def test_every_degenerate_case_is_certified(case):
     assert res.converged
     if case == "ridge-wide":
         # the zero and the constant column take no weight
-        assert res.beta_norm[5] == 0.0 and res.beta_norm[6] == 0.0
-        assert np.count_nonzero(res.beta_norm) == data.p - 2
+        assert res.beta[5] == 0.0 and res.beta[6] == 0.0
+        assert np.count_nonzero(res.beta) == data.p - 2
     scale = np.max(np.abs(data.x.T @ (data.y - data.y.mean())))
     if scale > 0.0:
         assert _certified(data, penalty, res)

@@ -57,6 +57,12 @@ CASES = {
         "decreasing-classbalance", "n_signal=4", "q_last=0.9", "null_q_high=0.9",
         "delta_grid=0,1", "rho_grid=0,0.4", n=40, p=12, replications=2,
     ),
+    # p > n, as in predictive-sim-wide's 20 training rows: the two wide cases
+    # reach the designs whose homotopy steps each pass over X
+    "decreasing-classbalance-wide": _simulate(
+        "decreasing-classbalance", "n_signal=4", "q_last=0.9", "null_q_high=0.9",
+        "delta_grid=0,0.5,1", n=40, p=60, replications=2,
+    ),
     "mixed-data": _simulate(
         "mixed-data", "q_grid=0.5,0.9,0.99", "delta_grid=0,0.5,1", n=50, replications=2,
     ),
@@ -74,6 +80,10 @@ CASES = {
     "predictive-sim": _simulate(
         "predictive-sim", "n_signal=3", "snr_grid=1,4", "path_count=4", "q_last=0.9",
         "null_q_high=0.9", n=60, p=15, replications=2,
+    ),
+    "predictive-sim-wide": _simulate(
+        "predictive-sim", "n_signal=3", "snr_grid=1,4", "path_count=4", "q_last=0.9",
+        "null_q_high=0.9", n=60, p=40, replications=2,
     ),
     "maxabs-gev-a": _simulate("maxabs-gev", "n_grid=10,100", replications=3),
     "maxabs-gev-b": _simulate("maxabs-gev", "part=b", "n_grid=1,10,100", replications=3),
@@ -115,6 +125,7 @@ GOLDEN = {
     "cv": "dc1a3a9d80162476848c22b4188efb43076e8ea711c93d82398325f029663d18",
     "cv-rare": "ae5267794d4c29c8bc765a22eb27e9783812fbb7fc92d10f323bb15f7e6f3fdf",
     "decreasing-classbalance": "32a93394fe5d73b91ac1f2ec098cbc2f5312b9f79e1ff1c938e3482fd4149f95",
+    "decreasing-classbalance-wide": "720892bd83e7cb9691650b47e597c9619eb2cb3cea835c2f7473c6940e2803ef",
     "interactions": "85f43b593ca505c68a9fc49a8ce3731c106aa7c9c3d38a7c191e405d9f1f8b46",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
     "maxabs-gev-b": "b890c009157df77778d3401daddfbf96518629aa3ca94c2db741a75c4ed7be17",
@@ -125,6 +136,7 @@ GOLDEN = {
     "path-omega": "231b9a46c34fc2c0747bab107ee5d1fd5dc016308f31bf4ac03b6e72a7780501",
     "power-fdr": "dce9e1220249743f3d7c59ede58a304c16ac13eb973b3d32e97e7f8b887bae38",
     "predictive-sim": "bb6c021d151b4ed2d81d6578399b750b4be90988cb0678ded781dcdd0c14869b",
+    "predictive-sim-wide": "65f0030a8d9941d8ce1c02078d97943f6e278acecd979a3de2b43f171bfe151c",
     "selection-probability": "c6e8553bbc216bcd3c2edbab765f86797dc316e48f94c6bc4433d036ccf826e7",
     "weighted-elnet": "87e3fbe38649540569591d49e498bb8a425d1a770e0cadb3d2ce60f41d8fae67",
 }

@@ -54,7 +54,7 @@ from .oracle import (
     selection_probability,
 )
 from .rng import RandomStream
-from .solver import PenaltySpec, fit, fit_path, from_mixing, lambda_grid, lambda_max
+from .solver import PenaltySpec, fit, fit_each, fit_path, from_mixing, lambda_grid, lambda_max
 from .special import std_normal_quantile
 
 # stream slots reserved per replication; purposes index into this block
@@ -589,8 +589,9 @@ def _run_decreasing_classbalance(spec, cfg, rec):
             data = Dataset(x=xr, y=xr[:, :k] @ beta[:k] + sigma * z)
             lam1 = 2.0 * sigma * math.sqrt(2.0 * math.log(p))
             balances = data.x.mean(axis=0).tolist()
-            for d in cfg["delta_grid"]:
-                res = fit(data, PenaltySpec(lam1=lam1, u=_delta_scales(balances, d)))
+            deltas = cfg["delta_grid"]
+            penalties = [PenaltySpec(lam1=lam1, u=_delta_scales(balances, d)) for d in deltas]
+            for d, res in zip(deltas, fit_each(data, penalties)):
                 estimates = {f"estimate_{j + 1:02d}": res.beta[j] for j in range(k)}
                 rec.add(rep, (d, rho), **estimates, support_size=len(res.support))
     return {

@@ -56,18 +56,31 @@ a tall design (p <= n), the centered Gram X'X - n xbar xbar', built once
 from one product X'X whose diagonal also gives the column sums of squares.
 A Dataset's arrays are read-only, and so are its set-up's, so this cannot go
 stale. The weights, lam2 and a wide design's active columns belong to each
-fit. `_Design` alone chooses between tall designs and wide ones. On tall
-ones a join reads a row of the Gram and a step costs O(p |A|). Wide ones
-keep the active columns contiguous, one row of n floats each in the order of
-A, in a buffer that doubles with M_A^{-1}'s as A grows: a join costs x_j'X_A
-(2n|A| flops), and a step X'(X_A d - (xbar_A'd) 1), one pass over X plus
-2n|A| flops. No p x p array is made. lam1 = 0 is one ridge solve (in the
-n-dimensional row space when p > n), p = 1 the soft-threshold closed
-form and p = 0 the null model.
+fit. `_Design` alone chooses between tall designs and wide ones (`fit_each`
+only asks which one it has). On tall ones a join reads a row of the Gram
+and a step costs O(p |A|). Wide ones keep the active columns contiguous, one
+row of n floats each in the order of A, in a buffer that doubles with
+M_A^{-1}'s as A grows: a join costs x_j'X_A (2n|A| flops), and a step
+X'(X_A d - (xbar_A'd) 1), one pass over X plus 2n|A| flops. No p x p array
+is made. lam1 = 0 is one ridge solve (in the n-dimensional row space when
+p > n), p = 1 the soft-threshold closed form and p = 0 the null model.
 
 `fit_path` calls `fit` once per grid point. At alpha = 1 it hands each fit
 the homotopy of the fit before, which continues down to the next point; at
 alpha < 1 lam2 moves with lambda, and each point starts from lambda_max.
+
+`fit_each` fits one design at several penalties, one `fit` each, as a
+scenario's delta arms need. On a wide design the pass over X is most of a
+step, and it is memory-bound: X'Z for a C-ordered n x 2 Z costs about what
+X'z does (~0.18 ms each at 500 x 1000 on one BLAS thread), so every arm with
+lam1 > 0 gets its homotopy up front and each step of the arm being fitted
+takes a step of the next unfinished arm along, both products from one X'Z.
+Pairs only: an n x 3 Z costs about three passes. Tall designs make no pass
+over X, so their arms, like those with p <= 1 or lam1 = 0, fit one by one.
+A paired product equals the single one only to round-off, but a certified
+fit's final solve depends on the path only through its active sets and
+signs: each arm's fit is the cold fit, bit for bit, and one stopped by the
+step cap, which reports the path's own point, agrees to round-off.
 
 Every fit ends with a KKT check on the data it was given: `converged` means
 that max(kkt_residuals) / max_j |x_j'(y - mean y)| is at most 1e-8, where
@@ -112,22 +125,34 @@ class PenaltySpec:
                 raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
         for name in ("u", "v"):
             w = getattr(self, name)
-            if w is None:
-                continue
-            w = np.ascontiguousarray(w, dtype=np.float64)
-            if w.ndim != 1:
-                raise DimensionMismatchError(f"{name} must be 1-d")
-            if not (np.isfinite(w).all() and (w > 0.0).all()):
-                raise DomainError(f"{name} entries must be positive and finite")
-            w.setflags(write=False)
-            object.__setattr__(self, name, w)
+            if w is not None:
+                object.__setattr__(self, name, _weights(name, w))
 
     def resolve_weights(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         u = self.u if self.u is not None else np.ones(p)
         v = self.v if self.v is not None else np.ones(p)
-        if u.shape[0] != p or v.shape[0] != p:
-            raise DimensionMismatchError(f"weights must have length {p}")
+        _length(u, p)
+        _length(v, p)
         return u, v
+
+
+def _weights(name: str, w, p: int | None = None) -> np.ndarray:
+    """w as a read-only 1-d float array of positive, finite entries, and of
+    length p when p is given; the one check of penalty weights."""
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    if w.ndim != 1:
+        raise DimensionMismatchError(f"{name} must be 1-d")
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
+        raise DomainError(f"{name} entries must be positive and finite")
+    w.setflags(write=False)
+    if p is not None:
+        _length(w, p)
+    return w
+
+
+def _length(w: np.ndarray, p: int) -> None:
+    if w.shape[0] != p:
+        raise DimensionMismatchError(f"weights must have length {p}")
 
 
 def from_mixing(alpha: float, lam: float, u=None, v=None) -> PenaltySpec:
@@ -147,7 +172,9 @@ class FitResult:
     certificate holds. beta_norm/beta0_norm hold the same values (beta_norm
     in an array of its own) and nothing in normreg reads them: they stay only
     because perfbench/test_bench.py constructs a FitResult with them.
-    sweeps_used counts homotopy steps (1 for a closed form or ridge solve);
+    sweeps_used counts homotopy steps (1 for a closed form or ridge solve):
+    since the point before on a continued path, and every step of a
+    fit_each arm, those taken during the other arms' fits included;
     converged means the fit passed the KKT certificate, and kkt_residual is
     its scale-free residual.
     """
@@ -191,6 +218,13 @@ class _Setup:
     """What every fit of one Dataset shares, read-only: the column means, the
     columns with no variance, mean(y), X'(y - mean y) (zero on those columns)
     and its largest entry, and a tall design's centered Gram, built once.
+
+    The Gram is paid before the first step, whatever the fits need: 8 p^2
+    bytes and about n p^2 multiply-adds. A path or a dense fit reads much of
+    it; one sparse fit of a large tall design pays for rows it never reads.
+    One fit with 10 active columns on a 4000 x 3000 Gaussian design took
+    0.86 s, against 0.09 s when rows were computed as joins needed them
+    (one BLAS thread on a 2-core x86-64).
 
     Centering through the means costs a column (mean / sd)^2 ulps of its
     Gram entries, so a design with a non-constant column whose mean exceeds
@@ -280,18 +314,28 @@ class _Design:
         c -= self.lam2 * self.v * beta
         return c
 
+    def lead(self, idx: np.ndarray, dvec: np.ndarray) -> np.ndarray:
+        """The centered X_A dvec of a wide design, formed from its active
+        columns: what a step's one pass over X multiplies."""
+        z = dvec @ self.active[: idx.shape[0]]
+        z -= float(self.xbar[idx] @ dvec)
+        return z
+
+    def scan(self, z: np.ndarray) -> np.ndarray:
+        """X'z, one pass over X: for one z, or for both columns of a C-ordered
+        n x 2 z at about the cost of one."""
+        return self.x.T @ z
+
     def product(self, idx: np.ndarray, dvec: np.ndarray, stale=None) -> np.ndarray:
         """Centered X'X_A dvec for the active columns idx, the move of c per
-        unit step along dvec. A wide design forms X_A dvec from its active
-        columns and returns `stale`, the product of the unrefined direction,
-        when given one: a second pass over X per step costs more than it gains."""
+        unit step along dvec. A wide design returns `stale`, the product of
+        the unrefined direction, when given one: a second pass over X per
+        step costs more than it gains."""
         if self.gram is not None:
             return dvec @ self.gram[idx]
         if stale is not None:
             return stale
-        z = dvec @ self.active[: idx.shape[0]]
-        z -= float(self.xbar[idx] @ dvec)
-        return self.x.T @ z
+        return self.scan(self.lead(idx, dvec))
 
     def cross(self, j: int, idx: np.ndarray):
         """(centered x_j'X_A for the active columns idx, centered x_j'x_j)."""
@@ -344,12 +388,18 @@ def _soft_threshold(z: float, t: float) -> float:
 
 
 class _Homotopy:
-    """The lam1 path at fixed lam2 on a centered design, from lambda_max down."""
+    """The lam1 path at fixed lam2 on a centered design, from lambda_max down.
 
-    def __init__(self, design: _Design, max_steps: int):
+    An arm of fit_each, on a wide design, has a goal, its fit's lam1, and
+    shares a queue with the arms not yet fitted; any other path's queue is
+    empty.
+    """
+
+    def __init__(self, design: _Design, max_steps: int, goal: float = 0.0):
         d = design
         n, p = d.x.shape
-        self.d, self.max_steps = d, max_steps
+        self.d, self.max_steps, self.goal = d, max_steps, goal
+        self.queue: list[_Homotopy] = []
         # centered columns span at most n - 1 dimensions
         self.cap = p if d.lam2 > 0.0 else min(p, n - 1)
         # sized for the active set, which can stay far below cap
@@ -379,6 +429,7 @@ class _Homotopy:
         """Start at lambda_max, where the column of largest |c_j| / u_j joins."""
         d = self.d
         self.k = self.steps = self.m = 0
+        self.done: int | None = None  # steps at the end of the last fit made from here
         self.free = ~d.dead  # may join: inactive, not dead, not refused
         self.refused: list[int] = []
         self.dropped, self.left = -1, 0.0  # the last drop, and the bound it left
@@ -528,72 +579,97 @@ class _Homotopy:
     # -- moving along the path -------------------------------------------
 
     def run(self, lam1: float) -> bool:
-        """Follow the path down to lam1; False if the step cap stopped it."""
+        """Follow the path down to lam1; False if the step cap stopped it.
+        An arm of fit_each takes a step of the next unfinished arm in its
+        queue along with each of its own, the two sharing one pass over X."""
         d = self.d
-        u, v, lam2 = d.u, d.v, d.lam2
         while self.lam > lam1:
             if self.steps >= self.max_steps:
                 return False
-            self.steps += 1
-            k = self.k
-            idx = self.act[:k]
-            sgn = self.sgn[:k]
-            target = u[idx] * sgn
-            for attempt in range(2):
-                dvec = self.apply(target)
-                a = d.product(idx, dvec)
-                fix = self.apply(target - a[idx] - lam2 * v[idx] * dvec)
-                if attempt or not self.worn(fix, dvec):
-                    break
-            dvec += fix
-            a = d.product(idx, dvec, stale=a)
-            c, lam = self.c, self.lam
-            # drops: an active coefficient reaches zero
-            bk = self.beta[idx]
-            toward = sgn * dvec < 0.0
-            t_drop, i_drop = math.inf, -1
-            if toward.any():
-                td = self.drop_times[:k]
-                td.fill(math.inf)
-                np.divide(-bk, dvec, out=td, where=toward)
-                i_drop = int(np.argmin(td))
-                t_drop = max(float(td[i_drop]), 0.0)
-            # joins: a free column reaches +lam u_j (row 0) or -lam u_j (row
-            # 1); one already within _TIE of its bound joins now if the
-            # direction takes it outward by more than round-off. The column
-            # that just dropped left its bound on side `left`, so on this
-            # segment it can only reach the other one.
-            bound, gap, rate, ok = self.bound, self.gap, self.rate, self.ok
-            np.multiply(lam, u, out=bound)
-            np.subtract(bound, c, out=gap[0])
-            np.add(bound, c, out=gap[1])
-            np.multiply(_TIE, bound, out=self.near)
-            np.less_equal(gap, self.near, out=ok)
-            np.copyto(gap, 0.0, where=ok)
-            np.subtract(u, a, out=rate[0])
-            np.add(u, a, out=rate[1])
-            np.greater(rate, self.tie_u, out=ok)
-            np.logical_and(ok, self.free, out=ok)
-            if self.left:
-                ok[0 if self.left > 0.0 else 1, self.dropped] = False
-            self.join_times.fill(math.inf)
-            np.divide(gap, rate, out=self.join_times, where=ok)
-            times = self.join_times.min(axis=0, out=self.first)
-            j_join = int(times.argmin())
-            t_join = float(times[j_join])
-            t = min(t_drop, t_join, lam - lam1)
-            self.beta[idx] = bk + t * dvec
-            c -= t * a
-            self.lam = lam1 if t >= lam - lam1 else lam - t
-            c[idx] = self.lam * target
-            if self.lam == lam1:
-                break
-            if t_drop <= t_join:
-                self.drop(i_drop)
+            other = None
+            if self.queue:
+                other = next((h for h in self.queue if h is not self
+                              and h.lam > h.goal and h.steps < h.max_steps), None)
+            self.open()
+            if other is None:
+                a = d.product(self.idx, self.dvec)
             else:
-                self.dropped, self.left = -1, 0.0
-                self.join(j_join, 1.0 if c[j_join] > 0.0 else -1.0)
+                other.open()
+                # the arms share X; each forms its own X_A d
+                z = (d.lead(self.idx, self.dvec), other.d.lead(other.idx, other.dvec))
+                both = d.scan(np.column_stack(z))
+                other.close(other.goal, both[:, 1])
+                a = both[:, 0]
+            self.close(lam1, a)
         return True
+
+    def open(self) -> None:
+        """Begin a step: the direction M_A^{-1} (u_A s), before refinement."""
+        self.steps += 1
+        self.idx = self.act[: self.k]
+        self.target = self.d.u[self.idx] * self.sgn[: self.k]
+        self.dvec = self.apply(self.target)
+
+    def close(self, lam1: float, a: np.ndarray) -> None:
+        """End a step given a, the product of the direction open made: refine
+        the direction, then move to the first drop, join or lam1."""
+        d = self.d
+        u, v, lam2 = d.u, d.v, d.lam2
+        k, idx, target, dvec = self.k, self.idx, self.target, self.dvec
+        sgn = self.sgn[:k]
+        fix = self.apply(target - a[idx] - lam2 * v[idx] * dvec)
+        if self.worn(fix, dvec):
+            dvec = self.apply(target)
+            a = d.product(idx, dvec)
+            fix = self.apply(target - a[idx] - lam2 * v[idx] * dvec)
+        dvec += fix
+        a = d.product(idx, dvec, stale=a)
+        c, lam = self.c, self.lam
+        # drops: an active coefficient reaches zero
+        bk = self.beta[idx]
+        toward = sgn * dvec < 0.0
+        t_drop, i_drop = math.inf, -1
+        if toward.any():
+            td = self.drop_times[:k]
+            td.fill(math.inf)
+            np.divide(-bk, dvec, out=td, where=toward)
+            i_drop = int(np.argmin(td))
+            t_drop = max(float(td[i_drop]), 0.0)
+        # joins: a free column reaches +lam u_j (row 0) or -lam u_j (row
+        # 1); one already within _TIE of its bound joins now if the
+        # direction takes it outward by more than round-off. The column
+        # that just dropped left its bound on side `left`, so on this
+        # segment it can only reach the other one.
+        bound, gap, rate, ok = self.bound, self.gap, self.rate, self.ok
+        np.multiply(lam, u, out=bound)
+        np.subtract(bound, c, out=gap[0])
+        np.add(bound, c, out=gap[1])
+        np.multiply(_TIE, bound, out=self.near)
+        np.less_equal(gap, self.near, out=ok)
+        np.copyto(gap, 0.0, where=ok)
+        np.subtract(u, a, out=rate[0])
+        np.add(u, a, out=rate[1])
+        np.greater(rate, self.tie_u, out=ok)
+        np.logical_and(ok, self.free, out=ok)
+        if self.left:
+            ok[0 if self.left > 0.0 else 1, self.dropped] = False
+        self.join_times.fill(math.inf)
+        np.divide(gap, rate, out=self.join_times, where=ok)
+        times = self.join_times.min(axis=0, out=self.first)
+        j_join = int(times.argmin())
+        t_join = float(times[j_join])
+        t = min(t_drop, t_join, lam - lam1)
+        self.beta[idx] = bk + t * dvec
+        c -= t * a
+        self.lam = lam1 if t >= lam - lam1 else lam - t
+        c[idx] = self.lam * target
+        if self.lam == lam1:
+            return
+        if t_drop <= t_join:
+            self.drop(i_drop)
+        else:
+            self.dropped, self.left = -1, 0.0
+            self.join(j_join, 1.0 if c[j_join] > 0.0 else -1.0)
 
     def solve(self, lam: float) -> np.ndarray:
         """beta at lam on the current active set and signs, refined once;
@@ -620,7 +696,7 @@ class _Homotopy:
 
 
 def _max_steps(p: int) -> int:
-    # a safeguard: criterion 7's fits take at most 645 steps at p = 1000
+    # a safeguard: criterion 7's 200 fits at seed 11 take at most 647 steps at p = 1000
     return 100 + 10 * p
 
 
@@ -637,7 +713,8 @@ def _kkt(x, r, beta, lam1, lam2, u, v, dead) -> np.ndarray:
 
 def _optimum(design: _Design, lam1: float, path: _Homotopy | None):
     """(beta, steps, continued) of the centered problem at lam1; continued
-    tells whether path went on from a point below lambda_max."""
+    tells whether path went on from an earlier fit's point below lambda_max,
+    and steps counts the path's steps since that fit, or since lambda_max."""
     x, u, v, lam2 = design.x, design.u, design.v, design.lam2
     n, p = x.shape
     if p <= 1:
@@ -650,11 +727,12 @@ def _optimum(design: _Design, lam1: float, path: _Homotopy | None):
         return design.ridge(), 1, False
     if path is None:
         path = _Homotopy(design, _max_steps(p))
-    elif not path.k or path.lam < lam1:
+    elif path.done is not None and (not path.k or path.lam < lam1):
         # an empty active set, above lambda_max, has no direction to go on along
         path.restart()
-    start = path.steps
+    start = path.done or 0
     finished = path.run(lam1)
+    path.done = path.steps
     return (path.solve(lam1) if finished else path.beta.copy()), path.steps - start, start > 0
 
 
@@ -667,8 +745,11 @@ def fit(
     """Solve the weighted elastic net on data exactly.
 
     A normalized fit is this fit at weights u = s u0, v = s^2 v0 (see the
-    module docstring). continuation is fit_path's: the homotopy of the point
-    before, on this data at penalty's weights and lam2.
+    module docstring). continuation is a homotopy on this data at penalty's
+    weights and lam2: fit_path's, at the point before, which a failed
+    certificate sends back to lambda_max, or a fit_each arm's, which may
+    already have stepped toward lam1 during other arms' fits, and whose
+    failed certificate stands, as a cold fit's does.
     """
     y, n, p = data.y, data.n, data.p
     if penalty.lam1 == 0.0 and penalty.lam2 == 0.0 and p >= n:
@@ -733,7 +814,7 @@ def lambda_max(data: Dataset, u: np.ndarray | None = None) -> float:
     max_j |x_j' (y - mean(y))| / u_j: at or above this level every
     coordinate satisfies the zero-coefficient optimality condition.
     """
-    u_arr = PenaltySpec(0.0, u=u).resolve_weights(data.p)[0]
+    u_arr = np.ones(data.p) if u is None else _weights("u", u, data.p)
     value = float(np.max(np.abs(_setup(data).c0) / u_arr)) if data.p else 0.0
     if value == 0.0:
         raise DomainError("lambda_max undefined: all columns uncorrelated with response")
@@ -773,6 +854,38 @@ def fit_path(
     return [
         fit(data, from_mixing(alpha, float(lam), u=u, v=v), continuation=path) for lam in lambdas
     ]
+
+
+def fit_each(data: Dataset, penalties) -> list[FitResult]:
+    """Fits of data at each penalty, in the given order, one `fit` each; each
+    is the cold fit at its penalty (see the module docstring).
+
+    On a wide design (p > n, p > 1) every arm with lam1 > 0 gets its homotopy
+    up front, and each step of the arm being fitted takes one step of the
+    next unfinished arm along: both form their centered X_A d, and one X'Z
+    over the C-ordered n x 2 Z of the two gives both products, at about the
+    cost of one pass over X. An arm's steps taken during another arm's fit
+    count in its own sweeps_used, and its buffers go once it is fitted.
+    Tall designs, p <= 1 and lam1 = 0 get the plain fit.
+    """
+    penalties = list(penalties)
+    arms: list[_Homotopy | None] = [None] * len(penalties)
+    setup = _setup(data)
+    if data.p > 1 and setup.gram is None:
+        for i, penalty in enumerate(penalties):
+            if penalty.lam1 > 0.0:
+                design = _Design(setup, *penalty.resolve_weights(data.p), penalty.lam2)
+                arms[i] = _Homotopy(design, _max_steps(data.p), goal=penalty.lam1)
+    queue = [arm for arm in arms if arm is not None]
+    for arm in queue:
+        arm.queue = queue
+    results = []
+    for i, penalty in enumerate(penalties):
+        results.append(fit(data, penalty, continuation=arms[i]))
+        if arms[i] is not None:
+            queue.remove(arms[i])
+            arms[i] = None
+    return results
 
 
 def kkt_residuals(data: Dataset, penalty: PenaltySpec, result: FitResult):

@@ -166,6 +166,7 @@ def test_scenario_scales_equal_compute_plans(case, monkeypatch):
     scenario, params, weight, strategies = _SCALED[case]
     calls = []
     fit, fit_path = normreg.simulate.fit, normreg.simulate.fit_path
+    fit_each = normreg.simulate.fit_each
 
     def recorded(data, penalty, **kwargs):
         calls.append((data, {"u": penalty.u, "v": penalty.v}))
@@ -175,8 +176,13 @@ def test_scenario_scales_equal_compute_plans(case, monkeypatch):
         calls.append((data, {"u": u, "v": v}))
         return fit_path(data, alpha, lambdas, u=u, v=v)
 
+    def recorded_each(data, penalties):
+        calls.extend((data, {"u": penalty.u, "v": penalty.v}) for penalty in penalties)
+        return fit_each(data, penalties)
+
     monkeypatch.setattr(normreg.simulate, "fit", recorded)
     monkeypatch.setattr(normreg.simulate, "fit_path", recorded_path)
+    monkeypatch.setattr(normreg.simulate, "fit_each", recorded_each)
     # an odd n keeps the realized class balances off round values
     run_scenario(ScenarioSpec(scenario=scenario, seed=5, n=97, replications=2, params=params))
     assert calls and len(calls) % len(strategies) == 0

@@ -552,14 +552,20 @@ def test_all_ones_columns_fit_at_zero(monkeypatch):
     # null column, and power-fdr's last signal column at its defaults. Each
     # gets scale 1 at every delta and a certified fit keeps it at zero.
     fits = []
-    fit = simulate.fit
+    fit, fit_each = simulate.fit, simulate.fit_each
 
     def recorded(data, penalty, **kwargs):
         res = fit(data, penalty, **kwargs)
         fits.append((data, res))
         return res
 
+    def recorded_each(data, penalties):
+        results = fit_each(data, penalties)
+        fits.extend((data, res) for res in results)
+        return results
+
     monkeypatch.setattr(simulate, "fit", recorded)
+    monkeypatch.setattr(simulate, "fit_each", recorded_each)
     deltas = {"delta_grid": (0.0, 0.5, 1.0)}
     cases = [
         ("decreasing-classbalance", {"n_signal": 5, "rho_grid": (0.0, 0.5)}, 6),

@@ -1,18 +1,22 @@
 """Homotopy solver against closed forms, a frozen coordinate descent and KKT conditions."""
 
+import weakref
 from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
 
 from normreg.dataset import Dataset
-from normreg.errors import DomainError
+from normreg.errors import DimensionMismatchError, DomainError
 from normreg.normalize import BinaryDelta, apply, backtransform, compute_plan
+import normreg.simulate
 import normreg.solver
+from normreg.simulate import ScenarioSpec, run_scenario
 from normreg.solver import (
     KKT_TOLERANCE,
     PenaltySpec,
     fit,
+    fit_each,
     fit_path,
     from_mixing,
     kkt_residuals,
@@ -154,6 +158,16 @@ def test_lambda_max_rejects_weights_a_fit_rejects(bad):
         lambda_max(data, u=[bad, 1.0])
     with pytest.raises(DomainError, match="positive and finite"):
         fit(data, PenaltySpec(lam1=1.0, u=[bad, 1.0]))
+
+
+def test_lambda_max_refuses_weights_of_a_shape_a_fit_refuses():
+    rng = np.random.default_rng(2)
+    data = Dataset(x=rng.standard_normal((20, 2)), y=rng.standard_normal(20))
+    for call in (lambda u: lambda_max(data, u=u), lambda u: fit(data, PenaltySpec(1.0, u=u))):
+        with pytest.raises(DimensionMismatchError, match="weights must have length 2"):
+            call([1.0, 1.0, 1.0])
+        with pytest.raises(DimensionMismatchError, match="u must be 1-d"):
+            call([[1.0, 1.0]])
 
 
 def test_fit_path_starts_null_and_matches_cold_refits():
@@ -755,6 +769,144 @@ def test_fit_path_calls_fit_once_per_grid_point(monkeypatch):
     grid = lambda_grid(lambda_max(data), count=7)
     fit_path(data, 1.0, grid)
     assert len(calls) == 7
+
+
+def _outcome(res):
+    """What fit_each must reproduce of the cold fit, bit for bit: the final
+    solve depends on the path only through its active sets and signs."""
+    return (res.beta.tolist(), res.beta0, res.sweeps_used, res.converged,
+            res.kkt_residual, res.objective_value)
+
+
+def _passes(monkeypatch) -> list:
+    """The passes over X made from now on, one entry each: how many products
+    each gave (1, or 2 for a paired step)."""
+    seen = []
+    scan = normreg.solver._Design.scan
+
+    def counted(design, z):
+        seen.append(1 if z.ndim == 1 else z.shape[1])
+        return scan(design, z)
+
+    monkeypatch.setattr(normreg.solver._Design, "scan", counted)
+    return seen
+
+
+def _paired_passes(steps) -> int:
+    """Passes when each step of the arm being fitted takes one step of the
+    next unfinished arm along, for arms of these step counts."""
+    left, passes = list(steps), 0
+    for i in range(len(left)):
+        while left[i]:
+            left[i] -= 1
+            passes += 1
+            j = next((j for j in range(i + 1, len(left)) if left[j]), None)
+            if j is not None:
+                left[j] -= 1
+    return passes
+
+
+@pytest.mark.parametrize(
+    "ratios, lam2",
+    [
+        pytest.param((0.05, 0.3), 0.0, id="two"),
+        # the first arm outlasts the second, then takes the third along
+        pytest.param((0.05, 0.4, 0.01), 0.0, id="three"),
+        pytest.param((0.3, 0.05), 2.0, id="elnet"),
+        pytest.param((1.0, 0.05, 1.5, 0.2), 0.0, id="at-and-above-lambda-max"),
+    ],
+)
+def test_fit_each_equals_cold_fits_and_shares_their_passes(ratios, lam2, monkeypatch):
+    data, _ = _wide_lasso()
+    penalties = [PenaltySpec(lam1=r * lambda_max(data), lam2=lam2) for r in ratios]
+    passes = _passes(monkeypatch)
+    cold = [fit(data, penalty) for penalty in penalties]
+    steps = [res.sweeps_used for res in cold]
+    moving = [count for count in steps if count]
+    assert len(set(moving)) == len(moving) > 1 and len(passes) == sum(steps)
+    assert all(res.converged for res in cold)
+    passes.clear()
+    arms, exact = [], normreg.solver.fit
+
+    def recorded(data, penalty, *, continuation=None):
+        # an arm's buffers go once it is fitted
+        assert all(arm() is None for arm in arms)
+        arms.append(weakref.ref(continuation))
+        return exact(data, penalty, continuation=continuation)
+
+    monkeypatch.setattr(normreg.solver, "fit", recorded)
+    each = fit_each(data, penalties)
+    assert [_outcome(res) for res in each] == [_outcome(res) for res in cold]
+    assert len(arms) == len(penalties)
+    assert len(passes) == _paired_passes(steps) < sum(steps)
+    assert sum(passes) == sum(steps)
+
+
+@pytest.mark.parametrize("cap", [4, 15])
+def test_fit_each_arms_stop_at_the_step_cap_like_cold_fits(cap, monkeypatch):
+    monkeypatch.setattr(normreg.solver, "_max_steps", lambda p: cap)
+    data, _ = _wide_lasso()
+    penalties = [PenaltySpec(lam1=r * lambda_max(data)) for r in (0.05, 0.4, 0.01)]
+    cold = [fit(data, penalty) for penalty in penalties]
+    capped = [not res.converged and res.sweeps_used == cap for res in cold]
+    assert any(capped)
+    for res, ref, stopped in zip(fit_each(data, penalties), cold, capped):
+        if not stopped:
+            assert _outcome(res) == _outcome(ref)
+            continue
+        # a capped fit reports the path's own point, whose steps used X'z
+        # from the paired X'Z: the same numbers to round-off, not bit for bit
+        assert (res.sweeps_used, res.converged) == (ref.sweeps_used, ref.converged)
+        assert np.allclose(res.beta, ref.beta, rtol=0.0, atol=1e-13)
+        assert res.beta0 == pytest.approx(ref.beta0, rel=1e-13)
+        assert res.kkt_residual == pytest.approx(ref.kkt_residual, rel=1e-12)
+        assert res.objective_value == pytest.approx(ref.objective_value, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "shape, paired",
+    [((60, 12), False), ((30, 1), False), ((20, 40), True)],
+    ids=["tall", "one-column", "wide"],
+)
+def test_fit_each_leaves_tall_designs_one_column_and_ridge_arms_plain(shape, paired, monkeypatch):
+    rng = np.random.default_rng(3)
+    data = Dataset(x=rng.standard_normal(shape), y=rng.standard_normal(shape[0]))
+    penalties = [PenaltySpec(lam1=r * lambda_max(data)) for r in (0.1, 0.5)]
+    penalties.append(PenaltySpec(lam1=0.0, lam2=1.0))
+    cold = [fit(data, penalty) for penalty in penalties]
+    continued, exact = [], normreg.solver.fit
+
+    def recorded(data, penalty, *, continuation=None):
+        continued.append(continuation is not None)
+        return exact(data, penalty, continuation=continuation)
+
+    monkeypatch.setattr(normreg.solver, "fit", recorded)
+    each = fit_each(data, penalties)
+    assert continued == [paired, paired, False]
+    assert [_outcome(res) for res in each] == [_outcome(res) for res in cold]
+
+
+def test_fit_each_shares_passes_on_the_wide_benchmark_design(monkeypatch):
+    # the wide-fit benchmark's design: one 500 x 1000 replication of
+    # criterion 7 at seed 11, with delta 0 and 1; pinned on this module's
+    # BLAS as the golden digests are
+    calls, each = [], normreg.simulate.fit_each
+
+    def recorded(data, penalties):
+        calls.append((data, penalties))
+        return each(data, penalties)
+
+    monkeypatch.setattr(normreg.simulate, "fit_each", recorded)
+    passes = _passes(monkeypatch)
+    spec = ScenarioSpec(scenario="decreasing-classbalance", seed=11, n=500, p=1000,
+                        replications=1, params={"delta_grid": (0.0, 1.0)})
+    run_scenario(spec)
+    paired = len(passes)
+    passes.clear()
+    [(data, penalties)] = calls
+    cold = [fit(data, penalty) for penalty in penalties]
+    assert sum(res.sweeps_used for res in cold) == len(passes) == 788
+    assert paired == 552
 
 
 @pytest.mark.parametrize(

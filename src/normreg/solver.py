@@ -414,8 +414,11 @@ class _Homotopy:
         self.drop_times = np.empty(size)
         self.join_times = np.empty((2, p))
         # the join search's p-sized work arrays; row 0 of each 2 x p one is
-        # the upper bound +lam u_j, row 1 the lower bound -lam u_j
+        # the upper bound +lam u_j, row 1 the lower bound -lam u_j. A column
+        # may join (is inactive, not dead, not refused) where limit, the
+        # outward rate it must exceed, is _TIE u_j; elsewhere limit is inf.
         self.tie_u = _TIE * d.u
+        self.limit = np.empty((2, p))
         self.bound = np.empty(p)
         self.near = np.empty(p)
         self.gap = np.empty((2, p))
@@ -430,15 +433,18 @@ class _Homotopy:
         d = self.d
         self.k = self.steps = self.m = 0
         self.done: int | None = None  # steps at the end of the last fit made from here
-        self.free = ~d.dead  # may join: inactive, not dead, not refused
+        self.limit[:] = np.where(d.dead, math.inf, self.tie_u)
         self.refused: list[int] = []
+        # the step's direction, and the next step's when an event formed it
+        self.dvec = self.next = None
         self.dropped, self.left = -1, 0.0  # the last drop, and the bound it left
         self.beta = np.zeros(d.c0.shape[0])
         self.c = d.c0.copy()
         ratio = np.abs(d.c0) / d.u
         while True:
-            j = int(np.argmax(np.where(self.free, ratio, -1.0)))
-            self.lam = float(ratio[j]) if self.free[j] else 0.0
+            free = self.limit[0] < math.inf
+            j = int(np.argmax(np.where(free, ratio, -1.0)))
+            self.lam = float(ratio[j]) if free[j] else 0.0
             if self.lam == 0.0 or self.join(j, 1.0 if d.c0[j] > 0.0 else -1.0):
                 return
 
@@ -501,7 +507,7 @@ class _Homotopy:
         d, k = self.d, self.k
         idx = self.act[:k]
         g, own = d.cross(j, idx)
-        self.free[j] = False
+        self.limit[:, j] = math.inf
         m = own + d.lam2 * d.v[j]
         w = self.apply(g)
         schur = m - float(g @ w)
@@ -534,6 +540,10 @@ class _Homotopy:
             inv[:k, k] = -ws
             inv[k, :k] = -ws
             inv[k, k] = 1.0 / schur
+            if k >= _RANK and self.dvec is not None:
+                # M_{A+j}^{-1} (u_A s, u_j sign) from the step's d = M_A^{-1}(u_A s)
+                e = (d.u[j] * sign - float(g @ self.dvec)) / schur
+                self.next = np.append(self.dvec - w * e, e)
         self.act[k] = j
         self.sgn[k] = sign
         self.k = k + 1
@@ -558,12 +568,18 @@ class _Homotopy:
             lo, hi = self.pend[:, :k, :m]
             full = inv[:k, last] + lo @ hi[last]
             col, piv = full[:last], full[last]
+        if last > _RANK and self.dvec is not None:
+            # the smaller set's M^{-1} (u s), from the step's d, swapped alike
+            dvec = self.dvec
+            if i != last:
+                dvec[[i, last]] = dvec[swap]
+            self.next = dvec[:last] - col * (dvec[last] / piv)
         self.update(last, col, col / -piv)
         self.k = last
         self.beta[j] = 0.0
         # a smaller active set may no longer span a refused column
-        self.free[self.refused] = True
-        self.free[j] = True
+        self.limit[:, self.refused] = self.tie_u[self.refused]
+        self.limit[:, j] = self.tie_u[j]
         self.refused.clear()
 
     def worn(self, fix: np.ndarray, value: np.ndarray) -> bool:
@@ -604,11 +620,15 @@ class _Homotopy:
         return True
 
     def open(self) -> None:
-        """Begin a step: the direction M_A^{-1} (u_A s), before refinement."""
+        """Begin a step: the direction M_A^{-1} (u_A s), before refinement.
+        The event that ended the step before, a join or a drop beyond _RANK
+        columns, has formed it already, in O(|A|) from that step's direction
+        (LARS's own update); otherwise it is one product with M_A^{-1}."""
         self.steps += 1
         self.idx = self.act[: self.k]
         self.target = self.d.u[self.idx] * self.sgn[: self.k]
-        self.dvec = self.apply(self.target)
+        dvec, self.next = self.next, None
+        self.dvec = self.apply(self.target) if dvec is None else dvec
 
     def close(self, lam1: float, a: np.ndarray) -> None:
         """End a step given a, the product of the direction open made: refine
@@ -623,6 +643,7 @@ class _Homotopy:
             a = d.product(idx, dvec)
             fix = self.apply(target - a[idx] - lam2 * v[idx] * dvec)
         dvec += fix
+        self.dvec = dvec
         a = d.product(idx, dvec, stale=a)
         c, lam = self.c, self.lam
         # drops: an active coefficient reaches zero
@@ -649,8 +670,7 @@ class _Homotopy:
         np.copyto(gap, 0.0, where=ok)
         np.subtract(u, a, out=rate[0])
         np.add(u, a, out=rate[1])
-        np.greater(rate, self.tie_u, out=ok)
-        np.logical_and(ok, self.free, out=ok)
+        np.greater(rate, self.limit, out=ok)
         if self.left:
             ok[0 if self.left > 0.0 else 1, self.dropped] = False
         self.join_times.fill(math.inf)
@@ -675,6 +695,8 @@ class _Homotopy:
         """beta at lam on the current active set and signs, refined once;
         a coefficient against its sign is dropped and the rest re-solved."""
         d = self.d
+        # after the drops made here, the next step forms its direction afresh
+        self.dvec = self.next = None
         while True:
             k = self.k
             beta = np.zeros(self.beta.shape[0])

@@ -370,6 +370,66 @@ def test_small_active_sets_update_the_inverse_at_once(monkeypatch):
     assert not any(pending) and seen["fold"] == 0
 
 
+def _near_join_design():
+    """A wide design whose column 100 is 0.99 x_0 plus a 1e-3 perturbation
+    that the response follows: it joins beyond _RANK active columns with a
+    Schur complement ~1e-7 of its diagonal, judged by a Cholesky factor."""
+    rng = np.random.default_rng(0)
+    n, p = 150, 240
+    x = rng.standard_normal((n, p))
+    z = rng.standard_normal(n)
+    x[:, 100] = 0.99 * x[:, 0] + 1e-3 * z
+    y = x[:, :40] @ np.full(40, 3.0) + rng.standard_normal(n) + 20.0 * z
+    return Dataset(x=x, y=y)
+
+
+def _gaussian_wide():
+    rng = np.random.default_rng(5)
+    n, p = 90, 200
+    return Dataset(x=rng.standard_normal((n, p)), y=rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("design", [_gaussian_wide, _near_join_design], ids=["gaussian", "near-join"])
+def test_an_events_direction_is_a_fresh_product(design, monkeypatch):
+    # beyond _RANK active columns a join or a drop forms the next step's
+    # direction from the step's own, in O(|A|), rather than by a product
+    # with M_A^{-1}. Refined once against M_A, as every step refines it, it
+    # equals the refined fresh product. Unrefined they differ by M_A's
+    # round-off: up to ~4e-9 once the near join leaves M_A with a condition
+    # number ~1e7, where the formed one is the nearer to M_A^{-1}(u_A s).
+    H = normreg.solver._Homotopy
+    opened, cholesky = H.open, np.linalg.cholesky
+    errors, events, near, sizes = [], Counter(), [], [0]
+
+    def checked(path):
+        formed, k = path.next, path.k
+        sizes.append(k)
+        opened(path)
+        if formed is None:
+            return
+        events["join" if k > sizes[-2] else "drop"] += 1
+        system, target = path.d.system(path.act[:k]), path.target
+
+        def refined(z):
+            return z + path.apply(target - system @ z)
+
+        fresh = refined(path.apply(target))
+        errors.append(float(np.abs(refined(formed) - fresh).max() / np.abs(fresh).max()))
+
+    def counted_cholesky(a):
+        near.append(a.shape[0] - 1)
+        return cholesky(a)
+
+    monkeypatch.setattr(H, "open", checked)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    path, seen = _traced_homotopy(monkeypatch, design(), 1e-2, lambda path: None)
+    assert path.k > 64 and seen["pending drop"] >= 1 and seen["pending growth"] >= 1
+    assert events["join"] > 0 and events["drop"] > 0
+    if design is _near_join_design:
+        assert near and min(near) > normreg.solver._RANK
+    assert max(errors) <= 1e-12
+
+
 def test_unpenalized_wide_problem_rejected():
     rng = np.random.default_rng(6)
     data = Dataset(x=rng.standard_normal((5, 8)), y=rng.standard_normal(5))

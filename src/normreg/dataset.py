@@ -8,6 +8,7 @@ values with infer_kinds, so no stored tag can disagree with them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,12 @@ def infer_kinds(x: np.ndarray) -> tuple[str, ...]:
     x = np.asarray(x)
     binary = np.all((x == 0.0) | (x == 1.0), axis=0)
     return tuple(BINARY if b else CONTINUOUS for b in binary)
+
+
+@lru_cache(maxsize=8)
+def _default_names(p: int) -> tuple[str, ...]:
+    """x1 ... xp, built once per p: a simulation makes many datasets of one width."""
+    return tuple(f"x{j + 1}" for j in range(p))
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ class Dataset:
             )
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise DomainError("x and y must be finite")
-        names = tuple(self.names) if self.names else tuple(f"x{j + 1}" for j in range(x.shape[1]))
+        names = tuple(self.names) if self.names else _default_names(x.shape[1])
         if len(names) != x.shape[1]:
             raise DimensionMismatchError(
                 f"names has {len(names)} entries for {x.shape[1]} columns"

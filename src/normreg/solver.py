@@ -33,6 +33,14 @@ and one matrix product folds in _RANK of them: adding a term rewrites all
 |A|^2 entries, about ten times the cost of a product of M_A^{-1} with a
 vector, and every such product reads the pending terms too. Each direction
 and the final solve get one step of iterative refinement against M_A itself.
+Beyond _RANK columns a step also makes fewer such products. The join or
+drop that ended the step before forms its direction in O(|A|) from that
+step's refined one (LARS's own update), which is as near M_A^{-1} (u_A s)
+as a fresh product; after a near join, a refusal, a rebuilt inverse, a
+restart or a drop of the final solve the direction is a product again. On
+a wide design the refinement and the joining column's w = M_A^{-1} x_A'x_j
+come from one product with the |A| x 2 matrix of both, so a step makes one
+product, not three.
 
 The designs of the paper break general position, so events follow these
 rules. A column within a relative 1e-10 of its bound counts as on it, and
@@ -61,9 +69,12 @@ only asks which one it has). On tall ones a join reads a row of the Gram
 and a step costs O(p |A|). Wide ones keep the active columns contiguous, one
 row of n floats each in the order of A, in a buffer that doubles with
 M_A^{-1}'s as A grows: a join costs x_j'X_A (2n|A| flops), and a step
-X'(X_A d - (xbar_A'd) 1), one pass over X plus 2n|A| flops. No p x p array
-is made. lam1 = 0 is one ridge solve (in the n-dimensional row space when
-p > n), p = 1 the soft-threshold closed form and p = 0 the null model.
+X'(X_A d - (xbar_A'd) 1), one pass over X plus 2n|A| flops. The join search
+reads the product of the unrefined direction, so beyond _RANK columns it
+runs before the refinement and forms the first column to join's x_j'X_A
+then, which a step that ends in a drop or at lam1 throws away. No p x p
+array is made. lam1 = 0 is one ridge solve (in the n-dimensional row space
+when p > n), p = 1 the soft-threshold closed form and p = 0 the null model.
 
 `fit_path` calls `fit` once per grid point. At alpha = 1 it hands each fit
 the homotopy of the fit before, which continues down to the next point; at
@@ -79,8 +90,10 @@ Pairs only: an n x 3 Z costs about three passes. Tall designs make no pass
 over X, so their arms, like those with p <= 1 or lam1 = 0, fit one by one.
 A paired product equals the single one only to round-off, but a certified
 fit's final solve depends on the path only through its active sets and
-signs: each arm's fit is the cold fit, bit for bit, and one stopped by the
-step cap, which reports the path's own point, agrees to round-off.
+signs, which fix every update of M_A^{-1}: a join's w is its own column of
+the product with [residual, x_A'x_j], which the residual's round-off does
+not reach. So each arm's fit is the cold fit, bit for bit, and one stopped
+by the step cap, which reports the path's own point, agrees to round-off.
 
 Every fit ends with a KKT check on the data it was given: `converged` means
 that max(kkt_residuals) / max_j |x_j'(y - mean y)| is at most 1e-8, where
@@ -238,7 +251,7 @@ class _Setup:
         # only a column that fails the spread test can need the shift
         suspect = np.flatnonzero(own < 1e-4 * raw)
         self.shift = None
-        if np.any(np.ptp(x[:, suspect], axis=0) > 0.0):
+        if suspect.size and np.any(np.ptp(x[:, suspect], axis=0) > 0.0):
             x, self.shift = x - xbar, xbar
             xbar, gram, raw = _moments(x, p <= n)
             own = raw - n * xbar * xbar
@@ -417,7 +430,6 @@ class _Homotopy:
         # the upper bound +lam u_j, row 1 the lower bound -lam u_j. A column
         # may join (is inactive, not dead, not refused) where limit, the
         # outward rate it must exceed, is _TIE u_j; elsewhere limit is inf.
-        self.tie_u = _TIE * d.u
         self.limit = np.empty((2, p))
         self.bound = np.empty(p)
         self.near = np.empty(p)
@@ -433,10 +445,13 @@ class _Homotopy:
         d = self.d
         self.k = self.steps = self.m = 0
         self.done: int | None = None  # steps at the end of the last fit made from here
-        self.limit[:] = np.where(d.dead, math.inf, self.tie_u)
+        self.limit[:] = np.where(d.dead, math.inf, _TIE * d.u)
         self.refused: list[int] = []
         # the step's direction, and the next step's when an event formed it
         self.dvec = self.next = None
+        # the join candidate's (x_j'X_A, x_j'x_j, M_A^{-1} x_A'x_j), when the
+        # step computed them
+        self.known = None
         self.dropped, self.left = -1, 0.0  # the last drop, and the bound it left
         self.beta = np.zeros(d.c0.shape[0])
         self.c = d.c0.copy()
@@ -504,12 +519,21 @@ class _Homotopy:
     # -- joins and drops -------------------------------------------------
 
     def join(self, j: int, sign: float) -> bool:
+        """Column j joins with the given sign, or is refused: near the span
+        of the active columns, or with A full. Its x_j'X_A, x_j'x_j and
+        w = M_A^{-1} x_A'x_j come from `known` when the step that found j
+        made them. A join by the update (not a near one) into more than
+        _RANK columns also forms the next step's direction."""
         d, k = self.d, self.k
         idx = self.act[:k]
-        g, own = d.cross(j, idx)
+        known, self.known = self.known, None
+        if known is None:
+            g, own = d.cross(j, idx)
+            w = self.apply(g)
+        else:
+            g, own, w = known
         self.limit[:, j] = math.inf
         m = own + d.lam2 * d.v[j]
-        w = self.apply(g)
         schur = m - float(g @ w)
         near = k < self.cap and schur <= _NEAR * m
         if near:
@@ -543,13 +567,17 @@ class _Homotopy:
             if k >= _RANK and self.dvec is not None:
                 # M_{A+j}^{-1} (u_A s, u_j sign) from the step's d = M_A^{-1}(u_A s)
                 e = (d.u[j] * sign - float(g @ self.dvec)) / schur
-                self.next = np.append(self.dvec - w * e, e)
+                self.next = np.empty(k + 1)
+                self.next[:k] = self.dvec - w * e
+                self.next[k] = e
         self.act[k] = j
         self.sgn[k] = sign
         self.k = k + 1
         return True
 
     def drop(self, i: int) -> None:
+        """Active column i leaves; beyond _RANK remaining columns a drop
+        that ends a step forms the next step's direction."""
         inv, k, m = self.inv, self.k, self.m
         last = k - 1
         j = int(self.act[i])
@@ -578,8 +606,9 @@ class _Homotopy:
         self.k = last
         self.beta[j] = 0.0
         # a smaller active set may no longer span a refused column
-        self.limit[:, self.refused] = self.tie_u[self.refused]
-        self.limit[:, j] = self.tie_u[j]
+        u = self.d.u
+        self.limit[:, self.refused] = _TIE * u[self.refused]
+        self.limit[:, j] = _TIE * u[j]
         self.refused.clear()
 
     def worn(self, fix: np.ndarray, value: np.ndarray) -> bool:
@@ -612,8 +641,10 @@ class _Homotopy:
             else:
                 other.open()
                 # the arms share X; each forms its own X_A d
-                z = (d.lead(self.idx, self.dvec), other.d.lead(other.idx, other.dvec))
-                both = d.scan(np.column_stack(z))
+                z = np.empty((d.n, 2))
+                z[:, 0] = d.lead(self.idx, self.dvec)
+                z[:, 1] = other.d.lead(other.idx, other.dvec)
+                both = d.scan(z)
                 other.close(other.goal, both[:, 1])
                 a = both[:, 0]
             self.close(lam1, a)
@@ -632,20 +663,43 @@ class _Homotopy:
 
     def close(self, lam1: float, a: np.ndarray) -> None:
         """End a step given a, the product of the direction open made: refine
-        the direction, then move to the first drop, join or lam1."""
+        the direction, then move to the first drop, join or lam1.
+
+        Beyond _RANK columns on a wide design the join search, which reads the
+        stale product a, runs first; the refinement and the first column to
+        join's w = M_A^{-1} x_A'x_j then come from one product with M_A^{-1}
+        over [residual, x_A'x_j]."""
         d = self.d
-        u, v, lam2 = d.u, d.v, d.lam2
+        v, lam2 = d.v, d.lam2
         k, idx, target, dvec = self.k, self.idx, self.target, self.dvec
         sgn = self.sgn[:k]
-        fix = self.apply(target - a[idx] - lam2 * v[idx] * dvec)
+        c, lam = self.c, self.lam
+        residual = target - a[idx]
+        if lam2:
+            residual -= lam2 * v[idx] * dvec
+        known = None
+        early = d.gram is None and k > _RANK
+        if early:
+            j_join, t_join = self.search(a)
+        if early and t_join < lam - lam1:
+            g, own = d.cross(j_join, idx)
+            pair = np.empty((k, 2))
+            pair[:, 0], pair[:, 1] = residual, g
+            both = self.apply(pair)
+            fix, known = both[:, 0], (g, own, both[:, 1])
+        else:
+            fix = self.apply(residual)
         if self.worn(fix, dvec):
+            # the inverse is new: w and, from a fresh product, the search too
+            known, early = None, False
             dvec = self.apply(target)
             a = d.product(idx, dvec)
             fix = self.apply(target - a[idx] - lam2 * v[idx] * dvec)
         dvec += fix
         self.dvec = dvec
         a = d.product(idx, dvec, stale=a)
-        c, lam = self.c, self.lam
+        if not early:
+            j_join, t_join = self.search(a)
         # drops: an active coefficient reaches zero
         bk = self.beta[idx]
         toward = sgn * dvec < 0.0
@@ -654,13 +708,31 @@ class _Homotopy:
             td = self.drop_times[:k]
             td.fill(math.inf)
             np.divide(-bk, dvec, out=td, where=toward)
-            i_drop = int(np.argmin(td))
+            i_drop = int(td.argmin())
             t_drop = max(float(td[i_drop]), 0.0)
-        # joins: a free column reaches +lam u_j (row 0) or -lam u_j (row
-        # 1); one already within _TIE of its bound joins now if the
-        # direction takes it outward by more than round-off. The column
-        # that just dropped left its bound on side `left`, so on this
-        # segment it can only reach the other one.
+        t = min(t_drop, t_join, lam - lam1)
+        self.beta[idx] = bk + t * dvec
+        c -= t * a
+        self.lam = lam1 if t >= lam - lam1 else lam - t
+        c[idx] = self.lam * target
+        if self.lam == lam1:
+            return
+        if t_drop <= t_join:
+            self.drop(i_drop)
+        else:
+            self.dropped, self.left = -1, 0.0
+            self.known = known
+            self.join(j_join, 1.0 if c[j_join] > 0.0 else -1.0)
+
+    def search(self, a: np.ndarray) -> tuple[int, float]:
+        """(j, t): the first column to join as c moves by -t a, and the step
+        length t at which it does (inf if none can)."""
+        c, lam, u = self.c, self.lam, self.d.u
+        # a free column reaches +lam u_j (row 0) or -lam u_j (row 1); one
+        # already within _TIE of its bound joins now if the direction takes
+        # it outward by more than round-off. The column that just dropped
+        # left its bound on side `left`, so on this segment it can only
+        # reach the other one.
         bound, gap, rate, ok = self.bound, self.gap, self.rate, self.ok
         np.multiply(lam, u, out=bound)
         np.subtract(bound, c, out=gap[0])
@@ -675,21 +747,9 @@ class _Homotopy:
             ok[0 if self.left > 0.0 else 1, self.dropped] = False
         self.join_times.fill(math.inf)
         np.divide(gap, rate, out=self.join_times, where=ok)
-        times = self.join_times.min(axis=0, out=self.first)
-        j_join = int(times.argmin())
-        t_join = float(times[j_join])
-        t = min(t_drop, t_join, lam - lam1)
-        self.beta[idx] = bk + t * dvec
-        c -= t * a
-        self.lam = lam1 if t >= lam - lam1 else lam - t
-        c[idx] = self.lam * target
-        if self.lam == lam1:
-            return
-        if t_drop <= t_join:
-            self.drop(i_drop)
-        else:
-            self.dropped, self.left = -1, 0.0
-            self.join(j_join, 1.0 if c[j_join] > 0.0 else -1.0)
+        times = np.minimum(self.join_times[0], self.join_times[1], out=self.first)
+        j = int(times.argmin())
+        return j, float(times[j])
 
     def solve(self, lam: float) -> np.ndarray:
         """beta at lam on the current active set and signs, refined once;

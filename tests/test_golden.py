@@ -132,7 +132,7 @@ GOLDEN = {
     "cv-rare": "ae5267794d4c29c8bc765a22eb27e9783812fbb7fc92d10f323bb15f7e6f3fdf",
     "decreasing-classbalance": "32a93394fe5d73b91ac1f2ec098cbc2f5312b9f79e1ff1c938e3482fd4149f95",
     "decreasing-classbalance-wide": "720892bd83e7cb9691650b47e597c9619eb2cb3cea835c2f7473c6940e2803ef",
-    "decreasing-classbalance-wide-large": "14d615aaf3b6a5574a63104c96b7a29d2fd035384dc0e506c3c5bbd991f106eb",
+    "decreasing-classbalance-wide-large": "a474dae2a4d0b8809aa5c6c30028b3cb2bdf0c9191750892500aaeeefb982f91",
     "interactions": "85f43b593ca505c68a9fc49a8ce3731c106aa7c9c3d38a7c191e405d9f1f8b46",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
     "maxabs-gev-b": "b890c009157df77778d3401daddfbf96518629aa3ca94c2db741a75c4ed7be17",

@@ -33,14 +33,17 @@ and one matrix product folds in _RANK of them: adding a term rewrites all
 |A|^2 entries, about ten times the cost of a product of M_A^{-1} with a
 vector, and every such product reads the pending terms too. Each direction
 and the final solve get one step of iterative refinement against M_A itself.
-Beyond _RANK columns a step also makes fewer such products. The join or
-drop that ended the step before forms its direction in O(|A|) from that
+
+Every step, on any design and at any |A|, runs one schedule. The join or
+drop that ended the step before has formed its direction in O(|A|) from that
 step's refined one (LARS's own update), which is as near M_A^{-1} (u_A s)
 as a fresh product; after a near join, a refusal, a rebuilt inverse, a
-restart or a drop of the final solve the direction is a product again. On
-a wide design the refinement and the joining column's w = M_A^{-1} x_A'x_j
-come from one product with the |A| x 2 matrix of both, so a step makes one
-product, not three.
+restart or a drop of the final solve the direction is a product with
+M_A^{-1} instead. The step makes one product a of that unrefined direction
+(X'X_A d), and the join search reads a. When a column joins before lam1,
+the refinement and its w = M_A^{-1} x_A'x_j come from one product with the
+|A| x 2 matrix [residual, x_A'x_j]; otherwise the refinement is a product
+of its own. c moves by a, and its active entries are reset to lam u_A s.
 
 The designs of the paper break general position, so events follow these
 rules. A column within a relative 1e-10 of its bound counts as on it, and
@@ -69,12 +72,11 @@ only asks which one it has). On tall ones a join reads a row of the Gram
 and a step costs O(p |A|). Wide ones keep the active columns contiguous, one
 row of n floats each in the order of A, in a buffer that doubles with
 M_A^{-1}'s as A grows: a join costs x_j'X_A (2n|A| flops), and a step
-X'(X_A d - (xbar_A'd) 1), one pass over X plus 2n|A| flops. The join search
-reads the product of the unrefined direction, so beyond _RANK columns it
-runs before the refinement and forms the first column to join's x_j'X_A
-then, which a step that ends in a drop or at lam1 throws away. No p x p
-array is made. lam1 = 0 is one ridge solve (in the n-dimensional row space
-when p > n), p = 1 the soft-threshold closed form and p = 0 the null model.
+X'(X_A d - (xbar_A'd) 1), one pass over X plus 2n|A| flops. The first
+column to join's x_j'X_A is formed before the step's refinement, and a step
+that ends in a drop throws it away. No p x p array is made. lam1 = 0 is one
+ridge solve (in the n-dimensional row space when p > n), p = 1 the
+soft-threshold closed form and p = 0 the null model.
 
 `fit_path` calls `fit` once per grid point. At alpha = 1 it hands each fit
 the homotopy of the fit before, which continues down to the next point; at
@@ -339,15 +341,11 @@ class _Design:
         n x 2 z at about the cost of one."""
         return self.x.T @ z
 
-    def product(self, idx: np.ndarray, dvec: np.ndarray, stale=None) -> np.ndarray:
+    def product(self, idx: np.ndarray, dvec: np.ndarray) -> np.ndarray:
         """Centered X'X_A dvec for the active columns idx, the move of c per
-        unit step along dvec. A wide design returns `stale`, the product of
-        the unrefined direction, when given one: a second pass over X per
-        step costs more than it gains."""
+        unit step along dvec."""
         if self.gram is not None:
             return dvec @ self.gram[idx]
-        if stale is not None:
-            return stale
         return self.scan(self.lead(idx, dvec))
 
     def cross(self, j: int, idx: np.ndarray):
@@ -449,9 +447,6 @@ class _Homotopy:
         self.refused: list[int] = []
         # the step's direction, and the next step's when an event formed it
         self.dvec = self.next = None
-        # the join candidate's (x_j'X_A, x_j'x_j, M_A^{-1} x_A'x_j), when the
-        # step computed them
-        self.known = None
         self.dropped, self.left = -1, 0.0  # the last drop, and the bound it left
         self.beta = np.zeros(d.c0.shape[0])
         self.c = d.c0.copy()
@@ -518,15 +513,14 @@ class _Homotopy:
 
     # -- joins and drops -------------------------------------------------
 
-    def join(self, j: int, sign: float) -> bool:
+    def join(self, j: int, sign: float, known=None) -> bool:
         """Column j joins with the given sign, or is refused: near the span
         of the active columns, or with A full. Its x_j'X_A, x_j'x_j and
-        w = M_A^{-1} x_A'x_j come from `known` when the step that found j
-        made them. A join by the update (not a near one) into more than
-        _RANK columns also forms the next step's direction."""
+        w = M_A^{-1} x_A'x_j are `known` when the step that found j made
+        them. A join by the update (not a near one) that ends a step also
+        forms the next step's direction."""
         d, k = self.d, self.k
         idx = self.act[:k]
-        known, self.known = self.known, None
         if known is None:
             g, own = d.cross(j, idx)
             w = self.apply(g)
@@ -564,7 +558,7 @@ class _Homotopy:
             inv[:k, k] = -ws
             inv[k, :k] = -ws
             inv[k, k] = 1.0 / schur
-            if k >= _RANK and self.dvec is not None:
+            if self.dvec is not None:
                 # M_{A+j}^{-1} (u_A s, u_j sign) from the step's d = M_A^{-1}(u_A s)
                 e = (d.u[j] * sign - float(g @ self.dvec)) / schur
                 self.next = np.empty(k + 1)
@@ -576,8 +570,8 @@ class _Homotopy:
         return True
 
     def drop(self, i: int) -> None:
-        """Active column i leaves; beyond _RANK remaining columns a drop
-        that ends a step forms the next step's direction."""
+        """Active column i leaves; a drop that ends a step forms the next
+        step's direction."""
         inv, k, m = self.inv, self.k, self.m
         last = k - 1
         j = int(self.act[i])
@@ -596,7 +590,7 @@ class _Homotopy:
             lo, hi = self.pend[:, :k, :m]
             full = inv[:k, last] + lo @ hi[last]
             col, piv = full[:last], full[last]
-        if last > _RANK and self.dvec is not None:
+        if self.dvec is not None:
             # the smaller set's M^{-1} (u s), from the step's d, swapped alike
             dvec = self.dvec
             if i != last:
@@ -652,9 +646,9 @@ class _Homotopy:
 
     def open(self) -> None:
         """Begin a step: the direction M_A^{-1} (u_A s), before refinement.
-        The event that ended the step before, a join or a drop beyond _RANK
-        columns, has formed it already, in O(|A|) from that step's direction
-        (LARS's own update); otherwise it is one product with M_A^{-1}."""
+        The join or drop that ended the step before has formed it already,
+        in O(|A|) from that step's direction (LARS's own update); otherwise
+        it is one product with M_A^{-1}."""
         self.steps += 1
         self.idx = self.act[: self.k]
         self.target = self.d.u[self.idx] * self.sgn[: self.k]
@@ -662,13 +656,12 @@ class _Homotopy:
         self.dvec = self.apply(self.target) if dvec is None else dvec
 
     def close(self, lam1: float, a: np.ndarray) -> None:
-        """End a step given a, the product of the direction open made: refine
-        the direction, then move to the first drop, join or lam1.
-
-        Beyond _RANK columns on a wide design the join search, which reads the
-        stale product a, runs first; the refinement and the first column to
-        join's w = M_A^{-1} x_A'x_j then come from one product with M_A^{-1}
-        over [residual, x_A'x_j]."""
+        """End a step given a, the product of the direction open made: find
+        the first join by a, refine the direction, then move to the first
+        drop, join or lam1. When a column joins before lam1, the refinement
+        and its w = M_A^{-1} x_A'x_j come from one product with M_A^{-1}
+        over [residual, x_A'x_j]. c moves by a, the unrefined direction's
+        product, and is exact again on A after the move."""
         d = self.d
         v, lam2 = d.v, d.lam2
         k, idx, target, dvec = self.k, self.idx, self.target, self.dvec
@@ -678,10 +671,8 @@ class _Homotopy:
         if lam2:
             residual -= lam2 * v[idx] * dvec
         known = None
-        early = d.gram is None and k > _RANK
-        if early:
-            j_join, t_join = self.search(a)
-        if early and t_join < lam - lam1:
+        j_join, t_join = self.search(a)
+        if t_join < lam - lam1:
             g, own = d.cross(j_join, idx)
             pair = np.empty((k, 2))
             pair[:, 0], pair[:, 1] = residual, g
@@ -690,16 +681,15 @@ class _Homotopy:
         else:
             fix = self.apply(residual)
         if self.worn(fix, dvec):
-            # the inverse is new: w and, from a fresh product, the search too
-            known, early = None, False
+            # the inverse is new: the direction, its product and the search
+            # afresh, and the join's w from it
+            known = None
             dvec = self.apply(target)
             a = d.product(idx, dvec)
             fix = self.apply(target - a[idx] - lam2 * v[idx] * dvec)
+            j_join, t_join = self.search(a)
         dvec += fix
         self.dvec = dvec
-        a = d.product(idx, dvec, stale=a)
-        if not early:
-            j_join, t_join = self.search(a)
         # drops: an active coefficient reaches zero
         bk = self.beta[idx]
         toward = sgn * dvec < 0.0
@@ -721,8 +711,7 @@ class _Homotopy:
             self.drop(i_drop)
         else:
             self.dropped, self.left = -1, 0.0
-            self.known = known
-            self.join(j_join, 1.0 if c[j_join] > 0.0 else -1.0)
+            self.join(j_join, 1.0 if c[j_join] > 0.0 else -1.0, known)
 
     def search(self, a: np.ndarray) -> tuple[int, float]:
         """(j, t): the first column to join as c moves by -t a, and the step
@@ -778,7 +767,8 @@ class _Homotopy:
 
 
 def _max_steps(p: int) -> int:
-    # a safeguard: criterion 7's 200 fits at seed 11 take at most 647 steps at p = 1000
+    # a safeguard: criterion 7's 200 fits at seed 11 take at most 647 steps
+    # at p = 1000, where the cap is 10,100
     return 100 + 10 * p
 
 

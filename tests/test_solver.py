@@ -330,7 +330,7 @@ def test_deferred_inverse_updates_keep_the_inverse_exact(monkeypatch):
     # M_A^{-1} waits in (lo, hi) until _RANK have built up; every product
     # with M_A^{-1} must still see the exact inverse, across folds, across
     # drops (which swap rows of the pending buffers) and across buffer growth
-    data, errors = _gaussian_wide(), []
+    data, errors = _gaussian(), []
     path, seen = _traced_homotopy(
         monkeypatch, data, 1e-2, lambda path: errors.append(_inverse_error(path))
     )
@@ -346,10 +346,7 @@ def test_deferred_inverse_updates_keep_the_inverse_exact(monkeypatch):
 def test_small_active_sets_update_the_inverse_at_once(monkeypatch):
     # an active set of at most _RANK columns takes each update as it comes,
     # so such fits do the same arithmetic as an inverse updated in place
-    rng = np.random.default_rng(5)
-    n, p = 60, 120
-    data = Dataset(x=rng.standard_normal((n, p)), y=rng.standard_normal(n))
-    sizes, pending = [], []
+    data, sizes, pending = _gaussian(60, 120), [], []
 
     def check(path):
         sizes.append(path.k)
@@ -380,53 +377,82 @@ def _near_join_design():
     return Dataset(x=x, y=y)
 
 
-def _gaussian_wide():
+def _gaussian(n=90, p=200):
     rng = np.random.default_rng(5)
-    n, p = 90, 200
     return Dataset(x=rng.standard_normal((n, p)), y=rng.standard_normal(n))
 
 
-@pytest.mark.parametrize(
-    "design", [_gaussian_wide, _near_join_design], ids=["gaussian", "near-join"]
-)
-def test_an_events_direction_is_a_fresh_product(design, monkeypatch):
-    # beyond _RANK active columns a join or a drop forms the next step's
-    # direction from the step's own, in O(|A|), rather than by a product
-    # with M_A^{-1}. Refined once against M_A, as every step refines it, it
-    # equals the refined fresh product. Unrefined they differ by M_A's
-    # round-off: up to ~4e-9 once the near join leaves M_A with a condition
-    # number ~1e7, where the formed one is the nearer to M_A^{-1}(u_A s).
-    H = normreg.solver._Homotopy
-    opened, cholesky = H.open, np.linalg.cholesky
-    errors, events, near, sizes = [], Counter(), [], [0]
+def _formed_directions(monkeypatch, data, ratio):
+    """Run the lasso homotopy of data down to ratio * lambda_max as
+    _traced_homotopy does; also return the active-set sizes seen and, for
+    each step whose direction the join or drop before it formed, (the
+    event, that direction's relative distance to a fresh M_A^{-1}(u_A s),
+    the same distance once both are refined against M_A)."""
+    opened = normreg.solver._Homotopy.open
+    formed, sizes = [], [0]
 
-    def checked(path):
-        formed, k = path.next, path.k
+    def distance(a, b):
+        return float(np.abs(a - b).max() / np.abs(b).max())
+
+    def recorded(path):
+        direction, k = path.next, path.k
         sizes.append(k)
         opened(path)
-        if formed is None:
+        if direction is None:
             return
-        events["join" if k > sizes[-2] else "drop"] += 1
         system, target = path.d.system(path.act[:k]), path.target
 
         def refined(z):
             return z + path.apply(target - system @ z)
 
-        fresh = refined(path.apply(target))
-        errors.append(float(np.abs(refined(formed) - fresh).max() / np.abs(fresh).max()))
+        fresh = path.apply(target)
+        formed.append((
+            "join" if k > sizes[-2] else "drop",
+            distance(direction, fresh),
+            distance(refined(direction), refined(fresh)),
+        ))
+
+    monkeypatch.setattr(normreg.solver._Homotopy, "open", recorded)
+    path, seen = _traced_homotopy(monkeypatch, data, ratio, lambda path: None)
+    return path, seen, formed, sizes
+
+
+@pytest.mark.parametrize(
+    "design", [_gaussian, _near_join_design], ids=["gaussian", "near-join"]
+)
+def test_an_events_direction_is_a_fresh_product(design, monkeypatch):
+    # a join or a drop forms the next step's direction from the step's own,
+    # in O(|A|), rather than by a product with M_A^{-1}. Past _RANK active
+    # columns, refined once against M_A, as every step refines it, it equals
+    # the refined fresh product. Unrefined they differ by M_A's round-off: up
+    # to ~4e-9 once the near join leaves M_A with a condition number ~1e7,
+    # where the formed one is the nearer to M_A^{-1}(u_A s).
+    cholesky, near = np.linalg.cholesky, []
 
     def counted_cholesky(a):
         near.append(a.shape[0] - 1)
         return cholesky(a)
 
-    monkeypatch.setattr(H, "open", checked)
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-    path, seen = _traced_homotopy(monkeypatch, design(), 1e-2, lambda path: None)
+    path, seen, formed, _ = _formed_directions(monkeypatch, design(), 1e-2)
     assert path.k > 64 and seen["pending drop"] >= 1 and seen["pending growth"] >= 1
-    assert events["join"] > 0 and events["drop"] > 0
+    assert {event for event, _, _ in formed} == {"join", "drop"}
     if design is _near_join_design:
         assert near and min(near) > normreg.solver._RANK
-    assert max(errors) <= 1e-12
+    assert max(error for _, _, error in formed) <= 1e-12
+
+
+@pytest.mark.parametrize("shape, ratio", [((60, 30), 1e-3), ((60, 120), 0.2)], ids=["tall", "wide"])
+def test_small_active_sets_form_directions_as_fresh_products(shape, ratio, monkeypatch):
+    # at or below _RANK active columns too, each join or drop forms the next
+    # step's direction, on tall designs as on wide ones; unrefined, it is a
+    # fresh M_A^{-1}(u_A s) to round-off (~1e-15 measured)
+    data = _gaussian(*shape)
+    path, seen, formed, sizes = _formed_directions(monkeypatch, data, ratio)
+    assert (data.p <= data.n) == (path.d.gram is not None)
+    assert max(sizes) <= normreg.solver._RANK
+    assert {event for event, _, _ in formed} == {"join", "drop"}
+    assert max(error for _, error, _ in formed) <= 1e-10
 
 
 def test_unpenalized_wide_problem_rejected():
@@ -710,9 +736,9 @@ def test_a_duplicate_of_an_active_column_never_tries_to_join(monkeypatch):
     tried = []
     join = normreg.solver._Homotopy.join
 
-    def counted(path, j, sign):
+    def counted(path, j, sign, known=None):
         tried.append(j)
-        return join(path, j, sign)
+        return join(path, j, sign, known)
 
     monkeypatch.setattr(normreg.solver._Homotopy, "join", counted)
     penalty = PenaltySpec(lam1=0.01 * lambda_max(data))
@@ -889,7 +915,7 @@ def _paired_passes(steps) -> int:
         pytest.param(_wide_lasso, (1.0, 0.05, 1.5, 0.2), 0.0, id="at-and-above-lambda-max"),
         # arms past _RANK active columns, whose joins take w = M_A^{-1} x_A'x_j
         # from one product with the refinement's residual
-        pytest.param(lambda: (_gaussian_wide(), None), (0.3, 0.02, 0.1), 0.0, id="past-rank"),
+        pytest.param(lambda: (_gaussian(), None), (0.3, 0.02, 0.1), 0.0, id="past-rank"),
     ],
 )
 def test_fit_each_equals_cold_fits_and_shares_their_passes(design, ratios, lam2, monkeypatch):
@@ -984,11 +1010,11 @@ def test_fit_each_shares_passes_on_the_wide_benchmark_design(monkeypatch):
     cold = [fit(data, penalty) for penalty in penalties]
     assert sum(res.sweeps_used for res in cold) == len(passes) == 788
     assert paired == 552
-    # products with M_A^{-1}: past _RANK active columns a step makes one,
-    # over [residual, x_A'x_j] when a column may join, where three a step
-    # made 2,305 on these fits
-    assert len(made) == len(products) == 922
-    assert made.count(2) == products.count(2) == 722
+    # products with M_A^{-1}: a step makes one, over [residual, x_A'x_j]
+    # when a column joins before lam1; the other ten start each arm's path
+    # or make its final solve. Three a step made 2,305 on these fits
+    assert len(made) == len(products) == 796
+    assert made.count(2) == products.count(2) == 786
 
 
 @pytest.mark.parametrize(
@@ -1117,8 +1143,8 @@ def _count_rules(monkeypatch) -> Counter:
         seen["tall-system"] += design.gram is not None
         return system(design, cols)
 
-    def counted_join(path, j, sign):
-        joined = join(path, j, sign)
+    def counted_join(path, j, sign, known=None):
+        joined = join(path, j, sign, known)
         if not joined and not path.d.dead[j]:
             seen["full-refusal" if path.k >= path.cap else "schur-refusal"] += 1
         return joined
@@ -1160,7 +1186,7 @@ def _count_rules(monkeypatch) -> Counter:
         # with n - 1 columns active, every other column is in their span, so
         # one reaches its bound there only by round-off (here a duplicate of
         # an active column), and which seed reaches the rule moves with it
-        pytest.param(2570, 1.0, "full-refusal", id="full-refusal"),
+        pytest.param(2638, 1.0, "full-refusal", id="full-refusal"),
         # a Schur complement below 1e-10 of its diagonal refuses the join
         pytest.param(1878, 1.0, "schur-refusal", id="schur-refusal"),
         # the bordered system is not positive definite to Cholesky, so the

@@ -128,22 +128,22 @@ GOLDEN = {
     "bias-var": "b5bbd5a55cc6e9c038a06a9132d55ce4efd5be465ef4f0f02e3d1bb9955898b6",
     "bias-var-json": "bd3920587959415873c9137b88ea32e554eec35fd92bc3d42ea73b54614a317f",
     "bias-var-weighted": "85415a0e4b2bdb467a5dbc951b27144afd9f6c6645f4a481b2c744d7005e73e6",
-    "cv": "dc1a3a9d80162476848c22b4188efb43076e8ea711c93d82398325f029663d18",
-    "cv-rare": "ae5267794d4c29c8bc765a22eb27e9783812fbb7fc92d10f323bb15f7e6f3fdf",
-    "decreasing-classbalance": "32a93394fe5d73b91ac1f2ec098cbc2f5312b9f79e1ff1c938e3482fd4149f95",
-    "decreasing-classbalance-wide": "720892bd83e7cb9691650b47e597c9619eb2cb3cea835c2f7473c6940e2803ef",
-    "decreasing-classbalance-wide-large": "a474dae2a4d0b8809aa5c6c30028b3cb2bdf0c9191750892500aaeeefb982f91",
+    "cv": "a2759925f2c79b2faf6791409024f5a822817f2cce767ccbf95267386dd81a44",
+    "cv-rare": "1a7e012a34890bc3a7af0ce807d7ffa50bf92659e6cb1e49f562023bfe162be4",
+    "decreasing-classbalance": "6a977ad4b5510836fe345169d43581edb866a7be5e2cc0dc1dc7643bd2cf695f",
+    "decreasing-classbalance-wide": "75a2b5cdb8755866f1f32c19320782d551260d9aad0345239a7aef7f180e19d2",
+    "decreasing-classbalance-wide-large": "24ba4cafc722cc97bb131c82b18ff8ecd989c81612f444772aa6d0f4a5489701",
     "interactions": "85f43b593ca505c68a9fc49a8ce3731c106aa7c9c3d38a7c191e405d9f1f8b46",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
     "maxabs-gev-b": "b890c009157df77778d3401daddfbf96518629aa3ca94c2db741a75c4ed7be17",
     "mixed-data": "131208dc07316a69e0feb7230440f5f70e9bbf1e61a9b631b182507e22043eb4",
     "orthogonality": "cf6bce657bd93a320d2d7ed5ac0e8607a93fa22503491f5e07e013defbaedd86",
     "path": "38e017012db3bff2f561a5b80a3296a034db70a31af73e231052daad160e7185",
-    "path-binary-delta": "c42f2acd5d74771e09595c6e1effb9af4208a2a2733f46608a5e172f995f5e1d",
+    "path-binary-delta": "1f8db038da0cc671ef1c88bd52ed61b64eb34fecfd0ecfe941b6d57b6564f3c6",
     "path-omega": "231b9a46c34fc2c0747bab107ee5d1fd5dc016308f31bf4ac03b6e72a7780501",
     "power-fdr": "dce9e1220249743f3d7c59ede58a304c16ac13eb973b3d32e97e7f8b887bae38",
-    "predictive-sim": "bb6c021d151b4ed2d81d6578399b750b4be90988cb0678ded781dcdd0c14869b",
-    "predictive-sim-wide": "65f0030a8d9941d8ce1c02078d97943f6e278acecd979a3de2b43f171bfe151c",
+    "predictive-sim": "ba3fe53cfb067a0f7f16715c7d277ef5e00e23bd3944c93093e1bb04526227c1",
+    "predictive-sim-wide": "65abdfd74f1c9b26bda7c00059d4f76813a02627ec9de3bef406f99a0bb9e359",
     "selection-probability": "c6e8553bbc216bcd3c2edbab765f86797dc316e48f94c6bc4433d036ccf826e7",
     "weighted-elnet": "87e3fbe38649540569591d49e498bb8a425d1a770e0cadb3d2ce60f41d8fae67",
 }

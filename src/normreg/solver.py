@@ -670,7 +670,6 @@ class _Homotopy:
         residual = target - a[idx]
         if lam2:
             residual -= lam2 * v[idx] * dvec
-        known = None
         j_join, t_join = self.search(a)
         if t_join < lam - lam1:
             g, own = d.cross(j_join, idx)
@@ -679,10 +678,10 @@ class _Homotopy:
             both = self.apply(pair)
             fix, known = both[:, 0], (g, own, both[:, 1])
         else:
-            fix = self.apply(residual)
+            fix, known = self.apply(residual), None
         if self.worn(fix, dvec):
             # the inverse is new: the direction, its product and the search
-            # afresh, and the join's w from it
+            # are made afresh, and join makes w from the new inverse
             known = None
             dvec = self.apply(target)
             a = d.product(idx, dvec)

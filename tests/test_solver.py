@@ -1012,7 +1012,7 @@ def test_fit_each_shares_passes_on_the_wide_benchmark_design(monkeypatch):
     assert paired == 552
     # products with M_A^{-1}: a step makes one, over [residual, x_A'x_j]
     # when a column joins before lam1; the other ten start each arm's path
-    # or make its final solve. Three a step made 2,305 on these fits
+    # or make its final solve
     assert len(made) == len(products) == 796
     assert made.count(2) == products.count(2) == 786
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -588,10 +589,22 @@ def _cmd_normalize(args) -> int:
 # entry
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of this process, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line; returns its exit code.
+
+    The parser is built on the first call, not at import, and then serves
+    every call in the process: parsing reads it and never changes it, and
+    each call gets a namespace of its own (an appended --param list
+    included), so calls share no state through it.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else _USAGE_EXIT
     try:

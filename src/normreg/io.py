@@ -183,8 +183,8 @@ def read_sparse_labeled(path) -> Dataset:
 def json_value(value):
     """value ready for json.dumps: numpy scalars as Python values and
     non-finite floats as the strings NaN, Inf and -Inf, recursively through
-    dicts, lists and tuples. A CSV cell is the str of this value, so a float
-    is its repr."""
+    dicts, lists and tuples. A CSV cell is the str of this value (see
+    csv_cell), so a float is its repr."""
     if isinstance(value, dict):
         return {key: json_value(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -201,6 +201,19 @@ def json_value(value):
             return "Inf" if value > 0 else "-Inf"
         return value
     return value
+
+
+def csv_cell(value) -> str:
+    """value as a CSV cell: str(json_value(value)), the one rule for every
+    cell normreg writes. A finite float (np.float64 included) is its repr and
+    a str is itself, without json_value's type dispatch; every other value
+    (NaN and Inf, bools, ints, other numpy scalars, containers) goes through
+    json_value."""
+    if isinstance(value, float) and math.isfinite(value):
+        return repr(float(value))
+    if type(value) is str:
+        return value
+    return str(json_value(value))
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -254,15 +267,15 @@ def json_records(table: ResultTable) -> list[dict]:
 def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
     """Write a result table and its sidecar manifest atomically.
 
-    CSV output is a header row plus one newline-terminated record per row;
-    JSON output is an array of records keyed by header names. Both get the
-    manifest at manifest_path(path), with its values passed through
-    json_value.
+    CSV output is a header row plus one newline-terminated record per row,
+    each cell formatted by csv_cell; JSON output is an array of records
+    keyed by header names. Both get the manifest at manifest_path(path),
+    with its values passed through json_value.
     """
     if fmt == CSV:
         lines = [",".join(table.header)]
         for row in table.rows:
-            lines.append(",".join(str(json_value(v)) for v in row))
+            lines.append(",".join(map(csv_cell, row)))
         atomic_write_text(path, "\n".join(lines) + "\n")
     elif fmt == JSON:
         atomic_write_text(path, json.dumps(json_records(table), indent=2, sort_keys=False) + "\n")
@@ -273,11 +286,11 @@ def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
 
 
 def write_delimited(data: Dataset, path) -> None:
-    """Write a Dataset as delimited text with a header (inverse of
-    read_delimited with the default schema)."""
+    """Write a Dataset as delimited text with a header, each cell formatted
+    by csv_cell (inverse of read_delimited with the default schema: the
+    shortest repr of a float reads back to the same float)."""
     lines = [",".join([*data.names, "y"])]
-    for i in range(data.n):
-        cells = [str(json_value(v)) for v in data.x[i]]
-        cells.append(str(json_value(data.y[i])))
-        lines.append(",".join(cells))
+    for row, y in zip(data.x.tolist(), data.y.tolist()):
+        row.append(y)
+        lines.append(",".join(map(csv_cell, row)))
     atomic_write_text(path, "\n".join(lines) + "\n")

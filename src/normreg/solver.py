@@ -44,6 +44,11 @@ M_A^{-1} instead. The step makes one product a of that unrefined direction
 the refinement and its w = M_A^{-1} x_A'x_j come from one product with the
 |A| x 2 matrix [residual, x_A'x_j]; otherwise the refinement is a product
 of its own. c moves by a, and its active entries are reset to lam u_A s.
+The join search runs whole-array ufuncs over 2 x p arrays, none under a
+where= mask: a bound that cannot be reached gets the time inf / 1. The path
+starts with the first join at lambda_max made directly, M_A^{-1} = 1 / M_jj:
+against an empty active set a live column's Schur complement is M_jj > 0,
+so that join is never refused and needs none of a join's products.
 
 The designs of the paper break general position, so events follow these
 rules. A column within a relative 1e-10 of its bound counts as on it, and
@@ -348,13 +353,19 @@ class _Design:
             return dvec @ self.gram[idx]
         return self.scan(self.lead(idx, dvec))
 
+    def own(self, j: int):
+        """Centered x_j'x_j."""
+        if self.gram is None:
+            xj = self.x[:, j]
+            return float(xj @ xj) - self.n * float(self.xbar[j]) ** 2
+        return self.gram[j, j]
+
     def cross(self, j: int, idx: np.ndarray):
         """(centered x_j'X_A for the active columns idx, centered x_j'x_j)."""
         if self.gram is None:
-            xj = self.x[:, j]
-            g = self.active[: idx.shape[0]] @ xj
+            g = self.active[: idx.shape[0]] @ self.x[:, j]
             g -= self.n * self.xbar[j] * self.xbar[idx]
-            return g, float(xj @ xj) - self.n * float(self.xbar[j]) ** 2
+            return g, self.own(j)
         return self.gram[j, idx], self.gram[j, j]
 
     def system(self, cols: np.ndarray) -> np.ndarray:
@@ -421,6 +432,8 @@ class _Homotopy:
         self.pend = np.empty((2, size, _RANK))
         self.act = np.empty(size, dtype=np.intp)
         self.sgn = np.empty(size)
+        # a step's [residual, x_A'x_j], C-ordered
+        self.pair = np.empty((size, 2))
         # each step's drop and join times, inf where a bound is not reached
         self.drop_times = np.empty(size)
         self.join_times = np.empty((2, p))
@@ -433,13 +446,16 @@ class _Homotopy:
         self.near = np.empty(p)
         self.gap = np.empty((2, p))
         self.rate = np.empty((2, p))
-        self.ok = np.empty((2, p), dtype=bool)
+        self.mask = np.empty((2, p), dtype=bool)
         self.first = np.empty(p)
         d.reserve(size, 0)
         self.restart()
 
     def restart(self) -> None:
-        """Start at lambda_max, where the column of largest |c_j| / u_j joins."""
+        """Start at lambda_max, where the live column of largest |c_j| / u_j
+        joins. That first join needs none of join's algebra: with A empty its
+        Schur complement is M_jj > 0, and cap >= 1 once a column is live, so
+        it is never refused and M_A^{-1} is 1 / M_jj."""
         d = self.d
         self.k = self.steps = self.m = 0
         self.done: int | None = None  # steps at the end of the last fit made from here
@@ -451,12 +467,16 @@ class _Homotopy:
         self.beta = np.zeros(d.c0.shape[0])
         self.c = d.c0.copy()
         ratio = np.abs(d.c0) / d.u
-        while True:
-            free = self.limit[0] < math.inf
-            j = int(np.argmax(np.where(free, ratio, -1.0)))
-            self.lam = float(ratio[j]) if free[j] else 0.0
-            if self.lam == 0.0 or self.join(j, 1.0 if d.c0[j] > 0.0 else -1.0):
-                return
+        j = int(np.argmax(np.where(d.dead, -1.0, ratio)))
+        self.lam = 0.0 if d.dead[j] else float(ratio[j])
+        if self.lam == 0.0:
+            return
+        self.limit[:, j] = math.inf
+        d.enter(0, j)
+        self.inv[0, 0] = 1.0 / (d.own(j) + d.lam2 * d.v[j])
+        self.act[0] = j
+        self.sgn[0] = 1.0 if d.c0[j] > 0.0 else -1.0
+        self.k = 1
 
     # -- the active set --------------------------------------------------
 
@@ -476,6 +496,7 @@ class _Homotopy:
         self.pend = pend
         self.act = np.resize(self.act, size)
         self.sgn = np.resize(self.sgn, size)
+        self.pair = np.empty((size, 2))
         self.drop_times = np.empty(size)
         self.d.reserve(size, k)
 
@@ -608,7 +629,7 @@ class _Homotopy:
     def worn(self, fix: np.ndarray, value: np.ndarray) -> bool:
         """Whether a refinement this large shows an inverse worn down by the
         updates (drops on an ill-conditioned M_A); if so, rebuild it."""
-        if np.abs(fix).max() <= _WORN * np.abs(value).max():
+        if np.maximum.reduce(np.abs(fix)) <= _WORN * np.maximum.reduce(np.abs(value)):
             return False
         k = self.k
         self.inv[:k, :k] = np.linalg.inv(self.d.system(self.act[:k]))
@@ -673,7 +694,7 @@ class _Homotopy:
         j_join, t_join = self.search(a)
         if t_join < lam - lam1:
             g, own = d.cross(j_join, idx)
-            pair = np.empty((k, 2))
+            pair = self.pair[:k]
             pair[:, 0], pair[:, 1] = residual, g
             both = self.apply(pair)
             fix, known = both[:, 0], (g, own, both[:, 1])
@@ -693,7 +714,7 @@ class _Homotopy:
         bk = self.beta[idx]
         toward = sgn * dvec < 0.0
         t_drop, i_drop = math.inf, -1
-        if toward.any():
+        if np.logical_or.reduce(toward):
             td = self.drop_times[:k]
             td.fill(math.inf)
             np.divide(-bk, dvec, out=td, where=toward)
@@ -714,27 +735,31 @@ class _Homotopy:
 
     def search(self, a: np.ndarray) -> tuple[int, float]:
         """(j, t): the first column to join as c moves by -t a, and the step
-        length t at which it does (inf if none can)."""
+        length t at which it does (inf if none can). No ufunc runs under a
+        where= mask: a side that cannot be reached gets the time inf / 1."""
         c, lam, u = self.c, self.lam, self.d.u
         # a free column reaches +lam u_j (row 0) or -lam u_j (row 1); one
         # already within _TIE of its bound joins now if the direction takes
         # it outward by more than round-off. The column that just dropped
         # left its bound on side `left`, so on this segment it can only
         # reach the other one.
-        bound, gap, rate, ok = self.bound, self.gap, self.rate, self.ok
+        bound, gap, rate, mask = self.bound, self.gap, self.rate, self.mask
         np.multiply(lam, u, out=bound)
         np.subtract(bound, c, out=gap[0])
         np.add(bound, c, out=gap[1])
         np.multiply(_TIE, bound, out=self.near)
-        np.less_equal(gap, self.near, out=ok)
-        np.copyto(gap, 0.0, where=ok)
+        np.less_equal(gap, self.near, out=mask)
+        np.putmask(gap, mask, 0.0)
         np.subtract(u, a, out=rate[0])
         np.add(u, a, out=rate[1])
-        np.greater(rate, self.limit, out=ok)
+        # the sides that cannot be reached: not moving outward fast enough
+        np.greater(rate, self.limit, out=mask)
+        np.logical_not(mask, out=mask)
         if self.left:
-            ok[0 if self.left > 0.0 else 1, self.dropped] = False
-        self.join_times.fill(math.inf)
-        np.divide(gap, rate, out=self.join_times, where=ok)
+            mask[0 if self.left > 0.0 else 1, self.dropped] = True
+        np.putmask(gap, mask, math.inf)
+        np.putmask(rate, mask, 1.0)
+        np.divide(gap, rate, out=self.join_times)
         times = np.minimum(self.join_times[0], self.join_times[1], out=self.first)
         j = int(times.argmin())
         return j, float(times[j])

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+import normreg
 import normreg.cli as cli
 import normreg.solver
 from normreg import Dataset, FitResult, compute_plan, infer_kinds, Standardize, write_delimited
@@ -385,6 +386,34 @@ def test_simulate_deterministic_files(tmp_path):
     assert manifest["resolved"]["n"] == 100
     header = out1.read_text().splitlines()[0]
     assert header == "scenario,replication,q,delta,lambda1,sigma,metric,value"
+
+
+def test_calls_in_one_process_share_no_state_through_the_parser(tmp_path, capsys):
+    # main builds its parser once per process; every call must still parse
+    # from the parser's defaults alone
+    base = ["simulate", "--scenario", "selection-probability", "--n", "100",
+            "--replications", "1", "--param", "delta_grid=1.0",
+            "--param", "lambda1_grid=5.0", "--param", "sigma_grid=1.0"]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(base + ["--param", "q_grid=0.5,0.9", "--out", str(first)]) == 0
+    assert main(base + ["--out", str(second)]) == 0
+    manifests = [json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+                 for name in ("first", "second")]
+    assert manifests[0]["resolved"]["q_grid"] == [0.5, 0.9]
+    assert manifests[1]["resolved"]["q_grid"] == [0.5, 0.6, 0.7, 0.8, 0.9]
+    assert "q_grid" in manifests[0]["overridden"]
+    assert "q_grid" not in manifests[1]["overridden"]
+    # a usage error leaves nothing behind for the next call
+    assert main(["oracle", "--curve", "limits", "--no-such-flag"]) == 1
+    argv = ["oracle", "--curve", "limits", "--lambda1", "5", "--lambda2", "10",
+            "--exponent-grid", "0:1:3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    versions = []
+    for _ in range(2):
+        assert main(["--version"]) == 0
+        versions.append(capsys.readouterr().out)
+    assert versions == [f"normreg {normreg.__version__}\n"] * 2
 
 
 def test_simulate_summary_without_extension_takes_the_format(tmp_path):

@@ -1,7 +1,10 @@
 """The package's only runtime dependency is numpy."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "normreg"
@@ -55,3 +58,38 @@ def test_every_module_level_import_is_used():
 def test_the_unused_import_check_sees_a_stray_name():
     source = "import math\nfrom os import path, sep\nfrom re import sub  # noqa: F401\nsep\n"
     assert _unused_imports(source) == ["line 1: math", "line 2: path"]
+
+
+# Counts the ArgumentParsers constructed in a fresh interpreter: on importing
+# normreg.cli, then after each of two calls of main.
+_PARSER_PROBE = """
+import argparse
+import json
+built = 0
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+import normreg.cli
+counts = [built]
+for _ in range(2):
+    normreg.cli.main(["--version"])
+    counts.append(built)
+print(json.dumps(counts))
+"""
+
+
+def test_the_cli_builds_its_parser_on_the_first_call_only():
+    # importing normreg.cli builds nothing (its import time is the
+    # benchmark's setup_s); main builds the parser, subparsers included, once
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", _PARSER_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    imported, once, twice = json.loads(done.stdout.splitlines()[-1])
+    assert imported == 0
+    assert once > 0 and twice == once

@@ -1,6 +1,7 @@
 """Reader/writer behavior: format rules, error positions, round trips."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -22,6 +23,7 @@ from normreg import (
     write_delimited,
     write_results,
 )
+from normreg.io import csv_cell, json_value
 
 
 def test_read_delimited_two_by_two(tmp_path):
@@ -140,14 +142,42 @@ def test_delimited_round_trip_shortest_repr(tmp_path):
     rng = np.random.default_rng(12)
     x = rng.standard_normal((15, 4))
     x[:, 1] = rng.integers(0, 2, 15)
-    data = Dataset(x=x, y=rng.standard_normal(15))
+    x[:4, 0] = (-0.0, 5e-324, 1e308, -2.5e-17)
+    y = rng.standard_normal(15)
+    y[:3] = (0.1 + 0.2, -1e-300, 2.0**60)
+    data = Dataset(x=x, y=y)
     path = tmp_path / "rt.csv"
     write_delimited(data, path)
     back = read_delimited(path, TableSchema(response="y"))
-    assert np.array_equal(back.x, data.x)
-    assert np.array_equal(back.y, data.y)
+    # bit for bit, the sign of -0.0 included
+    assert back.x.tobytes() == data.x.tobytes()
+    assert back.y.tobytes() == data.y.tobytes()
     assert infer_kinds(back.x) == infer_kinds(data.x)
     assert back.names == data.names
+
+
+# one value of each kind a result row can hold
+_CELLS = (-0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2, np.float64(1e-300),
+          np.float32(0.1), np.int64(-7), True, np.bool_(False), "a b", (1, 2.5), None)
+
+
+@pytest.mark.parametrize("value", _CELLS, ids=repr)
+def test_a_csv_cell_is_the_str_of_its_json_value(value):
+    assert csv_cell(value) == str(json_value(value))
+
+
+def test_write_results_csv_bytes_of_every_kind_of_cell(tmp_path):
+    header = tuple(f"c{i}" for i in range(len(_CELLS)))
+    table = ResultTable(header=header, rows=(_CELLS, _CELLS[::-1]), manifest={})
+    path = tmp_path / "kinds.csv"
+    write_results(table, path, fmt="csv")
+    assert path.read_bytes() == (
+        b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10,c11,c12\n"
+        b"-0.0,Inf,-Inf,NaN,0.30000000000000004,1e-300,0.10000000149011612,-7,True,"
+        b"False,a b,[1, 2.5],None\n"
+        b"None,[1, 2.5],a b,False,True,-7,0.10000000149011612,1e-300,"
+        b"0.30000000000000004,NaN,-Inf,Inf,-0.0\n"
+    )
 
 
 def test_sparse_round_trip_exact_on_binary(tmp_path):

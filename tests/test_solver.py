@@ -734,12 +734,18 @@ def test_a_duplicate_of_an_active_column_never_tries_to_join(monkeypatch):
     y = x[:, [0, 2, 4]] @ np.array([2.0, -1.5, 1.0]) + rng.standard_normal(40)
     data = Dataset(x=x, y=y)
     tried = []
-    join = normreg.solver._Homotopy.join
+    restart, join = normreg.solver._Homotopy.restart, normreg.solver._Homotopy.join
+
+    def started(path):
+        # the first column joins at lambda_max inside restart, not by join
+        restart(path)
+        tried.extend(int(j) for j in path.act[: path.k])
 
     def counted(path, j, sign, known=None):
         tried.append(j)
         return join(path, j, sign, known)
 
+    monkeypatch.setattr(normreg.solver._Homotopy, "restart", started)
     monkeypatch.setattr(normreg.solver._Homotopy, "join", counted)
     penalty = PenaltySpec(lam1=0.01 * lambda_max(data))
     res = fit(data, penalty)
@@ -1011,9 +1017,10 @@ def test_fit_each_shares_passes_on_the_wide_benchmark_design(monkeypatch):
     assert sum(res.sweeps_used for res in cold) == len(passes) == 788
     assert paired == 552
     # products with M_A^{-1}: a step makes one, over [residual, x_A'x_j]
-    # when a column joins before lam1; the other ten start each arm's path
-    # or make its final solve
-    assert len(made) == len(products) == 796
+    # when a column joins before lam1; the other eight are each arm's first
+    # direction, its last step's refinement and its final solve (the first
+    # join, at lambda_max, makes none)
+    assert len(made) == len(products) == 794
     assert made.count(2) == products.count(2) == 786
 
 
@@ -1118,10 +1125,14 @@ def _random_design(seed):
         x = rng.standard_normal((n, p))
     else:
         x = np.round(rng.standard_normal((n, p)))
-    x[:, 1] = x[:, 0]
-    x[:, 2] = 0.0
-    x[:, 3] = x[:, 0] + x[:, 4]
-    y = x[:, :5] @ rng.standard_normal(5) + rng.standard_normal(n)
+    # only the columns that exist; the draws do not depend on p
+    if p > 1:
+        x[:, 1] = x[:, 0]
+    if p > 2:
+        x[:, 2] = 0.0
+    if p > 4:
+        x[:, 3] = x[:, 0] + x[:, 4]
+    y = x[:, :5] @ rng.standard_normal(5)[:p] + rng.standard_normal(n)
     if seed % 7 == 0:
         y = np.round(y)
     u = rng.uniform(0.3, 3, p) if seed % 2 else None
@@ -1203,3 +1214,16 @@ def test_ill_conditioned_paths_stay_certified(seed, alpha, rule, monkeypatch):
         assert res.sweeps_used < normreg.solver._max_steps(data.p)
     if rule is not None:
         assert seen[rule], seen
+
+
+# the first ten seeds of _random_design with p <= 4, where the first join at
+# lambda_max and saturation (n - 1 active columns, or all p) come together
+@pytest.mark.parametrize("seed", [34, 53, 85, 126, 142, 150, 184, 195, 230, 239])
+def test_paths_on_designs_of_at_most_four_columns_stay_certified(seed):
+    data, u, v, ratios = _random_design(seed)
+    assert data.p <= 4
+    for alpha in (1.0, 0.5):
+        grid = lambda_grid(lambda_max(data), count=15, ratio=ratios[alpha])
+        for res in fit_path(data, alpha, grid, u=u, v=v):
+            assert res.converged, (alpha, res.lam1, res.kkt_residual)
+            assert _certified(data, PenaltySpec(res.lam1, res.lam2, u, v), res)

@@ -18,8 +18,14 @@ degenerate cells that were skipped, and whether defaults deviate from the
 configured reference scale.
 
 A scenario is one `_scenario(id, cell_columns, **defaults)` registration on a
-runner that takes `(spec, cfg, rec)`, records each cell with one `rec.add` call
-and returns only its own manifest entries (`lambda_rule`, `flags`, ...).
+runner that takes `(cfg, rec, reps)`: the resolved configuration, the
+collector, and the replications to run as `(rep, design stream, noise
+stream, test stream)` tuples. It records each cell of each of those
+replications with one `rec.add` call and returns only its own manifest
+entries (`lambda_rule`, `flags`, ...). `run_scenario` alone decides which
+replications run, through `_replications`, the one maker of streams; a
+runner handed some of them records exactly their rows, so a run split by
+replication gives the rows of the whole run, in replication order.
 """
 
 from __future__ import annotations
@@ -315,10 +321,11 @@ def _feasible_qs(n: int, grid, rec: _Collector) -> list:
     return qs
 
 
-def _replications(spec: ScenarioSpec, cfg: dict):
-    """Yield (replication, design stream, noise stream) for each replication."""
-    for rep in range(cfg["replications"]):
-        yield rep, _stream(spec.seed, rep, _X), _stream(spec.seed, rep, _EPS)
+def _replications(seed: int, count: int):
+    """Yield (replication, design stream, noise stream, test stream) for each
+    of count replications: the one place a replication's streams are made."""
+    for rep in range(count):
+        yield rep, _stream(seed, rep, _X), _stream(seed, rep, _EPS), _stream(seed, rep, _TEST)
 
 
 def _resolve(spec: ScenarioSpec, defaults: dict) -> tuple[dict, set[str]]:
@@ -450,7 +457,7 @@ def _scenario(name: str, cells: tuple[str, ...], **defaults):
     lambda1_grid=(40.0,),
     sigma_grid=(2.0,),
 )
-def _run_selection_probability(spec, cfg, rec):
+def _run_selection_probability(cfg, rec, reps):
     n, beta = cfg["n"], cfg["beta_star"]
     qs = _feasible_qs(n, cfg["q_grid"], rec)
     oracle = {}
@@ -462,7 +469,7 @@ def _run_selection_probability(spec, cfg, rec):
                         beta=beta, n=n, q=q, sigma_eps=s, lam1=lam1, lam2=0.0, scaling=Delta(d)
                     )
                     oracle[(q, d, lam1, s)] = selection_probability(model)
-    for rep, gx, ge in _replications(spec, cfg):
+    for rep, gx, ge, _ in reps:
         columns = {q: gen_binary(n, q, gx) for q in qs}
         noise = {s: (s * ge.standard_normal(n) if s > 0.0 else None) for s in cfg["sigma_grid"]}
         for q in qs:
@@ -501,7 +508,7 @@ def _run_selection_probability(spec, cfg, rec):
     lambda1=10.0,
     lambda2=25.0,
 )
-def _run_bias_var(spec, cfg, rec):
+def _run_bias_var(cfg, rec, reps):
     n, beta, variant = cfg["n"], cfg["beta_star"], cfg["model"]
     if variant not in ("lasso", "ridge", "weighted"):
         raise DomainError(f"model must be lasso, ridge, or weighted, got {variant!r}")
@@ -519,7 +526,7 @@ def _run_bias_var(spec, cfg, rec):
                 oracle[(q, t, s)] = dict(
                     oracle_mean=estimator_mean(model), oracle_variance=estimator_variance(model)
                 )
-    for rep, gx, ge in _replications(spec, cfg):
+    for rep, gx, ge, _ in reps:
         columns = {q: gen_binary(n, q, gx) for q in qs}
         noise = {s: (s * ge.standard_normal(n) if s > 0.0 else None) for s in cfg["sigma_grid"]}
         for q in qs:
@@ -572,7 +579,7 @@ def signal_balances(k: int, q_first: float, q_last: float) -> np.ndarray:
     null_q_low=0.5,
     null_q_high=0.99,
 )
-def _run_decreasing_classbalance(spec, cfg, rec):
+def _run_decreasing_classbalance(cfg, rec, reps):
     n, p, k = cfg["n"], cfg["p"], cfg["n_signal"]
     if p <= k:
         raise DomainError(f"p must exceed n_signal={k}, got {p}")
@@ -580,7 +587,7 @@ def _run_decreasing_classbalance(spec, cfg, rec):
     beta = np.zeros(p)
     beta[:k] = 1.0
     lam_rule = "lambda1 = 2 sigma sqrt(2 log p); plain nu^delta scaling"
-    for rep, gx, ge in _replications(spec, cfg):
+    for rep, gx, ge, _ in reps:
         x = _binary_design(n, p, qs, cfg, gx)
         z = ge.standard_normal(n)
         for rho in cfg["rho_grid"]:
@@ -629,14 +636,14 @@ def _orthogonalize(col: np.ndarray, against: np.ndarray, sd: float) -> np.ndarra
     beta_cont=1.0,
     noise_free=False,
 )
-def _run_mixed_data(spec, cfg, rec):
+def _run_mixed_data(cfg, rec, reps):
     n = cfg["n"]
     beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
     qs = _feasible_qs(n, cfg["q_grid"], rec)
     for model in cfg["model_grid"]:
         if model not in ("lasso", "ridge"):
             raise DomainError(f"model_grid entries must be lasso or ridge, got {model!r}")
-    for rep, gx, ge in _replications(spec, cfg):
+    for rep, gx, ge, _ in reps:
         z = ge.standard_normal(n)
         for q in qs:
             x1 = gen_binary(n, q, gx)
@@ -692,12 +699,12 @@ def _run_mixed_data(spec, cfg, rec):
     q0=0.5,
     cont_sd=0.5,
 )
-def _run_interactions(spec, cfg, rec):
+def _run_interactions(cfg, rec, reps):
     n, d = cfg["n"], cfg["delta"]
     qs = _feasible_qs(n, cfg["q_grid"], rec)
     lam1 = n / 4.0
     binary_scale = BinaryDelta(d, LASSO_COMPARABLE, cfg["kappa"], cfg["q0"])
-    for rep, gx, ge in _replications(spec, cfg):
+    for rep, gx, ge, _ in reps:
         z = ge.standard_normal(n)
         for q in qs:
             x1 = gen_binary(n, q, gx)
@@ -750,11 +757,11 @@ def _run_interactions(spec, cfg, rec):
     noise_free=False,
     orthogonalize=False,
 )
-def _run_weighted_elnet(spec, cfg, rec):
+def _run_weighted_elnet(cfg, rec, reps):
     n = cfg["n"]
     beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
     qs = _feasible_qs(n, cfg["q_grid"], rec)
-    for rep, gx, ge in _replications(spec, cfg):
+    for rep, gx, ge, _ in reps:
         z = ge.standard_normal(n)
         for q in qs:
             x1 = gen_binary(n, q, gx)
@@ -814,7 +821,7 @@ def correlated_binary_pair(n: int, q1: float, q2: float, rho: float) -> np.ndarr
     beta_binary=1.0,
     beta_cont=1.0,
 )
-def _run_orthogonality(spec, cfg, rec):
+def _run_orthogonality(cfg, rec, reps):
     n = cfg["n"]
     beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
     designs = {}
@@ -828,7 +835,7 @@ def _run_orthogonality(spec, cfg, rec):
             corr = float(np.corrcoef(x[:, 0], x[:, 1])[0, 1])
             x = np.asfortranarray(x)
             designs[(q2, rho)] = (x, x.std(axis=0), sigma, corr)
-    for rep, _, ge in _replications(spec, cfg):
+    for rep, _, ge, _ in reps:
         z = ge.standard_normal(n)
         for (q2, rho), (x, s, sigma, corr) in designs.items():
             data = Dataset(x=x, y=x @ beta + sigma * z)
@@ -863,15 +870,14 @@ def _run_orthogonality(spec, cfg, rec):
     null_q_low=0.5,
     null_q_high=0.99,
 )
-def _run_power_fdr(spec, cfg, rec):
+def _run_power_fdr(cfg, rec, reps):
     n, k = cfg["n"], cfg["n_signal"]
     p_max = max(cfg["p_grid"])
     if min(cfg["p_grid"]) <= k:
         raise DomainError(f"every p must exceed n_signal={k}")
     qs = np.linspace(cfg["q_first"], cfg["q_last"], k)
     truth = set(range(k))
-    for rep, gx, ge in _replications(spec, cfg):
-        gt = _stream(spec.seed, rep, _TEST)
+    for rep, gx, ge, gt in reps:
         x_full = _binary_design(n, p_max, qs, cfg, gx)
         signal = cfg["beta_signal"] * x_full[:, :k].sum(axis=1)
         y = signal + cfg["sigma"] * ge.standard_normal(n)
@@ -922,7 +928,7 @@ def _run_power_fdr(spec, cfg, rec):
     null_q_low=0.5,
     null_q_high=0.99,
 )
-def _run_predictive_sim(spec, cfg, rec):
+def _run_predictive_sim(cfg, rec, reps):
     n, p, k = cfg["n"], cfg["p"], cfg["n_signal"]
     if p <= k:
         raise DomainError(f"p must exceed n_signal={k}, got {p}")
@@ -932,8 +938,7 @@ def _run_predictive_sim(spec, cfg, rec):
     third = n // 3
     if third < 2:
         raise DomainError(f"n={n} leaves fewer than 2 rows per split")
-    for rep, gx, ge in _replications(spec, cfg):
-        gs = _stream(spec.seed, rep, _TEST)
+    for rep, gx, ge, gs in reps:
         x = _binary_design(n, p, qs, cfg, gx)
         z = ge.standard_normal(n)
         order = gs.permutation(n)
@@ -990,14 +995,14 @@ def _run_predictive_sim(spec, cfg, rec):
     beta_binary=1.0,
     beta_cont=1.0,
 )
-def _run_maxabs_gev(spec, cfg, rec):
+def _run_maxabs_gev(cfg, rec, reps):
     part = cfg["part"]
     if part not in ("a", "b"):
         raise DomainError(f"part must be 'a' or 'b', got {part!r}")
     sizes = tuple(sorted(cfg["n_grid"]))
     if part == "a":
         approx = {n: maxabs_gumbel(0.0, 1.0, n).mean_approx for n in sizes}
-        for rep, g, _ in _replications(spec, cfg):
+        for rep, g, _, _ in reps:
             for n in sizes:
                 m = float(np.abs(g.standard_normal(n)).max())
                 rec.add(rep, ("a", n), maxabs=m, gumbel_mean=approx[n])
@@ -1009,7 +1014,7 @@ def _run_maxabs_gev(spec, cfg, rec):
         # estimate stable while the normal one vanishes inside the n grid.
         beta = np.array([cfg["beta_binary"], cfg["beta_cont"]])
         nu1 = cfg["q"] - cfg["q"] ** 2
-        for rep, gx, ge in _replications(spec, cfg):
+        for rep, gx, ge, _ in reps:
             for n in sizes:
                 if not _feasible_q(n, cfg["q"]):
                     rec.skip(f"n={n}: {_ALL_ONES}")
@@ -1052,7 +1057,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     cells, defaults, runner = _CATALOGUE[spec.scenario]
     cfg, overridden = _resolve(spec, defaults)
     rec = _Collector(cells)
-    extra = runner(spec, cfg, rec)
+    extra = runner(cfg, rec, _replications(spec.seed, cfg["replications"]))
     if not rec.rows:
         raise DomainError(
             f"scenario {spec.scenario!r} produced no cells: {'; '.join(rec.skipped) or 'empty grid'}"

@@ -91,8 +91,11 @@ alpha < 1 lam2 moves with lambda, and each point starts from lambda_max.
 scenario's delta arms need. On a wide design the pass over X is most of a
 step, and it is memory-bound: X'Z for a C-ordered n x 2 Z costs about what
 X'z does (~0.18 ms each at 500 x 1000 on one BLAS thread), so every arm with
-lam1 > 0 gets its homotopy up front and each step of the arm being fitted
-takes a step of the next unfinished arm along, both products from one X'Z.
+lam1 > 0 gets its homotopy up front. Before arm i's `fit`, `fit_each` steps
+it toward its own lam1, and each of those steps takes one step of the next
+unfinished later arm toward that arm's lam1, both products from one X'Z
+(`_Homotopy.step_with`); once no later arm is unfinished, arm i takes the
+rest of its steps alone, so its `fit` starts at lam1 or at the step cap.
 Pairs only: an n x 3 Z costs about three passes. Tall designs make no pass
 over X, so their arms, like those with p <= 1 or lam1 = 0, fit one by one.
 A paired product equals the single one only to round-off, but a certified
@@ -194,7 +197,7 @@ class FitResult:
     because perfbench/test_bench.py constructs a FitResult with them.
     sweeps_used counts homotopy steps (1 for a closed form or ridge solve):
     since the point before on a continued path, and every step of a
-    fit_each arm, those taken during the other arms' fits included;
+    fit_each arm, those taken alongside earlier arms' steps included;
     converged means the fit passed the KKT certificate, and kkt_residual is
     its scale-free residual.
     """
@@ -412,16 +415,15 @@ def _soft_threshold(z: float, t: float) -> float:
 class _Homotopy:
     """The lam1 path at fixed lam2 on a centered design, from lambda_max down.
 
-    An arm of fit_each, on a wide design, has a goal, its fit's lam1, and
-    shares a queue with the arms not yet fitted; any other path's queue is
-    empty.
+    It knows no other path: `run` steps it alone, and `step_with` steps it
+    and one other path of the same design, each toward its own lam1, sharing
+    the pass over X. Which paths step together is the caller's to decide.
     """
 
-    def __init__(self, design: _Design, max_steps: int, goal: float = 0.0):
+    def __init__(self, design: _Design, max_steps: int):
         d = design
         n, p = d.x.shape
-        self.d, self.max_steps, self.goal = d, max_steps, goal
-        self.queue: list[_Homotopy] = []
+        self.d, self.max_steps = d, max_steps
         # centered columns span at most n - 1 dimensions
         self.cap = p if d.lam2 > 0.0 else min(p, n - 1)
         # sized for the active set, which can stay far below cap
@@ -639,31 +641,28 @@ class _Homotopy:
     # -- moving along the path -------------------------------------------
 
     def run(self, lam1: float) -> bool:
-        """Follow the path down to lam1; False if the step cap stopped it.
-        An arm of fit_each takes a step of the next unfinished arm in its
-        queue along with each of its own, the two sharing one pass over X."""
-        d = self.d
+        """Follow the path down to lam1; False if the step cap stopped it."""
         while self.lam > lam1:
             if self.steps >= self.max_steps:
                 return False
-            other = None
-            if self.queue:
-                other = next((h for h in self.queue if h is not self
-                              and h.lam > h.goal and h.steps < h.max_steps), None)
             self.open()
-            if other is None:
-                a = d.product(self.idx, self.dvec)
-            else:
-                other.open()
-                # the arms share X; each forms its own X_A d
-                z = np.empty((d.n, 2))
-                z[:, 0] = d.lead(self.idx, self.dvec)
-                z[:, 1] = other.d.lead(other.idx, other.dvec)
-                both = d.scan(z)
-                other.close(other.goal, both[:, 1])
-                a = both[:, 0]
-            self.close(lam1, a)
+            self.close(lam1, self.d.product(self.idx, self.dvec))
         return True
+
+    def step_with(self, other: _Homotopy, lam1: float, goal: float) -> None:
+        """One step of this path toward lam1 and one of other, a path of the
+        same wide design, toward goal. Each forms its centered X_A d, and one
+        X'Z over the C-ordered n x 2 Z of the two gives both products, at
+        about the cost of one pass over X."""
+        d = self.d
+        self.open()
+        other.open()
+        z = np.empty((d.n, 2))
+        z[:, 0] = d.lead(self.idx, self.dvec)
+        z[:, 1] = other.d.lead(other.idx, other.dvec)
+        both = d.scan(z)
+        other.close(goal, both[:, 1])
+        self.close(lam1, both[:, 0])
 
     def open(self) -> None:
         """Begin a step: the direction M_A^{-1} (u_A s), before refinement.
@@ -843,9 +842,9 @@ def fit(
     A normalized fit is this fit at weights u = s u0, v = s^2 v0 (see the
     module docstring). continuation is a homotopy on this data at penalty's
     weights and lam2: fit_path's, at the point before, which a failed
-    certificate sends back to lambda_max, or a fit_each arm's, which may
-    already have stepped toward lam1 during other arms' fits, and whose
-    failed certificate stands, as a cold fit's does.
+    certificate sends back to lambda_max, or a fit_each arm's, which
+    fit_each has already stepped down to lam1 (or to the step cap), and
+    whose failed certificate stands, as a cold fit's does.
     """
     y, n, p = data.y, data.n, data.p
     if penalty.lam1 == 0.0 and penalty.lam2 == 0.0 and p >= n:
@@ -957,11 +956,12 @@ def fit_each(data: Dataset, penalties) -> list[FitResult]:
     is the cold fit at its penalty (see the module docstring).
 
     On a wide design (p > n, p > 1) every arm with lam1 > 0 gets its homotopy
-    up front, and each step of the arm being fitted takes one step of the
-    next unfinished arm along: both form their centered X_A d, and one X'Z
-    over the C-ordered n x 2 Z of the two gives both products, at about the
-    cost of one pass over X. An arm's steps taken during another arm's fit
-    count in its own sweeps_used, and its buffers go once it is fitted.
+    up front, and the pairing rule lives here alone: arm i steps down to its
+    lam1 or its step cap before its `fit`, each step together with one step
+    of the first later arm still above its own lam1 and under its cap
+    (`_Homotopy.step_with`), and alone once no such arm is left. An arm's
+    steps taken alongside an earlier arm's count in its own sweeps_used,
+    and its buffers go once it is fitted.
     Tall designs, p <= 1 and lam1 = 0 get the plain fit.
     """
     penalties = list(penalties)
@@ -971,16 +971,22 @@ def fit_each(data: Dataset, penalties) -> list[FitResult]:
         for i, penalty in enumerate(penalties):
             if penalty.lam1 > 0.0:
                 design = _Design(setup, *penalty.resolve_weights(data.p), penalty.lam2)
-                arms[i] = _Homotopy(design, _max_steps(data.p), goal=penalty.lam1)
-    queue = [arm for arm in arms if arm is not None]
-    for arm in queue:
-        arm.queue = queue
+                arms[i] = _Homotopy(design, _max_steps(data.p))
+
+    def moving(i: int) -> bool:
+        arm = arms[i]
+        return arm is not None and arm.lam > penalties[i].lam1 and arm.steps < arm.max_steps
+
     results = []
     for i, penalty in enumerate(penalties):
+        while moving(i):
+            j = next((j for j in range(i + 1, len(arms)) if moving(j)), None)
+            if j is None:
+                arms[i].run(penalty.lam1)
+            else:
+                arms[i].step_with(arms[j], penalty.lam1, penalties[j].lam1)
         results.append(fit(data, penalty, continuation=arms[i]))
-        if arms[i] is not None:
-            queue.remove(arms[i])
-            arms[i] = None
+        arms[i] = None
     return results
 
 

@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) so exit codes and stderr text
 can be asserted without spawning subprocesses.
 """
 
+import argparse
 import dataclasses
 import json
 
@@ -591,3 +592,9 @@ def test_output_to_unwritable_target_exits_two(tmp_path, toy_csv, capsys):
     ])
     assert code == 2
     assert "dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["a:1:3", "0:b:3", "0:1:x"])
+def test_a_grid_that_is_not_numeric_is_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError, match=f"expected lo:hi:count, got {text!r}"):
+        cli._grid(text)

@@ -43,3 +43,16 @@ def test_default_names_and_shapes():
     assert data.names == ("x1", "x2", "x3")
     assert (data.n, data.p) == (4, 3)
     assert np.array_equal(data.column(1), np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "x, names, message",
+    [
+        (np.zeros(4), (), r"x must be 2-d, got shape \(4,\)"),
+        (np.zeros((4, 3)), ("a", "b"), "names has 2 entries for 3 columns"),
+    ],
+    ids=["one-dimensional-x", "too-few-names"],
+)
+def test_a_dataset_refuses_a_flat_x_and_the_wrong_number_of_names(x, names, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        Dataset(x=x, y=np.zeros(4), names=names)

@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normreg import Dataset, write_delimited
+from normreg import Dataset, ScenarioSpec, simulate, write_delimited
 from normreg.cli import main
+from normreg.simulate import parse_value
 
 
 def _simulate(scenario: str, *params: str, **sizes: int) -> list[str]:
@@ -215,6 +216,41 @@ def test_output_digest_is_pinned(case, tmp_path, capsys):
         f"golden digest changed: {case!r}: {actual!r}, "
         f"pinned on {PINNED_ON!r}, this host {_host()!r}"
     )
+
+
+def _spec(argv: list[str]) -> ScenarioSpec:
+    """The ScenarioSpec a simulate case's argv asks for."""
+    fields, params = {}, {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag == "--param":
+            key, _, text = value.partition("=")
+            params[key] = parse_value(text)
+        elif flag == "--scenario":
+            fields["scenario"] = value
+        elif flag != "--format":
+            fields[flag[2:]] = int(value)
+    return ScenarioSpec(params=params, **fields)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] == "simulate"))
+def test_a_run_split_by_replication_gives_the_rows_of_the_whole_run(case):
+    # what running replications in separate calls (or processes) relies on:
+    # a runner handed some replications records exactly their rows, so
+    # replication 0 and then the rest, run apart, give the whole run's rows
+    spec = _spec(CASES[case])
+    cells, defaults, runner = simulate._CATALOGUE[spec.scenario]
+    cfg, _ = simulate._resolve(spec, defaults)
+    whole = simulate.run_scenario(spec)
+    parts = []
+    for first in (True, False):
+        rec = simulate._Collector(cells)
+        reps = simulate._replications(spec.seed, cfg["replications"])
+        extra = runner(cfg, rec, (r for r in reps if (r[0] == 0) == first))
+        parts.append(rec)
+        assert extra.items() <= whole.manifest.items()
+        assert rec.skipped == whole.manifest["skipped"]
+    assert {row[0] for row in parts[0].rows} == {0}
+    assert repr(parts[0].rows + parts[1].rows) == repr(list(whole.rows))
 
 
 if __name__ == "__main__":

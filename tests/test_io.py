@@ -270,3 +270,32 @@ def test_result_round_trip_on_scenario_shaped_table(tmp_path):
         for r, q, v in (line.split(",") for line in lines[1:])
     )
     assert parsed == rows
+
+
+def _blank_lines(path):
+    path.write_text("\n   \n\t\n", encoding="utf-8")
+    return read_sparse_labeled(path)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda path: TableSchema(delimiter=",;"), DomainError,
+         "delimiter must be a single character, got ',;'"),
+        (_blank_lines, ParseError, "empty file"),
+    ],
+    ids=["two-character-delimiter", "only-blank-lines"],
+)
+def test_io_refuses_a_long_delimiter_and_a_sparse_file_of_blank_lines(
+    call, error, message, tmp_path
+):
+    with pytest.raises(error, match=message):
+        call(tmp_path / "in.txt")
+
+
+def test_read_sparse_labeled_skips_blank_lines(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_text("1 2:0.5\n\n   \n-1 1:2\n", encoding="utf-8")
+    data = read_sparse_labeled(path)
+    assert data.y.tolist() == [1.0, -1.0]
+    assert data.x.tolist() == [[0.0, 0.5], [2.0, 0.0]]

@@ -254,3 +254,20 @@ def test_interaction_variance_centered():
     x3 = make_interaction(x1, x2)
     target = sigma**2 * (q - q * q)
     assert np.var(x3) == pytest.approx(target, rel=0.03)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: NormalizationPlan(centers=[math.nan, 0.0], scales=[1.0, 1.0]), DomainError,
+         "normalization factors must be finite"),
+        (lambda: backtransform(np.ones(3), 0.0, NormalizationPlan([0.0, 0.0], [1.0, 2.0])),
+         DimensionMismatchError, r"beta_norm must have shape \(2,\)"),
+    ],
+    ids=["non-finite-center", "wrong-shape"],
+)
+def test_a_plan_refuses_a_non_finite_center_and_backtransform_the_wrong_shape(
+    call, error, message
+):
+    with pytest.raises(error, match=message):
+        call()

@@ -473,3 +473,18 @@ def test_gumbel_rejects_a_subnormal_sigma():
 def test_gumbel_rejects_tiny_n():
     with pytest.raises(DomainError):
         maxabs_gumbel(0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"n": 0}, "n must be >= 1, got 0"),
+        ({"sigma": -0.5}, "sigma_eps must be >= 0, got -0.5"),
+        ({"lam1": -1.0}, "penalty levels must be >= 0"),
+        ({"lam2": -1.0}, "penalty levels must be >= 0"),
+    ],
+    ids=["no-rows", "negative-noise", "negative-lam1", "negative-lam2"],
+)
+def test_a_model_refuses_no_rows_negative_noise_and_a_negative_penalty(change, message):
+    with pytest.raises(DomainError, match=message):
+        model(**change)

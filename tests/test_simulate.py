@@ -6,9 +6,12 @@ orthogonalized two-feature designs decouple, making the comparability and
 weighting identities hold to solver tolerance.
 """
 
+import ast
 import hashlib
+import inspect
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -696,21 +699,6 @@ def test_parse_value_agrees_between_config_and_param(tmp_path):
         assert repr(value) == repr(want)
 
 
-def test_tolerant_scales_are_binary_delta_with_unit_scale_for_constant_columns():
-    from normreg.simulate import _delta_scales
-
-    x = np.column_stack([gen_binary(40, q, _gen(stream_id=j)) for j, q in
-                         enumerate((0.5, 0.1, 0.3, 0.85, 0.95))])
-    x = np.column_stack([x, np.zeros(40), np.ones(40)])
-    varying = Dataset(x=x[:, :5], y=np.zeros(40))
-    balances = x.mean(axis=0).tolist()
-    for delta in (0.0, 0.25, 0.5, 1.0):
-        scales = _delta_scales(balances, delta)
-        assert np.array_equal(scales[5:], [1.0, 1.0])
-        ref = compute_plan(varying, BinaryDelta(delta))
-        assert np.array_equal(scales[:5], ref.scales)
-
-
 def test_delta_scales_equal_compute_plan_with_constant_columns():
     from normreg.simulate import _delta_scales
 
@@ -743,3 +731,61 @@ def test_parse_scenario_config_errors(tmp_path):
     path.write_text("scenario = bias-var\n= 5\n")
     with pytest.raises(ParseError, match="key = value"):
         parse_scenario_config(path)
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides, message",
+    [
+        ("bias-var", {"model": "foo"}, "model must be lasso, ridge, or weighted, got 'foo'"),
+        ("mixed-data", {"model_grid": ("lasso", "foo")},
+         "model_grid entries must be lasso or ridge, got 'foo'"),
+        ("decreasing-classbalance", {"p": 20}, "p must exceed n_signal=20, got 20"),
+        ("power-fdr", {"p_grid": (10, 40)}, "every p must exceed n_signal=10"),
+        ("predictive-sim", {"p": 10}, "p must exceed n_signal=10, got 10"),
+        ("predictive-sim", {"n": 5}, "n=5 leaves fewer than 2 rows per split"),
+        ("maxabs-gev", {"part": "c"}, "part must be 'a' or 'b', got 'c'"),
+    ],
+    ids=["bias-var-model", "mixed-data-model", "decreasing-classbalance-p", "power-fdr-p",
+         "predictive-sim-p", "predictive-sim-n", "maxabs-gev-part"],
+)
+def test_a_scenario_refuses_a_configuration_it_cannot_run(scenario, overrides, message):
+    spec = ScenarioSpec(scenario=scenario, replications=1, params=overrides)
+    with pytest.raises(DomainError, match=message):
+        run_scenario(spec)
+
+
+def _schedule_faults(source: str) -> list[str]:
+    """What in source lets a worker decide which replications run: a use of
+    _stream outside _replications, or a runner registered by _scenario that
+    takes other parameters than (cfg, rec, reps)."""
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if node.name != "_replications":
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name) and inner.id == "_stream":
+                    faults.append(f"{node.name} uses _stream")
+        for decorator in node.decorator_list:
+            if isinstance(decorator, ast.Call) and getattr(decorator.func, "id", None) == "_scenario":
+                if ast.unparse(node.args) != "cfg, rec, reps":
+                    faults.append(f"{node.name} takes ({ast.unparse(node.args)})")
+    return faults
+
+
+def test_streams_are_made_only_by_replications_and_runners_take_cfg_rec_reps():
+    # run_scenario alone decides which replications run: a runner sees no
+    # spec, so no seed, and loops over the replications it is handed
+    source = pathlib.Path(simulate.__file__).read_text(encoding="utf-8")
+    assert _schedule_faults(source) == []
+    runners = {entry[2] for entry in simulate._CATALOGUE.values()}
+    assert len(runners) == len(SCENARIOS)
+    assert all(inspect.getsource(runner).startswith("@_scenario(") for runner in runners)
+
+
+def test_the_schedule_check_sees_a_runner_that_makes_its_own_streams():
+    source = (
+        "def _replications(seed, count):\n    yield 0, _stream(seed, 0, 0)\n"
+        "@_scenario('x', ())\ndef _run(spec, cfg, rec):\n    g = _stream(spec.seed, 0, 2)\n"
+    )
+    assert _schedule_faults(source) == ["_run uses _stream", "_run takes (spec, cfg, rec)"]

@@ -1227,3 +1227,21 @@ def test_paths_on_designs_of_at_most_four_columns_stay_certified(seed):
         for res in fit_path(data, alpha, grid, u=u, v=v):
             assert res.converged, (alpha, res.lam1, res.kkt_residual)
             assert _certified(data, PenaltySpec(res.lam1, res.lam2, u, v), res)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: from_mixing(0.5, -1.0), DomainError, "lam must be >= 0, got -1.0"),
+        (lambda: orthogonal_solution(np.ones(3), np.ones(2), PenaltySpec(1.0)),
+         DimensionMismatchError, "xty and col_sq must be 1-d with equal length"),
+        (lambda: orthogonal_solution(np.ones(2), np.array([1.0, 0.0]), PenaltySpec(1.0)),
+         DomainError, r"each column needs \|\|x_j\|\|\^2 \+ lam2 v_j > 0"),
+    ],
+    ids=["negative-lambda", "shape-mismatch", "zero-denominator"],
+)
+def test_the_penalty_helpers_refuse_a_negative_lambda_and_a_bad_closed_form(
+    call, error, message
+):
+    with pytest.raises(error, match=message):
+        call()

@@ -98,6 +98,8 @@ CASES = {
            "--lambda-count", "6", "--seed", "5"],
     "cv-rare": ["cv", "--folds", "4", "--repeats", "2", "--deltas", "0,0.5,1",
                 "--lambda-count", "6", "--seed", "5"],
+    "fit-std": ["fit", "--normalize", "std", "--lambda1", "5"],
+    "fit-omega": ["fit", "--omega", "0.5", "--lambda1", "3", "--lambda2", "2"],
     "path": ["path", "--normalize", "std", "--count", "6"],
     "path-omega": ["path", "--normalize", "std", "--omega", "0.5", "--count", "6"],
     "path-binary-delta": ["path", "--normalize", "binary-delta", "--delta", "1",
@@ -134,6 +136,8 @@ GOLDEN = {
     "decreasing-classbalance": "6a977ad4b5510836fe345169d43581edb866a7be5e2cc0dc1dc7643bd2cf695f",
     "decreasing-classbalance-wide": "75a2b5cdb8755866f1f32c19320782d551260d9aad0345239a7aef7f180e19d2",
     "decreasing-classbalance-wide-large": "24ba4cafc722cc97bb131c82b18ff8ecd989c81612f444772aa6d0f4a5489701",
+    "fit-omega": "4897b0b9fa075b6e3887e766ed30c28ab134793fafe68ed9b5f93b7ba13053ea",
+    "fit-std": "22eec49dd9551a05ab289ca43f791133e61f2722fc9f986f7d41daf9c28854a8",
     "interactions": "85f43b593ca505c68a9fc49a8ce3731c106aa7c9c3d38a7c191e405d9f1f8b46",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
     "maxabs-gev-b": "b890c009157df77778d3401daddfbf96518629aa3ca94c2db741a75c4ed7be17",
@@ -183,7 +187,7 @@ def _rare_csv(path: Path) -> str:
     return str(path)
 
 
-# the cv and path cases that read a table other than _mixed_csv
+# the fit, cv and path cases that read a table other than _mixed_csv
 TABLES = {"cv-rare": _rare_csv}
 
 
@@ -191,7 +195,7 @@ def _digest(case: str, workdir: Path) -> str:
     """SHA-256 over every file the case's run writes, manifests without input paths."""
     argv = CASES[case]
     out = workdir / ("out.json" if "json" in argv else "out.csv")
-    if argv[0] in ("cv", "path"):
+    if argv[0] in ("fit", "cv", "path"):
         argv = [*argv, "--input", TABLES.get(case, _mixed_csv)(workdir / "input.csv")]
     code = main([*argv, "--out", str(out)])
     assert code == 0, f"{' '.join(argv)} exited {code}"

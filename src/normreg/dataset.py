@@ -53,7 +53,11 @@ class Dataset:
             raise DimensionMismatchError(
                 f"y must be 1-d with length {x.shape[0]}, got shape {y.shape}"
             )
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+        # the ufunc's reduce, without np.all's Python-level dispatch
+        if not (
+            np.logical_and.reduce(np.isfinite(x), axis=None)
+            and np.logical_and.reduce(np.isfinite(y))
+        ):
             raise DomainError("x and y must be finite")
         names = tuple(self.names) if self.names else _default_names(x.shape[1])
         if len(names) != x.shape[1]:

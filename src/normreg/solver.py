@@ -116,6 +116,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,20 +153,36 @@ class PenaltySpec:
                 object.__setattr__(self, name, _weights(name, w))
 
     def resolve_weights(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        u = self.u if self.u is not None else np.ones(p)
-        v = self.v if self.v is not None else np.ones(p)
+        """(u, v) for a design of p columns. Weights given were checked once,
+        when the spec was made; a weight not given is the one read-only
+        np.ones(p) shared by every fit of width p."""
+        u = self.u if self.u is not None else _ones(p)
+        v = self.v if self.v is not None else _ones(p)
         _length(u, p)
         _length(v, p)
         return u, v
 
 
+@lru_cache(maxsize=8)
+def _ones(p: int) -> np.ndarray:
+    """The default weights, built once per p: a simulation fits many designs of one width."""
+    w = np.ones(p)
+    w.setflags(write=False)
+    return w
+
+
 def _weights(name: str, w, p: int | None = None) -> np.ndarray:
     """w as a read-only 1-d float array of positive, finite entries, and of
-    length p when p is given; the one check of penalty weights."""
+    length p when p is given; the one check of penalty weights, made once per
+    PenaltySpec or lambda_max call. min(w) > 0 and max(w) < inf refuse NaN
+    too, which both reductions propagate."""
     w = np.ascontiguousarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise DimensionMismatchError(f"{name} must be 1-d")
-    if not (np.isfinite(w).all() and (w > 0.0).all()):
+    if not (
+        np.minimum.reduce(w, initial=math.inf) > 0.0
+        and np.maximum.reduce(w, initial=0.0) < math.inf
+    ):
         raise DomainError(f"{name} entries must be positive and finite")
     w.setflags(write=False)
     if p is not None:
@@ -219,11 +236,11 @@ class FitResult:
 
 
 def _objective(r, beta, lam1, lam2, u, v) -> float:
-    return float(
-        0.5 * np.dot(r, r)
-        + lam1 * np.dot(u, np.abs(beta))
-        + 0.5 * lam2 * np.dot(v, beta * beta)
-    )
+    value = 0.5 * float(np.dot(r, r)) + lam1 * float(np.dot(u, np.abs(beta)))
+    # at lam2 = 0 the quadratic term is exactly 0.0, and adding it changes nothing
+    if lam2 > 0.0:
+        value += 0.5 * lam2 * float(np.dot(v, beta * beta))
+    return float(value)
 
 
 def _moments(x: np.ndarray, tall: bool):
@@ -239,8 +256,9 @@ def _moments(x: np.ndarray, tall: bool):
 
 class _Setup:
     """What every fit of one Dataset shares, read-only: the column means, the
-    columns with no variance, mean(y), X'(y - mean y) (zero on those columns)
-    and its largest entry, and a tall design's centered Gram, built once.
+    columns with no variance (and whether there are any), mean(y),
+    X'(y - mean y) (zero on those columns) and its largest entry, and a tall
+    design's centered Gram, built once.
 
     The Gram is paid before the first step, whatever the fits need: 8 p^2
     bytes and about n p^2 multiply-adds. A path or a dense fit reads much of
@@ -267,12 +285,14 @@ class _Setup:
             own = raw - n * xbar * xbar
         self.x, self.n, self.xbar = x, n, xbar
         self.dead = own <= _DEAD * raw  # no variance
+        self.any_dead = bool(np.logical_or.reduce(self.dead))
         self.ybar = float(y.sum() / n)
         self.yc = y - self.ybar
         self.c0 = x.T @ self.yc
-        # a dead column's correlation is round-off
-        self.c0[self.dead] = 0.0
-        self.scale = float(np.max(np.abs(self.c0))) if p else 0.0
+        if self.any_dead:
+            # a dead column's correlation is round-off
+            self.c0[self.dead] = 0.0
+        self.scale = float(np.maximum.reduce(np.abs(self.c0), initial=0.0))
         if gram is not None:
             gram -= np.multiply.outer(n * xbar, xbar)
         self.gram = gram
@@ -302,6 +322,7 @@ class _Design:
         self.u, self.v, self.lam2 = u, v, lam2
         self.x, self.n, self.xbar, self.yc = setup.x, setup.n, setup.xbar, setup.yc
         self.c0, self.gram, self.dead = setup.c0, setup.gram, setup.dead
+        self.any_dead = setup.any_dead
         self.active = np.empty((0, self.n)) if self.gram is None else None
 
     # -- the active columns, in the order of the path's active set -------
@@ -334,7 +355,8 @@ class _Design:
             c = self.x.T @ (self.yc - z)
         else:
             c = self.c0 - beta[idx] @ self.gram[idx]
-        c -= self.lam2 * self.v * beta
+        if self.lam2:
+            c -= self.lam2 * self.v * beta
         return c
 
     def lead(self, idx: np.ndarray, dvec: np.ndarray) -> np.ndarray:
@@ -461,7 +483,7 @@ class _Homotopy:
         d = self.d
         self.k = self.steps = self.m = 0
         self.done: int | None = None  # steps at the end of the last fit made from here
-        self.limit[:] = np.where(d.dead, math.inf, _TIE * d.u)
+        self.limit[:] = _TIE * d.u
         self.refused: list[int] = []
         # the step's direction, and the next step's when an event formed it
         self.dvec = self.next = None
@@ -469,7 +491,10 @@ class _Homotopy:
         self.beta = np.zeros(d.c0.shape[0])
         self.c = d.c0.copy()
         ratio = np.abs(d.c0) / d.u
-        j = int(np.argmax(np.where(d.dead, -1.0, ratio)))
+        if d.any_dead:
+            self.limit[:, d.dead] = math.inf
+            ratio[d.dead] = -1.0
+        j = int(ratio.argmax())
         self.lam = 0.0 if d.dead[j] else float(ratio[j])
         if self.lam == 0.0:
             return
@@ -578,8 +603,7 @@ class _Homotopy:
             if self.m:
                 # the new row and column are exact in inv; no pending term touches them
                 self.pend[:, k, : self.m] = 0.0
-            inv[:k, k] = -ws
-            inv[k, :k] = -ws
+            inv[:k, k] = inv[k, :k] = -ws
             inv[k, k] = 1.0 / schur
             if self.dvec is not None:
                 # M_{A+j}^{-1} (u_A s, u_j sign) from the step's d = M_A^{-1}(u_A s)
@@ -687,14 +711,16 @@ class _Homotopy:
         k, idx, target, dvec = self.k, self.idx, self.target, self.dvec
         sgn = self.sgn[:k]
         c, lam = self.c, self.lam
-        residual = target - a[idx]
+        j_join, t_join = self.search(a)
+        joining = t_join < lam - lam1
+        # a join's refinement is a column of the product with [residual, x_A'x_j]
+        residual = np.subtract(target, a[idx], out=self.pair[:k, 0] if joining else None)
         if lam2:
             residual -= lam2 * v[idx] * dvec
-        j_join, t_join = self.search(a)
-        if t_join < lam - lam1:
+        if joining:
             g, own = d.cross(j_join, idx)
             pair = self.pair[:k]
-            pair[:, 0], pair[:, 1] = residual, g
+            pair[:, 1] = g
             both = self.apply(pair)
             fix, known = both[:, 0], (g, own, both[:, 1])
         else:
@@ -752,8 +778,8 @@ class _Homotopy:
         np.subtract(u, a, out=rate[0])
         np.add(u, a, out=rate[1])
         # the sides that cannot be reached: not moving outward fast enough
-        np.greater(rate, self.limit, out=mask)
-        np.logical_not(mask, out=mask)
+        # (rate is finite, so rate <= limit is not rate > limit)
+        np.less_equal(rate, self.limit, out=mask)
         if self.left:
             mask[0 if self.left > 0.0 else 1, self.dropped] = True
         np.putmask(gap, mask, math.inf)
@@ -778,15 +804,17 @@ class _Homotopy:
             sgn = self.sgn[:k]
             target = lam * d.u[idx] * sgn
             for attempt in range(2):
-                beta[idx] = self.apply(d.c0[idx] - target)
+                b = self.apply(d.c0[idx] - target)
+                beta[idx] = b
                 fix = self.apply(d.correlations(beta, idx)[idx] - target)
-                if attempt or not self.worn(fix, beta[idx]):
+                if attempt or not self.worn(fix, b):
                     break
-            beta[idx] += fix
-            signed = beta[idx] * sgn
-            if signed.min() > 0.0:
+            b += fix
+            beta[idx] = b
+            signed = b * sgn
+            if np.minimum.reduce(signed) > 0.0:
                 return beta
-            self.drop(int(np.argmin(signed)))
+            self.drop(int(signed.argmin()))
 
 
 def _max_steps(p: int) -> int:
@@ -796,14 +824,25 @@ def _max_steps(p: int) -> int:
 
 
 def _kkt(x, r, beta, lam1, lam2, u, v, dead) -> np.ndarray:
-    """Per-coordinate KKT residual at residual r: |stationarity| on the
-    support, the excess of |x_j'r| over lam1 u_j (or 0) off it. A dead
-    column's x_j'r is round-off, taken as zero."""
+    """Per-coordinate KKT residual at residual r: |stationarity|
+    |g_j - lam2 v_j b_j - lam1 u_j sign(b_j)| on the support, the excess
+    max(|g_j| - lam1 u_j, 0) off it, where g = X'r and a dead column's g_j,
+    round-off, is taken as zero. Each entry gets the formula's own operations
+    in its order: at lam2 = 0 the dropped term is a zero that the abs makes
+    no difference to, and on the support copysign(lam1 u_j, b_j) is
+    lam1 u_j sign(b_j)."""
     grads = x.T @ r
     grads[dead] = 0.0
-    station = np.abs(grads - lam2 * v * beta - lam1 * u * np.sign(beta))
-    excess = np.maximum(np.abs(grads) - lam1 * u, 0.0)
-    return np.where(beta != 0.0, station, excess)
+    lu = lam1 * u
+    out = np.abs(grads)
+    out -= lu
+    np.maximum(out, 0.0, out=out)
+    if lam2:
+        grads -= lam2 * v * beta
+    grads -= np.copysign(lu, beta)
+    np.abs(grads, out=grads)
+    np.copyto(out, grads, where=beta != 0.0)
+    return out
 
 
 def _optimum(design: _Design, lam1: float, path: _Homotopy | None):
@@ -814,7 +853,7 @@ def _optimum(design: _Design, lam1: float, path: _Homotopy | None):
     n, p = x.shape
     if p <= 1:
         beta = np.zeros(p)
-        if not design.dead.all():  # p = 0 is the null model
+        if p and not design.any_dead:  # p = 0 is the null model
             g = float(x[:, 0] @ x[:, 0]) - n * float(design.xbar[0]) ** 2
             beta[0] = _soft_threshold(float(design.c0[0]), lam1 * u[0]) / (g + lam2 * v[0])
         return beta, 1, False
@@ -860,7 +899,8 @@ def fit(
         steps += taken
         beta0 = setup.ybar - float(setup.xbar @ beta)
         r = y - beta0 - x @ beta
-        worst = float(_kkt(x, r, beta, lam1, lam2, u, v, setup.dead).max(initial=0.0))
+        res = _kkt(x, r, beta, lam1, lam2, u, v, setup.dead)
+        worst = float(np.maximum.reduce(res, initial=0.0))
         residual = (0.0 if worst == 0.0 else math.inf) if scale == 0.0 else worst / scale
         # a continued point that lost the certificate is redone from lambda_max
         if not continued or residual <= KKT_TOLERANCE:
@@ -909,8 +949,8 @@ def lambda_max(data: Dataset, u: np.ndarray | None = None) -> float:
     max_j |x_j' (y - mean(y))| / u_j: at or above this level every
     coordinate satisfies the zero-coefficient optimality condition.
     """
-    u_arr = np.ones(data.p) if u is None else _weights("u", u, data.p)
-    value = float(np.max(np.abs(_setup(data).c0) / u_arr)) if data.p else 0.0
+    u_arr = _ones(data.p) if u is None else _weights("u", u, data.p)
+    value = float(np.maximum.reduce(np.abs(_setup(data).c0) / u_arr, initial=0.0))
     if value == 0.0:
         raise DomainError("lambda_max undefined: all columns uncorrelated with response")
     # pad by a few ulps so lam1 * u_j >= |x_j' r| survives the divide/multiply

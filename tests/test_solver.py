@@ -129,6 +129,8 @@ def test_a_design_without_columns_fits_the_null_model():
     penalties = (PenaltySpec(lam1=1.0), PenaltySpec(lam1=0.0, lam2=1.0),
                  PenaltySpec(lam1=1.0, lam2=1.0))
     results = [fit(data, penalty) for penalty in penalties]
+    # empty weights are the weights of no columns, not a malformed input
+    results.append(fit(data, PenaltySpec(lam1=1.0, lam2=1.0, u=[], v=np.empty(0))))
     results += fit_path(data, 1.0, [2.0, 1.0]) + fit_path(data, 0.5, [2.0, 1.0])
     for res in results:
         assert res.converged and res.kkt_residual == 0.0
@@ -150,14 +152,28 @@ def test_lambda_grid_rejects_a_non_finite_lambda_max(lam_max):
         lambda_grid(lam_max)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
 def test_lambda_max_rejects_weights_a_fit_rejects(bad):
     rng = np.random.default_rng(2)
     data = Dataset(x=rng.standard_normal((20, 2)), y=rng.standard_normal(20))
-    with pytest.raises(DomainError, match="positive and finite"):
+    with pytest.raises(DomainError, match="^u entries must be positive and finite$"):
         lambda_max(data, u=[bad, 1.0])
-    with pytest.raises(DomainError, match="positive and finite"):
-        fit(data, PenaltySpec(lam1=1.0, u=[bad, 1.0]))
+    with pytest.raises(DomainError, match="^u entries must be positive and finite$"):
+        fit(data, PenaltySpec(lam1=1.0, u=[1.0, bad]))
+    with pytest.raises(DomainError, match="^v entries must be positive and finite$"):
+        PenaltySpec(1.0, 2.0, v=[bad, 1.0])
+    with pytest.raises(DomainError, match="^v entries must be positive and finite$"):
+        from_mixing(0.5, 2.0, v=[1.0, bad])
+
+
+def test_default_weights_are_one_read_only_array_per_width():
+    u, v = PenaltySpec(lam1=1.0).resolve_weights(3)
+    assert u is v and np.array_equal(u, np.ones(3)) and u.dtype == np.float64
+    assert not u.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        u[0] = 2.0
+    assert PenaltySpec(lam1=2.0, lam2=1.0).resolve_weights(3)[0] is u
+    assert PenaltySpec(lam1=1.0).resolve_weights(0)[0].shape == (0,)
 
 
 def test_lambda_max_refuses_weights_of_a_shape_a_fit_refuses():
@@ -228,6 +244,44 @@ def test_kkt_residuals_on_converged_fit():
     active_res, inactive_res = kkt_residuals(centered, penalty, res)
     assert active_res <= 1e-6 * centered.n
     assert inactive_res <= 1e-6 * centered.n
+
+
+def _kkt_reference(x, r, beta, lam1, lam2, u, v, dead):
+    """The certificate's per-coordinate formula, written out as it reads."""
+    grads = x.T @ r
+    grads[dead] = 0.0
+    station = np.abs(grads - lam2 * v * beta - lam1 * u * np.sign(beta))
+    excess = np.maximum(np.abs(grads) - lam1 * u, 0.0)
+    return np.where(beta != 0.0, station, excess)
+
+
+@pytest.mark.parametrize("lam1, lam2", [(2.0, 0.0), (2.0, 1.5), (0.0, 1.5), (0.0, 0.0)])
+def test_the_certificate_and_objective_equal_their_formulas_bit_for_bit(lam1, lam2):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((30, 7))
+    x[:, 3] = 0.1  # a dead column, whose x_j'r is round-off
+    data = Dataset(x=x, y=rng.standard_normal(30))
+    u, v = rng.uniform(0.5, 2.0, 7), rng.uniform(0.5, 2.0, 7)
+    penalty = PenaltySpec(lam1, lam2, u=u, v=v)
+    dead = normreg.solver._setup(data).dead
+    assert dead.tolist() == [j == 3 for j in range(7)]
+    points = [np.array([0.0, -0.7, 1.3, 0.0, -0.0, 2.1, -1e-3]), np.zeros(7), -np.zeros(7)]
+    for beta in [*points, fit(data, penalty).beta]:
+        beta0 = float(data.y.mean() - data.x.mean(axis=0) @ beta)
+        r = data.y - beta0 - data.x @ beta
+        want = _kkt_reference(data.x, r, beta, lam1, lam2, u, v, dead)
+        got = normreg.solver._kkt(data.x, r, beta, lam1, lam2, u, v, dead)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        active = beta != 0.0
+        got = kkt_residuals(data, penalty, namedtuple("Point", "beta beta0")(beta, beta0))
+        assert got == (want[active].max(initial=0.0), want[~active].max(initial=0.0))
+        objective = float(
+            0.5 * np.dot(r, r)
+            + lam1 * np.dot(u, np.abs(beta))
+            + 0.5 * lam2 * np.dot(v, beta * beta)
+        )
+        value = normreg.solver._objective(r, beta, lam1, lam2, u, v)
+        assert type(value) is float and value == objective
 
 
 def test_weighted_equals_normalized():

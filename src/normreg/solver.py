@@ -83,6 +83,18 @@ that ends in a drop throws it away. No p x p array is made. lam1 = 0 is one
 ridge solve (in the n-dimensional row space when p > n), p = 1 the
 soft-threshold closed form and p = 0 the null model.
 
+A tall design of two columns has its optimum in closed form by cases
+(`_closed_form`), tried in the path's own order. A dead column stays at zero
+and the other is a design of one column. The null model holds by the path's
+own test at lambda_max. Then come the column that joins first alone; both
+columns, for each of the four sign pairs, tried only where
+det M > _NEAR M_00 M_11 (below that the path itself stops trusting its
+updated inverse); and the other column alone. Every inequality of these
+three cases must hold by more than _TIE relative, so no support can differ
+from the path's. Where none does, as for two equal columns at equal u and
+lam2 = 0, the homotopy (or the ridge solve) decides. At lam1 = 0 the case
+of both columns is the ridge solve.
+
 `fit_path` calls `fit` once per grid point. At alpha = 1 it hands each fit
 the homotopy of the fit before, which continues down to the next point; at
 alpha < 1 lam2 moves with lambda, and each point starts from lambda_max.
@@ -97,7 +109,8 @@ unfinished later arm toward that arm's lam1, both products from one X'Z
 (`_Homotopy.step_with`); once no later arm is unfinished, arm i takes the
 rest of its steps alone, so its `fit` starts at lam1 or at the step cap.
 Pairs only: an n x 3 Z costs about three passes. Tall designs make no pass
-over X, so their arms, like those with p <= 1 or lam1 = 0, fit one by one.
+over X (and those of two columns mostly have a closed form), so their arms,
+like those with p <= 1 or lam1 = 0, fit one by one.
 A paired product equals the single one only to round-off, but a certified
 fit's final solve depends on the path only through its active sets and
 signs, which fix every update of M_A^{-1}: a join's w is its own column of
@@ -212,7 +225,8 @@ class FitResult:
     certificate holds. beta_norm/beta0_norm hold the same values (beta_norm
     in an array of its own) and nothing in normreg reads them: they stay only
     because perfbench/test_bench.py constructs a FitResult with them.
-    sweeps_used counts homotopy steps (1 for a closed form or ridge solve):
+    sweeps_used counts homotopy steps (1 for a closed form, that of p <= 1
+    or of a tall design of two columns, or for a ridge solve):
     since the point before on a continued path, and every step of a
     fit_each arm, those taken alongside earlier arms' steps included;
     converged means the fit passed the KKT certificate, and kkt_residual is
@@ -845,18 +859,70 @@ def _kkt(x, r, beta, lam1, lam2, u, v, dead) -> np.ndarray:
     return out
 
 
+def _closed_form(design: _Design, lam1: float) -> np.ndarray | None:
+    """The optimum at lam1 of a design with at most one column, or of a tall
+    one with two, by cases; None where no case of two columns holds with
+    margin, and the path (or the ridge solve) decides."""
+    x, u, v, lam2 = design.x, design.u, design.v, design.lam2
+    n, p = x.shape
+    beta = np.zeros(p)
+    if p <= 1:
+        if p and not design.any_dead:  # p = 0 is the null model
+            g = float(x[:, 0] @ x[:, 0]) - n * float(design.xbar[0]) ** 2
+            beta[0] = _soft_threshold(float(design.c0[0]), lam1 * u[0]) / (g + lam2 * v[0])
+        return beta
+    c, u, v, gram = design.c0.tolist(), u.tolist(), v.tolist(), design.gram.tolist()
+    m, g = [gram[0][0] + lam2 * v[0], gram[1][1] + lam2 * v[1]], gram[0][1]
+    live = [j for j, dead in enumerate(design.dead.tolist()) if not dead]
+    if len(live) < 2:
+        # a dead column never joins; the other one is a design of one column
+        for j in live:
+            beta[j] = _soft_threshold(c[j], lam1 * u[j]) / m[j]
+        return beta
+    # the first join at lambda_max, ties going to column 0
+    f = 0 if abs(c[0]) / u[0] >= abs(c[1]) / u[1] else 1
+    if abs(c[f]) / u[f] <= lam1 and abs(c[f]) <= lam1 * u[f]:
+        # the path's own test: no step, and its solve drops column f
+        return beta
+
+    def alone(j: int) -> bool:
+        """Column j alone, active by more than _TIE and the other column
+        inside its bound by more than _TIE."""
+        o = 1 - j
+        if abs(c[j]) - lam1 * u[j] <= _TIE * abs(c[j]):
+            return False
+        b = _soft_threshold(c[j], lam1 * u[j]) / m[j]
+        if lam1 * u[o] - abs(c[o] - g * b) <= _TIE * lam1 * u[o]:
+            return False
+        beta[j] = b
+        return True
+
+    if alone(f):
+        return beta
+    det = m[0] * m[1] - g * g
+    # below _NEAR the path itself stops trusting its updated inverse
+    if det > _NEAR * m[0] * m[1]:
+        for s0, s1 in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+            z0, z1 = c[0] - lam1 * u[0] * s0, c[1] - lam1 * u[1] * s1
+            b0, b1 = m[1] * z0 - g * z1, m[0] * z1 - g * z0
+            # each sign by more than _TIE of the terms that cancel in it
+            if s0 * b0 > _TIE * (abs(m[1] * z0) + abs(g * z1)) and s1 * b1 > _TIE * (
+                abs(m[0] * z1) + abs(g * z0)
+            ):
+                beta[0], beta[1] = b0 / det, b1 / det
+                return beta
+    return beta if alone(1 - f) else None
+
+
 def _optimum(design: _Design, lam1: float, path: _Homotopy | None):
     """(beta, steps, continued) of the centered problem at lam1; continued
     tells whether path went on from an earlier fit's point below lambda_max,
     and steps counts the path's steps since that fit, or since lambda_max."""
-    x, u, v, lam2 = design.x, design.u, design.v, design.lam2
-    n, p = x.shape
-    if p <= 1:
-        beta = np.zeros(p)
-        if p and not design.any_dead:  # p = 0 is the null model
-            g = float(x[:, 0] @ x[:, 0]) - n * float(design.xbar[0]) ** 2
-            beta[0] = _soft_threshold(float(design.c0[0]), lam1 * u[0]) / (g + lam2 * v[0])
-        return beta, 1, False
+    p = design.x.shape[1]
+    if p <= 1 or (p == 2 and design.gram is not None):
+        beta = _closed_form(design, lam1)
+        if beta is not None:
+            return beta, 1, False
     if lam1 == 0.0:
         return design.ridge(), 1, False
     if path is None:
@@ -983,7 +1049,9 @@ def fit_path(
     starts from lambda_max. Every fit shares the data's set-up.
     """
     path = None
-    if alpha == 1.0 and data.p > 1:  # p <= 1 has a closed form
+    # p <= 1 has a closed form, and a tall p = 2 mostly does: a fit it fails
+    # starts its own homotopy from lambda_max
+    if alpha == 1.0 and data.p > 2:
         weights = PenaltySpec(0.0, u=u, v=v).resolve_weights(data.p)
         path = _Homotopy(_Design(_setup(data), *weights, 0.0), _max_steps(data.p))
     return [
@@ -1002,7 +1070,8 @@ def fit_each(data: Dataset, penalties) -> list[FitResult]:
     (`_Homotopy.step_with`), and alone once no such arm is left. An arm's
     steps taken alongside an earlier arm's count in its own sweeps_used,
     and its buffers go once it is fitted.
-    Tall designs, p <= 1 and lam1 = 0 get the plain fit.
+    Tall designs (of two columns, mostly a closed form), p <= 1 and
+    lam1 = 0 get the plain fit.
     """
     penalties = list(penalties)
     arms: list[_Homotopy | None] = [None] * len(penalties)

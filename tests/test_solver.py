@@ -1299,3 +1299,134 @@ def test_the_penalty_helpers_refuse_a_negative_lambda_and_a_bad_closed_form(
 ):
     with pytest.raises(error, match=message):
         call()
+
+
+def _two_columns(seed):
+    """A random tall design of two columns as the mixed-feature scenarios fit
+    them, a binary and a normal column (even seeds) or a correlated binary
+    pair (odd seeds), with weights and lam2 drawn or left out by seed, and a
+    variant: a dead column, or a second column equal to the first with equal
+    or unequal u."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 200))
+    x = np.empty((n, 2))
+    x[:, 0] = rng.random(n) < rng.uniform(0.1, 0.9)
+    if seed % 2:
+        x[:, 1] = np.where(rng.random(n) < rng.uniform(0.05, 0.5), 1.0 - x[:, 0], x[:, 0])
+    else:
+        x[:, 1] = rng.uniform(0.1, 3.0) * rng.standard_normal(n)
+    y = x @ rng.uniform(-2.0, 2.0, 2) + rng.uniform(0.1, 2.0) * rng.standard_normal(n)
+    u = rng.uniform(0.3, 3.0, 2) if seed % 3 else None
+    v = rng.uniform(0.3, 3.0, 2) if seed % 4 else None
+    lam2 = float(rng.choice([0.0, rng.uniform(0.01, 0.1) * n, rng.uniform(1.0, 10.0) * n]))
+    variant = seed % 10
+    if variant == 7:
+        x[:, int(rng.integers(2))] = 0.75  # dead
+    elif variant == 8:
+        x[:, 1] = x[:, 0]
+        u = np.array([1.0, 1.7])
+        if seed % 20 == 18:
+            u = u[::-1].copy()
+    elif variant == 9:
+        # equal u: with lam2 = 0 the optimum is not unique, and the path decides
+        x[:, 1] = x[:, 0]
+        u, lam2 = None, max(lam2, 1.0)
+    return Dataset(x=x, y=y), u, v, lam2
+
+
+def _path_optimum(data, penalty):
+    """The homotopy's own optimum, run down to lam1 and solved there."""
+    solver = normreg.solver
+    design = solver._Design(solver._setup(data), *penalty.resolve_weights(data.p), penalty.lam2)
+    path = solver._Homotopy(design, solver._max_steps(data.p))
+    assert path.run(penalty.lam1)
+    return path.solve(penalty.lam1)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    method = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args[1:])
+        return method(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+# lam1 as a fraction of lambda_max: above it, at it, inside and at zero
+_FRACTIONS = (1.5, 1.0, 0.999, 0.7, 0.3, 0.05, 1e-3, 0.0)
+
+
+def _closed_form_matches_the_path(data, penalty, monkeypatch):
+    """A closed-form fit with the support, signs and (to 1e-12 of its
+    largest entry) coefficients of the homotopy's own optimum, certified."""
+    reference = _path_optimum(data, penalty)
+    monkeypatch.undo()
+    runs = _count_calls(monkeypatch, normreg.solver._Homotopy, "run")
+    ridges = _count_calls(monkeypatch, normreg.solver._Design, "ridge")
+    res = fit(data, penalty)
+    assert not runs and not ridges and res.sweeps_used == 1, penalty
+    assert np.array_equal(np.sign(res.beta), np.sign(reference)), (penalty, res.beta, reference)
+    scale = np.max(np.abs(reference), initial=0.0)
+    assert np.max(np.abs(res.beta - reference)) <= 1e-12 * scale, (penalty, res.beta, reference)
+    assert res.converged and _certified(data, penalty, res)
+    return res
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_two_columns_take_the_closed_form_with_the_paths_support(seed, monkeypatch):
+    data, u, v, lam2 = _two_columns(seed)
+    lam_max = lambda_max(data, u=u)
+    singular = lam2 == 0.0 and np.array_equal(data.x[:, 0], data.x[:, 1])
+    # a singular ridge is lstsq's minimum-norm solve, not the path's point
+    for fraction in _FRACTIONS[:-1] if singular else _FRACTIONS:
+        penalty = PenaltySpec(lam1=fraction * lam_max, lam2=lam2, u=u, v=v)
+        _closed_form_matches_the_path(data, penalty, monkeypatch)
+
+
+def test_the_first_column_to_join_can_leave_a_two_column_optimum(monkeypatch):
+    # two correlated normal columns whose path drops the column that joined
+    # first, at lambda_max, so the optimum has the other column alone
+    rng = np.random.default_rng(59)
+    z = rng.standard_normal(30)
+    x = np.column_stack([z + 0.5 * rng.standard_normal(30), z + 0.5 * rng.standard_normal(30)])
+    data = Dataset(x=x, y=x @ rng.uniform(-2.0, 2.0, 2) + rng.standard_normal(30))
+    first = int(np.argmax(np.abs(normreg.solver._setup(data).c0)))
+    res = _closed_form_matches_the_path(data, PenaltySpec(0.03 * lambda_max(data)), monkeypatch)
+    assert res.support.tolist() == [1 - first]
+
+
+def test_two_column_edges_reach_the_path(monkeypatch):
+    runs = _count_calls(monkeypatch, normreg.solver._Homotopy, "run")
+    ridges = _count_calls(monkeypatch, normreg.solver._Design, "ridge")
+    # a near-collinear pair with both columns active: M's determinant is
+    # below _NEAR of its diagonal's product, where the path goes on by Cholesky
+    rng = np.random.default_rng(3)
+    x1 = rng.standard_normal(50)
+    x = np.column_stack([x1, x1 + 1e-4 * rng.standard_normal(50)])
+    data = Dataset(x=x, y=x @ np.array([3e4, -3e4]) + 0.01 * rng.standard_normal(50))
+    for lam1 in (1e-6 * lambda_max(data), 0.0):
+        res = fit(data, PenaltySpec(lam1=lam1))
+        assert res.converged and np.all(res.beta != 0.0)
+    assert len(runs) == len(ridges) == 1
+    # two equal columns at equal u: with lam2 = 0 each column's bound holds
+    # with equality, so no case holds with margin (_random_design's seeds 142
+    # and 184, whose alpha = 1 paths reach the path below lambda_max)
+    for seed in (142, 184):
+        runs.clear()
+        data, u, v, ratios = _random_design(seed)
+        assert data.p == 2 and np.array_equal(data.x[:, 0], data.x[:, 1]) and u is None
+        grid = lambda_grid(lambda_max(data), count=15, ratio=ratios[1.0])
+        results = fit_path(data, 1.0, grid, u=u, v=v)
+        assert len(runs) == len(grid) - 1
+        assert [res.sweeps_used for res in results[:1]] == [1]
+        for lam, res in zip(grid, results):
+            assert res.converged and _certified(data, PenaltySpec(lam), res)
+            # the tie goes to the lower index, as on any path
+            assert res.beta[1] == 0.0
+        # and at lam1 = 0 the ridge solve takes the tie, splitting it evenly
+        ridges.clear()
+        res = fit(data, PenaltySpec(0.0))
+        assert len(ridges) == 1 and res.converged and res.beta[0] == pytest.approx(res.beta[1])

@@ -140,9 +140,9 @@ GOLDEN = {
     "fit-std": "22eec49dd9551a05ab289ca43f791133e61f2722fc9f986f7d41daf9c28854a8",
     "interactions": "85f43b593ca505c68a9fc49a8ce3731c106aa7c9c3d38a7c191e405d9f1f8b46",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
-    "maxabs-gev-b": "b890c009157df77778d3401daddfbf96518629aa3ca94c2db741a75c4ed7be17",
-    "mixed-data": "131208dc07316a69e0feb7230440f5f70e9bbf1e61a9b631b182507e22043eb4",
-    "orthogonality": "cf6bce657bd93a320d2d7ed5ac0e8607a93fa22503491f5e07e013defbaedd86",
+    "maxabs-gev-b": "58d6da3ef67a26ff9bcb65e7faec5e982d350b7f78a01c4a5ab723d824fc728c",
+    "mixed-data": "e19ab7ef6549b1591c175c65560c3b18f6eecf76089955a9e60637f84d3c0cb1",
+    "orthogonality": "bc1f63ef86cefe480aaeb989982e94cca79bcd37f129554852b827cd60bfdcf1",
     "path": "38e017012db3bff2f561a5b80a3296a034db70a31af73e231052daad160e7185",
     "path-binary-delta": "1f8db038da0cc671ef1c88bd52ed61b64eb34fecfd0ecfe941b6d57b6564f3c6",
     "path-omega": "231b9a46c34fc2c0747bab107ee5d1fd5dc016308f31bf4ac03b6e72a7780501",
@@ -150,7 +150,7 @@ GOLDEN = {
     "predictive-sim": "ba3fe53cfb067a0f7f16715c7d277ef5e00e23bd3944c93093e1bb04526227c1",
     "predictive-sim-wide": "65abdfd74f1c9b26bda7c00059d4f76813a02627ec9de3bef406f99a0bb9e359",
     "selection-probability": "c6e8553bbc216bcd3c2edbab765f86797dc316e48f94c6bc4433d036ccf826e7",
-    "weighted-elnet": "87e3fbe38649540569591d49e498bb8a425d1a770e0cadb3d2ce60f41d8fae67",
+    "weighted-elnet": "1ee2f79658312a501c9abdd923d9395ddf4408c8e117cf6585e4b41803a9a871",
 }
 
 

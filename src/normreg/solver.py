@@ -187,9 +187,10 @@ def _ones(p: int) -> np.ndarray:
 def _weights(name: str, w, p: int | None = None) -> np.ndarray:
     """w as a read-only 1-d float array of positive, finite entries, and of
     length p when p is given; the one check of penalty weights, made once per
-    PenaltySpec or lambda_max call. min(w) > 0 and max(w) < inf refuse NaN
-    too, which both reductions propagate."""
-    w = np.ascontiguousarray(w, dtype=np.float64)
+    PenaltySpec or lambda_max call. The array is a copy of its own, so the
+    caller's stays writable whatever its layout. min(w) > 0 and max(w) < inf
+    refuse NaN too, which both reductions propagate."""
+    w = np.array(w, dtype=np.float64)
     if w.ndim != 1:
         raise DimensionMismatchError(f"{name} must be 1-d")
     if not (

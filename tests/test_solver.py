@@ -176,6 +176,22 @@ def test_default_weights_are_one_read_only_array_per_width():
     assert PenaltySpec(lam1=1.0).resolve_weights(0)[0].shape == (0,)
 
 
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+def test_weights_are_checked_into_a_copy_and_the_callers_array_stays_writable(strided):
+    data = binary_design(4, p=3)
+    s = np.array([0.5, 1.0, 2.0]) if not strided else np.array([0.5, 9.0, 1.0, 9.0, 2.0])[::2]
+    kept = s.copy()
+    specs = [PenaltySpec(1.0, u=s, v=s), from_mixing(0.5, 1.0, u=s, v=s)]
+    lam = lambda_max(data, u=s)
+    assert s.flags.writeable
+    s[:] = 7.0  # the caller's array is its own to change
+    assert lambda_max(data, u=kept) == lam
+    for spec in specs:
+        for w in (spec.u, spec.v):
+            assert np.array_equal(w, kept) and w.flags.c_contiguous
+            assert not w.flags.writeable and not np.shares_memory(w, s)
+
+
 def test_lambda_max_refuses_weights_of_a_shape_a_fit_refuses():
     rng = np.random.default_rng(2)
     data = Dataset(x=rng.standard_normal((20, 2)), y=rng.standard_normal(20))

@@ -588,6 +588,7 @@ def _run_decreasing_classbalance(cfg, rec, reps):
     beta[:k] = 1.0
     lam_rule = "lambda1 = 2 sigma sqrt(2 log p); plain nu^delta scaling"
     for rep, gx, ge, _ in reps:
+        x = xr = data = None  # the last design goes before the next is drawn
         x = _binary_design(n, p, qs, cfg, gx)
         z = ge.standard_normal(n)
         for rho in cfg["rho_grid"]:
@@ -878,6 +879,7 @@ def _run_power_fdr(cfg, rec, reps):
     qs = np.linspace(cfg["q_first"], cfg["q_last"], k)
     truth = set(range(k))
     for rep, gx, ge, gt in reps:
+        x_full = data = None  # the last design goes before the next is drawn
         x_full = _binary_design(n, p_max, qs, cfg, gx)
         signal = cfg["beta_signal"] * x_full[:, :k].sum(axis=1)
         y = signal + cfg["sigma"] * ge.standard_normal(n)
@@ -939,6 +941,7 @@ def _run_predictive_sim(cfg, rec, reps):
     if third < 2:
         raise DomainError(f"n={n} leaves fewer than 2 rows per split")
     for rep, gx, ge, gs in reps:
+        x = xt = xv = xs = data = None  # the last design goes before the next is drawn
         x = _binary_design(n, p, qs, cfg, gx)
         z = ge.standard_normal(n)
         order = gs.permutation(n)

@@ -12,6 +12,7 @@ import inspect
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -789,3 +790,28 @@ def test_the_schedule_check_sees_a_runner_that_makes_its_own_streams():
         "@_scenario('x', ())\ndef _run(spec, cfg, rec):\n    g = _stream(spec.seed, 0, 2)\n"
     )
     assert _schedule_faults(source) == ["_run uses _stream", "_run takes (spec, cfg, rec)"]
+
+
+@pytest.mark.parametrize(
+    "scenario, sizes",
+    [
+        ("power-fdr", dict(n=4000, params={"p_grid": (20, 50), "delta_grid": (1.0,)})),
+        ("predictive-sim", dict(n=1500, p=150, params={"snr_grid": (1.0,), "path_count": 3})),
+        ("decreasing-classbalance", dict(n=2000, p=100, params={"delta_grid": (1.0,)})),
+    ],
+)
+def test_a_replication_draws_its_design_after_the_last_one_is_gone(scenario, sizes):
+    # a runner that kept the last design while drawing the next would peak
+    # one design higher at two replications than at one
+    spec = dict(sizes, params={**sizes["params"], "delta_grid": (1.0,), "n_signal": 3})
+    design = 8 * spec["n"] * (spec.get("p") or max(spec["params"]["p_grid"]))
+    run_scenario(ScenarioSpec(scenario, seed=3, replications=1, **spec))  # caches and imports
+    peaks = []
+    for replications in (1, 2):
+        tracemalloc.start()
+        try:
+            run_scenario(ScenarioSpec(scenario, seed=3, replications=replications, **spec))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < design / 2, (peaks, design)

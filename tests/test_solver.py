@@ -1344,7 +1344,8 @@ def _two_columns(seed):
         if seed % 20 == 18:
             u = u[::-1].copy()
     elif variant == 9:
-        # equal u: with lam2 = 0 the optimum is not unique, and the path decides
+        # equal u and lam2 > 0, where the optimum splits between the two (at
+        # lam2 = 0 it is not unique, and the path decides: see the edges)
         x[:, 1] = x[:, 0]
         u, lam2 = None, max(lam2, 1.0)
     return Dataset(x=x, y=y), u, v, lam2
@@ -1427,6 +1428,25 @@ def test_two_column_edges_reach_the_path(monkeypatch):
         res = fit(data, PenaltySpec(lam1=lam1))
         assert res.converged and np.all(res.beta != 0.0)
     assert len(runs) == len(ridges) == 1
+    # lam1 at the knot where the second column joins the first: its bound
+    # holds with equality and its coefficient in the case of both is
+    # round-off, whose sign may differ from the path's
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([rng.random(80) < 0.3, rng.standard_normal(80)])
+        data = Dataset(x=x, y=x @ np.array([2.0, 0.5]) + rng.standard_normal(80))
+        setup = normreg.solver._setup(data)
+        c, g = setup.c0, setup.gram
+        f = int(np.argmax(np.abs(c)))
+        o, lam_max = 1 - f, abs(c[f])
+        for side in (1.0, -1.0):
+            slope = g[o, f] * np.sign(c[f]) / g[f, f]
+            knot = side * (c[o] - slope * lam_max) / (1.0 - side * slope)
+            if 0.0 < knot < lam_max:
+                break
+        runs.clear()
+        res = fit(data, PenaltySpec(knot))
+        assert len(runs) == 1 and res.converged, (seed, res.beta)
     # two equal columns at equal u: with lam2 = 0 each column's bound holds
     # with equality, so no case holds with margin (_random_design's seeds 142
     # and 184, whose alpha = 1 paths reach the path below lambda_max)
@@ -1436,8 +1456,8 @@ def test_two_column_edges_reach_the_path(monkeypatch):
         assert data.p == 2 and np.array_equal(data.x[:, 0], data.x[:, 1]) and u is None
         grid = lambda_grid(lambda_max(data), count=15, ratio=ratios[1.0])
         results = fit_path(data, 1.0, grid, u=u, v=v)
-        assert len(runs) == len(grid) - 1
-        assert [res.sweeps_used for res in results[:1]] == [1]
+        # the first point, at lambda_max, is the closed form's null model
+        assert len(runs) == len(grid) - 1 and results[0].sweeps_used == 1
         for lam, res in zip(grid, results):
             assert res.converged and _certified(data, PenaltySpec(lam), res)
             # the tie goes to the lower index, as on any path

@@ -56,3 +56,17 @@ def test_default_names_and_shapes():
 def test_a_dataset_refuses_a_flat_x_and_the_wrong_number_of_names(x, names, message):
     with pytest.raises(DimensionMismatchError, match=message):
         Dataset(x=x, y=np.zeros(4), names=names)
+
+
+@pytest.mark.parametrize("stored", [True, False], ids=["stored-form", "converted"])
+def test_a_dataset_freezes_the_arrays_it_keeps_and_copies_the_others(stored):
+    # an F-ordered float64 x and a contiguous float64 y are kept as they are,
+    # so the caller's own arrays become read-only; a C-ordered x and a
+    # strided y are copied, and the caller's arrays stay writable
+    x = np.arange(12.0).reshape(4, 3)
+    y = np.arange(8.0)
+    x, y = (np.asfortranarray(x), y[:4]) if stored else (x, y[::2])
+    data = Dataset(x=x, y=y)
+    assert np.shares_memory(data.x, x) == np.shares_memory(data.y, y) == stored
+    assert x.flags["WRITEABLE"] == y.flags["WRITEABLE"] == (not stored)
+    assert not data.x.flags["WRITEABLE"] and not data.y.flags["WRITEABLE"]

@@ -83,20 +83,26 @@ that ends in a drop throws it away. No p x p array is made. lam1 = 0 is one
 ridge solve (in the n-dimensional row space when p > n), p = 1 the
 soft-threshold closed form and p = 0 the null model.
 
-A tall design of two columns has its optimum in closed form by cases
-(`_closed_form`), tried in the path's own order. A dead column stays at zero
-and the other is a design of one column. The null model holds by the path's
-own test at lambda_max. Then come the column that joins first alone; both
-columns, for each of the four sign pairs, tried only where
-det M > _NEAR M_00 M_11 (below that the path itself stops trusting its
-updated inverse); and the other column alone. Every inequality of these
-three cases must hold by more than _TIE relative, so no support can differ
-from the path's. Where none does, as for two equal columns at equal u and
-lam2 = 0, the homotopy (or the ridge solve) decides. At lam1 = 0 the case
-of both columns is the ridge solve.
+A tall design of two or three columns has its optimum in closed form by
+cases (`_closed_form`). A dead column stays at zero, and the live columns
+form a smaller design (one column is the soft threshold). The null model holds
+by the path's own test at lambda_max. Otherwise each support S of the live
+columns with each sign pattern s is a case, beta_S = adj(M_S) (c_S - lam1 u_S
+s) / det M_S, tried only where det M_S > _NEAR prod_S M_jj (below that the
+path itself stops trusting its updated inverse). A case holds only when each
+sign holds by more than _TIE of the terms that cancel in its numerator, the
+products inside each cofactor included, and each other live column is inside
+its bound by more than _TIE, so no support can differ from the path's and at
+most one case holds. Every support is tried first, largest first, with the
+signs of its lam1 = 0 solution adj(M_S) c_S, and then with the other signs
+(a column alone holds only with the sign of c_j). Where no case holds, as
+for two equal columns at equal u and lam2 = 0, at a knot of the path or for
+a near-singular M_S, the homotopy (or the ridge solve) decides. At lam1 = 0
+the case of all live columns is the ridge solve.
 
-`fit_path` calls `fit` once per grid point. At alpha = 1 it hands each fit
-the homotopy of the fit before, which continues down to the next point; at
+`fit_path` checks its weights once and calls `fit` once per grid point. At
+alpha = 1 it hands each fit the homotopy of the fit before, which continues
+down to the next point (a closed-form fit leaves it where it was); at
 alpha < 1 lam2 moves with lambda, and each point starts from lambda_max.
 
 `fit_each` fits one design at several penalties, one `fit` each, as a
@@ -109,8 +115,8 @@ unfinished later arm toward that arm's lam1, both products from one X'Z
 (`_Homotopy.step_with`); once no later arm is unfinished, arm i takes the
 rest of its steps alone, so its `fit` starts at lam1 or at the step cap.
 Pairs only: an n x 3 Z costs about three passes. Tall designs make no pass
-over X (and those of two columns mostly have a closed form), so their arms,
-like those with p <= 1 or lam1 = 0, fit one by one.
+over X (and those of two or three columns mostly have a closed form), so
+their arms, like those with p <= 1 or lam1 = 0, fit one by one.
 A paired product equals the single one only to round-off, but a certified
 fit's final solve depends on the path only through its active sets and
 signs, which fix every update of M_A^{-1}: a join's w is its own column of
@@ -130,6 +136,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, product
+from operator import mul
 
 import numpy as np
 
@@ -156,14 +164,21 @@ class PenaltySpec:
     v: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name in ("lam1", "lam2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+        _levels(self.lam1, self.lam2)
         for name in ("u", "v"):
             w = getattr(self, name)
             if w is not None:
                 object.__setattr__(self, name, _weights(name, w))
+
+    def _at(self, lam1: float, lam2: float) -> PenaltySpec:
+        """This spec's weights at other levels: the levels are checked, and
+        the weights, read-only copies checked when this spec was made, are
+        shared unchecked. The one constructor of a spec from checked weights,
+        so that a path checks its weights once, not at every point."""
+        _levels(lam1, lam2)
+        spec = object.__new__(PenaltySpec)
+        spec.__dict__.update(lam1=lam1, lam2=lam2, u=self.u, v=self.v)
+        return spec
 
     def resolve_weights(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         """(u, v) for a design of p columns. Weights given were checked once,
@@ -174,6 +189,12 @@ class PenaltySpec:
         _length(u, p)
         _length(v, p)
         return u, v
+
+
+def _levels(lam1: float, lam2: float) -> None:
+    for name, value in (("lam1", lam1), ("lam2", lam2)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @lru_cache(maxsize=8)
@@ -211,11 +232,16 @@ def _length(w: np.ndarray, p: int) -> None:
 
 def from_mixing(alpha: float, lam: float, u=None, v=None) -> PenaltySpec:
     """Penalty from the mixing parameterization: lam1 = alpha*lam, lam2 = (1-alpha)*lam."""
+    return PenaltySpec(*_mixing(alpha, lam), u=u, v=v)
+
+
+def _mixing(alpha: float, lam: float) -> tuple[float, float]:
+    """(lam1, lam2) = (alpha lam, (1 - alpha) lam), for alpha in [0, 1] and lam >= 0."""
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
     if lam < 0.0:
         raise DomainError(f"lam must be >= 0, got {lam!r}")
-    return PenaltySpec(lam1=alpha * lam, lam2=(1.0 - alpha) * lam, u=u, v=v)
+    return alpha * lam, (1.0 - alpha) * lam
 
 
 @dataclass(frozen=True)
@@ -227,7 +253,7 @@ class FitResult:
     in an array of its own) and nothing in normreg reads them: they stay only
     because perfbench/test_bench.py constructs a FitResult with them.
     sweeps_used counts homotopy steps (1 for a closed form, that of p <= 1
-    or of a tall design of two columns, or for a ridge solve):
+    or of a tall design of two or three columns, or for a ridge solve):
     since the point before on a continued path, and every step of a
     fit_each arm, those taken alongside earlier arms' steps included;
     converged means the fit passed the KKT certificate, and kkt_residual is
@@ -860,10 +886,53 @@ def _kkt(x, r, beta, lam1, lam2, u, v, dead) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _supports(live: tuple) -> tuple:
+    """Every support of the live columns, the largest first."""
+    return tuple(cols for k in range(len(live), 0, -1) for cols in combinations(live, k))
+
+
+def _system(m: list, gram: list, c: list, cols: tuple):
+    """(adj, size, det, signs) of M_S on the columns cols (ascending, so that
+    gram's upper triangle is read): its adjugate, whose entry (r, q) is a
+    difference of two products and size[r][q] the sum of their magnitudes,
+    its determinant and the signs of adj c_S, those of the lam1 = 0 solution;
+    None where det M_S is at most _NEAR prod_S M_jj, below which the path
+    itself stops trusting its updated inverse. One column has adj = 1 and
+    det = M_jj, with no gate."""
+    if len(cols) == 1:
+        j = cols[0]
+        return ((1.0,),), ((1.0,),), m[j], (1.0 if c[j] > 0.0 else -1.0,)
+    if len(cols) == 2:
+        i, j = cols
+        g = gram[i][j]
+        det = m[i] * m[j] - g * g
+        if det <= _NEAR * m[i] * m[j]:
+            return None
+        adj = (m[j], -g), (-g, m[i])
+        size = (m[j], abs(g)), (abs(g), m[i])
+    else:
+        i, j, l = cols
+        a, b, c3, d, e, f = m[i], m[j], m[l], gram[i][j], gram[i][l], gram[j][l]
+        pairs = (
+            (b * c3, f * f), (e * f, c3 * d), (d * f, b * e), (a * c3, e * e), (d * e, a * f), (a * b, d * d)
+        )
+        a0, a1, a2, a3, a4, a5 = [p - q for p, q in pairs]
+        s0, s1, s2, s3, s4, s5 = [abs(p) + abs(q) for p, q in pairs]
+        det = a * a0 + d * a1 + e * a2
+        if det <= _NEAR * a * b * c3:
+            return None
+        adj = (a0, a1, a2), (a1, a3, a4), (a2, a4, a5)
+        size = (s0, s1, s2), (s1, s3, s4), (s2, s4, s5)
+    cs = [c[q] for q in cols]
+    signs = tuple([1.0 if math.fsum(map(mul, row, cs)) > 0.0 else -1.0 for row in adj])
+    return adj, size, det, signs
+
+
 def _closed_form(design: _Design, lam1: float) -> np.ndarray | None:
     """The optimum at lam1 of a design with at most one column, or of a tall
-    one with two, by cases; None where no case of two columns holds with
-    margin, and the path (or the ridge solve) decides."""
+    one with two or three, by cases; None where no case holds with margin,
+    and the path (or the ridge solve) decides."""
     x, u, v, lam2 = design.x, design.u, design.v, design.lam2
     n, p = x.shape
     beta = np.zeros(p)
@@ -872,47 +941,68 @@ def _closed_form(design: _Design, lam1: float) -> np.ndarray | None:
             g = float(x[:, 0] @ x[:, 0]) - n * float(design.xbar[0]) ** 2
             beta[0] = _soft_threshold(float(design.c0[0]), lam1 * u[0]) / (g + lam2 * v[0])
         return beta
+    # gram is symmetric only to round-off: only its upper triangle is read
     c, u, v, gram = design.c0.tolist(), u.tolist(), v.tolist(), design.gram.tolist()
-    m, g = [gram[0][0] + lam2 * v[0], gram[1][1] + lam2 * v[1]], gram[0][1]
-    live = [j for j, dead in enumerate(design.dead.tolist()) if not dead]
+    m = [gram[j][j] + lam2 * v[j] for j in range(p)]
+    live = tuple(j for j in range(p) if not design.dead[j]) if design.any_dead else tuple(range(p))
     if len(live) < 2:
-        # a dead column never joins; the other one is a design of one column
+        # a dead column never joins; the others are a design of one column
         for j in live:
             beta[j] = _soft_threshold(c[j], lam1 * u[j]) / m[j]
         return beta
-    # the first join at lambda_max, ties going to column 0
-    f = 0 if abs(c[0]) / u[0] >= abs(c[1]) / u[1] else 1
-    if abs(c[f]) / u[f] <= lam1 and abs(c[f]) <= lam1 * u[f]:
+    # the first join at lambda_max, ties going to the lower index
+    ratio = [abs(c[j]) / u[j] for j in live]
+    top = max(ratio)
+    f = live[ratio.index(top)]
+    if top <= lam1 and abs(c[f]) <= lam1 * u[f]:
         # the path's own test: no step, and its solve drops column f
         return beta
 
-    def alone(j: int) -> bool:
-        """Column j alone, active by more than _TIE and the other column
-        inside its bound by more than _TIE."""
-        o = 1 - j
-        if abs(c[j]) - lam1 * u[j] <= _TIE * abs(c[j]):
-            return False
-        b = _soft_threshold(c[j], lam1 * u[j]) / m[j]
-        if lam1 * u[o] - abs(c[o] - g * b) <= _TIE * lam1 * u[o]:
-            return False
-        beta[j] = b
+    def holds(cols: tuple, system: tuple, signs: tuple) -> bool:
+        """Whether the support cols with these signs is the optimum: each
+        sign by more than _TIE of the terms that cancel in its numerator
+        (c_j and lam1 u_j for one column, else the products of the
+        cofactors' entries with z), and each other live column inside its
+        bound by more than _TIE; if so, beta holds its point."""
+        adj, size, det, _ = system
+        z = [c[q] - lam1 * u[q] * s for q, s in zip(cols, signs)]
+        mags = list(map(abs, z))
+        b = []
+        for row, sizes, s in zip(adj, size, signs):
+            # fsum rounds once, so two terms add as a + b does
+            num = math.fsum(map(mul, row, z))
+            margin = math.fsum(map(mul, sizes, mags)) if len(cols) > 1 else abs(c[cols[0]])
+            if s * num <= _TIE * margin:
+                return False
+            b.append(num / det)
+        for j in live:
+            if j not in cols:
+                rest = c[j]
+                for q, bq in zip(cols, b):
+                    rest -= (gram[q][j] if q < j else gram[j][q]) * bq
+                if lam1 * u[j] - abs(rest) <= _TIE * lam1 * u[j]:
+                    return False
+        for q, bq in zip(cols, b):
+            beta[q] = bq
         return True
 
-    if alone(f):
-        return beta
-    det = m[0] * m[1] - g * g
-    # below _NEAR the path itself stops trusting its updated inverse
-    if det > _NEAR * m[0] * m[1]:
-        for s0, s1 in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-            z0, z1 = c[0] - lam1 * u[0] * s0, c[1] - lam1 * u[1] * s1
-            b0, b1 = m[1] * z0 - g * z1, m[0] * z1 - g * z0
-            # each sign by more than _TIE of the terms that cancel in it
-            if s0 * b0 > _TIE * (abs(m[1] * z0) + abs(g * z1)) and s1 * b1 > _TIE * (
-                abs(m[0] * z1) + abs(g * z0)
-            ):
-                beta[0], beta[1] = b0 / det, b1 / det
+    # every support of the live columns, the largest first, with the signs
+    # of its lam1 = 0 solution adj(M_S) c_S; then the other signs (a column
+    # alone holds only with the sign of c_j). With strict margins at most one
+    # case holds, so the order only decides how soon it is found.
+    tried = []
+    for cols in _supports(live):
+        system = _system(m, gram, c, cols)
+        if system is not None:
+            if holds(cols, system, system[3]):
                 return beta
-    return beta if alone(1 - f) else None
+            if len(cols) > 1:
+                tried.append((cols, system))
+    for cols, system in tried:
+        for signs in product((1.0, -1.0), repeat=len(cols)):
+            if signs != system[3] and holds(cols, system, signs):
+                return beta
+    return None
 
 
 def _optimum(design: _Design, lam1: float, path: _Homotopy | None):
@@ -920,7 +1010,7 @@ def _optimum(design: _Design, lam1: float, path: _Homotopy | None):
     tells whether path went on from an earlier fit's point below lambda_max,
     and steps counts the path's steps since that fit, or since lambda_max."""
     p = design.x.shape[1]
-    if p <= 1 or (p == 2 and design.gram is not None):
+    if p <= 1 or (p <= 3 and design.gram is not None):
         beta = _closed_form(design, lam1)
         if beta is not None:
             return beta, 1, False
@@ -1047,16 +1137,19 @@ def fit_path(
     At alpha = 1 one homotopy continues down the grid, stopping at each
     point; a point above the last, or past an empty active set, starts it
     again from lambda_max. At alpha < 1 lam2 moves with lambda, so each fit
-    starts from lambda_max. Every fit shares the data's set-up.
+    starts from lambda_max. Every fit shares the data's set-up, and u and v
+    are checked once, for the whole grid.
     """
+    # the weights' one check; every point shares the checked copies
+    penalty = PenaltySpec(0.0, u=u, v=v)
     path = None
-    # p <= 1 has a closed form, and a tall p = 2 mostly does: a fit it fails
-    # starts its own homotopy from lambda_max
-    if alpha == 1.0 and data.p > 2:
-        weights = PenaltySpec(0.0, u=u, v=v).resolve_weights(data.p)
-        path = _Homotopy(_Design(_setup(data), *weights, 0.0), _max_steps(data.p))
+    # p <= 1 has a closed form, and a tall design of two or three columns
+    # mostly does: the points it declines continue this one homotopy
+    if alpha == 1.0 and data.p > 1:
+        design = _Design(_setup(data), *penalty.resolve_weights(data.p), 0.0)
+        path = _Homotopy(design, _max_steps(data.p))
     return [
-        fit(data, from_mixing(alpha, float(lam), u=u, v=v), continuation=path) for lam in lambdas
+        fit(data, penalty._at(*_mixing(alpha, float(lam))), continuation=path) for lam in lambdas
     ]
 
 
@@ -1071,8 +1164,8 @@ def fit_each(data: Dataset, penalties) -> list[FitResult]:
     (`_Homotopy.step_with`), and alone once no such arm is left. An arm's
     steps taken alongside an earlier arm's count in its own sweeps_used,
     and its buffers go once it is fitted.
-    Tall designs (of two columns, mostly a closed form), p <= 1 and
-    lam1 = 0 get the plain fit.
+    Tall designs (of two or three columns, mostly a closed form), p <= 1
+    and lam1 = 0 get the plain fit.
     """
     penalties = list(penalties)
     arms: list[_Homotopy | None] = [None] * len(penalties)

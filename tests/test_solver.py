@@ -1161,7 +1161,7 @@ def _small_design(case):
 @pytest.mark.parametrize(
     "case", ["drop", "elnet-weighted", "tie", "duplicate", "zero-column", "saturated"]
 )
-def test_small_designs_match_the_reference_sweep(case):
+def test_small_designs_match_the_reference_sweep(case, monkeypatch):
     data, penalty = _small_design(case)
     res = fit(data, penalty)
     assert res.converged and _certified(data, penalty, res)
@@ -1175,8 +1175,17 @@ def test_small_designs_match_the_reference_sweep(case):
     assert converged
     assert res.objective_value == pytest.approx(objective, rel=1e-12)
     if case == "drop":
-        # a column leaves the path and comes back before the target
-        assert res.sweeps_used > res.support.size
+        # a column leaves the path and comes back before the target; the
+        # closed form takes the fit, so the drop is asserted on the homotopy
+        drops = _count_calls(monkeypatch, normreg.solver._Homotopy, "drop")
+        solver = normreg.solver
+        design = solver._Design(solver._setup(data), *penalty.resolve_weights(3), 0.0)
+        path = solver._Homotopy(design, solver._max_steps(3))
+        assert path.run(penalty.lam1) and drops
+        assert path.steps > res.support.size
+        reference = path.solve(penalty.lam1)
+        assert np.array_equal(np.sign(reference), np.sign(res.beta))
+        assert np.max(np.abs(reference - res.beta)) <= 1e-12 * np.max(np.abs(reference))
     if case == "duplicate":
         # the lower index of two equal columns takes the tie
         assert res.support.tolist() == [0, 1]
@@ -1360,6 +1369,19 @@ def _path_optimum(data, penalty):
     return path.solve(penalty.lam1)
 
 
+def _made_homotopies(monkeypatch) -> list:
+    """Every _Homotopy built from now on, in the order they were made."""
+    made = []
+    init = normreg.solver._Homotopy.__init__
+
+    def recorded(path, *args):
+        made.append(path)
+        init(path, *args)
+
+    monkeypatch.setattr(normreg.solver._Homotopy, "__init__", recorded)
+    return made
+
+
 def _count_calls(monkeypatch, owner, name) -> list:
     calls = []
     method = getattr(owner, name)
@@ -1450,14 +1472,19 @@ def test_two_column_edges_reach_the_path(monkeypatch):
     # two equal columns at equal u: with lam2 = 0 each column's bound holds
     # with equality, so no case holds with margin (_random_design's seeds 142
     # and 184, whose alpha = 1 paths reach the path below lambda_max)
+    made = _made_homotopies(monkeypatch)
     for seed in (142, 184):
         runs.clear()
+        made.clear()
         data, u, v, ratios = _random_design(seed)
         assert data.p == 2 and np.array_equal(data.x[:, 0], data.x[:, 1]) and u is None
         grid = lambda_grid(lambda_max(data), count=15, ratio=ratios[1.0])
         results = fit_path(data, 1.0, grid, u=u, v=v)
-        # the first point, at lambda_max, is the closed form's null model
+        # the first point, at lambda_max, is the closed form's null model;
+        # one homotopy continues down the grid, one step to each other point
         assert len(runs) == len(grid) - 1 and results[0].sweeps_used == 1
+        assert len(made) == 1 and made[0].steps == len(grid) - 1
+        assert all(res.sweeps_used == 1 for res in results)
         for lam, res in zip(grid, results):
             assert res.converged and _certified(data, PenaltySpec(lam), res)
             # the tie goes to the lower index, as on any path
@@ -1466,3 +1493,96 @@ def test_two_column_edges_reach_the_path(monkeypatch):
         ridges.clear()
         res = fit(data, PenaltySpec(0.0))
         assert len(ridges) == 1 and res.converged and res.beta[0] == pytest.approx(res.beta[1])
+
+
+def _three_columns(seed):
+    """A random tall design of three columns: a binary column, a normal one
+    and their centered product, as the interactions scenario fits them (even
+    seeds), or a correlated triple (odd seeds); weights and lam2 drawn or
+    left out by seed, and a variant with one or two dead columns."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 200))
+    if seed % 2:
+        x = rng.standard_normal((n, 1)) + rng.uniform(0.1, 1.0) * rng.standard_normal((n, 3))
+    else:
+        x1 = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
+        x2 = rng.uniform(0.1, 3.0) * rng.standard_normal(n)
+        x = np.column_stack([x1, x2, (x1 - x1.mean()) * (x2 - x2.mean())])
+    y = x @ rng.uniform(-2.0, 2.0, 3) + rng.uniform(0.1, 2.0) * rng.standard_normal(n)
+    u = rng.uniform(0.3, 3.0, 3) if seed % 3 else None
+    v = rng.uniform(0.3, 3.0, 3) if seed % 4 else None
+    lam2 = float(rng.choice([0.0, rng.uniform(0.01, 0.1) * n, rng.uniform(1.0, 10.0) * n]))
+    variant = seed % 10
+    if variant in (7, 8):
+        # one dead column, or two
+        x[:, rng.choice(3, variant - 6, replace=False)] = 0.75
+    return Dataset(x=x, y=y), u, v, lam2
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_three_columns_take_the_closed_form_with_the_paths_support(seed, monkeypatch):
+    data, u, v, lam2 = _three_columns(seed)
+    for fraction in _FRACTIONS:
+        penalty = PenaltySpec(lam1=fraction * lambda_max(data, u=u), lam2=lam2, u=u, v=v)
+        _closed_form_matches_the_path(data, penalty, monkeypatch)
+
+
+def test_three_column_edges_reach_the_path(monkeypatch):
+    runs = _count_calls(monkeypatch, normreg.solver._Homotopy, "run")
+    ridges = _count_calls(monkeypatch, normreg.solver._Design, "ridge")
+    rng = np.random.default_rng(4)
+    x1, x2 = rng.standard_normal(60), rng.standard_normal(60)
+    # a near-singular M with all three columns active: its determinant is
+    # below _NEAR of its diagonal's product
+    x = np.column_stack([x1, x2, x1 + x2 + 1e-4 * rng.standard_normal(60)])
+    data = Dataset(x=x, y=x @ np.array([3e4 + 1.0, 3e4 - 1.0, -3e4]) + 0.01 * rng.standard_normal(60))
+    for lam1 in (1e-6 * lambda_max(data), 0.0):
+        res = fit(data, PenaltySpec(lam1=lam1))
+        assert res.converged and np.all(res.beta != 0.0)
+    assert len(runs) == len(ridges) == 1
+    # two equal columns at equal u and lam2 = 0: where one of them is
+    # active, each one's bound holds with equality, and the path keeps the
+    # one that joined first
+    x = np.column_stack([x1, x2, x1])
+    data = Dataset(x=x, y=x1 - x2 + rng.standard_normal(60))
+    for fraction in (0.5, 0.05):
+        runs.clear()
+        penalty = PenaltySpec(lam1=fraction * lambda_max(data))
+        res = fit(data, penalty)
+        assert len(runs) == 1 and res.converged and _certified(data, penalty, res)
+        assert (res.beta[0] == 0.0) != (res.beta[2] == 0.0)
+    # lam1 at a knot of the path, where a column joins or leaves: its bound,
+    # or its sign in the case with it, holds with equality. The knots are
+    # the homotopy's own, and the second join worked out from the first
+    # column's segment, whose round-off differs from the path's
+    solver = normreg.solver
+    knots = []
+    for seed in range(8):
+        data, u, v, lam2 = _three_columns(2 * seed)
+        weights = PenaltySpec(0.0, u=u, v=v).resolve_weights(3)
+        design = solver._Design(solver._setup(data), *weights, lam2)
+        path = solver._Homotopy(design, solver._max_steps(3))
+        while path.steps < 10:
+            path.open()
+            path.close(0.0, design.product(path.idx, path.dvec))
+            if path.lam == 0.0:
+                break
+            knots.append((data, PenaltySpec(path.lam, lam2, u, v)))
+        c, g, w = design.c0, design.gram, weights[0]
+        f = int(np.argmax(np.abs(c) / w))
+        s, m = np.sign(c[f]), g[f, f] + lam2 * weights[1][f]
+        lam_max = abs(c[f]) / w[f]
+        # on the first segment c_j(lam) = c_j - g_jf (c_f - lam w_f s) / m
+        slope, at_zero = g[:, f] * w[f] * s / m, c - g[:, f] * c[f] / m
+        joins = [
+            at_zero[j] / (side * w[j] - slope[j])
+            for j in range(3) for side in (1.0, -1.0) if j != f
+        ]
+        joins = [lam for lam in joins if 0.0 < lam < lam_max]
+        if joins:
+            knots.append((data, PenaltySpec(max(joins), lam2, u, v)))
+    assert len(knots) >= 20
+    for data, penalty in knots:
+        runs.clear()
+        res = fit(data, penalty)
+        assert len(runs) == 1 and res.converged, (penalty, res.beta)

@@ -138,7 +138,7 @@ GOLDEN = {
     "decreasing-classbalance-wide-large": "24ba4cafc722cc97bb131c82b18ff8ecd989c81612f444772aa6d0f4a5489701",
     "fit-omega": "4897b0b9fa075b6e3887e766ed30c28ab134793fafe68ed9b5f93b7ba13053ea",
     "fit-std": "22eec49dd9551a05ab289ca43f791133e61f2722fc9f986f7d41daf9c28854a8",
-    "interactions": "85f43b593ca505c68a9fc49a8ce3731c106aa7c9c3d38a7c191e405d9f1f8b46",
+    "interactions": "f095ece87ac778ef6784738283acf21a6fab07a4ed0f629fbf708a4d1cfd974e",
     "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
     "maxabs-gev-b": "58d6da3ef67a26ff9bcb65e7faec5e982d350b7f78a01c4a5ab723d824fc728c",
     "mixed-data": "e19ab7ef6549b1591c175c65560c3b18f6eecf76089955a9e60637f84d3c0cb1",

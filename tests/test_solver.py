@@ -932,6 +932,30 @@ def test_fit_path_calls_fit_once_per_grid_point(monkeypatch):
     assert len(calls) == 7
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5], ids=["lasso", "elnet"])
+def test_a_path_checks_its_weights_once(alpha, monkeypatch):
+    data, _ = _tall_lasso()
+    rng = np.random.default_rng(1)
+    u, v = rng.uniform(0.5, 2.0, data.p), rng.uniform(0.5, 2.0, data.p)
+    grid = lambda_grid(lambda_max(data, u=u), count=7, ratio=1e-2)
+    checks = []
+    exact = normreg.solver._weights
+
+    def counting(name, w, p=None):
+        checks.append(name)
+        return exact(name, w, p)
+
+    monkeypatch.setattr(normreg.solver, "_weights", counting)
+    results = fit_path(data, alpha, grid, u=u, v=v)
+    assert checks == ["u", "v"]
+    # each point is the fit at its own spec, whose weights are checked copies
+    for lam, res in zip(grid, results):
+        cold = fit(data, from_mixing(alpha, float(lam), u=u, v=v))
+        assert np.allclose(res.beta, cold.beta, rtol=1e-9, atol=1e-12)
+    with pytest.raises(DomainError, match="lam must be >= 0"):
+        fit_path(data, alpha, [-1.0], u=u, v=v)
+
+
 def _outcome(res):
     """What fit_each must reproduce of the cold fit, bit for bit: the final
     solve depends on the path only through its active sets and signs."""

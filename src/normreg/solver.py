@@ -915,7 +915,8 @@ def _system(m: list, gram: list, c: list, cols: tuple):
         i, j, l = cols
         a, b, c3, d, e, f = m[i], m[j], m[l], gram[i][j], gram[i][l], gram[j][l]
         pairs = (
-            (b * c3, f * f), (e * f, c3 * d), (d * f, b * e), (a * c3, e * e), (d * e, a * f), (a * b, d * d)
+            (b * c3, f * f), (e * f, c3 * d), (d * f, b * e),
+            (a * c3, e * e), (d * e, a * f), (a * b, d * d),
         )
         a0, a1, a2, a3, a4, a5 = [p - q for p, q in pairs]
         s0, s1, s2, s3, s4, s5 = [abs(p) + abs(q) for p, q in pairs]
@@ -961,9 +962,9 @@ def _closed_form(design: _Design, lam1: float) -> np.ndarray | None:
     def holds(cols: tuple, system: tuple, signs: tuple) -> bool:
         """Whether the support cols with these signs is the optimum: each
         sign by more than _TIE of the terms that cancel in its numerator
-        (c_j and lam1 u_j for one column, else the products of the
-        cofactors' entries with z), and each other live column inside its
-        bound by more than _TIE; if so, beta holds its point."""
+        (|c_j| for one column, else the products of the cofactors' entries
+        with z), and each other live column inside its bound by more than
+        _TIE; if so, beta holds its point."""
         adj, size, det, _ = system
         z = [c[q] - lam1 * u[q] * s for q, s in zip(cols, signs)]
         mags = list(map(abs, z))

@@ -1559,7 +1559,8 @@ def test_three_column_edges_reach_the_path(monkeypatch):
     # a near-singular M with all three columns active: its determinant is
     # below _NEAR of its diagonal's product
     x = np.column_stack([x1, x2, x1 + x2 + 1e-4 * rng.standard_normal(60)])
-    data = Dataset(x=x, y=x @ np.array([3e4 + 1.0, 3e4 - 1.0, -3e4]) + 0.01 * rng.standard_normal(60))
+    y = x @ np.array([3e4 + 1.0, 3e4 - 1.0, -3e4]) + 0.01 * rng.standard_normal(60)
+    data = Dataset(x=x, y=y)
     for lam1 in (1e-6 * lambda_max(data), 0.0):
         res = fit(data, PenaltySpec(lam1=lam1))
         assert res.converged and np.all(res.beta != 0.0)

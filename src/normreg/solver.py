@@ -85,20 +85,23 @@ soft-threshold closed form and p = 0 the null model.
 
 A tall design of two or three columns has its optimum in closed form by
 cases (`_closed_form`). A dead column stays at zero, and the live columns
-form a smaller design (one column is the soft threshold). The null model holds
-by the path's own test at lambda_max. Otherwise each support S of the live
-columns with each sign pattern s is a case, beta_S = adj(M_S) (c_S - lam1 u_S
-s) / det M_S, tried only where det M_S > _NEAR prod_S M_jj (below that the
-path itself stops trusting its updated inverse). A case holds only when each
-sign holds by more than _TIE of the terms that cancel in its numerator, the
-products inside each cofactor included, and each other live column is inside
-its bound by more than _TIE, so no support can differ from the path's and at
-most one case holds. Every support is tried first, largest first, with the
-signs of its lam1 = 0 solution adj(M_S) c_S, and then with the other signs
-(a column alone holds only with the sign of c_j). Where no case holds, as
-for two equal columns at equal u and lam2 = 0, at a knot of the path or for
-a near-singular M_S, the homotopy (or the ridge solve) decides. At lam1 = 0
-the case of all live columns is the ridge solve.
+form a smaller design (one column is the soft threshold). The null model
+holds by the path's own test at lambda_max. Otherwise each support S of the
+live columns with each sign pattern s is a case, beta_S = adj(M_S) (c_S -
+lam1 u_S s) / det M_S, tried only where det M_S > _NEAR prod_S M_jj (below
+that the path itself stops trusting its updated inverse). A case holds only
+when each sign holds by more than _TIE of the terms that cancel in its
+numerator, the products inside each cofactor included, and each other live
+column is inside its bound by more than _TIE of lam1 u_j and the terms of
+its correlation c_j - G_jS beta_S, each beta_q taken at the size of its
+numerator's terms: so no support can differ from the path's and at most one
+case holds, even near a knot of a near-singular design, where round-off in
+beta_S would otherwise pass for room inside a bound. Every support is tried
+first, largest first, with the signs of its lam1 = 0 solution adj(M_S) c_S,
+and then with the other signs (a column alone holds only with the sign of
+c_j). Where no case holds, as for two equal columns at equal u and lam2 = 0,
+at a knot of the path or for a near-singular M_S, the homotopy (or the ridge
+solve) decides. At lam1 = 0 the case of all live columns is the ridge solve.
 
 `fit_path` checks its weights once and calls `fit` once per grid point. At
 alpha = 1 it hands each fit the homotopy of the fit before, which continues
@@ -964,11 +967,12 @@ def _closed_form(design: _Design, lam1: float) -> np.ndarray | None:
         sign by more than _TIE of the terms that cancel in its numerator
         (|c_j| for one column, else the products of the cofactors' entries
         with z), and each other live column inside its bound by more than
-        _TIE; if so, beta holds its point."""
+        _TIE of lam1 u_j, |c_j| and each |G_jq| times the size of beta_q's
+        terms (its reach); if so, beta holds its point."""
         adj, size, det, _ = system
         z = [c[q] - lam1 * u[q] * s for q, s in zip(cols, signs)]
         mags = list(map(abs, z))
-        b = []
+        b, reach = [], []
         for row, sizes, s in zip(adj, size, signs):
             # fsum rounds once, so two terms add as a + b does
             num = math.fsum(map(mul, row, z))
@@ -976,12 +980,15 @@ def _closed_form(design: _Design, lam1: float) -> np.ndarray | None:
             if s * num <= _TIE * margin:
                 return False
             b.append(num / det)
+            reach.append(margin / det)
         for j in live:
             if j not in cols:
-                rest = c[j]
-                for q, bq in zip(cols, b):
-                    rest -= (gram[q][j] if q < j else gram[j][q]) * bq
-                if lam1 * u[j] - abs(rest) <= _TIE * lam1 * u[j]:
+                rest, spread = c[j], abs(c[j])
+                for q, bq, rq in zip(cols, b, reach):
+                    g = gram[q][j] if q < j else gram[j][q]
+                    rest -= g * bq
+                    spread += abs(g) * rq
+                if lam1 * u[j] - abs(rest) <= _TIE * (lam1 * u[j] + spread):
                     return False
         for q, bq in zip(cols, b):
             beta[q] = bq

@@ -1611,3 +1611,46 @@ def test_three_column_edges_reach_the_path(monkeypatch):
         runs.clear()
         res = fit(data, penalty)
         assert len(runs) == 1 and res.converged, (penalty, res.beta)
+
+
+def _near_collinear(seed, p):
+    """Near-collinear columns x1 + eps * noise, eps from 6e-4 to 3e-2, with
+    a response of any size: round-off in beta_S is then many times _TIE of
+    lam1 u_j, so it can pass for room inside a bound."""
+    rng = np.random.default_rng(seed)
+    x1, x2 = rng.standard_normal(40), rng.standard_normal(40)
+    eps = 10 ** rng.uniform(-3.2, -1.5)
+    cols = [x1, x1 + eps * x2]
+    if p == 3:
+        cols.append(x1 - eps * rng.standard_normal(40))
+    x = np.column_stack(cols)
+    y = x @ rng.uniform(-3.0, 3.0, p) * 10 ** rng.uniform(0.0, 3.0) + rng.standard_normal(40)
+    return Dataset(x=x, y=y)
+
+
+@pytest.mark.parametrize(
+    "p, seed", [(2, 82), (2, 273), (2, 363), (3, 2990), (3, 2993), (3, 2996)]
+)
+def test_a_closed_form_near_a_knot_of_a_near_singular_design_keeps_the_paths_support(
+    p, seed, monkeypatch
+):
+    # just above a knot where a column leaves, the exact optimum keeps it
+    # with a coefficient of ~1e-8, which the closed form must not drop
+    data = _near_collinear(seed, p)
+    solver = normreg.solver
+    design = solver._Design(solver._setup(data), *PenaltySpec(0.0).resolve_weights(p), 0.0)
+    path = solver._Homotopy(design, solver._max_steps(p))
+    knots = []
+    while path.steps < 10:
+        path.open()
+        path.close(0.0, design.product(path.idx, path.dvec))
+        if path.lam == 0.0:
+            break
+        knots.append(path.lam)
+    for knot in knots:
+        for offset in (-1e-9, -1e-11, 1e-11, 1e-9):
+            penalty = PenaltySpec(knot * (1.0 + offset))
+            res = fit(data, penalty)
+            reference = _path_optimum(data, penalty)
+            assert np.array_equal(np.sign(res.beta), np.sign(reference)), (knot, offset, res.beta)
+            assert res.converged

@@ -56,6 +56,9 @@ class Dataset:
         y = np.ascontiguousarray(np.asarray(self.y, dtype=np.float64))
         if x.ndim != 2:
             raise DimensionMismatchError(f"x must be 2-d, got shape {x.shape}")
+        if not x.shape[0]:
+            # no row has a mean: a fit would report NaN as a certified optimum
+            raise DimensionMismatchError(f"x must have at least one row, got shape {x.shape}")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise DimensionMismatchError(
                 f"y must be 1-d with length {x.shape[0]}, got shape {y.shape}"

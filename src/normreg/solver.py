@@ -67,10 +67,12 @@ final solve comes out against its sign is a drop the path missed by
 round-off: it is dropped and the rest re-solved.
 
 What depends on (x, y) alone is set up once per Dataset and kept on it: the
-column means, the columns with no variance, mean(y), X'(y - mean y) and, for
-a tall design (p <= n), the centered Gram X'X - n xbar xbar', built once
-from one product X'X whose diagonal also gives the column sums of squares.
-A Dataset's arrays are read-only, and so are its set-up's, so this cannot go
+column means, the centered sums of squares x_j'x_j - n xbar_j^2 (which find
+the columns with no variance and give every M_jj), mean(y), X'(y - mean y)
+and, for a tall design (p <= n), the centered Gram X'X - n xbar xbar', built
+once from one product X'X whose diagonal also gives the raw sums of squares,
+so the Gram's diagonal is the centered sums of squares bit for bit. A
+Dataset's arrays are read-only, and so are its set-up's, so this cannot go
 stale. The weights, lam2 and a wide design's active columns belong to each
 fit. `_Design` alone chooses between tall designs and wide ones (`fit_each`
 only asks which one it has). On tall ones a join reads a row of the Gram
@@ -80,13 +82,13 @@ M_A^{-1}'s as A grows: a join costs x_j'X_A (2n|A| flops), and a step
 X'(X_A d - (xbar_A'd) 1), one pass over X plus 2n|A| flops. The first
 column to join's x_j'X_A is formed before the step's refinement, and a step
 that ends in a drop throws it away. No p x p array is made. lam1 = 0 is one
-ridge solve (in the n-dimensional row space when p > n), p = 1 the
-soft-threshold closed form and p = 0 the null model.
+ridge solve (in the n-dimensional row space when p > n).
 
-A tall design of two or three columns has its optimum in closed form by
+A tall design of at most three columns has its optimum in closed form by
 cases (`_closed_form`). A dead column stays at zero, and the live columns
-form a smaller design (one column is the soft threshold). The null model
-holds by the path's own test at lambda_max. Otherwise each support S of the
+form a smaller design; with none live (p = 0 among them) the optimum is the
+null model. The null model holds too by the path's own test at lambda_max.
+Otherwise each support S of the
 live columns with each sign pattern s is a case, beta_S = adj(M_S) (c_S -
 lam1 u_S s) / det M_S, tried only where det M_S > _NEAR prod_S M_jj (below
 that the path itself stops trusting its updated inverse). A case holds only
@@ -98,10 +100,12 @@ numerator's terms: so no support can differ from the path's and at most one
 case holds, even near a knot of a near-singular design, where round-off in
 beta_S would otherwise pass for room inside a bound. Every support is tried
 first, largest first, with the signs of its lam1 = 0 solution adj(M_S) c_S,
-and then with the other signs (a column alone holds only with the sign of
-c_j). Where no case holds, as for two equal columns at equal u and lam2 = 0,
-at a knot of the path or for a near-singular M_S, the homotopy (or the ridge
-solve) decides. At lam1 = 0 the case of all live columns is the ridge solve.
+and then with the other signs. A column alone holds only with the sign of
+c_j, and its case is the soft threshold ST(c_j, lam1 u_j) / M_jj; a design of
+one live column has no other. Where no case holds, as for two equal columns
+at equal u and lam2 = 0, at a knot of the path (one column's at lambda_max
+included) or for a near-singular M_S, the homotopy (or the ridge solve)
+decides. At lam1 = 0 the case of all live columns is the ridge solve.
 
 `fit_path` checks its weights once and calls `fit` once per grid point. At
 alpha = 1 it hands each fit the homotopy of the fit before, which continues
@@ -118,8 +122,8 @@ unfinished later arm toward that arm's lam1, both products from one X'Z
 (`_Homotopy.step_with`); once no later arm is unfinished, arm i takes the
 rest of its steps alone, so its `fit` starts at lam1 or at the step cap.
 Pairs only: an n x 3 Z costs about three passes. Tall designs make no pass
-over X (and those of two or three columns mostly have a closed form), so
-their arms, like those with p <= 1 or lam1 = 0, fit one by one.
+over X (and those of at most three columns mostly have a closed form), so
+their arms, like those with lam1 = 0, fit one by one.
 A paired product equals the single one only to round-off, but a certified
 fit's final solve depends on the path only through its active sets and
 signs, which fix every update of M_A^{-1}: a join's w is its own column of
@@ -255,8 +259,8 @@ class FitResult:
     certificate holds. beta_norm/beta0_norm hold the same values (beta_norm
     in an array of its own) and nothing in normreg reads them: they stay only
     because perfbench/test_bench.py constructs a FitResult with them.
-    sweeps_used counts homotopy steps (1 for a closed form, that of p <= 1
-    or of a tall design of two or three columns, or for a ridge solve):
+    sweeps_used counts homotopy steps (1 for the closed form of a tall
+    design of at most three columns, or for a ridge solve):
     since the point before on a continued path, and every step of a
     fit_each arm, those taken alongside earlier arms' steps included;
     converged means the fit passed the KKT certificate, and kkt_residual is
@@ -299,8 +303,9 @@ def _moments(x: np.ndarray, tall: bool):
 
 
 class _Setup:
-    """What every fit of one Dataset shares, read-only: the column means, the
-    columns with no variance (and whether there are any), mean(y),
+    """What every fit of one Dataset shares, read-only: the column means,
+    their centered sums of squares (a tall design's Gram diagonal, bit for
+    bit), the columns with no variance (and whether there are any), mean(y),
     X'(y - mean y) (zero on those columns) and its largest entry, and a tall
     design's centered Gram, built once.
 
@@ -327,7 +332,7 @@ class _Setup:
             x, self.shift = x - xbar, xbar
             xbar, gram, raw = _moments(x, p <= n)
             own = raw - n * xbar * xbar
-        self.x, self.n, self.xbar = x, n, xbar
+        self.x, self.n, self.xbar, self.own = x, n, xbar, own
         self.dead = own <= _DEAD * raw  # no variance
         self.any_dead = bool(np.logical_or.reduce(self.dead))
         self.ybar = float(y.sum() / n)
@@ -365,6 +370,7 @@ class _Design:
     def __init__(self, setup: _Setup, u, v, lam2: float):
         self.u, self.v, self.lam2 = u, v, lam2
         self.x, self.n, self.xbar, self.yc = setup.x, setup.n, setup.xbar, setup.yc
+        self.own = setup.own
         self.c0, self.gram, self.dead = setup.c0, setup.gram, setup.dead
         self.any_dead = setup.any_dead
         self.active = np.empty((0, self.n)) if self.gram is None else None
@@ -422,20 +428,13 @@ class _Design:
             return dvec @ self.gram[idx]
         return self.scan(self.lead(idx, dvec))
 
-    def own(self, j: int):
-        """Centered x_j'x_j."""
-        if self.gram is None:
-            xj = self.x[:, j]
-            return float(xj @ xj) - self.n * float(self.xbar[j]) ** 2
-        return self.gram[j, j]
-
-    def cross(self, j: int, idx: np.ndarray):
-        """(centered x_j'X_A for the active columns idx, centered x_j'x_j)."""
+    def cross(self, j: int, idx: np.ndarray) -> np.ndarray:
+        """Centered x_j'X_A for the active columns idx."""
         if self.gram is None:
             g = self.active[: idx.shape[0]] @ self.x[:, j]
             g -= self.n * self.xbar[j] * self.xbar[idx]
-            return g, self.own(j)
-        return self.gram[j, idx], self.gram[j, j]
+            return g
+        return self.gram[j, idx]
 
     def system(self, cols: np.ndarray) -> np.ndarray:
         """M_A = X_A'X_A + lam2 diag(v_A) on the centered design, built afresh
@@ -474,10 +473,6 @@ class _Design:
         return beta
 
 
-def _soft_threshold(z: float, t: float) -> float:
-    return 0.0 if abs(z) <= t else math.copysign(abs(z) - t, z)
-
-
 class _Homotopy:
     """The lam1 path at fixed lam2 on a centered design, from lambda_max down.
 
@@ -486,10 +481,10 @@ class _Homotopy:
     the pass over X. Which paths step together is the caller's to decide.
     """
 
-    def __init__(self, design: _Design, max_steps: int):
+    def __init__(self, design: _Design):
         d = design
         n, p = d.x.shape
-        self.d, self.max_steps = d, max_steps
+        self.d, self.max_steps = d, _max_steps(p)
         # centered columns span at most n - 1 dimensions
         self.cap = p if d.lam2 > 0.0 else min(p, n - 1)
         # sized for the active set, which can stay far below cap
@@ -544,7 +539,7 @@ class _Homotopy:
             return
         self.limit[:, j] = math.inf
         d.enter(0, j)
-        self.inv[0, 0] = 1.0 / (d.own(j) + d.lam2 * d.v[j])
+        self.inv[0, 0] = 1.0 / (d.own[j] + d.lam2 * d.v[j])
         self.act[0] = j
         self.sgn[0] = 1.0 if d.c0[j] > 0.0 else -1.0
         self.k = 1
@@ -607,19 +602,19 @@ class _Homotopy:
 
     def join(self, j: int, sign: float, known=None) -> bool:
         """Column j joins with the given sign, or is refused: near the span
-        of the active columns, or with A full. Its x_j'X_A, x_j'x_j and
+        of the active columns, or with A full. Its x_j'X_A and
         w = M_A^{-1} x_A'x_j are `known` when the step that found j made
         them. A join by the update (not a near one) that ends a step also
         forms the next step's direction."""
         d, k = self.d, self.k
         idx = self.act[:k]
         if known is None:
-            g, own = d.cross(j, idx)
+            g = d.cross(j, idx)
             w = self.apply(g)
         else:
-            g, own, w = known
+            g, w = known
         self.limit[:, j] = math.inf
-        m = own + d.lam2 * d.v[j]
+        m = d.own[j] + d.lam2 * d.v[j]
         schur = m - float(g @ w)
         near = k < self.cap and schur <= _NEAR * m
         if near:
@@ -762,11 +757,11 @@ class _Homotopy:
         if lam2:
             residual -= lam2 * v[idx] * dvec
         if joining:
-            g, own = d.cross(j_join, idx)
+            g = d.cross(j_join, idx)
             pair = self.pair[:k]
             pair[:, 1] = g
             both = self.apply(pair)
-            fix, known = both[:, 0], (g, own, both[:, 1])
+            fix, known = both[:, 0], (g, both[:, 1])
         else:
             fix, known = self.apply(residual), None
         if self.worn(fix, dvec):
@@ -934,25 +929,17 @@ def _system(m: list, gram: list, c: list, cols: tuple):
 
 
 def _closed_form(design: _Design, lam1: float) -> np.ndarray | None:
-    """The optimum at lam1 of a design with at most one column, or of a tall
-    one with two or three, by cases; None where no case holds with margin,
-    and the path (or the ridge solve) decides."""
-    x, u, v, lam2 = design.x, design.u, design.v, design.lam2
-    n, p = x.shape
+    """The optimum at lam1 of a tall design of at most three columns, by
+    cases; None where no case holds with margin, and the path (or the ridge
+    solve) decides."""
+    lam2, p = design.lam2, design.x.shape[1]
     beta = np.zeros(p)
-    if p <= 1:
-        if p and not design.any_dead:  # p = 0 is the null model
-            g = float(x[:, 0] @ x[:, 0]) - n * float(design.xbar[0]) ** 2
-            beta[0] = _soft_threshold(float(design.c0[0]), lam1 * u[0]) / (g + lam2 * v[0])
-        return beta
     # gram is symmetric only to round-off: only its upper triangle is read
-    c, u, v, gram = design.c0.tolist(), u.tolist(), v.tolist(), design.gram.tolist()
-    m = [gram[j][j] + lam2 * v[j] for j in range(p)]
+    c, u, v, gram = design.c0.tolist(), design.u.tolist(), design.v.tolist(), design.gram.tolist()
+    m = [q + lam2 * w for q, w in zip(design.own.tolist(), v)]
+    # a dead column never joins; with none live the optimum is the null model
     live = tuple(j for j in range(p) if not design.dead[j]) if design.any_dead else tuple(range(p))
-    if len(live) < 2:
-        # a dead column never joins; the others are a design of one column
-        for j in live:
-            beta[j] = _soft_threshold(c[j], lam1 * u[j]) / m[j]
+    if not live:
         return beta
     # the first join at lambda_max, ties going to the lower index
     ratio = [abs(c[j]) / u[j] for j in live]
@@ -1017,15 +1004,14 @@ def _optimum(design: _Design, lam1: float, path: _Homotopy | None):
     """(beta, steps, continued) of the centered problem at lam1; continued
     tells whether path went on from an earlier fit's point below lambda_max,
     and steps counts the path's steps since that fit, or since lambda_max."""
-    p = design.x.shape[1]
-    if p <= 1 or (p <= 3 and design.gram is not None):
+    if design.x.shape[1] <= 3 and design.gram is not None:
         beta = _closed_form(design, lam1)
         if beta is not None:
             return beta, 1, False
     if lam1 == 0.0:
         return design.ridge(), 1, False
     if path is None:
-        path = _Homotopy(design, _max_steps(p))
+        path = _Homotopy(design)
     elif path.done is not None and (not path.k or path.lam < lam1):
         # an empty active set, above lambda_max, has no direction to go on along
         path.restart()
@@ -1151,11 +1137,13 @@ def fit_path(
     # the weights' one check; every point shares the checked copies
     penalty = PenaltySpec(0.0, u=u, v=v)
     path = None
-    # p <= 1 has a closed form, and a tall design of two or three columns
-    # mostly does: the points it declines continue this one homotopy
+    # a tall design of at most three columns mostly has a closed form, and
+    # the points it declines continue this one homotopy; a single column
+    # declines only within _TIE below its lambda_max, where a homotopy of
+    # its own takes one step, and p = 0 is the null model
     if alpha == 1.0 and data.p > 1:
         design = _Design(_setup(data), *penalty.resolve_weights(data.p), 0.0)
-        path = _Homotopy(design, _max_steps(data.p))
+        path = _Homotopy(design)
     return [
         fit(data, penalty._at(*_mixing(alpha, float(lam))), continuation=path) for lam in lambdas
     ]
@@ -1165,24 +1153,24 @@ def fit_each(data: Dataset, penalties) -> list[FitResult]:
     """Fits of data at each penalty, in the given order, one `fit` each; each
     is the cold fit at its penalty (see the module docstring).
 
-    On a wide design (p > n, p > 1) every arm with lam1 > 0 gets its homotopy
+    On a wide design (p > n) every arm with lam1 > 0 gets its homotopy
     up front, and the pairing rule lives here alone: arm i steps down to its
     lam1 or its step cap before its `fit`, each step together with one step
     of the first later arm still above its own lam1 and under its cap
     (`_Homotopy.step_with`), and alone once no such arm is left. An arm's
     steps taken alongside an earlier arm's count in its own sweeps_used,
     and its buffers go once it is fitted.
-    Tall designs (of two or three columns, mostly a closed form), p <= 1
-    and lam1 = 0 get the plain fit.
+    Tall designs (of at most three columns, mostly a closed form) and
+    lam1 = 0 get the plain fit.
     """
     penalties = list(penalties)
     arms: list[_Homotopy | None] = [None] * len(penalties)
     setup = _setup(data)
-    if data.p > 1 and setup.gram is None:
+    if setup.gram is None:
         for i, penalty in enumerate(penalties):
             if penalty.lam1 > 0.0:
                 design = _Design(setup, *penalty.resolve_weights(data.p), penalty.lam2)
-                arms[i] = _Homotopy(design, _max_steps(data.p))
+                arms[i] = _Homotopy(design)
 
     def moving(i: int) -> bool:
         arm = arms[i]

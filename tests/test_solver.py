@@ -389,7 +389,7 @@ def _traced_homotopy(monkeypatch, data, ratio, check):
     monkeypatch.setattr(H, "reserve", counted_reserve)
     u, v = PenaltySpec(0.0).resolve_weights(data.p)
     design = normreg.solver._Design(normreg.solver._setup(data), u, v, 0.0)
-    path = H(design, normreg.solver._max_steps(data.p))
+    path = H(design)
     assert path.run(ratio * lambda_max(data))
     check(path)
     return path, seen
@@ -1204,7 +1204,7 @@ def test_small_designs_match_the_reference_sweep(case, monkeypatch):
         drops = _count_calls(monkeypatch, normreg.solver._Homotopy, "drop")
         solver = normreg.solver
         design = solver._Design(solver._setup(data), *penalty.resolve_weights(3), 0.0)
-        path = solver._Homotopy(design, solver._max_steps(3))
+        path = solver._Homotopy(design)
         assert path.run(penalty.lam1) and drops
         assert path.steps > res.support.size
         reference = path.solve(penalty.lam1)
@@ -1388,7 +1388,7 @@ def _path_optimum(data, penalty):
     """The homotopy's own optimum, run down to lam1 and solved there."""
     solver = normreg.solver
     design = solver._Design(solver._setup(data), *penalty.resolve_weights(data.p), penalty.lam2)
-    path = solver._Homotopy(design, solver._max_steps(data.p))
+    path = solver._Homotopy(design)
     assert path.run(penalty.lam1)
     return path.solve(penalty.lam1)
 
@@ -1586,7 +1586,7 @@ def test_three_column_edges_reach_the_path(monkeypatch):
         data, u, v, lam2 = _three_columns(2 * seed)
         weights = PenaltySpec(0.0, u=u, v=v).resolve_weights(3)
         design = solver._Design(solver._setup(data), *weights, lam2)
-        path = solver._Homotopy(design, solver._max_steps(3))
+        path = solver._Homotopy(design)
         while path.steps < 10:
             path.open()
             path.close(0.0, design.product(path.idx, path.dvec))
@@ -1639,7 +1639,7 @@ def test_a_closed_form_near_a_knot_of_a_near_singular_design_keeps_the_paths_sup
     data = _near_collinear(seed, p)
     solver = normreg.solver
     design = solver._Design(solver._setup(data), *PenaltySpec(0.0).resolve_weights(p), 0.0)
-    path = solver._Homotopy(design, solver._max_steps(p))
+    path = solver._Homotopy(design)
     knots = []
     while path.steps < 10:
         path.open()

@@ -128,14 +128,14 @@ def _host() -> str:
 
 
 GOLDEN = {
-    "bias-var": "b5bbd5a55cc6e9c038a06a9132d55ce4efd5be465ef4f0f02e3d1bb9955898b6",
+    "bias-var": "786c5a77a8f9dcb3437e5f702f9f86000d3d3c1e65e1cac22a32639fea52fd9d",
     "bias-var-json": "bd3920587959415873c9137b88ea32e554eec35fd92bc3d42ea73b54614a317f",
     "bias-var-weighted": "85415a0e4b2bdb467a5dbc951b27144afd9f6c6645f4a481b2c744d7005e73e6",
     "cv": "a2759925f2c79b2faf6791409024f5a822817f2cce767ccbf95267386dd81a44",
     "cv-rare": "1a7e012a34890bc3a7af0ce807d7ffa50bf92659e6cb1e49f562023bfe162be4",
     "decreasing-classbalance": "6a977ad4b5510836fe345169d43581edb866a7be5e2cc0dc1dc7643bd2cf695f",
-    "decreasing-classbalance-wide": "75a2b5cdb8755866f1f32c19320782d551260d9aad0345239a7aef7f180e19d2",
-    "decreasing-classbalance-wide-large": "24ba4cafc722cc97bb131c82b18ff8ecd989c81612f444772aa6d0f4a5489701",
+    "decreasing-classbalance-wide": "be3515915da8ec076d3f7ad95f8e78abc414417e982675fd3a0c65e5009e69de",
+    "decreasing-classbalance-wide-large": "876d76996d9168363fac5ded61551d1663dbdced7ef45aa229f3fe125e7e7e29",
     "fit-omega": "4897b0b9fa075b6e3887e766ed30c28ab134793fafe68ed9b5f93b7ba13053ea",
     "fit-std": "22eec49dd9551a05ab289ca43f791133e61f2722fc9f986f7d41daf9c28854a8",
     "interactions": "f095ece87ac778ef6784738283acf21a6fab07a4ed0f629fbf708a4d1cfd974e",
@@ -148,7 +148,7 @@ GOLDEN = {
     "path-omega": "231b9a46c34fc2c0747bab107ee5d1fd5dc016308f31bf4ac03b6e72a7780501",
     "power-fdr": "dce9e1220249743f3d7c59ede58a304c16ac13eb973b3d32e97e7f8b887bae38",
     "predictive-sim": "ba3fe53cfb067a0f7f16715c7d277ef5e00e23bd3944c93093e1bb04526227c1",
-    "predictive-sim-wide": "65abdfd74f1c9b26bda7c00059d4f76813a02627ec9de3bef406f99a0bb9e359",
+    "predictive-sim-wide": "f606c3a182daa21af9eec66da48bf1c61d649774300318f44b9a20b774208f68",
     "selection-probability": "c6e8553bbc216bcd3c2edbab765f86797dc316e48f94c6bc4433d036ccf826e7",
     "weighted-elnet": "1ee2f79658312a501c9abdd923d9395ddf4408c8e117cf6585e4b41803a9a871",
 }

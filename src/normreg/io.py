@@ -206,12 +206,16 @@ def json_value(value):
 def csv_cell(value) -> str:
     """value as a CSV cell: str(json_value(value)), the one rule for every
     cell normreg writes. A finite float (np.float64 included) is its repr and
-    a str is itself, without json_value's type dispatch; every other value
-    (NaN and Inf, bools, ints, other numpy scalars, containers) goes through
-    json_value."""
+    a str is itself, without json_value's type dispatch, unless it holds a
+    comma or a double quote: then it is quoted as RFC 4180 asks, in double
+    quotes with each inner one doubled, so a term name such as a,b stays one
+    cell. Every other value (NaN and Inf, bools, ints, other numpy scalars,
+    containers) goes through json_value."""
     if isinstance(value, float) and math.isfinite(value):
         return repr(float(value))
     if type(value) is str:
+        if "," in value or '"' in value:
+            return '"' + value.replace('"', '""') + '"'
         return value
     return str(json_value(value))
 
@@ -273,7 +277,7 @@ def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
     with its values passed through json_value.
     """
     if fmt == CSV:
-        lines = [",".join(table.header)]
+        lines = [",".join(map(csv_cell, table.header))]
         for row in table.rows:
             lines.append(",".join(map(csv_cell, row)))
         atomic_write_text(path, "\n".join(lines) + "\n")

@@ -5,6 +5,7 @@ can be asserted without spawning subprocesses.
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 
@@ -482,6 +483,33 @@ def test_path_output_long_format(tmp_path, toy_csv):
     assert manifest["lambda_max"] > 0.0
     first = lines[1].split(",")
     assert first[3] == "(intercept)"
+
+
+def test_result_csvs_quote_a_term_name_with_a_comma_or_a_quote(tmp_path):
+    # with ';' between input cells a header can name a column a,b; every
+    # result row must still have the header's width, the name one cell
+    rng = np.random.default_rng(3)
+    x = np.column_stack([rng.integers(0, 2, 40), rng.standard_normal(40), rng.integers(0, 2, 40)])
+    y = x @ np.array([1.5, -1.0, 0.5]) + 0.3 * rng.standard_normal(40)
+    names = ["a,b", 'say "hi"', "c"]
+    table = tmp_path / "named.csv"
+    lines = [";".join([*names, "y"])]
+    lines += [";".join(map(repr, [*row, target])) for row, target in zip(x.tolist(), y.tolist())]
+    table.write_text("\n".join(lines) + "\n")
+    given = ["--input", str(table), "--delimiter", ";", "--normalize", "std"]
+    runs = {
+        "path": ["path", *given, "--count", "4"],
+        "normalize": ["normalize", *given],
+        "fit": ["fit", *given, "--lambda1", "1", "--format", "csv"],
+    }
+    for command, argv in runs.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        with open(out, newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert rows and all(len(row) == len(header) for row in rows), command
+        terms = {row[header.index("term")] for row in rows}
+        assert set(names) <= terms, (command, terms)
 
 
 def test_path_strict_uncertified_points_exit_three(tmp_path, toy_csv, monkeypatch, capsys):

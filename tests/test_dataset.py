@@ -58,6 +58,12 @@ def test_a_dataset_refuses_a_flat_x_and_the_wrong_number_of_names(x, names, mess
         Dataset(x=x, y=np.zeros(4), names=names)
 
 
+def test_a_dataset_refuses_a_design_with_no_rows():
+    # no row has a mean: a fit would report a NaN intercept as certified
+    with pytest.raises(DimensionMismatchError, match=r"at least one row, got shape \(0, 2\)"):
+        Dataset(x=np.zeros((0, 2)), y=np.zeros(0))
+
+
 @pytest.mark.parametrize("stored", [True, False], ids=["stored-form", "converted"])
 def test_a_dataset_freezes_the_arrays_it_keeps_and_copies_the_others(stored):
     # an F-ordered float64 x and a contiguous float64 y are kept as they are,

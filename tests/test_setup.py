@@ -190,3 +190,29 @@ def test_scenario_scales_equal_compute_plans(case, monkeypatch):
         scales = normalize.compute_plan(data, strategies[i % len(strategies)]).scales
         want = scales if weight == "u" else scales**2
         assert np.array_equal(weights[weight], want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("kind", ["binary", "normal", "dead", "shifted"])
+def test_a_tall_setups_sums_of_squares_are_its_grams_diagonal(kind, seed):
+    # joins and the closed form take M_jj from the set-up's centered sums of
+    # squares, so on a tall design these must be the centered Gram's
+    # diagonal bit for bit: with a dead column, and after the shift that
+    # centers a design whose column mean exceeds 100 sd
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 200))
+    p = int(rng.integers(1, min(n, 12) + 1))
+    if kind == "binary":
+        x = (rng.random((n, p)) < rng.uniform(0.05, 0.95, p)).astype(float)
+    else:
+        x = rng.uniform(0.1, 10.0, p) * rng.standard_normal((n, p)) + rng.uniform(-5.0, 5.0, p)
+    j = int(rng.integers(p))
+    if kind == "dead":
+        x[:, j] = rng.uniform(-3.0, 3.0)
+    elif kind == "shifted":
+        x[:, j] = 1e4 + 0.5 * rng.standard_normal(n)
+    setup = normreg.solver._setup(Dataset(x=x, y=rng.standard_normal(n)))
+    assert setup.gram is not None
+    assert (setup.shift is not None) == (kind == "shifted")
+    assert bool(setup.dead[j]) == (kind == "dead")
+    assert setup.own.tobytes() == setup.gram.diagonal().tobytes()

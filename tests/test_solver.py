@@ -1438,6 +1438,73 @@ def _closed_form_matches_the_path(data, penalty, monkeypatch):
     return res
 
 
+def _one_column(seed):
+    """A random design of one column, binary (even seeds) or normal with an
+    offset (odd seeds), with its weights and lam2 drawn or left out by seed;
+    the column is dead in one seed of ten."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 200))
+    if seed % 2:
+        x = rng.uniform(0.1, 3.0) * rng.standard_normal(n) + rng.uniform(-2.0, 2.0)
+    else:
+        x = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
+    if seed % 10 == 7:
+        x[:] = 0.75
+    y = rng.uniform(-2.0, 2.0) * x + rng.uniform(0.1, 2.0) * rng.standard_normal(n)
+    u = rng.uniform(0.3, 3.0, 1) if seed % 3 else None
+    v = rng.uniform(0.3, 3.0, 1) if seed % 4 else None
+    lam2 = float(rng.choice([0.0, rng.uniform(0.01, 0.1) * n, rng.uniform(1.0, 10.0) * n]))
+    return Dataset(x=x[:, None], y=y), u, v, lam2
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_one_column_takes_the_closed_form_with_the_paths_support(seed, monkeypatch):
+    data, u, v, lam2 = _one_column(seed)
+    dead = normreg.solver._setup(data).dead[0]
+    assert dead == (seed % 10 == 7)
+    # a dead column has no lambda_max: every lam1 gives the null model
+    lam_max = 1.0 if dead else lambda_max(data, u=u)
+    for fraction in _FRACTIONS:
+        penalty = PenaltySpec(lam1=fraction * lam_max, lam2=lam2, u=u, v=v)
+        res = _closed_form_matches_the_path(data, penalty, monkeypatch)
+        assert (res.support.size == 0) == (dead or fraction >= 1.0)
+
+
+@pytest.mark.parametrize("lam1, lam2", [(0.0, 0.0), (1.0, 0.0), (0.5, 2.0)])
+def test_a_design_of_no_columns_takes_the_null_model_in_closed_form(lam1, lam2, monkeypatch):
+    runs = _count_calls(monkeypatch, normreg.solver._Homotopy, "run")
+    ridges = _count_calls(monkeypatch, normreg.solver._Design, "ridge")
+    y = np.array([1.0, 2.5, 0.3, -1.0])
+    res = fit(Dataset(x=np.zeros((4, 0)), y=y), PenaltySpec(lam1, lam2))
+    assert not runs and not ridges and res.sweeps_used == 1 and res.converged
+    assert res.beta.shape == (0,) and res.beta0 == y.mean()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_column_near_its_knot(seed, monkeypatch):
+    # the knot of one column is lambda_max = |c| / u: just below it the
+    # coefficient is within _TIE of zero, so the sign holds by no margin and
+    # the homotopy decides; just above it the path's own test gives the null
+    # model, with no step
+    data, u, v, lam2 = _one_column(seed)
+    setup = normreg.solver._setup(data)
+    w = np.ones(1) if u is None else u
+    knot = abs(float(setup.c0[0])) / float(w[0])
+    runs = _count_calls(monkeypatch, normreg.solver._Homotopy, "run")
+    for offset in (-1e-11, 1e-11):
+        runs.clear()
+        penalty = PenaltySpec(knot * (1.0 + offset), lam2, u, v)
+        res = fit(data, penalty)
+        assert res.converged and _certified(data, penalty, res)
+        assert len(runs) == (offset < 0.0) and res.sweeps_used == 1
+        reference = _path_optimum(data, penalty)
+        assert np.array_equal(np.sign(res.beta), np.sign(reference)), (offset, res.beta)
+        if offset < 0.0:
+            assert res.beta[0] * float(setup.c0[0]) > 0.0
+        else:
+            assert res.beta[0] == 0.0
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_two_columns_take_the_closed_form_with_the_paths_support(seed, monkeypatch):
     data, u, v, lam2 = _two_columns(seed)

@@ -60,6 +60,62 @@ def test_the_unused_import_check_sees_a_stray_name():
     assert _unused_imports(source) == ["line 1: math", "line 2: path"]
 
 
+def _private_names(tree: ast.Module) -> list[str]:
+    """The module-level private functions, classes and constants of a
+    module, an unpacked assignment's names included. A decorated definition
+    is left out: its decorator reads it."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.decorator_list:
+                names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names that nothing in the package reads.
+
+    A name counts as read when its own module loads it, or when any module
+    reads it as an attribute (module._name) or imports it by name."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    shared = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                shared.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                shared.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [
+            f"{module}: {name}" for name in _private_names(tree)
+            if name not in loaded and name not in shared
+        ]
+    return unread
+
+
+def test_every_module_level_private_name_is_read():
+    # a helper that a refactor leaves behind shows up here
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert not _unread_private_names(sources)
+
+
+def test_the_private_name_check_sees_a_stray_name():
+    sources = {
+        "a.py": "_A = 1\n_B, _C = 2, 3\ndef _f():\n    return _B\n"
+                "@register\ndef _g():\n    pass\nclass _K:\n    pass\ndef _h():\n    pass\n",
+        "b.py": "from a import _h\nimport a\na._K\n",
+    }
+    assert _unread_private_names(sources) == ["a.py: _A", "a.py: _C", "a.py: _f"]
+
+
 # Counts the ArgumentParsers constructed in a fresh interpreter: on importing
 # normreg.cli, then after each of two calls of main.
 _PARSER_PROBE = """

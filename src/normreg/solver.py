@@ -87,25 +87,25 @@ ridge solve (in the n-dimensional row space when p > n).
 A tall design of at most three columns has its optimum in closed form by
 cases (`_closed_form`). A dead column stays at zero, and the live columns
 form a smaller design; with none live (p = 0 among them) the optimum is the
-null model. The null model holds too by the path's own test at lambda_max.
-Otherwise each support S of the
-live columns with each sign pattern s is a case, beta_S = adj(M_S) (c_S -
-lam1 u_S s) / det M_S, tried only where det M_S > _NEAR prod_S M_jj (below
-that the path itself stops trusting its updated inverse). A case holds only
-when each sign holds by more than _TIE of the terms that cancel in its
-numerator, the products inside each cofactor included, and each other live
-column is inside its bound by more than _TIE of lam1 u_j and the terms of
-its correlation c_j - G_jS beta_S, each beta_q taken at the size of its
-numerator's terms: so no support can differ from the path's and at most one
-case holds, even near a knot of a near-singular design, where round-off in
-beta_S would otherwise pass for room inside a bound. Every support is tried
-first, largest first, with the signs of its lam1 = 0 solution adj(M_S) c_S,
-and then with the other signs. A column alone holds only with the sign of
-c_j, and its case is the soft threshold ST(c_j, lam1 u_j) / M_jj; a design of
-one live column has no other. Where no case holds, as for two equal columns
-at equal u and lam2 = 0, at a knot of the path (one column's at lambda_max
-included) or for a near-singular M_S, the homotopy (or the ridge solve)
-decides. At lam1 = 0 the case of all live columns is the ridge solve.
+null model, as it is by the path's own test at lambda_max. Otherwise each
+support S of the live columns with each sign pattern s is a case, beta_S =
+adj(M_S) (c_S - lam1 u_S s) / det M_S, tried only where det M_S > _NEAR
+prod_S M_jj (below that the path itself stops trusting its updated
+inverse). A case holds only when each sign holds by more than _TIE of the
+terms that cancel in its numerator, the products inside each cofactor
+included, and each other live column is inside its bound by more than _TIE
+of lam1 u_j and the terms of its correlation c_j - G_jS beta_S, each beta_q
+taken at the size of its numerator's terms: so no support can differ from
+the path's and at most one case holds, even near a knot of a near-singular
+design, where round-off in beta_S would otherwise pass for room inside a
+bound. Every support is tried first, largest first, with the signs of its
+lam1 = 0 solution adj(M_S) c_S, and then with the other signs. A column
+alone holds only with the sign of c_j, and its case is the soft threshold
+ST(c_j, lam1 u_j) / M_jj; a design of one live column has no other case.
+Where no case holds, as for two equal columns at equal u and lam2 = 0, at a
+knot of the path (for one column, lam1 within _TIE below lambda_max) or for
+a near-singular M_S, the homotopy (or the ridge solve) decides. At lam1 = 0
+the case of all live columns is the ridge solve.
 
 `fit_path` checks its weights once and calls `fit` once per grid point. At
 alpha = 1 it hands each fit the homotopy of the fit before, which continues

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: fit, path, cv, simulate, oracle, normalize. Results go to
---out (CSV or JSON) with a `<out>.manifest.json` sidecar describing the
-resolved parameters, seed, and tool version; without --out the records and
-manifest print to stdout as one JSON document. All file writes are atomic
+--out (CSV or JSON) with a `<out>.manifest.json` sidecar; without --out the
+records and manifest print to stdout as one JSON document. A manifest holds
+every option of the parsed command line but --out, each at its default when
+not given, then the tool version, then what the run computed (see
+_manifest). All file writes are atomic
 and happen only after the computation succeeds, so a failed or misused
 invocation never leaves partial output behind.
 
@@ -93,7 +95,6 @@ def _add_output_flags(sub, default_format: str) -> None:
     sub.add_argument(
         "--format", choices=(_io.CSV, _io.JSON), default=default_format, help="output format"
     )
-    sub.add_argument("--seed", type=int, default=0, help="master seed recorded in the manifest")
 
 
 def _add_input_flags(sub) -> None:
@@ -191,6 +192,7 @@ def build_parser() -> _Parser:
     _add_comparability_flag(p)
     p.add_argument("--lambda-count", type=int, default=100)
     p.add_argument("--lambda-ratio", type=float, default=1e-2)
+    p.add_argument("--seed", type=int, default=0, help="seed of the fold assignment")
     _add_output_flags(p, _io.CSV)
     p.set_defaults(run=_cmd_cv)
 
@@ -207,9 +209,10 @@ def build_parser() -> _Parser:
         metavar="KEY=VALUE",
         help="scenario parameter override (repeatable; comma lists allowed)",
     )
-    _add_output_flags(p, _io.CSV)
     # no default seed: an explicit --seed, 0 included, overrides a config's seed
-    p.set_defaults(run=_cmd_simulate, seed=None)
+    p.add_argument("--seed", type=int, help="master seed (default: the config's, else 0)")
+    _add_output_flags(p, _io.CSV)
+    p.set_defaults(run=_cmd_simulate)
 
     p = subs.add_parser("oracle", help="closed-form curves over a parameter grid")
     p.add_argument(
@@ -326,8 +329,14 @@ def _emit(args, header, rows, manifest, summary: _io.ResultTable | None = None) 
         _io.write_results(tables["summary"], path, args.format)
 
 
-def _manifest(args, command: str, extra: dict) -> dict:
-    manifest = {"command": command, "seed": args.seed, "version": __version__}
+def _manifest(args, extra: dict) -> dict:
+    """The one rule for what a manifest holds: every entry of the parsed
+    command line but `run` and `out` (the command, and each option at its
+    default when not given), the tool version, then extra, what the run
+    computed, which wins over a flag of the same name (simulate's resolved
+    seed and scenario)."""
+    manifest = {key: value for key, value in vars(args).items() if key not in ("run", "out")}
+    manifest["version"] = __version__
     manifest.update(extra)
     return manifest
 
@@ -359,13 +368,9 @@ def _cmd_fit(args) -> int:
         )
     manifest = _manifest(
         args,
-        "fit",
         {
-            "input": args.input,
-            "normalize": args.normalize,
             "lam1": lam1,
             "lam2": lam2,
-            "omega": args.omega,
             "converged": result.converged,
             "sweeps": result.sweeps_used,
             "objective": result.objective_value,
@@ -401,17 +406,7 @@ def _cmd_path(args) -> int:
             rows.append((lam, res.lam1, res.lam2, name, float(res.beta[j]), float(beta_norm[j])))
     manifest = _manifest(
         args,
-        "path",
-        {
-            "input": args.input,
-            "normalize": args.normalize,
-            "alpha": args.alpha,
-            "omega": args.omega,
-            "count": args.count,
-            "ratio": args.ratio,
-            "lambda_max": results[0].lam1 + results[0].lam2,
-            "non_converged": len(stragglers),
-        },
+        {"lambda_max": results[0].lam1 + results[0].lam2, "non_converged": len(stragglers)},
     )
     _emit(args, header, rows, manifest)
     return 0
@@ -433,16 +428,7 @@ def _cmd_cv(args) -> int:
     rows = [tuple(row) for row in result.rows]
     manifest = _manifest(
         args,
-        "cv",
         {
-            "input": args.input,
-            "folds": args.folds,
-            "repeats": args.repeats,
-            "alpha": args.alpha,
-            "deltas": list(args.deltas),
-            "comparability": args.comparability,
-            "lambda_count": args.lambda_count,
-            "lambda_ratio": args.lambda_ratio,
             "best": {
                 "delta": result.best.delta,
                 "lambda": result.best.lam,
@@ -488,7 +474,7 @@ def _cmd_simulate(args) -> int:
     spec = dataclasses.replace(spec, params=params, **set_flags)
     result = _simulate.run_scenario(spec)
     table = result.table()
-    _emit(args, table.header, table.rows, _manifest(args, "simulate", result.manifest),
+    _emit(args, table.header, table.rows, _manifest(args, result.manifest),
           summary=result.summary_table())
     return 0
 
@@ -520,7 +506,6 @@ _CURVE_FUNCS = {
 def _cmd_oracle(args) -> int:
     if args.delta is not None and args.omega is not None:
         raise _UsageError("--delta and --omega are mutually exclusive")
-    extra = {"curve": args.curve, "beta": args.beta, "n": args.n, "sigma": args.sigma}
     if args.curve == "gumbel":
         if args.n_grid is None:
             raise _UsageError("--curve gumbel requires --n-grid")
@@ -529,8 +514,7 @@ def _cmd_oracle(args) -> int:
         for n in args.n_grid:
             g = _oracle.maxabs_gumbel(args.mu, args.sd, n)
             rows.append((n, g.location, g.scale, g.mean_approx))
-        extra.update({"mu": args.mu, "sd": args.sd})
-        _emit(args, header, rows, _manifest(args, "oracle", extra))
+        _emit(args, header, rows, _manifest(args, {}))
         return 0
 
     lam1, lam2 = _resolve_penalty(args)
@@ -546,7 +530,7 @@ def _cmd_oracle(args) -> int:
         exponents = args.exponent_grid.values("--exponent-grid")
     else:
         exponents = (0.5 if value is None else value,)
-    extra.update({"lam1": lam1, "lam2": lam2, "mode": mode, "kappa": args.kappa, "q0": args.q0})
+    extra = {"lam1": lam1, "lam2": lam2, "mode": mode}
 
     if args.curve == "limits":
         header = ("exponent", "mean", "variance_kind", "variance", "selection")
@@ -555,7 +539,7 @@ def _cmd_oracle(args) -> int:
             limits = _oracle.asymptotic_limits(_oracle_model(args, scaling(t), lam1, lam2, 0.5))
             value = float("inf") if limits.variance.is_infinite else limits.variance.value
             rows.append((t, limits.mean, limits.variance.kind, value, limits.selection))
-        _emit(args, header, rows, _manifest(args, "oracle", extra))
+        _emit(args, header, rows, _manifest(args, extra))
         return 0
 
     if args.q_grid is None:
@@ -566,7 +550,7 @@ def _cmd_oracle(args) -> int:
     for q in args.q_grid.values("--q-grid"):
         for t in exponents:
             rows.append((q, t, func(_oracle_model(args, scaling(t), lam1, lam2, q))))
-    _emit(args, header, rows, _manifest(args, "oracle", extra))
+    _emit(args, header, rows, _manifest(args, extra))
     return 0
 
 
@@ -578,10 +562,7 @@ def _cmd_normalize(args) -> int:
         (name, kind, float(c), float(s))
         for name, kind, c, s in zip(data.names, infer_kinds(data.x), plan.centers, plan.scales)
     ]
-    manifest = _manifest(
-        args, "normalize", {"input": args.input, "normalize": args.normalize, "n": data.n}
-    )
-    _emit(args, header, rows, manifest)
+    _emit(args, header, rows, _manifest(args, {"n": data.n}))
     return 0
 
 

@@ -626,3 +626,53 @@ def test_output_to_unwritable_target_exits_two(tmp_path, toy_csv, capsys):
 def test_a_grid_that_is_not_numeric_is_refused(text):
     with pytest.raises(argparse.ArgumentTypeError, match=f"expected lo:hi:count, got {text!r}"):
         cli._grid(text)
+
+
+def test_every_option_but_out_is_a_manifest_key_with_its_parsed_value(toy_csv, capsys):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    calls = [
+        ["fit", "--input", toy_csv, "--lambda1", "1"],
+        ["path", "--input", toy_csv, "--count", "3"],
+        ["cv", "--input", toy_csv, "--folds", "3", "--repeats", "1", "--lambda-count", "3"],
+        ["simulate", "--scenario", "bias-var", "--seed", "5", "--n", "30",
+         "--replications", "1", "--param", "q_grid=0.5"],
+        ["oracle", "--curve", "gumbel", "--n-grid", "10,100"],
+        ["oracle", "--curve", "limits", "--lambda1", "5", "--exponent-grid", "0:1:3"],
+        ["oracle", "--curve", "selection", "--lambda1", "5", "--q-grid", "0.1:0.9:3"],
+        ["normalize", "--input", toy_csv],
+    ]
+    assert {argv[0] for argv in calls} == set(commands.choices)
+    for argv in calls:
+        assert main(argv) == 0, argv
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        args = parser.parse_args(argv)
+        dests = {a.dest for a in commands.choices[argv[0]]._actions} - {"help", "out"}
+        for dest in dests:
+            parsed = json.loads(json.dumps(cli._io.json_value(getattr(args, dest))))
+            assert manifest[dest] == parsed, (argv, dest)
+    # the class-balance exponent is recorded, so two plans cannot share a manifest
+    manifests = []
+    for delta in ("0.25", "1"):
+        argv = ["normalize", "--input", toy_csv, "--normalize", "binary-delta", "--delta", delta]
+        assert main(argv) == 0
+        manifests.append(json.loads(capsys.readouterr().out)["manifest"])
+    assert manifests[0] != manifests[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--lambda1", "1"],
+        ["path"],
+        ["normalize"],
+        ["oracle", "--curve", "gumbel", "--n-grid", "10"],
+    ],
+)
+def test_a_command_that_draws_nothing_takes_no_seed(toy_csv, argv, capsys):
+    if argv[0] != "oracle":
+        argv = [*argv, "--input", toy_csv]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

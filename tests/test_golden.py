@@ -128,29 +128,29 @@ def _host() -> str:
 
 
 GOLDEN = {
-    "bias-var": "786c5a77a8f9dcb3437e5f702f9f86000d3d3c1e65e1cac22a32639fea52fd9d",
-    "bias-var-json": "bd3920587959415873c9137b88ea32e554eec35fd92bc3d42ea73b54614a317f",
-    "bias-var-weighted": "85415a0e4b2bdb467a5dbc951b27144afd9f6c6645f4a481b2c744d7005e73e6",
-    "cv": "a2759925f2c79b2faf6791409024f5a822817f2cce767ccbf95267386dd81a44",
-    "cv-rare": "1a7e012a34890bc3a7af0ce807d7ffa50bf92659e6cb1e49f562023bfe162be4",
-    "decreasing-classbalance": "6a977ad4b5510836fe345169d43581edb866a7be5e2cc0dc1dc7643bd2cf695f",
-    "decreasing-classbalance-wide": "be3515915da8ec076d3f7ad95f8e78abc414417e982675fd3a0c65e5009e69de",
-    "decreasing-classbalance-wide-large": "876d76996d9168363fac5ded61551d1663dbdced7ef45aa229f3fe125e7e7e29",
-    "fit-omega": "4897b0b9fa075b6e3887e766ed30c28ab134793fafe68ed9b5f93b7ba13053ea",
-    "fit-std": "22eec49dd9551a05ab289ca43f791133e61f2722fc9f986f7d41daf9c28854a8",
-    "interactions": "f095ece87ac778ef6784738283acf21a6fab07a4ed0f629fbf708a4d1cfd974e",
-    "maxabs-gev-a": "7a469733f6793ed53d556c66ae4ec7d31f75d7028d14bc5c989537301c497aa2",
-    "maxabs-gev-b": "58d6da3ef67a26ff9bcb65e7faec5e982d350b7f78a01c4a5ab723d824fc728c",
-    "mixed-data": "e19ab7ef6549b1591c175c65560c3b18f6eecf76089955a9e60637f84d3c0cb1",
-    "orthogonality": "bc1f63ef86cefe480aaeb989982e94cca79bcd37f129554852b827cd60bfdcf1",
-    "path": "38e017012db3bff2f561a5b80a3296a034db70a31af73e231052daad160e7185",
-    "path-binary-delta": "1f8db038da0cc671ef1c88bd52ed61b64eb34fecfd0ecfe941b6d57b6564f3c6",
-    "path-omega": "231b9a46c34fc2c0747bab107ee5d1fd5dc016308f31bf4ac03b6e72a7780501",
-    "power-fdr": "dce9e1220249743f3d7c59ede58a304c16ac13eb973b3d32e97e7f8b887bae38",
-    "predictive-sim": "ba3fe53cfb067a0f7f16715c7d277ef5e00e23bd3944c93093e1bb04526227c1",
-    "predictive-sim-wide": "f606c3a182daa21af9eec66da48bf1c61d649774300318f44b9a20b774208f68",
-    "selection-probability": "c6e8553bbc216bcd3c2edbab765f86797dc316e48f94c6bc4433d036ccf826e7",
-    "weighted-elnet": "1ee2f79658312a501c9abdd923d9395ddf4408c8e117cf6585e4b41803a9a871",
+    "bias-var": "077ad43444c835594e2d604a72a54847aa0d6932371dd9f1d8b4c8588f2f3745",
+    "bias-var-json": "37f5d0582a4959ebb29b6925320f8f7449eb753437db909eaf8861439bdce1a4",
+    "bias-var-weighted": "f4736fae88275b53f8d102fea3aef8c7881d1daad868e497e9b2a5394d5d168b",
+    "cv": "90a1e30cd87db425b8493a81c5f22cc11732b5dec558c93cb1f83957afebbed4",
+    "cv-rare": "ef8beb94d5483168bba33f36f8c03cd9c7dc41a4f94728b16b4d0bf49184dfbe",
+    "decreasing-classbalance": "aeccdb12724021ad79a7c4c6111a854c51d6cccc7ef3cb52ae84d4542dca4498",
+    "decreasing-classbalance-wide": "e239d55d1b00ea662fd3f9ec82b44144cd3b12487dd4c11a6b688d37ce951dfa",
+    "decreasing-classbalance-wide-large": "9eab45c9290f6bd9e3d7ce1ade7e5aac8752c42bff034ed38360c04535cd3ee6",
+    "fit-omega": "220a58a57b905ae50720b8214b076ca11d50b6d985767b864833eaedfaf793e8",
+    "fit-std": "8402fcac2aa883007ba617369a86a2a797b723223b0c065b9da45293ffd55371",
+    "interactions": "98c9157f855b333f8f4475ee57ff5eaa659242102d2df64319ed357caeac2cc9",
+    "maxabs-gev-a": "b15e9daa4409a0481563ecb8c9ae171f53f5b5c32f46a7cebb13f40c3935e054",
+    "maxabs-gev-b": "2afbeac7cc9a050c28d36406efd443229f20017f0a48f8f07db1ae1b892891e1",
+    "mixed-data": "7123f00faaf9b9f11e9175a4d39d5f35bf06cc4b4ddcd668019f9850c08949ec",
+    "orthogonality": "e12ee09baea9f3def1e16d3461d760a514daf230c20b39fd34fcf46684891edb",
+    "path": "e9b77246952902acad0d110cf6b701519da8a894d323bf2694faf2a53ed3cf01",
+    "path-binary-delta": "29b3fbdb55467a970b462a3766e7a0cd3b9080cf3e102ec65b5907bcb0711d5b",
+    "path-omega": "ff8620e5c1e1972301340e290f79e0dbdac1ca6125313e7a24c7cb2a17b12d7e",
+    "power-fdr": "6ace81eacaa1a4c5b8d5fa79fb5fc2a8ff17fc6d7feabd14216aa5844c1b46e1",
+    "predictive-sim": "2fcc32187ab99bb66325d034bd8cd948edcfc79db15f4ebecf50ac2cd0b6d372",
+    "predictive-sim-wide": "038f63b837b20e4647ee65db6813bfd05123c8be9de030394136f5d88210a91f",
+    "selection-probability": "b502fc73b2875c01df95f0a35b087a3f10282ce96d526227f8e654d036cd2476",
+    "weighted-elnet": "34f3634e053a2ddbc0e64ce4c426af0ccf695f3825999a781fb2b54c315fa660",
 }
 
 

@@ -793,17 +793,21 @@ def _run_weighted_elnet(cfg, rec, reps):
 def correlated_binary_pair(n: int, q1: float, q2: float, rho: float) -> np.ndarray | None:
     """Two binary columns with exact joint counts matching correlation rho.
 
-    Cell probabilities come from p11 = q1 q2 + rho sqrt(nu1 nu2); a balance
-    outside (0, 1) is refused. Returns None when rounding makes a column
-    constant or a cell count negative (rho outside the Frechet bounds).
+    Each column holds the ceil(n q - 1e-9) ones of a gen_binary column at
+    its balance, and round(n p11) rows hold a one in both, where
+    p11 = q1 q2 + rho sqrt(nu1 nu2); a balance outside (0, 1) is refused.
+    Returns None when a column is constant or a cell count negative (rho
+    outside the Frechet bounds).
     """
-    _check_balances(np.array([q1, q2], dtype=np.float64))
+    qs = np.array([q1, q2], dtype=np.float64)
+    _check_balances(qs)
+    ones1, ones2 = _ones(n, qs).tolist()
     nu1, nu2 = q1 - q1 * q1, q2 - q2 * q2
     n11 = round(n * (q1 * q2 + rho * math.sqrt(nu1 * nu2)))
-    n10 = round(n * q1) - n11
-    n01 = round(n * q2) - n11
+    n10 = ones1 - n11
+    n01 = ones2 - n11
     n00 = n - n11 - n10 - n01
-    if min(n11, n10, n01, n00) < 0 or round(n * q1) in (0, n) or round(n * q2) in (0, n):
+    if min(n11, n10, n01, n00) < 0 or ones1 in (0, n) or ones2 in (0, n):
         return None
     x1 = np.concatenate([np.ones(n11 + n10), np.zeros(n01 + n00)])
     x2 = np.concatenate([np.ones(n11), np.zeros(n10), np.ones(n01), np.zeros(n00)])

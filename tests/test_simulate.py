@@ -218,6 +218,18 @@ def test_correlated_binary_pair_counts_and_feasibility():
             correlated_binary_pair(100, q1, q2, 0.0)
 
 
+def test_correlated_binary_pair_columns_hold_the_ones_of_gen_binary():
+    # where n q is not integral, rounding it can leave a column with one
+    # fewer one than gen_binary draws at the same balance
+    q1 = scenario_defaults("orthogonality")["q1"]
+    for n in range(20, 61):
+        for q2 in scenario_defaults("orthogonality")["q2_grid"]:
+            x = correlated_binary_pair(n, q1, q2, 0.0)
+            assert x is not None, (n, q2)
+            expected = [gen_binary(n, q, _gen()).sum() for q in (q1, q2)]
+            assert x.sum(axis=0).tolist() == expected, (n, q2)
+
+
 def test_scenario_spec_validation():
     with pytest.raises(DomainError, match="unknown scenario"):
         ScenarioSpec("no-such-scenario")

@@ -5,16 +5,20 @@ the sparse "label idx:val" format used by several public benchmark
 distributions (1-based, strictly increasing indices per line). Parsing is
 locale-independent: the decimal separator is always '.', and the special
 tokens NaN/Inf are rejected on read because no downstream computation
-accepts non-finite cells.
+accepts non-finite cells. A delimited record is one physical line whose
+cells may be quoted as RFC 4180 asks, so a header can name a column a,b;
+a header that repeats a name is refused.
 
 Result tables are written as CSV (header + newline-terminated records) or as
 a JSON array of records. Floats are rendered with repr, i.e. the shortest
-string that round-trips. Every write is atomic (temp file + rename) and
+string that round-trips; a cell holding a comma or a double quote is quoted,
+so the CSV a Dataset is written to reads back to it. Every write is atomic (temp file + rename) and
 drops a sidecar `<out>.manifest.json` describing how the table was produced.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -45,6 +49,8 @@ class TableSchema:
     def __post_init__(self) -> None:
         if len(self.delimiter) != 1:
             raise DomainError(f"delimiter must be a single character, got {self.delimiter!r}")
+        if self.delimiter == '"':
+            raise DomainError("delimiter cannot be the quote character '\"'")
 
 
 def _parse_cell(token: str, line_no: int, col_no: int) -> float:
@@ -61,12 +67,23 @@ def _parse_cell(token: str, line_no: int, col_no: int) -> float:
     return value
 
 
+def _cells(line: str, line_no: int, delimiter: str) -> list[str]:
+    """The stripped cells of one physical line, RFC 4180 quotes read."""
+    try:
+        cells = next(csv.reader((line,), delimiter=delimiter, strict=True))
+    except csv.Error as exc:
+        raise ParseError(f"malformed quoted cell: {exc}", line=line_no) from None
+    return [cell.strip() for cell in cells]
+
+
 def read_delimited(path, schema: TableSchema = TableSchema()) -> Dataset:
     """Parse a delimited text file into a Dataset.
 
-    Ragged rows and non-numeric cells raise ParseError with the 1-based line
-    (and column) position. Row order is preserved. No column kind is stored:
-    a 0/1 column is binary to every rule that reads the values.
+    Each non-blank physical line is one record. Ragged rows, non-numeric
+    cells, malformed quotes and a header that repeats a name raise
+    ParseError with the 1-based line (and column) position. Row order is
+    preserved. No column kind is stored: a 0/1 column is binary to every
+    rule that reads the values.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         raw_lines = handle.read().splitlines()
@@ -76,10 +93,13 @@ def read_delimited(path, schema: TableSchema = TableSchema()) -> Dataset:
 
     if schema.header:
         header_no, header_line = lines[0]
-        names = [cell.strip() for cell in header_line.split(schema.delimiter)]
+        names = _cells(header_line, header_no, schema.delimiter)
+        repeated = next((name for j, name in enumerate(names) if name in names[:j]), None)
+        if repeated is not None:
+            raise ParseError(f"column name {repeated!r} repeated in the header", line=header_no)
         body = lines[1:]
     else:
-        width = len(lines[0][1].split(schema.delimiter))
+        width = len(_cells(lines[0][1], lines[0][0], schema.delimiter))
         names = [f"x{j + 1}" for j in range(width)]
         body = lines
     if not body:
@@ -87,14 +107,12 @@ def read_delimited(path, schema: TableSchema = TableSchema()) -> Dataset:
 
     matrix = []
     for line_no, line in body:
-        cells = line.split(schema.delimiter)
+        cells = _cells(line, line_no, schema.delimiter)
         if len(cells) != len(names):
             raise ParseError(
                 f"expected {len(names)} cells, found {len(cells)}", line=line_no
             )
-        matrix.append(
-            [_parse_cell(cell.strip(), line_no, j + 1) for j, cell in enumerate(cells)]
-        )
+        matrix.append([_parse_cell(cell, line_no, j + 1) for j, cell in enumerate(cells)])
 
     if isinstance(schema.response, int):
         if not 0 <= schema.response < len(names):
@@ -206,18 +224,17 @@ def json_value(value):
 def csv_cell(value) -> str:
     """value as a CSV cell: str(json_value(value)), the one rule for every
     cell normreg writes. A finite float (np.float64 included) is its repr and
-    a str is itself, without json_value's type dispatch, unless it holds a
-    comma or a double quote: then it is quoted as RFC 4180 asks, in double
-    quotes with each inner one doubled, so a term name such as a,b stays one
-    cell. Every other value (NaN and Inf, bools, ints, other numpy scalars,
-    containers) goes through json_value."""
+    a str is itself, without json_value's type dispatch; every other value
+    (NaN and Inf, bools, ints, other numpy scalars, containers) goes through
+    json_value. Text that holds a comma or a double quote, a term name such
+    as a,b or a container's [1, 2.5], is quoted as RFC 4180 asks, in double
+    quotes with each inner one doubled, so it stays one cell."""
     if isinstance(value, float) and math.isfinite(value):
         return repr(float(value))
-    if type(value) is str:
-        if "," in value or '"' in value:
-            return '"' + value.replace('"', '""') + '"'
-        return value
-    return str(json_value(value))
+    text = value if type(value) is str else str(json_value(value))
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -268,6 +285,12 @@ def json_records(table: ResultTable) -> list[dict]:
     return [{key: json_value(v) for key, v in zip(table.header, row)} for row in table.rows]
 
 
+def _csv_text(rows) -> str:
+    """Rows as CSV text: comma-joined cells formatted by csv_cell, each
+    record newline-terminated."""
+    return "".join(",".join(map(csv_cell, row)) + "\n" for row in rows)
+
+
 def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
     """Write a result table and its sidecar manifest atomically.
 
@@ -277,10 +300,7 @@ def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
     with its values passed through json_value.
     """
     if fmt == CSV:
-        lines = [",".join(map(csv_cell, table.header))]
-        for row in table.rows:
-            lines.append(",".join(map(csv_cell, row)))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, _csv_text((table.header, *table.rows)))
     elif fmt == JSON:
         atomic_write_text(path, json.dumps(json_records(table), indent=2, sort_keys=False) + "\n")
     else:
@@ -292,9 +312,12 @@ def write_results(table: ResultTable, path, fmt: str = CSV) -> None:
 def write_delimited(data: Dataset, path) -> None:
     """Write a Dataset as delimited text with a header, each cell formatted
     by csv_cell (inverse of read_delimited with the default schema: the
-    shortest repr of a float reads back to the same float)."""
-    lines = [",".join([*data.names, "y"])]
+    shortest repr of a float reads back to the same float). A feature named
+    y is refused, as the response column takes that name."""
+    if "y" in data.names:
+        raise DomainError("a feature named 'y' would repeat the response column's name")
+    rows = [(*data.names, "y")]
     for row, y in zip(data.x.tolist(), data.y.tolist()):
         row.append(y)
-        lines.append(",".join(map(csv_cell, row)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        rows.append(row)
+    atomic_write_text(path, _csv_text(rows))

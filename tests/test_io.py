@@ -1,5 +1,6 @@
 """Reader/writer behavior: format rules, error positions, round trips."""
 
+import csv
 import json
 import math
 import os
@@ -156,6 +157,48 @@ def test_delimited_round_trip_shortest_repr(tmp_path):
     assert back.names == data.names
 
 
+def test_delimited_round_trip_of_names_that_need_quotes(tmp_path):
+    data = Dataset(x=np.array([[1.0, 0.0], [0.5, 1.0]]), y=np.array([2.0, -1.0]),
+                   names=("a,b", 'c"d'))
+    path = tmp_path / "rt.csv"
+    write_delimited(data, path)
+    assert path.read_text().splitlines()[0] == '"a,b","c""d",y'
+    back = read_delimited(path)
+    assert back.names == data.names
+    assert back.x.tolist() == data.x.tolist() and back.y.tolist() == data.y.tolist()
+
+
+def test_read_delimited_reads_a_quoted_header_cell(tmp_path):
+    path = tmp_path / "semi.csv"
+    path.write_text('"a;b";y\n1;2\n3;4\n')
+    data = read_delimited(path, TableSchema(delimiter=";"))
+    assert data.names == ("a;b",)
+    assert data.x.tolist() == [[1.0], [3.0]] and data.y.tolist() == [2.0, 4.0]
+
+
+def test_read_delimited_unclosed_quote_reports_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text('a,y\n1,2\n"3,4\n5,6\n')
+    with pytest.raises(ParseError, match=r"\(line 3\)"):
+        read_delimited(path)
+
+
+def test_a_repeated_name_is_refused_not_swapped_for_the_response(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("\n y,b,y\n1,2,3\n")
+    with pytest.raises(ParseError, match=r"column name 'y' repeated in the header \(line 2\)"):
+        read_delimited(path)
+    data = Dataset(x=np.array([[1.0, 2.0], [3.0, 5.0]]), y=np.array([0.0, 1.0]), names=("y", "b"))
+    with pytest.raises(DomainError, match="feature named 'y'"):
+        write_delimited(data, tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_table_schema_refuses_the_quote_as_delimiter():
+    with pytest.raises(DomainError, match="delimiter cannot be the quote character"):
+        TableSchema(delimiter='"')
+
+
 # one value of each kind a result row can hold
 _CELLS = (-0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2, np.float64(1e-300),
           np.float32(0.1), np.int64(-7), True, np.bool_(False), "a b", (1, 2.5), None)
@@ -163,7 +206,9 @@ _CELLS = (-0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2, np.float64(1e-300),
 
 @pytest.mark.parametrize("value", _CELLS, ids=repr)
 def test_a_csv_cell_is_the_str_of_its_json_value(value):
-    assert csv_cell(value) == str(json_value(value))
+    # as a CSV reader reads it: the text of (1, 2.5) holds a comma, so its
+    # cell is quoted
+    assert next(csv.reader([csv_cell(value)])) == [str(json_value(value))]
 
 
 def test_write_results_csv_bytes_of_every_kind_of_cell(tmp_path):
@@ -174,8 +219,8 @@ def test_write_results_csv_bytes_of_every_kind_of_cell(tmp_path):
     assert path.read_bytes() == (
         b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10,c11,c12\n"
         b"-0.0,Inf,-Inf,NaN,0.30000000000000004,1e-300,0.10000000149011612,-7,True,"
-        b"False,a b,[1, 2.5],None\n"
-        b"None,[1, 2.5],a b,False,True,-7,0.10000000149011612,1e-300,"
+        b"False,a b,\"[1, 2.5]\",None\n"
+        b"None,\"[1, 2.5]\",a b,False,True,-7,0.10000000149011612,1e-300,"
         b"0.30000000000000004,NaN,-Inf,Inf,-0.0\n"
     )
 

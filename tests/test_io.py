@@ -194,11 +194,6 @@ def test_a_repeated_name_is_refused_not_swapped_for_the_response(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_table_schema_refuses_the_quote_as_delimiter():
-    with pytest.raises(DomainError, match="delimiter cannot be the quote character"):
-        TableSchema(delimiter='"')
-
-
 # one value of each kind a result row can hold
 _CELLS = (-0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2, np.float64(1e-300),
           np.float32(0.1), np.int64(-7), True, np.bool_(False), "a b", (1, 2.5), None)
@@ -328,8 +323,10 @@ def _blank_lines(path):
         (lambda path: TableSchema(delimiter=",;"), DomainError,
          "delimiter must be a single character, got ',;'"),
         (_blank_lines, ParseError, "empty file"),
+        (lambda path: TableSchema(delimiter='"'), DomainError,
+         "delimiter cannot be the quote character"),
     ],
-    ids=["two-character-delimiter", "only-blank-lines"],
+    ids=["two-character-delimiter", "only-blank-lines", "quote-delimiter"],
 )
 def test_io_refuses_a_long_delimiter_and_a_sparse_file_of_blank_lines(
     call, error, message, tmp_path

@@ -5,9 +5,9 @@ Subcommands: fit, path, cv, simulate, oracle, normalize. Results go to
 records and manifest print to stdout as one JSON document. A manifest holds
 every option of the parsed command line but --out, each at its default when
 not given, then the tool version, then what the run computed (see
-_manifest). All file writes are atomic
-and happen only after the computation succeeds, so a failed or misused
-invocation never leaves partial output behind.
+_manifest). All file writes are atomic and happen only after the
+computation succeeds, so a failed or misused invocation never leaves
+partial output behind.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure
 (a fit that failed the KKT certificate, under --strict).

@@ -12,8 +12,9 @@ a header that repeats a name is refused.
 Result tables are written as CSV (header + newline-terminated records) or as
 a JSON array of records. Floats are rendered with repr, i.e. the shortest
 string that round-trips; a cell holding a comma or a double quote is quoted,
-so the CSV a Dataset is written to reads back to it. Every write is atomic (temp file + rename) and
-drops a sidecar `<out>.manifest.json` describing how the table was produced.
+so the CSV a Dataset is written to reads back to it. Every write is atomic
+(temp file + rename) and drops a sidecar `<out>.manifest.json` describing
+how the table was produced.
 """
 
 from __future__ import annotations
@@ -94,9 +95,11 @@ def read_delimited(path, schema: TableSchema = TableSchema()) -> Dataset:
     if schema.header:
         header_no, header_line = lines[0]
         names = _cells(header_line, header_no, schema.delimiter)
-        repeated = next((name for j, name in enumerate(names) if name in names[:j]), None)
-        if repeated is not None:
-            raise ParseError(f"column name {repeated!r} repeated in the header", line=header_no)
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise ParseError(f"column name {name!r} repeated in the header", line=header_no)
+            seen.add(name)
         body = lines[1:]
     else:
         width = len(_cells(lines[0][1], lines[0][0], schema.delimiter))

@@ -73,7 +73,7 @@ def _cells(line: str, line_no: int, delimiter: str) -> list[str]:
     try:
         cells = next(csv.reader((line,), delimiter=delimiter, strict=True))
     except csv.Error as exc:
-        raise ParseError(f"malformed quoted cell: {exc}", line=line_no) from None
+        raise ParseError(f"malformed line: {exc}", line=line_no) from None
     return [cell.strip() for cell in cells]
 
 

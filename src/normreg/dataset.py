@@ -44,7 +44,12 @@ class Dataset:
     becomes read-only too. Any other (a C-ordered or non-float x, a strided
     y) is converted into a copy, and the caller's array stays writable.
     Copying always would add a design-sized array per Dataset: 8 MB for
-    power-fdr's 10,000 x 100 design.
+    power-fdr's 10,000 x 100 design, whose nested designs are heads of it.
+
+    with_response and head make a Dataset of this one's x, neither copied
+    nor checked again. Each keeps, as _source, the Dataset whose x it begins
+    with, which never has a _source of its own, so the solver sets that
+    design up once for all of them (see solver._Moments).
     """
 
     x: np.ndarray
@@ -53,22 +58,15 @@ class Dataset:
 
     def __post_init__(self) -> None:
         x = np.asfortranarray(np.asarray(self.x, dtype=np.float64))
-        y = np.ascontiguousarray(np.asarray(self.y, dtype=np.float64))
         if x.ndim != 2:
             raise DimensionMismatchError(f"x must be 2-d, got shape {x.shape}")
         if not x.shape[0]:
             # no row has a mean: a fit would report NaN as a certified optimum
             raise DimensionMismatchError(f"x must have at least one row, got shape {x.shape}")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise DimensionMismatchError(
-                f"y must be 1-d with length {x.shape[0]}, got shape {y.shape}"
-            )
+        y = _response(self.y, x.shape[0])
         # the ufunc's reduce, without np.all's Python-level dispatch
-        if not (
-            np.logical_and.reduce(np.isfinite(x), axis=None)
-            and np.logical_and.reduce(np.isfinite(y))
-        ):
-            raise DomainError("x and y must be finite")
+        if not np.logical_and.reduce(np.isfinite(x), axis=None):
+            raise DomainError(_FINITE)
         names = tuple(self.names) if self.names else _default_names(x.shape[1])
         if len(names) != x.shape[1]:
             raise DimensionMismatchError(
@@ -80,6 +78,33 @@ class Dataset:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "names", names)
 
+    def with_response(self, y) -> Dataset:
+        """This design with response y, which the constructor's rule checks
+        and stores; x is this Dataset's own array."""
+        return self._derive(self.x, _response(y, self.n), self.names)
+
+    def head(self, p: int) -> Dataset:
+        """The first p columns, a read-only view of x, with the same y.
+
+        The solver slices this Dataset's set-up of x for it. On a design of
+        integers, such as a binary one, every sum in it is exact and the fits
+        equal a fresh Dataset's bit for bit; on other designs the sliced
+        Gram and means agree with fresh ones only to round-off.
+        """
+        if not 0 <= p <= self.p:
+            raise DimensionMismatchError(f"head takes 0 to {self.p} columns, got {p!r}")
+        return self._derive(self.x[:, :p], self.y, self.names[:p])
+
+    def _derive(self, x: np.ndarray, y: np.ndarray, names: tuple) -> Dataset:
+        """A Dataset of checked arrays, made without the constructor, in
+        PenaltySpec._at's idiom, that shares this one's source."""
+        y.setflags(write=False)
+        data = object.__new__(Dataset)
+        data.__dict__.update(
+            x=x, y=y, names=names, _source=self.__dict__.get("_source", self)
+        )
+        return data
+
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -90,3 +115,17 @@ class Dataset:
 
     def column(self, j: int) -> np.ndarray:
         return self.x[:, j]
+
+
+_FINITE = "x and y must be finite"
+
+
+def _response(y, n: int) -> np.ndarray:
+    """y as a contiguous, finite float64 array of length n: the one rule for
+    a response, the constructor's and with_response's."""
+    y = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
+    if y.ndim != 1 or y.shape[0] != n:
+        raise DimensionMismatchError(f"y must be 1-d with length {n}, got shape {y.shape}")
+    if not np.logical_and.reduce(np.isfinite(y)):
+        raise DomainError(_FINITE)
+    return y

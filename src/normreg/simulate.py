@@ -473,12 +473,13 @@ def _run_selection_probability(cfg, rec, reps):
         columns = {q: gen_binary(n, q, gx) for q in qs}
         noise = {s: (s * ge.standard_normal(n) if s > 0.0 else None) for s in cfg["sigma_grid"]}
         for q in qs:
-            x = columns[q][:, np.newaxis]
+            x, data = columns[q][:, np.newaxis], None
             q_hat = class_balance(columns[q])
             scales = {d: np.array([BinaryDelta(d).scale_at(q_hat)]) for d in cfg["delta_grid"]}
             for s in cfg["sigma_grid"]:
                 y = beta * columns[q] if noise[s] is None else beta * columns[q] + noise[s]
-                data = Dataset(x=x, y=y)
+                # one design per q, refit on each sigma's response
+                data = Dataset(x=x, y=y) if data is None else data.with_response(y)
                 for d in cfg["delta_grid"]:
                     for lam1 in cfg["lambda1_grid"]:
                         res = fit(data, PenaltySpec(lam1=lam1, u=scales[d]))
@@ -530,7 +531,7 @@ def _run_bias_var(cfg, rec, reps):
         columns = {q: gen_binary(n, q, gx) for q in qs}
         noise = {s: (s * ge.standard_normal(n) if s > 0.0 else None) for s in cfg["sigma_grid"]}
         for q in qs:
-            x = columns[q][:, np.newaxis]
+            x, data = columns[q][:, np.newaxis], None
             # weights at the nominal balance; scaling at the realized one
             q_hat = q if variant == "weighted" else class_balance(columns[q])
             penalties = {}
@@ -540,7 +541,7 @@ def _run_bias_var(cfg, rec, reps):
                 penalties[t] = PenaltySpec(lam1=lam1, lam2=lam2, u=u, v=v)
             for s in cfg["sigma_grid"]:
                 y = beta * columns[q] if noise[s] is None else beta * columns[q] + noise[s]
-                data = Dataset(x=x, y=y)
+                data = Dataset(x=x, y=y) if data is None else data.with_response(y)
                 for t in cfg["exponent_grid"]:
                     res = fit(data, penalties[t])
                     rec.add(rep, (q, t, s), estimate=res.beta[0], **oracle[(q, t, s)])
@@ -717,10 +718,13 @@ def _run_interactions(cfg, rec, reps):
             # the centers of both plans are the column means, which the
             # intercept absorbs; the scales enter as penalty weights
             scales = {1: np.array([s1, s2, float(x3.std())]), 2: np.array([s1, s2, s1 * s2])}
+            data = None
             for beta3 in cfg["beta3_grid"]:
                 beta = np.array([cfg["beta_binary"], cfg["beta_cont"], beta3])
                 sigma = sigma_for_snr(x, beta, cfg["snr"])
-                data = Dataset(x=x, y=x @ beta + sigma * z)
+                y = x @ beta + sigma * z
+                # one design per q, refit on each beta3's response
+                data = Dataset(x=x, y=y) if data is None else data.with_response(y)
                 for strategy, s in scales.items():
                     res = fit(data, PenaltySpec(lam1=lam1, u=s))
                     rec.add(
@@ -839,11 +843,13 @@ def _run_orthogonality(cfg, rec, reps):
             sigma = sigma_for_snr(x, beta, cfg["snr"])
             corr = float(np.corrcoef(x[:, 0], x[:, 1])[0, 1])
             x = np.asfortranarray(x)
-            designs[(q2, rho)] = (x, x.std(axis=0), sigma, corr)
+            # the noiseless response; each replication refits the design on its own
+            noiseless = Dataset(x=x, y=x @ beta)
+            designs[(q2, rho)] = (noiseless, x.std(axis=0), sigma, corr)
     for rep, _, ge, _ in reps:
         z = ge.standard_normal(n)
-        for (q2, rho), (x, s, sigma, corr) in designs.items():
-            data = Dataset(x=x, y=x @ beta + sigma * z)
+        for (q2, rho), (noiseless, s, sigma, corr) in designs.items():
+            data = noiseless.with_response(noiseless.y + sigma * z)
             res = fit(data, PenaltySpec(lam1=lambda_max(data, u=s) / 2.0, u=s))
             cell = (q2, rho)
             rec.add(rep, cell, estimate_1=res.beta[0], estimate_2=res.beta[1], realized_corr=corr)
@@ -883,13 +889,15 @@ def _run_power_fdr(cfg, rec, reps):
     qs = np.linspace(cfg["q_first"], cfg["q_last"], k)
     truth = set(range(k))
     for rep, gx, ge, gt in reps:
-        x_full = data = None  # the last design goes before the next is drawn
+        x_full = full = data = None  # the last design goes before the next is drawn
         x_full = _binary_design(n, p_max, qs, cfg, gx)
         signal = cfg["beta_signal"] * x_full[:, :k].sum(axis=1)
         y = signal + cfg["sigma"] * ge.standard_normal(n)
         y_test = signal + cfg["sigma"] * gt.standard_normal(n)
+        # the nested designs are heads of one, set up once
+        full = Dataset(x=x_full, y=y)
         for p in cfg["p_grid"]:
-            data = Dataset(x=x_full[:, :p], y=y)
+            data = full.head(p)
             balances = data.x.mean(axis=0).tolist()
             for d in cfg["delta_grid"]:
                 res = fit(data, PenaltySpec(lam1=n * 4.0**d / 10.0, u=_delta_scales(balances, d)))
@@ -957,7 +965,8 @@ def _run_predictive_sim(cfg, rec, reps):
         for snr in cfg["snr_grid"]:
             sigma = sigma_for_snr(x, beta, snr)
             y = signal + sigma * z
-            data = Dataset(x=xt, y=y[train])
+            # one training design per replication, refit on each snr's response
+            data = Dataset(x=xt, y=y[train]) if data is None else data.with_response(y[train])
             for d in cfg["delta_grid"]:
                 s = scales[d]
                 lam_max = lambda_max(data, u=s)

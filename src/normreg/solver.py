@@ -66,17 +66,22 @@ X'(y - mean y) is taken as zero and it never joins. A coefficient whose
 final solve comes out against its sign is a drop the path missed by
 round-off: it is dropped and the rest re-solved.
 
-What depends on (x, y) alone is set up once per Dataset and kept on it: the
-column means, the centered sums of squares x_j'x_j - n xbar_j^2 (which find
-the columns with no variance and give every M_jj), mean(y), X'(y - mean y)
-and, for a tall design (p <= n), the centered Gram X'X - n xbar xbar', built
-once from one product X'X whose diagonal also gives the raw sums of squares,
-so the Gram's diagonal is the centered sums of squares bit for bit. A
-Dataset's arrays are read-only, and so are its set-up's, so this cannot go
-stale. The weights, lam2 and a wide design's active columns belong to each
-fit. `_Design` alone chooses between tall designs and wide ones (`fit_each`
-only asks which one it has). On tall ones a join reads a row of the Gram
-and a step costs O(p |A|). Wide ones keep the active columns contiguous, one
+What depends on (x, y) alone is set up once per Dataset and kept on it, in
+two parts. The design part (`_Moments`) depends on x alone: the column
+means, the centered sums of squares x_j'x_j - n xbar_j^2 (which find the
+columns with no variance and give every M_jj) and, for a tall design
+(p <= n), the centered Gram X'X - n xbar xbar', built once from one product
+X'X whose diagonal also gives the raw sums of squares, so the Gram's
+diagonal is the centered sums of squares bit for bit. The response part
+(`_Setup`) holds mean(y) and X'(y - mean y). A Dataset made by
+`with_response` shares its source's design part, and one made by `head`
+takes a slice of it, so a design refit on new responses or on nested
+column sets is set up once. A Dataset's arrays are read-only, and so are
+its set-up's, so this cannot go stale. The weights, lam2 and a wide
+design's active columns belong to each fit. `_Design` alone chooses
+between tall designs and wide ones (`fit_each` only asks which one it
+has). On tall ones a join reads a row of the Gram and a step costs
+O(p |A|). Wide ones keep the active columns contiguous, one
 row of n floats each in the order of A, in a buffer that doubles with
 M_A^{-1}'s as A grows: a join costs x_j'X_A (2n|A| flops), and a step
 X'(X_A d - (xbar_A'd) 1), one pass over X plus 2n|A| flops. The first
@@ -111,6 +116,15 @@ the case of all live columns is the ridge solve.
 alpha = 1 it hands each fit the homotopy of the fit before, which continues
 down to the next point (a closed-form fit leaves it where it was); at
 alpha < 1 lam2 moves with lambda, and each point starts from lambda_max.
+A step that stops at a grid point keeps its segment: its refined
+direction, the product a that moved c, and the lambda of the segment's
+first join or drop. A next point above that lambda is reached along the
+segment (`_Homotopy.coast`): beta and c move on, one step with no pass
+over X, no product with M_A^{-1} and no join search, as the step itself
+would have moved them. A join, a drop, a restart or a rebuilt inverse
+forgets the segment, so the final solve at a coasted point sees the
+active set, signs and M_A^{-1} that a fresh step would, and its beta is
+the same. On a dense grid most points lie inside a segment.
 
 `fit_each` fits one design at several penalties, one `fit` each, as a
 scenario's delta arms need. On a wide design the pass over X is most of a
@@ -261,8 +275,9 @@ class FitResult:
     because perfbench/test_bench.py constructs a FitResult with them.
     sweeps_used counts homotopy steps (1 for the closed form of a tall
     design of at most three columns, or for a ridge solve):
-    since the point before on a continued path, and every step of a
-    fit_each arm, those taken alongside earlier arms' steps included;
+    since the point before on a continued path, where a step along a
+    segment already known counts as one, and every step of a fit_each arm,
+    those taken alongside earlier arms' steps included;
     converged means the fit passed the KKT certificate, and kkt_residual is
     its scale-free residual.
     """
@@ -291,7 +306,7 @@ def _objective(r, beta, lam1, lam2, u, v) -> float:
     return float(value)
 
 
-def _moments(x: np.ndarray, tall: bool):
+def _raw_moments(x: np.ndarray, tall: bool):
     """(column means, X'X of a tall x or None, column sums of squares): a
     tall x's sums of squares are the diagonal of X'X, not another pass."""
     # one BLAS call; x.mean(axis=0) is several times slower on a tall X
@@ -302,12 +317,18 @@ def _moments(x: np.ndarray, tall: bool):
     return xbar, gram, gram.diagonal().copy()
 
 
-class _Setup:
-    """What every fit of one Dataset shares, read-only: the column means,
-    their centered sums of squares (a tall design's Gram diagonal, bit for
-    bit), the columns with no variance (and whether there are any), mean(y),
-    X'(y - mean y) (zero on those columns) and its largest entry, and a tall
-    design's centered Gram, built once.
+def _freeze(part) -> None:
+    for value in vars(part).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
+class _Moments:
+    """The design part of a set-up, read-only, shared by every fit of one x
+    whatever its response: the column means, their centered sums of squares
+    (a tall design's Gram diagonal, bit for bit), the columns with no
+    variance (and whether there are any), the shift, and a tall design's
+    centered Gram, built once.
 
     The Gram is paid before the first step, whatever the fits need: 8 p^2
     bytes and about n p^2 multiply-adds. A path or a dense fit reads much of
@@ -321,40 +342,82 @@ class _Setup:
     100 sd is centered once, in a copy x, and shift holds the means taken out.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
+    def __init__(self, x: np.ndarray):
         n, p = x.shape
-        xbar, gram, raw = _moments(x, p <= n)
+        xbar, gram, raw = _raw_moments(x, p <= n)
         own = raw - n * xbar * xbar
         # only a column that fails the spread test can need the shift
         suspect = np.flatnonzero(own < 1e-4 * raw)
         self.shift = None
         if suspect.size and np.any(np.ptp(x[:, suspect], axis=0) > 0.0):
             x, self.shift = x - xbar, xbar
-            xbar, gram, raw = _moments(x, p <= n)
+            xbar, gram, raw = _raw_moments(x, p <= n)
             own = raw - n * xbar * xbar
         self.x, self.n, self.xbar, self.own = x, n, xbar, own
         self.dead = own <= _DEAD * raw  # no variance
         self.any_dead = bool(np.logical_or.reduce(self.dead))
-        self.ybar = float(y.sum() / n)
-        self.yc = y - self.ybar
-        self.c0 = x.T @ self.yc
-        if self.any_dead:
-            # a dead column's correlation is round-off
-            self.c0[self.dead] = 0.0
-        self.scale = float(np.maximum.reduce(np.abs(self.c0), initial=0.0))
         if gram is not None:
             gram -= np.multiply.outer(n * xbar, xbar)
         self.gram = gram
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        _freeze(self)
+
+    def head(self, p: int) -> _Moments | None:
+        """The moments of the first p columns, as views of these: every entry
+        is the one a set-up of those columns alone computes, by the same
+        formula, from sums that are exact on a design of integers. self when p
+        is all the columns; None after a shift (x is then a centered copy) or
+        when a wide design's head is tall and needs a Gram."""
+        if p == self.x.shape[1]:
+            return self
+        if self.shift is not None or (self.gram is None and p <= self.n):
+            return None
+        part = object.__new__(_Moments)
+        part.__dict__.update(
+            x=self.x[:, :p], n=self.n, xbar=self.xbar[:p], own=self.own[:p],
+            dead=self.dead[:p], shift=None, gram=None if self.gram is None else self.gram[:p, :p],
+        )
+        part.any_dead = bool(np.logical_or.reduce(part.dead))
+        return part
+
+
+class _Setup:
+    """What every fit of one Dataset shares, read-only: its design part (a
+    _Moments, shared with every Dataset of the same x) and the response part,
+    mean(y), y - mean(y), X'(y - mean y) (zero on the columns with no
+    variance) and its largest entry."""
+
+    def __init__(self, moments: _Moments, y: np.ndarray):
+        self.moments = moments
+        self.ybar = float(y.sum() / moments.n)
+        self.yc = y - self.ybar
+        self.c0 = moments.x.T @ self.yc
+        if moments.any_dead:
+            # a dead column's correlation is round-off
+            self.c0[moments.dead] = 0.0
+        self.scale = float(np.maximum.reduce(np.abs(self.c0), initial=0.0))
+        _freeze(self)
+
+
+def _design_part(data: Dataset) -> _Moments:
+    """data's _Moments, made on first use and kept on the instance: its
+    source's, sliced to data's columns, for a Dataset made by with_response
+    or head (see Dataset), unless slicing cannot give them."""
+    moments = data.__dict__.get("_moments")
+    if moments is None:
+        source = data.__dict__.get("_source")
+        if source is not None:
+            moments = _design_part(source).head(data.p)
+        if moments is None:
+            moments = _Moments(data.x)
+        data.__dict__["_moments"] = moments
+    return moments
 
 
 def _setup(data: Dataset) -> _Setup:
     """data's set-up, made on first use and kept on the instance."""
     setup = data.__dict__.get("_setup")
     if setup is None:
-        setup = data.__dict__["_setup"] = _Setup(data.x, data.y)
+        setup = data.__dict__["_setup"] = _Setup(_design_part(data), data.y)
     return setup
 
 
@@ -368,11 +431,11 @@ class _Design:
     """
 
     def __init__(self, setup: _Setup, u, v, lam2: float):
+        m = setup.moments
         self.u, self.v, self.lam2 = u, v, lam2
-        self.x, self.n, self.xbar, self.yc = setup.x, setup.n, setup.xbar, setup.yc
-        self.own = setup.own
-        self.c0, self.gram, self.dead = setup.c0, setup.gram, setup.dead
-        self.any_dead = setup.any_dead
+        self.x, self.n, self.xbar, self.own = m.x, m.n, m.xbar, m.own
+        self.gram, self.dead, self.any_dead = m.gram, m.dead, m.any_dead
+        self.yc, self.c0 = setup.yc, setup.c0
         self.active = np.empty((0, self.n)) if self.gram is None else None
 
     # -- the active columns, in the order of the path's active set -------
@@ -527,6 +590,10 @@ class _Homotopy:
         # the step's direction, and the next step's when an event formed it
         self.dvec = self.next = None
         self.dropped, self.left = -1, 0.0  # the last drop, and the bound it left
+        # (refined direction, its product a, lambda of its first join or drop)
+        # of the segment the last step stopped inside; a join, a drop or a
+        # rebuilt inverse forgets it
+        self.segment = None
         self.beta = np.zeros(d.c0.shape[0])
         self.c = d.c0.copy()
         ratio = np.abs(d.c0) / d.u
@@ -607,6 +674,7 @@ class _Homotopy:
         them. A join by the update (not a near one) that ends a step also
         forms the next step's direction."""
         d, k = self.d, self.k
+        self.segment = None
         idx = self.act[:k]
         if known is None:
             g = d.cross(j, idx)
@@ -659,6 +727,7 @@ class _Homotopy:
         """Active column i leaves; a drop that ends a step forms the next
         step's direction."""
         inv, k, m = self.inv, self.k, self.m
+        self.segment = None
         last = k - 1
         j = int(self.act[i])
         self.dropped, self.left = j, float(self.sgn[i])
@@ -699,18 +768,38 @@ class _Homotopy:
         k = self.k
         self.inv[:k, :k] = np.linalg.inv(self.d.system(self.act[:k]))
         self.m = 0
+        self.segment = None
         return True
 
     # -- moving along the path -------------------------------------------
 
     def run(self, lam1: float) -> bool:
-        """Follow the path down to lam1; False if the step cap stopped it."""
+        """Follow the path down to lam1; False if the step cap stopped it.
+        A lam1 inside the segment kept by the last step is reached along it
+        (`coast`), any other by steps."""
         while self.lam > lam1:
             if self.steps >= self.max_steps:
                 return False
+            if self.segment is not None and lam1 > self.segment[2]:
+                self.coast(lam1)
+                continue
             self.open()
             self.close(lam1, self.d.product(self.idx, self.dvec))
         return True
+
+    def coast(self, lam1: float) -> None:
+        """One step to lam1 along the kept segment: beta moves by its refined
+        direction and c by its product a, as its step would have moved them
+        had it gone on, with no product, refinement or join search. Its
+        active set and signs are those of the step that found it, so the
+        optimum solved at lam1 is the one a fresh step would reach."""
+        dvec, a, _ = self.segment
+        idx, t = self.idx, self.lam - lam1
+        self.steps += 1
+        self.beta[idx] += t * dvec
+        self.c -= t * a
+        self.lam = lam1
+        self.c[idx] = lam1 * self.target
 
     def step_with(self, other: _Homotopy, lam1: float, goal: float) -> None:
         """One step of this path toward lam1 and one of other, a path of the
@@ -790,6 +879,8 @@ class _Homotopy:
         self.lam = lam1 if t >= lam - lam1 else lam - t
         c[idx] = self.lam * target
         if self.lam == lam1:
+            # the segment goes on to its first join or drop
+            self.segment = dvec, a, lam - min(t_drop, t_join)
             return
         if t_drop <= t_join:
             self.drop(i_drop)
@@ -1044,13 +1135,13 @@ def fit(
     setup = _setup(data)
     design = continuation.d if continuation is not None else _Design(setup, u, v, lam2)
     scale, steps = setup.scale, 0
-    x = setup.x
+    x = design.x
     while True:
         beta, taken, continued = _optimum(design, lam1, continuation)
         steps += taken
-        beta0 = setup.ybar - float(setup.xbar @ beta)
+        beta0 = setup.ybar - float(design.xbar @ beta)
         r = y - beta0 - x @ beta
-        res = _kkt(x, r, beta, lam1, lam2, u, v, setup.dead)
+        res = _kkt(x, r, beta, lam1, lam2, u, v, design.dead)
         worst = float(np.maximum.reduce(res, initial=0.0))
         residual = (0.0 if worst == 0.0 else math.inf) if scale == 0.0 else worst / scale
         # a continued point that lost the certificate is redone from lambda_max
@@ -1058,8 +1149,9 @@ def fit(
             break
         continuation.restart()
     objective = _objective(r, beta, lam1, lam2, u, v)
-    if setup.shift is not None:
-        beta0 -= float(setup.shift @ beta)
+    shift = setup.moments.shift
+    if shift is not None:
+        beta0 -= float(shift @ beta)
     return FitResult(
         beta_norm=beta,
         beta0_norm=beta0,
@@ -1166,7 +1258,7 @@ def fit_each(data: Dataset, penalties) -> list[FitResult]:
     penalties = list(penalties)
     arms: list[_Homotopy | None] = [None] * len(penalties)
     setup = _setup(data)
-    if setup.gram is None:
+    if setup.moments.gram is None:
         for i, penalty in enumerate(penalties):
             if penalty.lam1 > 0.0:
                 design = _Design(setup, *penalty.resolve_weights(data.p), penalty.lam2)
@@ -1197,7 +1289,7 @@ def kkt_residuals(data: Dataset, penalty: PenaltySpec, result: FitResult):
     """
     u, v = penalty.resolve_weights(data.p)
     r = data.y - result.beta0 - data.x @ result.beta
-    res = _kkt(data.x, r, result.beta, penalty.lam1, penalty.lam2, u, v, _setup(data).dead)
+    res = _kkt(data.x, r, result.beta, penalty.lam1, penalty.lam2, u, v, _design_part(data).dead)
     active = result.beta != 0.0
     return (
         float(np.max(res, where=active, initial=0.0)),

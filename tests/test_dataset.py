@@ -1,5 +1,7 @@
 """Dataset container invariants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,40 @@ def test_a_dataset_freezes_the_arrays_it_keeps_and_copies_the_others(stored):
     assert np.shares_memory(data.x, x) == np.shares_memory(data.y, y) == stored
     assert x.flags["WRITEABLE"] == y.flags["WRITEABLE"] == (not stored)
     assert not data.x.flags["WRITEABLE"] and not data.y.flags["WRITEABLE"]
+
+
+def test_a_new_response_keeps_x_and_is_stored_as_the_constructor_stores_one():
+    data = Dataset(x=np.arange(12.0).reshape(4, 3), y=np.zeros(4), names=("a", "b", "c"))
+    y = np.arange(8.0)[::2]
+    refit = data.with_response(y)
+    assert refit.x is data.x and not refit.x.flags.writeable
+    assert refit.names == data.names
+    # a strided y is copied, as the constructor copies one
+    assert np.array_equal(refit.y, y) and not np.shares_memory(refit.y, y)
+    assert not refit.y.flags.writeable and y.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "y",
+    [np.zeros(5), np.zeros((4, 1)), np.array([0.0, np.nan, 1.0, 2.0]), np.full(4, -np.inf)],
+    ids=["too-long", "two-dimensional", "nan", "infinite"],
+)
+def test_a_new_response_is_refused_as_the_constructor_refuses_it(y):
+    x = np.ones((4, 2))
+    with pytest.raises((DimensionMismatchError, DomainError)) as fresh:
+        Dataset(x=x, y=y)
+    with pytest.raises(type(fresh.value), match=re.escape(str(fresh.value))):
+        Dataset(x=x, y=np.zeros(4)).with_response(y)
+
+
+def test_a_head_is_a_read_only_view_of_the_first_columns_with_the_same_response():
+    data = Dataset(x=np.arange(12.0).reshape(4, 3), y=np.arange(4.0), names=("a", "b", "c"))
+    for p in range(4):
+        head = data.head(p)
+        assert head.names == data.names[:p] and head.y is data.y
+        assert np.shares_memory(head.x, data.x) or p == 0
+        assert np.array_equal(head.x, data.x[:, :p])
+        assert head.x.flags["F_CONTIGUOUS"] and not head.x.flags["WRITEABLE"]
+    for p in (-1, 4):
+        with pytest.raises(DimensionMismatchError, match=f"head takes 0 to 3 columns, got {p}"):
+            data.head(p)

@@ -1,10 +1,13 @@
-"""Fits go through penalty weights on the raw design, one set-up per Dataset.
+"""Fits go through penalty weights on the raw design, one set-up per design.
 
 A plan's scales enter a fit as weights u = s, v = s^2 on the data as given,
 so no fit path builds a normalized copy; and what a fit needs of (x, y)
-alone is computed once per Dataset, however many fits share it.
+alone is computed once per Dataset, however many fits share it, and what it
+needs of x alone once per design, however many responses and nested column
+sets refit it.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 import normreg.solver
 from normreg import CVPlan, Dataset, ScenarioSpec, cross_validate, run_scenario
 from normreg import normalize
+from normreg.solver import PenaltySpec, fit, fit_path, lambda_grid, lambda_max
 from normreg.cli import main
 
 from test_golden import CASES, TABLES, _mixed_csv
@@ -39,27 +43,34 @@ def test_no_fit_path_makes_a_normalized_copy(case, tmp_path, monkeypatch, capsys
 
 @pytest.fixture
 def setups(monkeypatch):
-    """The number of set-ups made so far, as a one-element list."""
+    """The number of design set-ups (_Moments) made so far, as a one-element list."""
     made = [0]
-    init = normreg.solver._Setup.__init__
+    init = normreg.solver._Moments.__init__
 
-    def counted(self, x, y):
+    def counted(self, x):
         made[0] += 1
-        init(self, x, y)
+        init(self, x)
 
-    monkeypatch.setattr(normreg.solver._Setup, "__init__", counted)
+    monkeypatch.setattr(normreg.solver._Moments, "__init__", counted)
     return made
 
 
-def test_mixed_data_sets_up_once_per_design(setups, monkeypatch):
+def _fitted(monkeypatch) -> list:
+    """The Dataset of every fit, fit_path or fit_each call a scenario makes from now on."""
     fits = []
-    fit = normreg.simulate.fit
+    for name in ("fit", "fit_path", "fit_each"):
+        exact = getattr(normreg.simulate, name)
 
-    def counted(*args, **kwargs):
-        fits.append(args[0])
-        return fit(*args, **kwargs)
+        def counted(*args, exact=exact, **kwargs):
+            fits.append(args[0])
+            return exact(*args, **kwargs)
 
-    monkeypatch.setattr(normreg.simulate, "fit", counted)
+        monkeypatch.setattr(normreg.simulate, name, counted)
+    return fits
+
+
+def test_mixed_data_sets_up_once_per_design(setups, monkeypatch):
+    fits = _fitted(monkeypatch)
     spec = ScenarioSpec(
         scenario="mixed-data", seed=3, n=50, replications=2,
         params={"q_grid": (0.5, 0.9), "delta_grid": (0.0, 0.5, 1.0)},
@@ -68,6 +79,130 @@ def test_mixed_data_sets_up_once_per_design(setups, monkeypatch):
     # two models and three deltas share each (replication, q) design
     assert len(fits) == 2 * 2 * 2 * 3
     assert setups[0] == len({id(data) for data in fits}) == 2 * 2
+
+
+@pytest.mark.parametrize(
+    "scenario, sizes, params, designs, datasets",
+    [
+        # a design per (q2, rho) cell, refit on each replication's response
+        ("orthogonality", dict(n=200), {"q2_grid": (0.5, 0.7), "rho_grid": (0.0, 0.4)},
+         4, 2 * 4),
+        # a design per (replication, q), refit on each beta3's response
+        ("interactions", dict(n=60), {"q_grid": (0.5, 0.9), "beta3_grid": (0.0, 1.0, 5.0)},
+         2 * 2, 2 * 2 * 3),
+        # a design per (replication, q), refit on each sigma's response
+        ("bias-var", dict(n=60), {"q_grid": (0.5, 0.9), "sigma_grid": (0.5, 2.0)},
+         2 * 2, 2 * 2 * 2),
+        ("selection-probability", dict(n=60), {"q_grid": (0.5, 0.9), "sigma_grid": (0.5, 2.0)},
+         2 * 2, 2 * 2 * 2),
+        # a design per replication, whose first p columns are each p's design
+        ("power-fdr", dict(n=300), {"p_grid": (20, 40), "delta_grid": (0.0, 1.0)}, 2, 2 * 2),
+        # a training design per replication, refit on each snr's response
+        ("predictive-sim", dict(n=60, p=40),
+         {"n_signal": 3, "snr_grid": (0.5, 2.0), "delta_grid": (1.0,), "path_count": 3},
+         2, 2 * 2),
+    ],
+)
+def test_a_design_refit_on_new_responses_or_columns_is_set_up_once(
+    scenario, sizes, params, designs, datasets, setups, monkeypatch
+):
+    fits = _fitted(monkeypatch)
+    result = run_scenario(
+        ScenarioSpec(scenario=scenario, seed=3, replications=2, params=params, **sizes)
+    )
+    assert not result.manifest["skipped"]
+    assert setups[0] == designs < len({id(data) for data in fits}) == datasets
+
+
+def _fields(res) -> list:
+    """Every field of a fit, arrays as lists: equal lists are equal bits."""
+    return [
+        value.tolist() if isinstance(value, np.ndarray) else value
+        for value in (getattr(res, f.name) for f in dataclasses.fields(res))
+    ]
+
+
+def _fits(data) -> list:
+    """A lasso path, an elastic-net fit and a ridge fit of data, field by field."""
+    lam = lambda_max(data)
+    results = fit_path(data, 1.0, lambda_grid(lam, count=8, ratio=1e-2))
+    results.append(fit(data, PenaltySpec(0.2 * lam, lam2=1.0)))
+    results.append(fit(data, PenaltySpec(0.0, lam2=2.0)))
+    return [_fields(res) for res in results]
+
+
+def _design(kind: str, rng) -> np.ndarray:
+    n, p = (30, 60) if kind == "wide" else (80, 8)
+    if kind == "binary":
+        return (rng.random((n, p)) < rng.uniform(0.1, 0.9, p)).astype(float)
+    x = rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0, p)
+    if kind == "shifted":
+        # centered once, in a copy, which the new response's fits share
+        x[:, 2] += 1e4
+    elif kind == "dead":
+        x[:, 1] = 0.3
+    return x
+
+
+@pytest.mark.parametrize("kind", ["binary", "normal", "wide", "shifted", "dead"])
+def test_a_new_responses_fits_equal_a_fresh_datasets_field_for_field(kind, setups):
+    rng = np.random.default_rng(12)
+    x = _design(kind, rng)
+    first = Dataset(x=x, y=rng.standard_normal(x.shape[0]))
+    _fits(first)
+    y = x[:, :3] @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(x.shape[0])
+    refit = first.with_response(y)
+    assert _fits(refit) == _fits(Dataset(x=x, y=y))
+    # the first Dataset's design part served the new response's fits
+    assert setups[0] == 2
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_a_heads_fits_equal_a_fresh_datasets_bit_for_bit_on_a_binary_design(n, setups):
+    # every sum over a binary column is an exact integer, so the sliced
+    # moments are those of a fresh set-up of the head, bit for bit
+    rng = np.random.default_rng(n)
+    x = np.asfortranarray(rng.random((n, 60)) < rng.uniform(0.02, 0.98, 60), dtype=float)
+    y = x[:, :5] @ rng.uniform(-2.0, 2.0, 5) + rng.standard_normal(n)
+    full = Dataset(x=x, y=y)
+    for p in (1, 3, 20, 60):
+        head = full.head(p)
+        assert head.names == full.names[:p]
+        assert _fits(head) == _fits(Dataset(x=x[:, :p].copy(order="F"), y=y))
+    # the full design's set-up, which its heads slice, and one per fresh copy
+    assert setups[0] == 1 + 4
+
+
+@pytest.mark.parametrize("kind", ["shifted", "wide"])
+def test_a_head_that_slicing_cannot_give_is_set_up_afresh(kind, setups):
+    # after a shift the source's x is a centered copy, and a wide source has
+    # no Gram for a tall head: either head gets a set-up of its own columns,
+    # and on a binary head the fits of a fresh Dataset, bit for bit
+    rng = np.random.default_rng(6)
+    n, p = (300, 12) if kind == "shifted" else (40, 90)
+    x = (rng.random((n, p)) < rng.uniform(0.1, 0.9, p)).astype(float)
+    if kind == "shifted":
+        x[:, -1] = 1e4 + rng.standard_normal(n)
+    full = Dataset(x=x, y=x[:, :3] @ np.array([1.0, -1.0, 2.0]) + rng.standard_normal(n))
+    _fits(full)
+    assert _fits(full.head(8)) == _fits(Dataset(x=x[:, :8], y=full.y))
+    assert setups[0] == 3
+
+
+def test_a_heads_fits_equal_a_fresh_datasets_to_round_off_on_a_continuous_design(setups):
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((200, 30)) * rng.uniform(0.5, 3.0, 30) + rng.uniform(-2.0, 2.0, 30)
+    full = Dataset(x=x, y=x[:, :4] @ np.array([1.0, -1.0, 0.5, 2.0]) + rng.standard_normal(200))
+    head = full.head(12).with_response(full.y + 0.1)
+    fresh = Dataset(x=x[:, :12], y=full.y + 0.1)
+    lam = lambda_max(fresh)
+    grid = lambda_grid(lam, count=8, ratio=1e-2)
+    for ours, theirs in zip(fit_path(head, 1.0, grid), fit_path(fresh, 1.0, grid)):
+        assert ours.converged and theirs.converged
+        assert np.allclose(ours.beta, theirs.beta, rtol=1e-9, atol=1e-12)
+        assert ours.beta0 == pytest.approx(theirs.beta0, rel=1e-9, abs=1e-12)
+    # the head of a head, and a new response of it, slice the one set-up
+    assert setups[0] == 2
 
 
 def test_cross_validation_sets_up_once_per_training_fold(setups):
@@ -211,7 +346,7 @@ def test_a_tall_setups_sums_of_squares_are_its_grams_diagonal(kind, seed):
         x[:, j] = rng.uniform(-3.0, 3.0)
     elif kind == "shifted":
         x[:, j] = 1e4 + 0.5 * rng.standard_normal(n)
-    setup = normreg.solver._setup(Dataset(x=x, y=rng.standard_normal(n)))
+    setup = normreg.solver._setup(Dataset(x=x, y=rng.standard_normal(n))).moments
     assert setup.gram is not None
     assert (setup.shift is not None) == (kind == "shifted")
     assert bool(setup.dead[j]) == (kind == "dead")

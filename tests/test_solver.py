@@ -279,7 +279,7 @@ def test_the_certificate_and_objective_equal_their_formulas_bit_for_bit(lam1, la
     data = Dataset(x=x, y=rng.standard_normal(30))
     u, v = rng.uniform(0.5, 2.0, 7), rng.uniform(0.5, 2.0, 7)
     penalty = PenaltySpec(lam1, lam2, u=u, v=v)
-    dead = normreg.solver._setup(data).dead
+    dead = normreg.solver._setup(data).moments.dead
     assert dead.tolist() == [j == 3 for j in range(7)]
     points = [np.array([0.0, -0.7, 1.3, 0.0, -0.0, 2.1, -1e-3]), np.zeros(7), -np.zeros(7)]
     for beta in [*points, fit(data, penalty).beta]:
@@ -598,13 +598,15 @@ def test_a_set_up_is_read_only_and_a_tall_one_holds_the_centered_gram(shape):
     fits += [fit(data, PenaltySpec(0.0, lam2=1.0)), fit(data, from_mixing(0.5, 0.1 * lam))]
     assert all(res.converged for res in fits)
     setup = normreg.solver._setup(data)
-    arrays = [value for value in vars(setup).values() if isinstance(value, np.ndarray)]
+    parts = [*vars(setup).values(), *vars(setup.moments).values()]
+    arrays = [value for value in parts if isinstance(value, np.ndarray)]
     assert arrays and not any(a.flags.writeable for a in arrays)
+    gram = setup.moments.gram
     if shape[0] < shape[1]:
-        assert setup.gram is None
+        assert gram is None
         return
     xc = x - x.mean(axis=0)
-    assert np.allclose(setup.gram, xc.T @ xc, rtol=0.0, atol=1e-12 * np.abs(x).max() ** 2 * x.shape[0])
+    assert np.allclose(gram, xc.T @ xc, rtol=0.0, atol=1e-12 * np.abs(x).max() ** 2 * x.shape[0])
 
 
 def test_penalty_validation():
@@ -852,14 +854,69 @@ def _tall_lasso():
     return data, PenaltySpec(lam1=0.05 * lambda_max(data))
 
 
+def _dense_grid(data, monkeypatch, u=None, v=None, ratio=1e-2) -> np.ndarray:
+    """200 log-spaced points from lambda_max down to ratio lambda_max, and
+    the points 1e-12 relative either side of each knot (a join or a drop,
+    or a refused join) that a first run of the lasso path over those points
+    meets: most points lie inside a segment, the others at its ends."""
+    grid = lambda_grid(lambda_max(data, u=u), 200, ratio)
+    knots, close = [], normreg.solver._Homotopy.close
+
+    def recorded(path, lam1, a):
+        close(path, lam1, a)
+        if path.lam > lam1:
+            knots.append(path.lam)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(normreg.solver._Homotopy, "close", recorded)
+        fit_path(data, 1.0, grid, u=u, v=v)
+    knots = np.array([k for k in knots if grid[-1] < k < grid[0]])
+    assert knots.size
+    return np.sort(np.concatenate([grid, knots * (1.0 + 1e-12), knots * (1.0 - 1e-12)]))[::-1]
+
+
+def _checked_coasts(monkeypatch, drift=None) -> list:
+    """The lambda of every step along a kept segment from now on, each
+    checked as it ends: beta is zero off the active columns, which a segment
+    kept past a drop would break, and, given drift, c is X'(y - X beta) -
+    lam2 v beta on the centered problem within drift of max |c0|. c moves by
+    the unrefined direction's product, so on an ill-conditioned M_A it
+    drifts from that by more than round-off along any step."""
+    coasts, coast = [], normreg.solver._Homotopy.coast
+
+    def checked(path, lam1):
+        coast(path, lam1)
+        act = path.act[: path.k]
+        off = np.ones(path.beta.shape[0], dtype=bool)
+        off[act] = False
+        assert not np.any(path.beta[off])
+        if drift is not None:
+            exact = path.d.correlations(path.beta, act)
+            assert np.allclose(path.c, exact, rtol=0.0, atol=drift * np.abs(path.d.c0).max())
+        coasts.append(lam1)
+
+    monkeypatch.setattr(normreg.solver._Homotopy, "coast", checked)
+    return coasts
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.5], ids=["lasso", "elnet"])
-@pytest.mark.parametrize("problem", [_tall_lasso, _wide_lasso], ids=["tall", "wide"])
-def test_path_points_equal_cold_fits(problem, alpha):
+@pytest.mark.parametrize(
+    "problem, dense",
+    [(_tall_lasso, False), (_wide_lasso, False), (_tall_lasso, True), (_wide_lasso, True)],
+    ids=["tall", "wide", "tall-dense", "wide-dense"],
+)
+def test_path_points_equal_cold_fits(problem, dense, alpha, monkeypatch):
     data, _ = problem()
+    lam_max = lambda_max(data)
     # the lasso's first two points lie at and above lambda_max, where the
     # path's one column drops again and leaves the active set empty
-    grid = np.concatenate([[1.5 * lambda_max(data)], lambda_grid(lambda_max(data), 12, 1e-2)])
+    points = _dense_grid(data, monkeypatch) if dense else lambda_grid(lam_max, 12, 1e-2)
+    grid = np.concatenate([[1.5 * lam_max], points])
+    coasts = _checked_coasts(monkeypatch, drift=1e-9)
     path = fit_path(data, alpha, grid)
+    # only a lasso path continues, and most points of a dense grid lie
+    # inside the segment of the step before
+    assert (len(coasts) > len(grid) / 2) == (dense and alpha == 1.0)
     assert alpha < 1.0 or path[0].support.size == path[1].support.size == 0
     for lam, res in zip(grid, path):
         cold = fit(data, from_mixing(alpha, lam))
@@ -867,10 +924,22 @@ def test_path_points_equal_cold_fits(problem, alpha):
         assert _certified(data, from_mixing(alpha, lam), res)
         assert np.allclose(res.beta, cold.beta, rtol=0.0, atol=1e-10)
         assert res.beta0 == pytest.approx(cold.beta0, abs=1e-10)
-    if alpha == 1.0:
+    if alpha == 1.0 and not dense:
         # the path continued: it took the last cold fit's steps, and one
-        # more per point, where it stopped inside a segment
+        # more per point, where it stopped inside a segment (on the dense
+        # grid a few points beside a knot are redone from lambda_max)
         assert sum(res.sweeps_used for res in path) <= cold.sweeps_used + len(grid)
+
+
+def test_a_dense_grid_makes_fewer_passes_than_steps(monkeypatch):
+    # a point inside the segment of the step before is reached along it,
+    # with no pass over X, and still counts as a step
+    data, _ = _wide_lasso()
+    grid = _dense_grid(data, monkeypatch)
+    passes = _passes(monkeypatch)
+    steps = sum(res.sweeps_used for res in fit_path(data, 1.0, grid))
+    assert len(grid) < steps
+    assert len(passes) < steps / 2
 
 
 def _large_support(shape, ratio):
@@ -1319,6 +1388,25 @@ def test_ill_conditioned_paths_stay_certified(seed, alpha, rule, monkeypatch):
         assert seen[rule], seen
 
 
+@pytest.mark.parametrize("seed", [7, 1080, 2165, 1381, 5712, 8, 2638, 1878, 1246])
+def test_dense_paths_on_ill_conditioned_designs_equal_cold_fits(seed, monkeypatch):
+    # the designs of the sweep above, on a dense lasso grid with points on
+    # either side of each knot. A duplicate and a summed column leave beta
+    # without a unique optimum, so the fit X beta + beta0, which is unique,
+    # is compared with the cold fit's
+    data, u, v, ratios = _random_design(seed)
+    grid = _dense_grid(data, monkeypatch, u, v, ratios[1.0])
+    coasts = _checked_coasts(monkeypatch)
+    for lam, res in zip(grid, fit_path(data, 1.0, grid, u=u, v=v)):
+        penalty = PenaltySpec(float(lam), 0.0, u, v)
+        cold = fit(data, penalty)
+        assert res.converged and _certified(data, penalty, res), (lam, res.kkt_residual)
+        assert np.allclose(
+            res.beta0 + data.x @ res.beta, cold.beta0 + data.x @ cold.beta, rtol=0.0, atol=1e-10
+        )
+    assert coasts
+
+
 # the first ten seeds of _random_design with p <= 4, where the first join at
 # lambda_max and saturation (n - 1 active columns, or all p) come together
 @pytest.mark.parametrize("seed", [34, 53, 85, 126, 142, 150, 184, 195, 230, 239])
@@ -1460,7 +1548,7 @@ def _one_column(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_one_column_takes_the_closed_form_with_the_paths_support(seed, monkeypatch):
     data, u, v, lam2 = _one_column(seed)
-    dead = normreg.solver._setup(data).dead[0]
+    dead = normreg.solver._setup(data).moments.dead[0]
     assert dead == (seed % 10 == 7)
     # a dead column has no lambda_max: every lam1 gives the null model
     lam_max = 1.0 if dead else lambda_max(data, u=u)
@@ -1549,7 +1637,7 @@ def test_two_column_edges_reach_the_path(monkeypatch):
         x = np.column_stack([rng.random(80) < 0.3, rng.standard_normal(80)])
         data = Dataset(x=x, y=x @ np.array([2.0, 0.5]) + rng.standard_normal(80))
         setup = normreg.solver._setup(data)
-        c, g = setup.c0, setup.gram
+        c, g = setup.c0, setup.moments.gram
         f = int(np.argmax(np.abs(c)))
         o, lam_max = 1 - f, abs(c[f])
         for side in (1.0, -1.0):
